@@ -30,7 +30,7 @@ from .constructions import (
     verify_theorem29_lp,
 )
 from .corpus import diff_signal, random_dense
-from .errors import HlmaxError, ResourceCapExceeded
+from .errors import HlmaxError, ParameterViolation, ResourceCapExceeded
 from .maxengine import profile
 from .signal import BlockSignal, DenseSignal, signal_from_json, signal_to_json
 from .continuum import step_to_json
@@ -68,15 +68,24 @@ def _parse_range(spec: str) -> list:
     return list(range(lo, hi + 1))
 
 
+def _int_arg(s: str) -> int:
+    """argparse type for integers of any size (argparse's int refuses
+    more than 4300 digits)."""
+    try:
+        return parse_int(s)
+    except ParameterViolation as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
 def _add_construction_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--g", nargs="+", metavar="GROWTH",
                      help="growth function: log | loglog | logpow B | power B")
-    sub.add_argument("--k", type=int, default=None, help="number of scales k_max")
+    sub.add_argument("--k", type=_int_arg, default=None, help="number of scales k_max")
     sub.add_argument("--mode", choices=("paper", "relaxed"), default="paper")
     sub.add_argument("--p", help="exponent p as p/q (theorem29-lp)")
     sub.add_argument("--alpha", help="decay alpha as p/q (theorem29-lp)")
-    sub.add_argument("--n1", type=int, default=None, help="first scale (relaxed mode)")
-    sub.add_argument("--growth-factor", type=int, default=None,
+    sub.add_argument("--n1", type=_int_arg, default=None, help="first scale (relaxed mode)")
+    sub.add_argument("--growth-factor", type=_int_arg, default=None,
                      help="multiplicative scale growth (relaxed mode)")
     sub.add_argument("--variant", choices=("discrete", "continuous"),
                      default="discrete", help="theorem27 signal model")
@@ -122,7 +131,7 @@ def _cmd_construct(args) -> int:
 def _cmd_profile(args) -> int:
     with open(args.signal) as fh:
         doc = json.load(fh)
-    if doc.get("type") == "step":
+    if isinstance(doc, dict) and doc.get("type") == "step":
         raise ValueError("profile runs on integer signals (dense/blocks)")
     sig = signal_from_json(doc)
     if args.range is not None:
@@ -150,7 +159,7 @@ def _cmd_profile(args) -> int:
 def _cmd_density(args) -> int:
     with open(args.signal) as fh:
         doc = json.load(fh)
-    if doc.get("type") == "step":
+    if isinstance(doc, dict) and doc.get("type") == "step":
         raise ValueError("density runs on integer signals (dense/blocks)")
     sig = signal_from_json(doc)
     g = _parse_growth(args.g) if args.g else None

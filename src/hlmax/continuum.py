@@ -15,12 +15,13 @@ reported radius is 0 (the infimum of the attaining set) with attained=True.
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import NonpositiveRadius, ParameterViolation, ZeroSignal
-from .values import parse_rational, rational_str
+from .values import json_field, json_rational, max_slope_pair, rational_str
 
 
 @dataclass(frozen=True)
@@ -135,27 +136,48 @@ def maximal_centered_cont(f: StepFunction, x: Fraction) -> ContinuousResult:
     return ContinuousResult(x, best, best_r, True)
 
 
+def _scaled(values: list) -> tuple[list, int]:
+    """Integers v * D for Fractions v, with D their common denominator."""
+    d = math.lcm(*(v.denominator for v in values))
+    return [v.numerator * (d // v.denominator) for v in values], d
+
+
 def maximal_uncentered_cont(f: StepFunction, x: Fraction) -> ContinuousResult:
     """Maximal average over intervals containing x; radius reports half the
     minimal maximizing interval length (0 when vanishing intervals already
     realize the supremum, which for a step function equals the larger
-    one-sided limit)."""
+    one-sided limit).
+
+    With F the mass function, the interval (l, u) averages the slope of F
+    from l to u.  F is linear between breakpoints, so the candidate ends
+    are the breakpoints on each side of x and x itself, and the answer is
+    the steepest chord from a left candidate to a right one: exact prefix-
+    sum hulls (max_slope_pair) on integer-scaled offsets from x, innermost
+    pair first, so the reported interval is the shortest maximizer.  The
+    zero-length pair (x, x) is no interval; the chords are split into
+    those from a breakpoint left of x and those from x itself."""
     x = Fraction(x)
     left, right = f.one_sided_limits(x)
-    best = max(left, right)
-    best_diam = Fraction(0)
-    l_cands = sorted({b for b in f.breakpoints if b < x} | {x})
-    u_cands = sorted({b for b in f.breakpoints if b > x} | {x})
-    for l in l_cands:
-        for u in u_cands:
-            if u <= l:
-                continue
-            a = f.mass(l, u) / (u - l)
-            if a > best:
-                best, best_diam = a, u - l
-            elif a == best and best_diam != 0 and u - l < best_diam:
-                best_diam = u - l
-    return ContinuousResult(x, best, best_diam / 2, True)
+    bps = f.breakpoints
+    k, m = bisect_left(bps, x), bisect_right(bps, x)
+    xs, dx = _scaled([b - x for b in bps])
+    ys, dy = _scaled(f._prefix + [f._integral_to(x)])
+    fx = ys.pop()
+    splits = []
+    if k:
+        splits.append((xs[:k], ys[:k], [0] + xs[m:], [fx] + ys[m:]))
+    if m < len(bps):
+        splits.append(([0], [fx], xs[m:], ys[m:]))
+    num, den = -1, 0
+    for xl, yl, xr, yr in splits:
+        i, j = max_slope_pair(xl, yl, xr, yr)
+        n2, d2 = yr[j] - yl[i], xr[j] - xl[i]
+        if den == 0 or n2 * den > num * d2 or (n2 * den == num * d2 and d2 < den):
+            num, den = n2, d2
+    value = Fraction(num * dx, den * dy)
+    if value > max(left, right):
+        return ContinuousResult(x, value, Fraction(den, 2 * dx), True)
+    return ContinuousResult(x, max(left, right), Fraction(0), True)
 
 
 def grid_scan_centered(
@@ -186,10 +208,11 @@ def step_to_json(f: StepFunction) -> dict:
     }
 
 
-def step_from_json(doc: dict) -> StepFunction:
-    if doc.get("type") != "step":
-        raise ParameterViolation(f"unknown step-function type {doc.get('type')!r}")
+def step_from_json(doc) -> StepFunction:
+    kind = json_field(doc, "type", str)
+    if kind != "step":
+        raise ParameterViolation(f"unknown step-function type {kind!r}")
     return StepFunction(
-        [parse_rational(s) for s in doc["breakpoints"]],
-        [parse_rational(s) for s in doc["values"]],
+        [json_rational(s) for s in json_field(doc, "breakpoints", list)],
+        [json_rational(s) for s in json_field(doc, "values", list)],
     )

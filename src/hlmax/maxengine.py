@@ -19,6 +19,7 @@ the overlap width in `gap`, never silently resolved.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Union
@@ -42,6 +43,7 @@ from .values import (
     Value,
     compare,
     exact_bounds,
+    max_slope_pair,
     overlap_width,
     v_add,
     v_div_posint,
@@ -391,19 +393,73 @@ def _u_peak(
     return hi_u
 
 
+def _uncentered_hull(
+    blocks: BlockSignal, view: tuple, n: int, l_low: int, u_high: int
+) -> UncenteredResult:
+    """All-constant case of event_uncentered by prefix-sum hulls.
+
+    With P(x) the scaled mass left of x, the window [l, u] averages the
+    slope from (l, P(l)) to (u + 1, P(u + 1)), so the answer is the largest
+    slope from a left point to a right one, innermost pair first
+    (max_slope_pair).  P is linear between the block edges S_i and
+    E_i + 1, so on each side the slope term P*den - num*x is extremal, and
+    extremal at its innermost, only at those edges or at the pinned ends;
+    the other candidate edges (boundaries +-1) can neither raise the
+    maximum nor shorten the minimal window.  Coordinates are offsets from
+    the support start, so the arithmetic stays small at any n."""
+    d, amps, pref = view
+    starts, ends = blocks._starts, blocks._ends
+    base = starts[0]
+    xs, ys = [], []
+    for s, e, p0, p1 in zip(starts, ends, pref, pref[1:]):
+        xs += (s - base, e + 1 - base)
+        ys += (p0, p1)
+    # mass left of n and of n + 1; the outer ends hold none and all of it
+    k = bisect_right(starts, n) - 1
+    if k >= 0 and n <= ends[k]:
+        p_n = pref[k] + amps[k] * (n - starts[k])
+        p_n1 = p_n + amps[k]
+    else:
+        p_n = p_n1 = pref[k + 1]
+    t, x_lo, x_hi = n - base, l_low - base, u_high + 1 - base
+    a, b = bisect_right(xs, x_lo), bisect_left(xs, t)
+    xl, yl = [x_lo] + xs[a:b], [0] + ys[a:b]
+    if t > x_lo:
+        xl.append(t)
+        yl.append(p_n)
+    a, b = bisect_right(xs, t + 1), bisect_left(xs, x_hi)
+    xr, yr = [t + 1] + xs[a:b], [p_n1] + ys[a:b]
+    if x_hi > t + 1:
+        xr.append(x_hi)
+        yr.append(pref[-1])
+    i, j = max_slope_pair(xl, yl, xr, yr)
+    length = xr[j] - xl[i]
+    return UncenteredResult(n, Fraction(yr[j] - yl[i], d * length), length - 1, True)
+
+
 def event_uncentered(sig: Signal, n: int, limits: Limits = DEFAULT_LIMITS) -> UncenteredResult:
     """Maximal uncentered average at n and the minimal maximizing diameter.
 
     Candidate window edges are the block boundaries (+-1) and the pinned
-    edges n and the support ends.  For fixed right edge the average is
-    valley-shaped in the left edge (constant regions: monotone Mobius;
-    power-law regions: leftward extension meets non-decreasing values), so
-    left edges only matter at stretch endpoints; for fixed left edge the
-    average is unimodal in the right edge across power-law stretches, with
-    the single interior peak located by a monotone binary search."""
+    edges n and the support ends.  All-constant signals take the exact
+    prefix-sum hull route: the best window is the steepest chord from a
+    left-edge point of the prefix-mass graph to a right-edge one, found by
+    tangent searches between the two hulls in time near-linear in the
+    block count, and among the windows attaining it the one with the
+    largest left edge and the smallest right edge, which has the minimal
+    diameter, is reported.  Power-law signals try every candidate pair: for
+    fixed right edge the average is valley-shaped in the left edge
+    (constant regions: monotone Mobius; power-law regions: leftward
+    extension meets non-decreasing values), so left edges only matter at
+    stretch endpoints; for fixed left edge the average is unimodal in the
+    right edge across power-law stretches, with the single interior peak
+    located by a monotone binary search."""
     blocks = _as_blocks(sig)
     rho_max, s_max = _uncentered_bounds(blocks, n)
     l_low, u_high = n - rho_max, n + s_max
+    view = blocks.int_view()
+    if view is not None:
+        return _uncentered_hull(blocks, view, n, l_low, u_high)
     l_set = {n, l_low}
     u_set = {n, u_high}
     for b in blocks.boundaries():
@@ -415,19 +471,6 @@ def event_uncentered(sig: Signal, n: int, limits: Limits = DEFAULT_LIMITS) -> Un
                 u_set.add(p)
     l_cands = sorted(l_set)
     u_cands = sorted(u_set)
-    view = blocks.int_view()
-    if view is not None:
-        d, _, _ = view
-        best_num, best_len, best_diam = -1, 1, 0
-        for l in l_cands:
-            for u in u_cands:
-                num = window_sum_scaled(blocks, l, u)
-                length = u - l + 1
-                lhs = num * best_len
-                rhs = best_num * length
-                if lhs > rhs or (lhs == rhs and u - l < best_diam):
-                    best_num, best_len, best_diam = num, length, u - l
-        return UncenteredResult(n, Fraction(best_num, d * best_len), best_diam, True)
     state = _PeakState()
     pl_stretches = []
     if blocks.has_powerlaw:

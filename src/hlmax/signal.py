@@ -36,8 +36,9 @@ from .values import (
     Value,
     fraction_to_enclosure,
     int_str,
-    parse_int,
-    parse_rational,
+    json_field,
+    json_int,
+    json_rational,
     power_term,
     rational_str,
     v_add,
@@ -426,24 +427,22 @@ def signal_to_json(sig: Signal) -> dict:
     return {"type": "blocks", "blocks": out}
 
 
-def _json_int(v) -> int:
-    return v if isinstance(v, int) else parse_int(v)
-
-
-def signal_from_json(doc: dict) -> Signal:
-    kind = doc.get("type")
+def signal_from_json(doc) -> Signal:
+    kind = json_field(doc, "type", str)
     if kind == "dense":
-        return DenseSignal(_json_int(doc["lo"]), [parse_rational(s) for s in doc["values"]])
+        values = [json_rational(v) for v in json_field(doc, "values", list)]
+        return DenseSignal(json_int(json_field(doc, "lo")), values)
     if kind == "blocks":
         blocks = []
-        for item in doc["blocks"]:
-            amp_doc = item["amp"]
+        for item in json_field(doc, "blocks", list):
+            amp_doc = json_field(item, "amp", dict)
             if "const" in amp_doc:
-                amp: Amp = parse_rational(amp_doc["const"])
+                amp: Amp = json_rational(amp_doc["const"])
             elif "powerlaw" in amp_doc:
-                amp = PowerLaw(parse_rational(amp_doc["powerlaw"]))
+                amp = PowerLaw(json_rational(amp_doc["powerlaw"]))
             else:
                 raise ParameterViolation("unknown amplitude model in JSON")
-            blocks.append(Block(_json_int(item["start"]), _json_int(item["end"]), amp))
+            start, end = json_field(item, "start"), json_field(item, "end")
+            blocks.append(Block(json_int(start), json_int(end), amp))
         return BlockSignal(blocks)
     raise ParameterViolation(f"unknown signal type {kind!r}")

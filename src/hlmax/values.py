@@ -83,13 +83,6 @@ class Enclosure:
     def bounds(self) -> tuple[Fraction, Fraction]:
         return mpf_to_fraction(self.lo), mpf_to_fraction(self.hi)
 
-    def width(self) -> Fraction:
-        lo, hi = self.bounds()
-        return hi - lo
-
-    def midpoint_float(self) -> float:
-        return float((self.lo + self.hi) / 2)
-
     def __repr__(self):  # keep reprs short; full precision lives in bounds()
         return f"Enclosure({mpmath.nstr(self.lo, 12)}..{mpmath.nstr(self.hi, 12)})"
 
@@ -136,6 +129,69 @@ def overlap_width(a: Value, b: Value) -> Fraction:
     blo, bhi = exact_bounds(b)
     w = min(ahi, bhi) - max(alo, blo)
     return w if w > 0 else Fraction(0)
+
+
+# up to this many (left, right) pairs, scanning them all for the largest
+# slope is cheaper than building the two hulls
+_DIRECT_PAIRS = 36
+
+
+def _lower_hull(xs, ys) -> list:
+    """Vertices (x, y) of the lower convex hull of points given in
+    ascending x; points on a hull edge are dropped."""
+    hull: list = []
+    for p in zip(xs, ys):
+        x, y = p
+        while len(hull) > 1:
+            (xa, ya), (xb, yb) = hull[-2], hull[-1]
+            if (yb - ya) * (x - xa) < (y - ya) * (xb - xa):
+                break
+            hull.pop()
+        hull.append(p)
+    return hull
+
+
+def max_slope_pair(xl: list, yl: list, xr: list, yr: list) -> tuple[int, int]:
+    """Exact innermost maximizer (i, j) of (yr[j] - yl[i]) / (xr[j] - xl[i]).
+
+    xl and xr ascend, every xl lies left of every xr, and coordinates are
+    ints or Fractions.  This is the maximum-density segment problem
+    (Goldwasser, Kao & Lu, JCSS 2005): the largest slope s joins a vertex
+    of the lower hull of the left points to one of the upper hull of the
+    right points, and a binary tangent search from each right vertex finds
+    it; up to _DIRECT_PAIRS pairs are scanned directly instead.  With
+    s = num/den, a pair attains s exactly when yl[i]*den - num*xl[i] is
+    minimal and yr[j]*den - num*xr[j] is maximal, so one pass over all
+    points returns the innermost maximizer: the largest such i and the
+    smallest such j."""
+    num, den = -1, 0
+    if len(xl) * len(xr) <= _DIRECT_PAIRS:
+        for xq, yq in zip(xr, yr):
+            for xv, yv in zip(xl, yl):
+                if den == 0 or (yq - yv) * den > num * (xq - xv):
+                    num, den = yq - yv, xq - xv
+    else:
+        lower = _lower_hull(xl, yl)
+        top = len(lower) - 1
+        for xq, yq in _lower_hull(xr, [-y for y in yr]):
+            yq = -yq  # the upper hull of the right points, flipped back
+            # slope(v_k, q) rises from k to k + 1 iff the hull edge there
+            # is flatter than slope(v_{k+1}, q); convexity makes that a prefix
+            lo, hi = 0, top
+            while lo < hi:
+                mid = (lo + hi) // 2
+                (x0, y0), (x1, y1) = lower[mid], lower[mid + 1]
+                if (y1 - y0) * (xq - x1) < (yq - y1) * (x1 - x0):
+                    lo = mid + 1
+                else:
+                    hi = mid
+            xv, yv = lower[lo]
+            if den == 0 or (yq - yv) * den > num * (xq - xv):
+                num, den = yq - yv, xq - xv
+    left = [y * den - num * x for x, y in zip(xl, yl)]
+    right = [y * den - num * x for x, y in zip(xr, yr)]
+    i = len(left) - 1 - left[::-1].index(min(left))
+    return i, right.index(max(right))
 
 
 def fraction_to_enclosure(fr: Fraction, prec: int = DEFAULT_PRECISION) -> Enclosure:
@@ -309,6 +365,34 @@ def parse_rational(s: str) -> Fraction:
         raise ParameterViolation(f"not a rational: {s!r}") from exc
 
 
+def json_field(doc, key: str, kind: type = object):
+    """doc[key] from a JSON object, checked to be an instance of kind."""
+    if not isinstance(doc, dict):
+        raise ParameterViolation(f"expected a JSON object, got {type(doc).__name__}")
+    if key not in doc:
+        raise ParameterViolation(f"JSON object lacks {key!r}")
+    value = doc[key]
+    if not isinstance(value, kind):
+        raise ParameterViolation(f"{key!r} has the wrong JSON type: {value!r}")
+    return value
+
+
+def json_int(v) -> int:
+    """An integer given in JSON as a number or a decimal string."""
+    if isinstance(v, int) and not isinstance(v, bool):
+        return v
+    if isinstance(v, str):
+        return parse_int(v)
+    raise ParameterViolation(f"not an integer: {v!r}")
+
+
+def json_rational(v) -> Fraction:
+    """A rational given in JSON as a "p/q" or "p" string."""
+    if not isinstance(v, str):
+        raise ParameterViolation(f"not a rational string: {v!r}")
+    return parse_rational(v)
+
+
 def rational_str(fr: Fraction) -> str:
     return f"{int_str(fr.numerator)}/{int_str(fr.denominator)}"
 
@@ -318,9 +402,3 @@ def value_str(v: Value, digits: int = 30) -> str:
     if isinstance(v, Fraction):
         return rational_str(v)
     return f"{mpmath.nstr(v.lo, digits)}..{mpmath.nstr(v.hi, digits)}"
-
-
-def value_float(v: Value) -> float:
-    if isinstance(v, Fraction):
-        return float(v)
-    return v.midpoint_float()

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from hlmax.cli import main
+from hlmax.cli import _make_parser, main
 
 
 def run(*argv) -> int:
@@ -79,6 +79,20 @@ class TestConstruct:
     def test_unknown_theorem_usage_error(self, tmp_path):
         assert run("construct", "theorem99", "--out", str(tmp_path / "x.json")) == 2
 
+    def test_integer_flags_take_any_size(self):
+        # argparse's int refuses more than 4300 digits; only parsing is
+        # checked here, no construction runs at this scale
+        n1 = 10**5000
+        args = _make_parser().parse_args([
+            "construct", "theorem29-lp", "--p", "2", "--alpha", "3/5",
+            "--mode", "relaxed", "--n1", "1" + "0" * 5000,
+            "--growth-factor", "1" + "0" * 5000, "--k", "3", "--out", "x.json",
+        ])
+        assert (args.n1, args.growth_factor, args.k) == (n1, n1, 3)
+
+    def test_non_integer_flag_usage_error(self, tmp_path):
+        assert run("construct", "theorem27", "--k", "4.5", "--out", str(tmp_path / "x.json")) == 2
+
     def test_omitted_growth_defaults_to_log(self, tmp_path):
         out = tmp_path / "x.json"
         cert = tmp_path / "x.cert.json"
@@ -139,6 +153,22 @@ class TestProfile:
         bad.write_text("{not json")
         assert run(
             "profile", "--signal", str(bad), "--range", "0..2",
+            "--out", str(tmp_path / "p.csv"),
+        ) == 2
+
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {"type": "blocks", "blocks": [{"start": "1", "end": "3"}]},  # no "amp"
+            [1, 2],  # not a JSON object
+        ],
+    )
+    def test_malformed_signal_document(self, tmp_path, doc):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        assert run(
+            "profile", "--signal", str(bad), "--points", "0",
             "--out", str(tmp_path / "p.csv"),
         ) == 2
 

@@ -282,6 +282,59 @@ class TestProperties:
             assert res.max_value >= f.integral() / (hull_hi - hull_lo)
 
 
+
+def grid_oracle_uncentered(f: StepFunction, x: Fraction) -> tuple:
+    """Brute force over every interval (a, b) containing x with both ends
+    on the quarter grid between the support and x: the largest average and,
+    among the intervals attaining it, the shortest length; (max(f(x-),
+    f(x+)), 0) when vanishing intervals already reach the maximum."""
+    lo, hi = min(f.breakpoints[0], x), max(f.breakpoints[-1], x)
+    grid = [lo + F(k, 4) for k in range(int((hi - lo) * 4) + 1)]
+    best, best_len = F(-1), F(0)
+    for a in (g for g in grid if g <= x):
+        for b in (g for g in grid if g >= x and g > a):
+            avg = f.mass(a, b) / (b - a)
+            if avg > best or (avg == best and b - a < best_len):
+                best, best_len = avg, b - a
+    limit = max(f.one_sided_limits(x))
+    return (best, best_len) if best > limit else (limit, F(0))
+
+
+class TestUncenteredAgainstGridOracle:
+    """Breakpoints and x sit on the quarter grid, so every interval end the
+    engine considers is a grid point and the oracle's answer is exact."""
+
+    @given(step_functions(), st.integers(min_value=-30, max_value=30), st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_matches_oracle(self, f, x4, data):
+        # half the draws put x on a breakpoint, where one-sided limits differ
+        if data.draw(st.booleans()):
+            x = data.draw(st.sampled_from(f.breakpoints))
+        else:
+            x = F(x4, 4)
+        res = maximal_uncentered_cont(f, x)
+        assert (res.max_value, 2 * res.radius) == grid_oracle_uncentered(f, x)
+
+    def test_zero_length_pair_excluded(self):
+        # From x = 3/2 the intervals (0, 3/2) and (3/2, 3) both average
+        # 2/3, as does (0, 3); x is both a left and a right candidate end,
+        # and the shortest maximizer has length 3/2, not 0.
+        f = StepFunction([0, 1, 2, 3], [1, 0, 1])
+        res = maximal_uncentered_cont(f, F(3, 2))
+        assert (res.max_value, res.radius) == (F(2, 3), F(3, 4))
+        assert grid_oracle_uncentered(f, F(3, 2)) == (F(2, 3), F(3, 2))
+
+    def test_same_answer_at_two_to_the_10000(self):
+        rng = random.Random(11)
+        big = 2**10000
+        for _ in range(10):
+            f = random_lattice_step(rng)
+            x = F(rng.randint(-48, 48), 8)
+            moved = StepFunction([b + big for b in f.breakpoints], f.values)
+            a, b = maximal_uncentered_cont(f, x), maximal_uncentered_cont(moved, x + big)
+            assert (a.max_value, a.radius) == (b.max_value, b.radius)
+
+
 class TestJson:
     def test_round_trip(self):
         f = StepFunction([F(-1, 2), F(3, 8), 2], [F(5, 3), F(1, 7)])
@@ -292,3 +345,16 @@ class TestJson:
     def test_bad_type_rejected(self):
         with pytest.raises(ParameterViolation):
             step_from_json({"type": "blocks", "breakpoints": [], "values": []})
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            [1],
+            {"type": "step"},
+            {"type": "step", "breakpoints": "01", "values": ["1"]},
+            {"type": "step", "breakpoints": [0, 1], "values": ["1"]},
+        ],
+    )
+    def test_malformed_doc_is_parameter_violation(self, doc):
+        with pytest.raises(ParameterViolation):
+            step_from_json(doc)

@@ -31,6 +31,7 @@ from hlmax.signal import (
     scale,
     support_bounds,
     translate,
+    window_sum_scaled,
 )
 from hlmax.values import Ordering, compare, exact_bounds
 from hlmax.constructions import dirac
@@ -120,6 +121,73 @@ class TestEngineEqualsOracle:
                 got = batch[n - (lo - w)]
                 assert got.max_value == single.max_value
                 assert got.min_diameter == single.min_diameter
+
+
+
+def quadratic_uncentered(sig: BlockSignal, n: int) -> tuple:
+    """Every (left edge, right edge) pair of the uncentered candidate edges
+    (block boundaries +-1, n, and the support ends), as the engine searched
+    them before the hull route; window masses come from prefix masses at
+    the edges.  Returns (max value, minimal maximizing diameter)."""
+    lo, hi = support_bounds(sig)
+    l_low, u_high = min(n, lo), max(n, hi)
+    l_set, u_set = {n, l_low}, {n, u_high}
+    for b in sig.boundaries():
+        for d in (-1, 0, 1):
+            if l_low <= b + d <= n:
+                l_set.add(b + d)
+            if n <= b + d <= u_high:
+                u_set.add(b + d)
+    left = {l: window_sum_scaled(sig, lo, l - 1) for l in l_set}
+    right = {u: window_sum_scaled(sig, lo, u) for u in u_set}
+    best_num, best_len, best_diam = -1, 1, 0
+    for l in sorted(l_set):
+        for u in sorted(u_set):
+            num = right[u] - left[l]
+            length = u - l + 1
+            lhs = num * best_len
+            rhs = best_num * length
+            if lhs > rhs or (lhs == rhs and u - l < best_diam):
+                best_num, best_len, best_diam = num, length, u - l
+    return Fraction(best_num, sig.int_view()[0] * best_len), best_diam
+
+
+def random_blocks(rng, count: int, offset: int, amps: list) -> BlockSignal:
+    """count constant blocks; gaps of 0..3 and lengths of 1..6 make many
+    candidate edges coincide, and few amplitudes make many windows tie."""
+    blocks, pos = [], offset
+    for _ in range(count):
+        pos += rng.randint(0, 3)
+        length = rng.randint(1, 6)
+        blocks.append(Block(pos, pos + length - 1, rng.choice(amps)))
+        pos += length
+    return BlockSignal(blocks)
+
+
+class TestHullAgainstPairSearch:
+    """The hull route against the exhaustive pair search at B = 200, at
+    offset 0 and at 2^10000, with amplitude sets rich and poor in ties."""
+
+    @pytest.mark.parametrize("offset", [0, 2**10000], ids=["o0", "at2p10000"])
+    @pytest.mark.parametrize(
+        "amps",
+        [
+            [Fraction(1), Fraction(2)],
+            [Fraction(p, q) for p in range(1, 9) for q in range(1, 9)],
+        ],
+        ids=["tie_rich", "tie_poor"],
+    )
+    def test_b200(self, offset, amps):
+        rng = random.Random(200)
+        sig = random_blocks(rng, 200, offset, amps)
+        lo, hi = support_bounds(sig)
+        points = [lo - 7, lo, hi, hi + 9]
+        for blk in (sig.blocks[40], sig.blocks[100], sig.blocks[160]):
+            points += [blk.start, rng.randint(blk.start, blk.end + 2)]
+        for n in points:
+            res = event_uncentered(sig, n)
+            assert res.certified
+            assert (res.max_value, res.min_diameter) == quadratic_uncentered(sig, n)
 
 
 @pytest.fixture(scope="module")

@@ -195,6 +195,30 @@ class TestJson:
         with pytest.raises(ParameterViolation):
             signal_from_json({"type": "nope"})
 
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            [1, 2],
+            None,
+            {},
+            {"type": 3},
+            {"type": "dense", "values": ["1"]},
+            {"type": "dense", "lo": None, "values": ["1"]},
+            {"type": "dense", "lo": "0", "values": "1"},
+            {"type": "dense", "lo": "0", "values": [1]},
+            {"type": "blocks"},
+            {"type": "blocks", "blocks": [1]},
+            {"type": "blocks", "blocks": [{"start": "1", "end": "3"}]},
+            {"type": "blocks", "blocks": [{"start": "1", "end": "3", "amp": []}]},
+            {"type": "blocks", "blocks": [{"start": "1", "amp": {"const": "1"}}]},
+            {"type": "blocks", "blocks": [{"start": [], "end": "3", "amp": {"const": "1"}}]},
+            {"type": "blocks", "blocks": [{"start": "1", "end": "3", "amp": {"const": 2}}]},
+        ],
+    )
+    def test_malformed_doc_is_parameter_violation(self, doc):
+        with pytest.raises(ParameterViolation):
+            signal_from_json(doc)
+
 
 class TestIntView:
     @given(values_st, st.integers(-20, 20))
