@@ -8,8 +8,10 @@ when the moving edges sit in constant regions, so skipped radii host neither
 a new maximum nor a smaller maximizing radius.  Edges moving through
 power-law regions can create one interior peak per stretch; the peak is
 pinned down by monotone binary searches justified by the convexity of the
-edge terms.  Exhaustive brute-force oracles recompute everything by direct
-scan for cross-validation.
+edge terms.  On all-constant signals the uncentered maximum is the steepest
+chord of the prefix-sum graph across n, found on convex hulls rather than
+by trying every pair of window edges.  Exhaustive brute-force oracles
+recompute everything by direct scan for cross-validation.
 
 All-constant signals run entirely in integer arithmetic (scaled by the
 common denominator); power-law signals produce certified enclosures, and any

@@ -159,35 +159,38 @@ def max_slope_pair(xl: list, yl: list, xr: list, yr: list) -> tuple[int, int]:
     (Goldwasser, Kao & Lu, JCSS 2005): the largest slope s joins a vertex
     of the lower hull of the left points to one of the upper hull of the
     right points, and a binary tangent search from each right vertex finds
-    it; up to _DIRECT_PAIRS pairs are scanned directly instead.  With
-    s = num/den, a pair attains s exactly when yl[i]*den - num*xl[i] is
-    minimal and yr[j]*den - num*xr[j] is maximal, so one pass over all
+    it.  With s = num/den, a pair attains s exactly when yl[i]*den - num*xl[i]
+    is minimal and yr[j]*den - num*xr[j] is maximal, so one pass over all
     points returns the innermost maximizer: the largest such i and the
-    smallest such j."""
+    smallest such j.  Up to _DIRECT_PAIRS pairs are instead scanned
+    directly, in an order that meets the innermost maximizer first."""
     num, den = -1, 0
     if len(xl) * len(xr) <= _DIRECT_PAIRS:
-        for xq, yq in zip(xr, yr):
-            for xv, yv in zip(xl, yl):
-                if den == 0 or (yq - yv) * den > num * (xq - xv):
-                    num, den = yq - yv, xq - xv
-    else:
-        lower = _lower_hull(xl, yl)
-        top = len(lower) - 1
-        for xq, yq in _lower_hull(xr, [-y for y in yr]):
-            yq = -yq  # the upper hull of the right points, flipped back
-            # slope(v_k, q) rises from k to k + 1 iff the hull edge there
-            # is flatter than slope(v_{k+1}, q); convexity makes that a prefix
-            lo, hi = 0, top
-            while lo < hi:
-                mid = (lo + hi) // 2
-                (x0, y0), (x1, y1) = lower[mid], lower[mid + 1]
-                if (y1 - y0) * (xq - x1) < (yq - y1) * (x1 - x0):
-                    lo = mid + 1
-                else:
-                    hi = mid
-            xv, yv = lower[lo]
-            if den == 0 or (yq - yv) * den > num * (xq - xv):
-                num, den = yq - yv, xq - xv
+        # right points outward and left points inward: the first pair to
+        # reach the largest slope is the innermost one
+        best = (0, 0)
+        for j, (xq, yq) in enumerate(zip(xr, yr)):
+            for i in range(len(xl) - 1, -1, -1):
+                if den == 0 or (yq - yl[i]) * den > num * (xq - xl[i]):
+                    num, den, best = yq - yl[i], xq - xl[i], (i, j)
+        return best
+    lower = _lower_hull(xl, yl)
+    top = len(lower) - 1
+    for xq, yq in _lower_hull(xr, [-y for y in yr]):
+        yq = -yq  # the upper hull of the right points, flipped back
+        # slope(v_k, q) rises from k to k + 1 iff the hull edge there
+        # is flatter than slope(v_{k+1}, q); convexity makes that a prefix
+        lo, hi = 0, top
+        while lo < hi:
+            mid = (lo + hi) // 2
+            (x0, y0), (x1, y1) = lower[mid], lower[mid + 1]
+            if (y1 - y0) * (xq - x1) < (yq - y1) * (x1 - x0):
+                lo = mid + 1
+            else:
+                hi = mid
+        xv, yv = lower[lo]
+        if den == 0 or (yq - yv) * den > num * (xq - xv):
+            num, den = yq - yv, xq - xv
     left = [y * den - num * x for x, y in zip(xl, yl)]
     right = [y * den - num * x for x, y in zip(xr, yr)]
     i = len(left) - 1 - left[::-1].index(min(left))
