@@ -43,6 +43,9 @@ from .values import (
     exact_bounds,
     int_str,
     iroot,
+    json_field,
+    json_int,
+    json_rational,
     ln_of_value,
     ln_value,
     parse_int,
@@ -174,12 +177,17 @@ class GrowthSpec:
         return doc
 
     @staticmethod
-    def from_json(doc: dict) -> "GrowthSpec":
-        kind = doc.get("kind")
-        beta = parse_rational(doc["beta"]) if "beta" in doc else None
+    def from_json(doc) -> "GrowthSpec":
+        kind = json_field(doc, "kind", str)
+        beta = json_rational(doc["beta"]) if "beta" in doc else None
         table = None
         if "steps" in doc:
-            table = tuple((parse_int(t), parse_rational(v)) for t, v in doc["steps"])
+            table = []
+            for step in json_field(doc, "steps", list):
+                if not (isinstance(step, list) and len(step) == 2):
+                    raise ParameterViolation(f"growth step is not a [t, v] pair: {step!r}")
+                table.append((json_int(step[0]), json_rational(step[1])))
+            table = tuple(table)
         return GrowthSpec(kind, beta, table)
 
 
@@ -222,23 +230,22 @@ class Certificate:
         return doc
 
     @staticmethod
-    def from_json(doc: dict) -> "Certificate":
+    def from_json(doc) -> "Certificate":
+        theorem = json_field(doc, "theorem", str)
+        mode = json_field(doc, "mode", str)
+        ns = [json_int(n) for n in json_field(doc, "N", list)]
+        ls = [json_int(x) for x in json_field(doc, "L", list)]
+        conditions = []
+        for c in json_field(doc, "conditions", list) if "conditions" in doc else []:
+            name, status = json_field(c, "name", str), json_field(c, "status", str)
+            note = json_field(c, "note", str) if "note" in c else ""
+            conditions.append(Condition(name, status, note))
         extras = {
             k: v
             for k, v in doc.items()
             if k not in ("theorem", "mode", "N", "L", "conditions")
         }
-        return Certificate(
-            doc["theorem"],
-            doc["mode"],
-            [parse_int(n) for n in doc["N"]],
-            [parse_int(x) for x in doc["L"]],
-            [
-                Condition(c["name"], c["status"], c.get("note", ""))
-                for c in doc.get("conditions", [])
-            ],
-            extras,
-        )
+        return Certificate(theorem, mode, ns, ls, conditions, extras)
 
 
 def dirac() -> BlockSignal:
@@ -624,6 +631,9 @@ def recheck_certificate(doc: dict, limits: Limits = DEFAULT_LIMITS) -> tuple[boo
     ok = True
     theorem = cert.theorem
     mode = cert.mode
+    scaled = ("theorem27", "theorem27-cont", "theorem29-linf", "theorem29-lp")
+    if theorem in scaled and not (cert.N and len(cert.L) == len(cert.N)):
+        raise ParameterViolation("certificate N and L must be non-empty and of one length")
 
     def check(name: str, derived: bool):
         nonlocal ok
@@ -641,13 +651,15 @@ def recheck_certificate(doc: dict, limits: Limits = DEFAULT_LIMITS) -> tuple[boo
             notes.append(f"{name}: paper_exact certificate with failing condition")
 
     if theorem in ("theorem27", "theorem27-cont"):
-        g = GrowthSpec.from_json(doc["g"])
+        g = GrowthSpec.from_json(json_field(doc, "g"))
         ns, ls = cert.N, cert.L
         discrete = theorem == "theorem27"
         check("N1_geq_4", ns[0] >= 4)
         for k in range(1, len(ns)):
             check(f"sep_k{k}", ns[k] >= 10 * ns[k - 1])
-        amps = [parse_rational(s) for s in doc["a"]]
+        amps = [json_rational(s) for s in json_field(doc, "a", list)]
+        if len(amps) != len(ns):
+            raise ParameterViolation("certificate needs one amplitude per scale")
         total = Fraction(0)
         for k in range(1, len(ns) + 1):
             n, l = ns[k - 1], ls[k - 1]
@@ -680,7 +692,7 @@ def recheck_certificate(doc: dict, limits: Limits = DEFAULT_LIMITS) -> tuple[boo
                 check(f"block_dominance_k{k}", total <= amps[k - 1] * (2 * min(cands) + 1))
             else:
                 check(f"block_dominance_k{k}", total <= 2 * amps[k - 1] * min(cands))
-        if parse_rational(doc["norm_l1"]) != total:
+        if json_rational(json_field(doc, "norm_l1")) != total:
             ok = False
             notes.append("stored norm_l1 does not match the recomputed mass")
     elif theorem == "theorem29-linf":
@@ -698,8 +710,8 @@ def recheck_certificate(doc: dict, limits: Limits = DEFAULT_LIMITS) -> tuple[boo
             notes.append(f"stored K = {doc.get('K')}, re-derived {big_k}")
     elif theorem == "theorem29-lp":
         ns, ls = cert.N, cert.L
-        p = parse_rational(doc["p"])
-        alpha = parse_rational(doc["alpha"])
+        p = json_rational(json_field(doc, "p"))
+        alpha = json_rational(json_field(doc, "alpha"))
         check("alpha_p_gt_1", alpha * p > 1)
         exponent_target = Fraction(10) / (1 - alpha)
         n1_paper = 2 ** (-((-exponent_target.numerator) // exponent_target.denominator))
@@ -709,7 +721,7 @@ def recheck_certificate(doc: dict, limits: Limits = DEFAULT_LIMITS) -> tuple[boo
         if ls != [n // 3 for n in ns]:
             ok = False
             notes.append("L list does not match floor(N/3)")
-        if [parse_int(s) for s in doc["n_k"]] != [n + l + 1 for n, l in zip(ns, ls)]:
+        if [json_int(s) for s in json_field(doc, "n_k", list)] != [n + l + 1 for n, l in zip(ns, ls)]:
             ok = False
             notes.append("n_k list does not match N_k + L_k + 1")
     elif theorem == "delta":

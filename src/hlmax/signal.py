@@ -11,7 +11,9 @@ Window sums are exact Fractions whenever every overlapped block is constant;
 power-law overlaps produce certified enclosures.  All-constant block signals
 additionally expose an integer "scaled view" (amplitudes multiplied by their
 common denominator) so hot loops can run on machine-free big-int arithmetic
-with no Fraction normalization.
+with no Fraction normalization.  Power-law blocks likewise keep integer prefix
+bounds at a power-of-two scale, so a window's enclosure is one integer
+difference rounded once.
 """
 
 from __future__ import annotations
@@ -22,8 +24,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Union
 
-import mpmath
-
 from .config import DEFAULT_LIMITS, Limits
 from .errors import (
     DenseWidthExceeded,
@@ -32,15 +32,16 @@ from .errors import (
     ZeroSignal,
 )
 from .values import (
-    Enclosure,
     Value,
-    fraction_to_enclosure,
     int_str,
     json_field,
     json_int,
     json_rational,
+    power_bounds,
+    power_shift,
     power_term,
     rational_str,
+    scaled_enclosure,
     v_add,
 )
 
@@ -231,24 +232,33 @@ def region_at(sig: BlockSignal, n: int):
     return Fraction(0)
 
 
+def _pl_term_bounds(alpha: Fraction, shift: int, a: int, b: int):
+    """Integer bounds (lo, hi) on 2^shift * n^(-alpha) for n = a..b."""
+    for n in range(a, b + 1):
+        m, exact = power_bounds(n, alpha, shift)
+        yield m, m if exact else m + 1
+
+
 def _pl_table(sig: BlockSignal, idx: int, prec: int):
-    """Cumulative directed-rounding prefix sums of a power-law block."""
+    """(shift, LO, HI) for power-law block idx: LO[i] and HI[i] bound
+    2^shift times the sum of the block's first i terms, as exact integers.
+
+    One shift serves the whole block, taken at its smallest term (its end),
+    so every window sum is an integer difference."""
     key = (idx, prec)
     tab = sig._pl_tables.get(key)
     if tab is None:
         b = sig.blocks[idx]
-        los, his = [], []
-        lo_acc = hi_acc = mpmath.mpf(0)
         alpha = b.amp.alpha
-        for n in range(b.start, b.end + 1):
-            t = power_term(n, alpha, prec)
-            if isinstance(t, Fraction):
-                t = fraction_to_enclosure(t, prec)
-            lo_acc = mpmath.fadd(lo_acc, t.lo, prec=prec, rounding="f")
-            hi_acc = mpmath.fadd(hi_acc, t.hi, prec=prec, rounding="c")
+        shift = power_shift(b.end, alpha, prec)
+        los, his = [0], [0]
+        lo_acc = hi_acc = 0
+        for lo, hi in _pl_term_bounds(alpha, shift, b.start, b.end):
+            lo_acc += lo
+            hi_acc += hi
             los.append(lo_acc)
             his.append(hi_acc)
-        tab = (los, his)
+        tab = (shift, los, his)
         sig._pl_tables[key] = tab
     return tab
 
@@ -264,24 +274,16 @@ def _pl_range_sum(sig: BlockSignal, idx: int, a: int, b: int, limits: Limits) ->
             f"exceeds cap {limits.powerlaw_sum_cap}"
         )
     if blk.length <= limits.prefix_cache_cap:
-        los, his = _pl_table(sig, idx, prec)
-        ib = b - blk.start
-        if a == blk.start:
-            return Enclosure(los[ib], his[ib])
-        ia = a - blk.start
-        return Enclosure(
-            mpmath.fsub(los[ib], his[ia - 1], prec=prec, rounding="f"),
-            mpmath.fsub(his[ib], los[ia - 1], prec=prec, rounding="c"),
-        )
-    lo_acc = hi_acc = mpmath.mpf(0)
+        shift, los, his = _pl_table(sig, idx, prec)
+        ia, ib = a - blk.start, b - blk.start + 1
+        return scaled_enclosure(los[ib] - los[ia], his[ib] - his[ia], shift, prec)
     alpha = blk.amp.alpha
-    for n in range(a, b + 1):
-        t = power_term(n, alpha, prec)
-        if isinstance(t, Fraction):
-            t = fraction_to_enclosure(t, prec)
-        lo_acc = mpmath.fadd(lo_acc, t.lo, prec=prec, rounding="f")
-        hi_acc = mpmath.fadd(hi_acc, t.hi, prec=prec, rounding="c")
-    return Enclosure(lo_acc, hi_acc)
+    shift = power_shift(blk.end, alpha, prec)
+    lo_acc = hi_acc = 0
+    for lo, hi in _pl_term_bounds(alpha, shift, a, b):
+        lo_acc += lo
+        hi_acc += hi
+    return scaled_enclosure(lo_acc, hi_acc, shift, prec)
 
 
 def window_sum(sig: Signal, a: int, b: int, limits: Limits = DEFAULT_LIMITS) -> Value:

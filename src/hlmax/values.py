@@ -6,6 +6,12 @@ point; enclosures appear only where power-law terms force irrational sums.
 Every enclosure bound is a dyadic rational, so comparisons against exact
 values are themselves exact: an mpf converts to a Fraction without loss.
 
+Power-law terms n^(-alpha) are bounded by integer arithmetic alone: an exact
+integer root gives floor(2^shift * n^(-alpha)), and only the final rounding
+of such scaled integers to the working precision goes through mpmath's
+correctly rounded conversion.  mpmath evaluates transcendentals only for
+logarithms and fractional powers of values (ln_value, pow_of_value).
+
 Comparisons are three-way plus "indeterminate" (overlapping enclosures).
 Engine code treats indeterminate outcomes as ties broken toward the smaller
 radius and clears the certified flag, so no decision is ever silently wrong.
@@ -14,6 +20,7 @@ radius and clears the certified flag, so no decision is ever silently wrong.
 from __future__ import annotations
 
 import decimal
+import math
 import re
 from dataclasses import dataclass
 from enum import Enum
@@ -21,6 +28,7 @@ from fractions import Fraction
 from typing import Union
 
 import mpmath
+from mpmath.libmp import from_man_exp, round_ceiling, round_floor
 
 from .errors import ParameterViolation
 
@@ -45,14 +53,17 @@ def parse_int(s: str) -> int:
     return int(decimal.Decimal(s))
 
 DEFAULT_PRECISION = 256
-# guard bits for transcendental evaluation before widening into an enclosure
+# guard bits for the transcendental evaluations in ln_value and pow_of_value
+# before widening into an enclosure
 _GUARD = 32
-# relative widening applied to mpmath's pow/log output; their basic ops are
-# correctly rounded and pow/ln are accurate to ~2 ulp at the guard precision,
-# so 2^-(prec+8) is conservative by a factor of about 2^20
+# relative widening applied to the mpmath ln and pow output of ln_value and
+# pow_of_value; mpmath's basic ops are correctly rounded and its pow/ln are
+# accurate to ~2 ulp at the guard precision, so 2^-(prec+8) is conservative
+# by a factor of about 2^20
 _WIDEN_SHIFT = 8
 
 _mpf = mpmath.mpf
+_make_mpf = mpmath.mp.make_mpf
 
 
 def mpf_to_fraction(x) -> Fraction:
@@ -265,14 +276,24 @@ def v_mul_frac(a: Value, c: Fraction, prec: int = DEFAULT_PRECISION) -> Value:
 
 
 def iroot(x: int, q: int) -> int:
-    """Floor of the q-th root of a non-negative integer (Newton on ints)."""
+    """Floor of the q-th root of a non-negative integer (Newton on ints).
+
+    The seed comes from math.log2, just above the root.  Whatever the seed,
+    one Newton step lands at or above the floor root, because the AM-GM
+    inequality behind Newton's step survives the integer floors; from there
+    every step descends until it stops at the floor root."""
     if x < 0 or q < 1:
         raise ParameterViolation("iroot domain")
     if x in (0, 1) or q == 1:
         return x
-    r = 1 << (-(-x.bit_length() // q))  # >= true root
+    e = math.log2(x) / q
+    k = max(0, int(e) - 52)
+    # the relative margin covers log2's rounding error, which grows with e
+    r = (int(2.0 ** (e - k) * (1 + (e + 1) * 2.0**-46)) + 1) << k
+    qm = q - 1
+    r = (qm * r + x // r**qm) // q
     while True:
-        nr = ((q - 1) * r + x // r ** (q - 1)) // q
+        nr = (qm * r + x // r**qm) // q
         if nr >= r:
             return r
         r = nr
@@ -286,11 +307,41 @@ def _widen(t, prec: int) -> Enclosure:
     return Enclosure(lo, hi)
 
 
+def power_shift(n: int, alpha: Fraction, prec: int) -> int:
+    """A scale with 2^shift * m^(-alpha) > 2^prec for every 1 <= m <= n.
+
+    Relative, not absolute: near n = 2^10000 a fixed 2^prec scale would
+    leave nothing of n^(-alpha) above the last bit."""
+    return prec - (-alpha.numerator * n.bit_length() // alpha.denominator)
+
+
+def power_bounds(n: int, alpha: Fraction, shift: int) -> tuple[int, bool]:
+    """(m, exact) with m = floor(2^shift * n^(-alpha)) for n >= 1, alpha = p/q.
+
+    m = iroot(2^(shift*q) // n^p, q), exact because
+    floor(x^(1/q)) = floor(floor(x)^(1/q)); exact tells whether
+    m = 2^shift * n^(-alpha), so m and m + 1 (m alone when exact) bound the
+    scaled term with no rounding to trust."""
+    p, q = alpha.numerator, alpha.denominator
+    x, rem = divmod(1 << (shift * q), n**p)
+    m = iroot(x, q)
+    return m, rem == 0 and m**q == x
+
+
+def scaled_enclosure(lo: int, hi: int, shift: int, prec: int) -> Enclosure:
+    """[lo / 2^shift, hi / 2^shift] rounded outward to prec-bit floats."""
+    return Enclosure(
+        _make_mpf(from_man_exp(lo, -shift, prec, round_floor)),
+        _make_mpf(from_man_exp(hi, -shift, prec, round_ceiling)),
+    )
+
+
 def power_term(n: int, alpha: Fraction, prec: int = DEFAULT_PRECISION) -> Value:
     """n^(-alpha) for integer n >= 1 and rational alpha in (0, 1).
 
     Returns an exact Fraction when n^alpha is rational (n^p a perfect q-th
-    power for alpha = p/q), otherwise a certified Enclosure."""
+    power for alpha = p/q), otherwise a certified Enclosure from
+    power_bounds, of relative width below 2^-(prec-2)."""
     if n < 1:
         raise ParameterViolation("power-law values need n >= 1")
     if not (0 < alpha < 1):
@@ -304,9 +355,9 @@ def power_term(n: int, alpha: Fraction, prec: int = DEFAULT_PRECISION) -> Value:
         m = iroot(np_, q)
         if m**q == np_:
             return Fraction(1, m)
-    with mpmath.workprec(prec + _GUARD):
-        t = mpmath.power(n, _mpf(-p) / q)
-    return _widen(t, prec)
+    shift = power_shift(n, alpha, prec)
+    m, exact = power_bounds(n, alpha, shift)
+    return scaled_enclosure(m, m if exact else m + 1, shift, prec)
 
 
 def ln_value(x: Union[int, Fraction], prec: int = DEFAULT_PRECISION) -> Value:
