@@ -399,6 +399,32 @@ class TestCertificateRecheck:
         cert = Certificate.from_json(copy.deepcopy(doc))
         assert cert.to_json() == doc
 
+    def test_malformed_doc_is_parameter_violation(self):
+        good = self.make_t27()
+        docs = [{"theorem": "theorem27"}, [1]]
+        for key, bad in (
+            ("N", "5"),
+            ("L", 3),
+            ("conditions", {}),
+            ("conditions", [1]),
+            ("conditions", [{"name": "N1_geq_4"}]),
+            ("N", ["x"]),
+            ("L", []),
+            ("a", None),
+            ("g", {"kind": "table", "steps": [["5"]]}),
+            ("g", [1]),
+        ):
+            doc = copy.deepcopy(good)
+            doc[key] = bad
+            docs.append(doc)
+        for key in ("g", "a", "norm_l1"):
+            doc = copy.deepcopy(good)
+            del doc[key]
+            docs.append(doc)
+        for doc in docs:
+            with pytest.raises(ParameterViolation):
+                recheck_certificate(doc)
+
 
 class TestVerificationReports:
     def test_delta_report(self):

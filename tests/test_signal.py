@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hlmax.config import Limits
 from hlmax.errors import ParameterViolation, ZeroSignal
 from hlmax.signal import (
     Block,
@@ -24,6 +25,7 @@ from hlmax.signal import (
     translate,
     window_sum,
 )
+from hlmax.values import exact_bounds, power_bounds, power_shift, power_term
 
 amp_st = st.fractions(min_value=Fraction(0), max_value=Fraction(4), max_denominator=12)
 values_st = st.lists(amp_st, min_size=1, max_size=40).filter(lambda vs: any(vs))
@@ -108,6 +110,54 @@ class TestWindowSums:
     def test_norm_is_full_window(self):
         s = dense(-3, [1, 0, 2, Fraction(1, 3)])
         assert norm_l1(s) == Fraction(1) + 2 + Fraction(1, 3)
+
+
+# two power-law blocks: dyadic (n = 4, 16, ...) and other perfect powers in
+# the first, none in the second
+PL_SIG = BlockSignal(
+    [Block(1, 700, PowerLaw(Fraction(1, 2))), Block(900, 2100, PowerLaw(Fraction(3, 5)))]
+)
+
+
+@st.composite
+def pl_windows(draw):
+    blk = PL_SIG.blocks[draw(st.integers(0, 1))]
+    a = draw(st.integers(blk.start, blk.end))
+    return blk, a, draw(st.integers(a, min(blk.end, a + 400)))
+
+
+class TestPowerLawSums:
+    """Power-law window sums through the prefix table and the uncached loop."""
+
+    @given(pl_windows())
+    @settings(max_examples=40, deadline=None)
+    def test_table_and_loop_agree(self, window):
+        blk, a, b = window
+        table = exact_bounds(window_sum(PL_SIG, a, b))
+        loop = exact_bounds(window_sum(PL_SIG, a, b, Limits(prefix_cache_cap=0)))
+        assert table == loop
+        # both contain the exact sum of the per-term integer bounds
+        alpha = blk.amp.alpha
+        shift = power_shift(blk.end, alpha, Limits().precision)
+        lo = hi = 0
+        for n in range(a, b + 1):
+            m, exact = power_bounds(n, alpha, shift)
+            lo, hi = lo + m, hi + (m if exact else m + 1)
+        assert table[0] <= Fraction(lo, 2**shift) <= Fraction(hi, 2**shift) <= table[1]
+        # and meet the sum of the single-term enclosures, which holds the truth
+        terms = [exact_bounds(power_term(n, alpha)) for n in range(a, b + 1)]
+        assert table[0] <= sum(t[1] for t in terms) and sum(t[0] for t in terms) <= table[1]
+
+    @given(pl_windows())
+    @settings(max_examples=15, deadline=None)
+    def test_tables_nest_across_precisions(self, window):
+        _, a, b = window
+        outer = None
+        for prec in (256, 512, 1024):
+            lo, hi = exact_bounds(window_sum(PL_SIG, a, b, Limits(precision=prec)))
+            if outer is not None:
+                assert outer[0] <= lo <= hi <= outer[1]
+            outer = (lo, hi)
 
 
 class TestConversions:

@@ -21,6 +21,8 @@ from hlmax.values import (
     max_slope_pair,
     parse_rational,
     pow_of_value,
+    power_bounds,
+    power_shift,
     power_term,
     rational_str,
     v_add,
@@ -135,6 +137,18 @@ class TestIroot:
         r = iroot(x, q)
         assert r**q <= x < (r + 1) ** q
 
+    @given(
+        st.integers(min_value=1, max_value=2**3000),
+        st.integers(min_value=2, max_value=9),
+        st.sampled_from([-1, 0, 1]),
+    )
+    @settings(max_examples=80)
+    def test_floor_root_near_big_powers(self, m, q, d):
+        # roots far beyond a float's 53 bits, right at and beside a power
+        x = m**q + d
+        r = iroot(x, q)
+        assert r**q <= x < (r + 1) ** q
+
     def test_huge_exact(self):
         assert iroot(2**600, 3) == 2**200
 
@@ -161,6 +175,51 @@ class TestPowerTerm:
         fine = exact_bounds(power_term(7, Fraction(1, 3), 200))
         assert coarse[0] <= fine[0] <= fine[1] <= coarse[1]
         assert fine[1] - fine[0] < coarse[1] - coarse[0]
+
+
+ALPHAS = [Fraction(1, 2), Fraction(3, 5), Fraction(2, 3), Fraction(3, 4), Fraction(1, 7)]
+# n from 2 up to 2^5000, with every bit length about equally likely
+big_n_st = st.integers(min_value=2, max_value=5000).flatmap(
+    lambda b: st.integers(min_value=max(2, 2 ** (b - 1)), max_value=2**b - 1)
+)
+
+
+class TestPowerBounds:
+    """Integer bounds on n^(-alpha), checked by exact integer arithmetic."""
+
+    @given(big_n_st, st.sampled_from(ALPHAS), st.integers(min_value=0, max_value=400))
+    @settings(max_examples=150, deadline=None)
+    def test_floor_of_scaled_term(self, n, alpha, shift):
+        # m = floor(2^shift * n^(-p/q))  <=>  m^q n^p <= 2^(shift q) < (m+1)^q n^p
+        p, q = alpha.numerator, alpha.denominator
+        m, exact = power_bounds(n, alpha, shift)
+        assert m**q * n**p <= 2 ** (shift * q) < (m + 1) ** q * n**p
+        assert exact == (m**q * n**p == 2 ** (shift * q))
+
+    @given(big_n_st, st.sampled_from(ALPHAS), st.sampled_from([64, 256]))
+    @settings(max_examples=150, deadline=None)
+    def test_power_term_contains_and_is_narrow(self, n, alpha, prec):
+        p, q = alpha.numerator, alpha.denominator
+        v = power_term(n, alpha, prec)
+        lo, hi = exact_bounds(v)
+        assert lo > 0
+        assert lo**q * n**p <= 1 <= hi**q * n**p
+        # relative, not absolute: a fixed 2^-prec grid would fail at large n
+        assert (hi - lo) / lo < Fraction(1, 2 ** (prec - 2))
+
+    def test_dyadic_terms_are_exact(self):
+        alpha = Fraction(1, 2)
+        assert power_bounds(4, alpha, 10) == (512, True)
+        assert power_bounds(9, alpha, 10) == (341, False)
+        # beyond the perfect-power fast path, a dyadic term is a point
+        lo, hi = exact_bounds(power_term(2**10000, alpha, DEFAULT_PRECISION))
+        assert lo == hi == Fraction(1, 2**5000)
+
+    def test_shift_keeps_prec_bits(self):
+        for n in (2, 3, 1000, 2**5000 - 1):
+            for alpha in ALPHAS:
+                m, _ = power_bounds(n, alpha, power_shift(n, alpha, 64))
+                assert m >= 2**64
 
 
 class TestLogs:
