@@ -77,6 +77,14 @@ def _int_arg(s: str) -> int:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
+def _count_arg(s: str) -> int:
+    """argparse type for counts, which must be integers >= 1."""
+    value = _int_arg(s)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _add_construction_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--g", nargs="+", metavar="GROWTH",
                      help="growth function: log | loglog | logpow B | power B")
@@ -277,8 +285,8 @@ def _make_parser() -> argparse.ArgumentParser:
     sub.set_defaults(func=_cmd_verify)
 
     sub = subs.add_parser("oracle-diff", help="randomized engine-vs-oracle check")
-    sub.add_argument("--trials", type=int, default=100)
-    sub.add_argument("--max-width", type=int, default=64)
+    sub.add_argument("--trials", type=_count_arg, default=100)
+    sub.add_argument("--max-width", type=_count_arg, default=64)
     sub.add_argument("--seed", type=int, default=0)
     sub.set_defaults(func=_cmd_oracle_diff)
     return parser

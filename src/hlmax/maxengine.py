@@ -513,12 +513,19 @@ def event_uncentered(sig: Signal, n: int, limits: Limits = DEFAULT_LIMITS) -> Un
     return UncenteredResult(n, best_v, best_diam, certified, gap if not certified else None)
 
 
-def oracle_uncentered(sig: Signal, n: int, limits: Limits = DEFAULT_LIMITS) -> UncenteredResult:
-    """Brute-force maximal uncentered average: try every window
-    [n - rho, n + s] within the useful reaches."""
+def _uncentered_grid(sig: Signal, n: int, limits: Limits) -> tuple[int, int]:
+    """The reaches of _uncentered_bounds at n, refused when the oracle grid
+    they span holds more than 16 * scan_radius_cap windows."""
     rho_max, s_max = _uncentered_bounds(sig, n)
     if (rho_max + 1) * (s_max + 1) > limits.scan_radius_cap * 16:
         raise BudgetExceeded("uncentered oracle grid exceeds scan cap")
+    return rho_max, s_max
+
+
+def oracle_uncentered(sig: Signal, n: int, limits: Limits = DEFAULT_LIMITS) -> UncenteredResult:
+    """Brute-force maximal uncentered average: try every window
+    [n - rho, n + s] within the useful reaches."""
+    rho_max, s_max = _uncentered_grid(sig, n, limits)
     if isinstance(sig, DenseSignal):
         d, _, pref = sig.int_view()
         lo, width = sig.lo, len(sig.values)
@@ -577,8 +584,15 @@ def oracle_uncentered_range(
     Enumerates all windows with both endpoints inside the support (for inner
     points the trimming argument pins maximizers there) and, for points
     outside the support, all windows pinned at n on the near side.  An
-    independent check of the per-point oracle at corpus scale."""
+    independent check of the per-point oracle at corpus scale, refused
+    wherever the per-point oracle would refuse some n in [n_lo, n_hi]."""
     lo, hi = support_bounds(sig)
+    # the grid size falls left of lo, rises right of hi and is symmetric
+    # and concave between, so it peaks at an end of the range or at the
+    # support's middle
+    for n in {n_lo, n_hi, (lo + hi) // 2}:
+        if n_lo <= n <= n_hi:
+            _uncentered_grid(sig, n, limits)
     if isinstance(sig, DenseSignal):
         d, _, pref = sig.int_view()
     else:

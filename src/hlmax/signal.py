@@ -3,7 +3,8 @@
 Two representations:
 
 * DenseSignal: an explicit window of rational values, for brute-force oracles
-  and small experiments.
+  and small experiments.  It compiles once, on first use, to its BlockSignal
+  (the maximal constant runs), which every later engine call reuses.
 * BlockSignal: sorted, disjoint constant or power-law blocks, for event-driven
   engines at scales where n may have thousands of digits.
 
@@ -84,9 +85,13 @@ class Block:
 
 
 class DenseSignal:
-    """Explicit rational values on [lo, lo + len - 1], trimmed and non-zero."""
+    """Explicit rational values on [lo, lo + len - 1], trimmed and non-zero.
 
-    __slots__ = ("lo", "values", "_prefix", "_int_view")
+    Compiles once to its BlockSignal: `to_blocks` builds it on first use and
+    returns the same object afterwards, with its integer view, so repeated
+    engine calls on one signal share that work."""
+
+    __slots__ = ("lo", "values", "_prefix", "_int_view", "_blocks")
 
     def __init__(self, lo: int, values):
         vals = [Fraction(v) for v in values]
@@ -107,6 +112,7 @@ class DenseSignal:
             pref.append(pref[-1] + v)
         self._prefix = pref
         self._int_view = None
+        self._blocks = None
 
     def int_view(self) -> tuple:
         """(D, scaled values, scaled prefix) with D the common denominator."""
@@ -349,7 +355,10 @@ def norm_l1(sig: Signal, limits: Limits = DEFAULT_LIMITS) -> Value:
 
 
 def to_blocks(sig: DenseSignal) -> BlockSignal:
-    """Maximal constant runs of a dense signal as constant blocks."""
+    """Maximal constant runs of a dense signal as constant blocks, built on
+    the first call and returned as the same object on every later one."""
+    if sig._blocks is not None:
+        return sig._blocks
     blocks = []
     run_start = None
     run_val = None
@@ -361,7 +370,8 @@ def to_blocks(sig: DenseSignal) -> BlockSignal:
             run_start, run_val = n, v
     if run_val:
         blocks.append(Block(run_start, sig.hi, run_val))
-    return BlockSignal(blocks)
+    sig._blocks = BlockSignal(blocks)
+    return sig._blocks
 
 
 def to_dense(sig: BlockSignal, limits: Limits = DEFAULT_LIMITS) -> DenseSignal:

@@ -252,6 +252,30 @@ class TestOracleDiff:
         run("oracle-diff", "--trials", "4", "--max-width", "8", "--seed", "3")
         assert capsys.readouterr().out == first
 
+    @pytest.mark.parametrize(
+        "flag,value",
+        [
+            ("--trials", "-3"),
+            ("--trials", "0"),
+            ("--trials", "2.5"),
+            ("--max-width", "0"),
+            ("--max-width", "-1"),
+            ("--max-width", "ten"),
+        ],
+    )
+    def test_counts_below_one_usage_error(self, capsys, flag, value):
+        assert run("oracle-diff", flag, value, "--seed", "1") == 2
+        captured = capsys.readouterr()
+        assert "mismatches" not in captured.out
+        assert flag in captured.err
+
+    def test_width_over_scan_cap_is_resource_capped(self, capsys):
+        # seed 0 draws a first signal 47045 wide; the uncentered oracle
+        # grid near its middle holds about 5.5e8 windows, over 16 times the
+        # default scan cap, so the run is refused before any scan
+        assert run("oracle-diff", "--trials", "3", "--max-width", "100000", "--seed", "0") == 3
+        assert "scan cap" in capsys.readouterr().err
+
 
 def declared_script(name):
     """The (module, function) pair that `[project.scripts]` in

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from hlmax.config import DEFAULT_LIMITS
 from hlmax.corpus import binary_signals, diff_signal, random_dense
-from hlmax.errors import NonpositiveRadius
+from hlmax.errors import BudgetExceeded, NonpositiveRadius
 from hlmax.maxengine import (
     average_centered,
     average_uncentered,
@@ -30,6 +30,7 @@ from hlmax.signal import (
     reflect,
     scale,
     support_bounds,
+    to_blocks,
     translate,
     window_sum_scaled,
 )
@@ -122,6 +123,57 @@ class TestEngineEqualsOracle:
                 assert got.max_value == single.max_value
                 assert got.min_diameter == single.min_diameter
 
+    @given(st.integers(0, 2**32 - 1))
+    @settings(max_examples=30, deadline=None)
+    def test_reused_dense_matches_fresh_blocks(self, seed):
+        # a DenseSignal compiles to blocks once; every later engine call
+        # reuses them and must answer as a freshly compiled equal signal
+        rng = random.Random(seed)
+        sig = random_dense(rng, max_width=16, run_limited=rng.random() < 0.8)
+        compiled = to_blocks(sig)
+        lo, hi = support_bounds(sig)
+        w = hi - lo + 1
+        for n in range(lo - w, hi + w + 1):
+            fresh = to_blocks(DenseSignal(sig.lo, sig.values))
+            assert event_centered(sig, n) == event_centered(fresh, n)
+            assert event_uncentered(sig, n) == event_uncentered(fresh, n)
+        assert to_blocks(sig) is compiled
+
+
+class TestOracleBudget:
+    def test_range_oracle_refuses_like_pointwise(self):
+        sig = DenseSignal(0, [Fraction(1 + i % 3) for i in range(300)])
+        tight = DEFAULT_LIMITS.with_(scan_radius_cap=1)
+        with pytest.raises(BudgetExceeded):
+            oracle_uncentered(sig, 150, tight)
+        with pytest.raises(BudgetExceeded):
+            oracle_uncentered_range(sig, -300, 599, tight)
+
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 6), st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_range_refuses_iff_some_point_refuses(self, seed, cap, data):
+        rng = random.Random(seed)
+        sig = random_dense(rng, max_width=12)
+        lo, hi = support_bounds(sig)
+        w = hi - lo + 1
+        n_lo = data.draw(st.integers(lo - w, hi + w))
+        n_hi = data.draw(st.integers(n_lo, hi + w))
+        limits = DEFAULT_LIMITS.with_(scan_radius_cap=cap)
+        singles = []
+        for n in range(n_lo, n_hi + 1):
+            try:
+                singles.append(oracle_uncentered(sig, n, limits))
+            except BudgetExceeded:
+                singles = None
+                break
+        if singles is None:
+            with pytest.raises(BudgetExceeded):
+                oracle_uncentered_range(sig, n_lo, n_hi, limits)
+        else:
+            batch = oracle_uncentered_range(sig, n_lo, n_hi, limits)
+            assert [(r.max_value, r.min_diameter) for r in batch] == [
+                (r.max_value, r.min_diameter) for r in singles
+            ]
 
 
 def quadratic_uncentered(sig: BlockSignal, n: int) -> tuple:

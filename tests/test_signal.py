@@ -1,5 +1,6 @@
 """Signal layer: validation, window sums, conversions, JSON round trips."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hlmax.config import Limits
+from hlmax.corpus import random_dense
 from hlmax.errors import ParameterViolation, ZeroSignal
 from hlmax.signal import (
     Block,
@@ -170,6 +172,32 @@ class TestConversions:
         s_lo, s_hi = support_bounds(sig)
         for n in range(s_lo, s_hi + 1):
             assert eval_at(back, n) == eval_at(sig, n)
+
+    @given(st.integers(0, 2**32 - 1))
+    @settings(max_examples=60)
+    def test_compiles_once(self, seed):
+        rng = random.Random(seed)
+        sig = random_dense(rng, max_width=24, run_limited=rng.random() < 0.8)
+        compiled = to_blocks(sig)
+        assert to_blocks(sig) is compiled
+        assert compiled == to_blocks(DenseSignal(sig.lo, sig.values))
+
+    @given(st.integers(0, 2**32 - 1), st.integers(-15, 15))
+    @settings(max_examples=60)
+    def test_transforms_compile_their_own_blocks(self, seed, t):
+        rng = random.Random(seed)
+        sig = random_dense(rng, max_width=24, run_limited=rng.random() < 0.8)
+        compiled = to_blocks(sig)
+        c = Fraction(rng.randint(1, 5), rng.randint(1, 5))
+        for derived, expected in (
+            (translate(sig, t), translate(compiled, t)),
+            (reflect(sig), reflect(compiled)),
+            (scale(sig, c), scale(compiled, c)),
+        ):
+            got = to_blocks(derived)
+            assert got is not compiled
+            assert got == expected
+        assert to_blocks(sig) is compiled
 
     def test_to_dense_refuses_powerlaw(self):
         s = BlockSignal([Block(1, 5, PowerLaw(Fraction(1, 2)))])
