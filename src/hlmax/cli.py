@@ -45,13 +45,25 @@ def _parse_growth(tokens: Optional[list]) -> GrowthSpec:
     kind = tokens[0]
     if kind in ("log", "loglog"):
         if len(tokens) != 1:
-            raise ValueError(f"--g {kind} takes no parameter")
+            raise ParameterViolation(f"--g {kind} takes no parameter")
         return GrowthSpec(kind)
     if kind in ("logpow", "power"):
         if len(tokens) != 2:
-            raise ValueError(f"--g {kind} needs a rational exponent")
+            raise ParameterViolation(f"--g {kind} needs a rational exponent")
         return GrowthSpec(kind, parse_rational(tokens[1]))
-    raise ValueError(f"unknown growth kind {kind!r}")
+    raise ParameterViolation(f"unknown growth kind {kind!r}")
+
+
+def _read_json(path: str):
+    """The JSON document in a file.  Bytes that are not text, or a number past
+    the interpreter's integer digit limit, raise ParameterViolation."""
+    with open(path) as fh:
+        try:
+            return json.load(fh)
+        except json.JSONDecodeError:
+            raise
+        except ValueError as exc:
+            raise ParameterViolation(f"{path}: {exc}") from None
 
 
 def _parse_points(spec: str) -> list:
@@ -61,10 +73,10 @@ def _parse_points(spec: str) -> list:
 def _parse_range(spec: str) -> list:
     a, sep, b = spec.partition("..")
     if not sep:
-        raise ValueError("--range expects A..B")
+        raise ParameterViolation("--range expects A..B")
     lo, hi = parse_int(a), parse_int(b)
     if hi < lo:
-        raise ValueError("--range expects A <= B")
+        raise ParameterViolation("--range expects A <= B")
     return list(range(lo, hi + 1))
 
 
@@ -99,31 +111,34 @@ def _add_construction_flags(sub: argparse.ArgumentParser) -> None:
                      default="discrete", help="theorem27 signal model")
 
 
-def _build(args) -> tuple:
-    """Shared construct/verify dispatch: returns (signal, certificate)."""
+def _construction(args, verify: bool):
+    """Shared construct/verify dispatch: (signal, certificate) for
+    args.theorem, or with verify its verification report."""
     mode = "paper_exact" if args.mode == "paper" else "relaxed"
     if args.theorem == "delta":
+        if verify:
+            return verify_delta()
         return dirac(), Certificate("delta", "paper_exact", [], [], [])
     if args.theorem == "theorem27":
-        g = _parse_growth(args.g)
+        fn = verify_theorem27 if verify else build_theorem27
         k = args.k if args.k is not None else 4
-        return build_theorem27(g, k, mode, args.variant, args.n1, args.growth_factor)
+        return fn(_parse_growth(args.g), k, mode, args.variant, args.n1, args.growth_factor)
     if args.theorem == "theorem29-linf":
+        fn = verify_theorem29_linf if verify else build_theorem29_linf
         k = args.k if args.k is not None else 5
-        return build_theorem29_linf(
-            k, mode, n1=args.n1 or 2, growth_factor=args.growth_factor
-        )
+        return fn(k, mode, n1=args.n1 or 2, growth_factor=args.growth_factor)
     if args.p is None or args.alpha is None:
-        raise ValueError("theorem29-lp needs --p and --alpha")
+        raise ParameterViolation("theorem29-lp needs --p and --alpha")
+    fn = verify_theorem29_lp if verify else build_theorem29_lp
     k = args.k if args.k is not None else 4
-    return build_theorem29_lp(
+    return fn(
         parse_rational(args.p), parse_rational(args.alpha), k, mode,
         n1=args.n1, growth_factor=args.growth_factor,
     )
 
 
 def _cmd_construct(args) -> int:
-    sig, cert = _build(args)
+    sig, cert = _construction(args, verify=False)
     doc = step_to_json(sig) if not isinstance(sig, (BlockSignal, DenseSignal)) else signal_to_json(sig)
     with open(args.out, "w") as fh:
         json.dump(doc, fh, indent=2)
@@ -137,17 +152,16 @@ def _cmd_construct(args) -> int:
 
 
 def _cmd_profile(args) -> int:
-    with open(args.signal) as fh:
-        doc = json.load(fh)
+    doc = _read_json(args.signal)
     if isinstance(doc, dict) and doc.get("type") == "step":
-        raise ValueError("profile runs on integer signals (dense/blocks)")
+        raise ParameterViolation("profile runs on integer signals (dense/blocks)")
     sig = signal_from_json(doc)
     if args.range is not None:
         points = _parse_range(args.range)
     elif args.points is not None:
         points = _parse_points(args.points)
     else:
-        raise ValueError("profile needs --range or --points")
+        raise ParameterViolation("profile needs --range or --points")
     results = profile(sig, points, uncentered=args.uncentered)
     radius_col = "min_diameter" if args.uncentered else "radius"
     lines = [f"n,max_value,{radius_col},certified,gap"]
@@ -165,10 +179,9 @@ def _cmd_profile(args) -> int:
 
 
 def _cmd_density(args) -> int:
-    with open(args.signal) as fh:
-        doc = json.load(fh)
+    doc = _read_json(args.signal)
     if isinstance(doc, dict) and doc.get("type") == "step":
-        raise ValueError("density runs on integer signals (dense/blocks)")
+        raise ParameterViolation("density runs on integer signals (dense/blocks)")
     sig = signal_from_json(doc)
     g = _parse_growth(args.g) if args.g else None
     rows = density_series(
@@ -186,27 +199,7 @@ def _cmd_density(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    mode = "paper_exact" if args.mode == "paper" else "relaxed"
-    if args.theorem == "delta":
-        report = verify_delta()
-    elif args.theorem == "theorem27":
-        k = args.k if args.k is not None else 4
-        report = verify_theorem27(
-            _parse_growth(args.g), k, mode, args.variant, args.n1, args.growth_factor
-        )
-    elif args.theorem == "theorem29-linf":
-        k = args.k if args.k is not None else 5
-        report = verify_theorem29_linf(
-            k, mode, n1=args.n1 or 2, growth_factor=args.growth_factor
-        )
-    else:
-        if args.p is None or args.alpha is None:
-            raise ValueError("theorem29-lp needs --p and --alpha")
-        k = args.k if args.k is not None else 4
-        report = verify_theorem29_lp(
-            parse_rational(args.p), parse_rational(args.alpha), k, mode,
-            n1=args.n1, growth_factor=args.growth_factor,
-        )
+    report = _construction(args, verify=True)
     if args.report:
         with open(args.report, "w") as fh:
             json.dump(report, fh, indent=2)
@@ -321,7 +314,7 @@ def main(argv=None) -> int:
     except ResourceCapExceeded as exc:
         print(f"error: resource cap: {exc}", file=sys.stderr)
         return 3
-    except (HlmaxError, ValueError, OSError, json.JSONDecodeError) as exc:
+    except (HlmaxError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
 

@@ -40,6 +40,7 @@ from .values import (
     Ordering,
     Value,
     compare,
+    escalate,
     exact_bounds,
     int_str,
     iroot,
@@ -133,11 +134,14 @@ class GrowthSpec:
                 if lhs > rhs:
                     return Ordering.GREATER
                 return Ordering.EQUAL if lhs == rhs else Ordering.LESS
-        for mult in (1, 2, 4):
-            lim = limits if mult == 1 else limits.with_(precision=limits.precision * mult)
+
+        def attempt(lim: Limits) -> Optional[Ordering]:
             o = compare(self.value_at(n, lim), c)
-            if o is not Ordering.INDETERMINATE:
-                return o
+            return None if o is Ordering.INDETERMINATE else o
+
+        o = escalate(limits, attempt)
+        if o is not None:
+            return o
         raise InfeasibleConstraint(
             f"cannot certify g({int_str(n)}) against {c} at escalated precision"
         )
@@ -155,15 +159,18 @@ class GrowthSpec:
                 base = n ** (q - p)
                 r = iroot(base, q)
                 return r if r**q == base else r + 1
-        for mult in (1, 2, 4):
-            lim = limits if mult == 1 else limits.with_(precision=limits.precision * mult)
+
+        def attempt(lim: Limits) -> Optional[int]:
             glo, ghi = exact_bounds(self.value_at(n, lim))
             if glo <= 0:
                 raise InfeasibleConstraint(f"g({int_str(n)}) is not certifiably positive")
             lo_c = -((-n * ghi.denominator) // ghi.numerator)
             hi_c = -((-n * glo.denominator) // glo.numerator)
-            if lo_c == hi_c:
-                return lo_c
+            return lo_c if lo_c == hi_c else None
+
+        c = escalate(limits, attempt)
+        if c is not None:
+            return c
         raise InfeasibleConstraint(
             f"cannot pin ceil(N/g(N)) at N = {int_str(n)} at escalated precision"
         )

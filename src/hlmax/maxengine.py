@@ -41,10 +41,11 @@ from .signal import (
     window_sum_scaled,
 )
 from .values import (
+    Enclosure,
     Ordering,
     Value,
     compare,
-    exact_bounds,
+    escalate,
     max_slope_pair,
     overlap_width,
     v_add,
@@ -84,7 +85,6 @@ class UncenteredResult:
 
 MaxResult = Union[CenteredResult, UncenteredResult]
 
-_ESCALATIONS = (1, 2, 4)
 _ENUM_STRETCH = 64
 _ENUM_FALLBACK = 10_000
 
@@ -94,8 +94,6 @@ def average_centered(sig: Signal, n: int, r: int, limits: Limits = DEFAULT_LIMIT
     if r < 0:
         raise NonpositiveRadius("centered averages need radius >= 0")
     total = window_sum(sig, n - r, n + r, limits)
-    if isinstance(total, Fraction):
-        return total / (2 * r + 1)
     return v_div_posint(total, 2 * r + 1, limits.precision)
 
 
@@ -106,10 +104,7 @@ def average_uncentered(
     if rho < 0 or s < 0:
         raise NonpositiveRadius("uncentered averages need rho, s >= 0")
     total = window_sum(sig, n - rho, n + s, limits)
-    length = rho + s + 1
-    if isinstance(total, Fraction):
-        return total / length
-    return v_div_posint(total, length, limits.precision)
+    return v_div_posint(total, rho + s + 1, limits.precision)
 
 
 def search_bound_centered(sig: Signal, n: int) -> int:
@@ -124,7 +119,8 @@ def search_bound_centered(sig: Signal, n: int) -> int:
 
 def _sign(v: Value) -> Optional[int]:
     """Certified sign of a Value: +1, -1, 0 (exact), or None (undecided)."""
-    lo, hi = exact_bounds(v)
+    # a dyadic bound has the sign of its mantissa, a Fraction of its numerator
+    lo, hi = (v.dlo[0], v.dhi[0]) if isinstance(v, Enclosure) else (v.numerator, v.numerator)
     if lo > 0:
         return 1
     if hi < 0:
@@ -138,6 +134,27 @@ def _as_blocks(sig: Signal) -> BlockSignal:
     return sig if isinstance(sig, BlockSignal) else to_blocks(sig)
 
 
+def _best(cands) -> tuple:
+    """(value, key, certified, gap) for the largest value among (key, value)
+    pairs, with the smallest key among exact ties.  A comparison the
+    enclosures cannot decide keeps the current best, clears certified and
+    widens gap to the overlap width."""
+    best_v: Optional[Value] = None
+    best_k = 0
+    certified = True
+    gap = Fraction(0)
+    for k, v in cands:
+        c = Ordering.GREATER if best_v is None else compare(v, best_v)
+        if c is Ordering.GREATER:
+            best_v, best_k = v, k
+        elif c is Ordering.EQUAL:
+            best_k = min(best_k, k)
+        elif c is Ordering.INDETERMINATE:
+            certified = False
+            gap = max(gap, overlap_width(v, best_v))
+    return best_v, best_k, certified, gap
+
+
 class _PeakState:
     """Collects soundness bookkeeping from interior-peak searches."""
 
@@ -149,30 +166,34 @@ class _PeakState:
 
 def _delta_step_sign(sig: BlockSignal, n: int, r: int, limits: Limits, state: _PeakState) -> int:
     """Sign of delta(r+1) - delta(r), delta(r) = f(n-r-1) + f(n+r+1)."""
-    for mult in _ESCALATIONS:
-        lim = limits if mult == 1 else limits.with_(precision=limits.precision * mult)
+
+    def attempt(lim: Limits) -> Optional[int]:
         p = lim.precision
         d1 = v_add(eval_at(sig, n - r - 2, lim), eval_at(sig, n + r + 2, lim), p)
         d0 = v_add(eval_at(sig, n - r - 1, lim), eval_at(sig, n + r + 1, lim), p)
-        s = _sign(v_sub(d1, d0, p))
-        if s is not None:
-            return s
-    state.uncertified = True
-    return -1
+        return _sign(v_sub(d1, d0, p))
+
+    s = escalate(limits, attempt)
+    if s is None:
+        state.uncertified = True
+        return -1
+    return s
 
 
 def _h_sign(sig: BlockSignal, n: int, r: int, limits: Limits, state: _PeakState) -> int:
     """Sign of h(r) = (2r+1) delta(r) - 2 N(r); h > 0 iff A_{r+1} > A_r."""
-    for mult in _ESCALATIONS:
-        lim = limits if mult == 1 else limits.with_(precision=limits.precision * mult)
+
+    def attempt(lim: Limits) -> Optional[int]:
         p = lim.precision
         delta = v_add(eval_at(sig, n - r - 1, lim), eval_at(sig, n + r + 1, lim), p)
         nsum = window_sum(sig, n - r, n + r, lim)
-        s = _sign(v_sub(v_mul_int(delta, 2 * r + 1, p), v_mul_int(nsum, 2, p), p))
-        if s is not None:
-            return s
-    state.uncertified = True
-    return 1
+        return _sign(v_sub(v_mul_int(delta, 2 * r + 1, p), v_mul_int(nsum, 2, p), p))
+
+    s = escalate(limits, attempt)
+    if s is None:
+        state.uncertified = True
+        return 1
+    return s
 
 
 def _centered_stretch_peaks(
@@ -276,21 +297,9 @@ def event_centered(sig: Signal, n: int, limits: Limits = DEFAULT_LIMITS) -> Cent
             if num * best_den > best_num * den:
                 best_num, best_den, best_r = num, den, r
         return CenteredResult(n, Fraction(best_num, d * best_den), best_r, True)
-    best_v: Optional[Value] = None
-    best_r = 0
-    certified = not state.uncertified
-    gap = Fraction(0)
-    for r in cands:
-        v = average_centered(blocks, n, r, limits)
-        if best_v is None:
-            best_v, best_r = v, r
-            continue
-        c = compare(v, best_v)
-        if c is Ordering.GREATER:
-            best_v, best_r = v, r
-        elif c is Ordering.INDETERMINATE:
-            certified = False
-            gap = max(gap, overlap_width(v, best_v))
+    averages = ((r, average_centered(blocks, n, r, limits)) for r in cands)
+    best_v, best_r, certified, gap = _best(averages)
+    certified = certified and not state.uncertified
     return CenteredResult(n, best_v, best_r, certified, gap if not certified else None)
 
 
@@ -330,18 +339,8 @@ def oracle_centered(sig: Signal, n: int, limits: Limits = DEFAULT_LIMITS) -> Cen
             if num * best_den > best_num * den:
                 best_num, best_den, best_r = num, den, r
         return CenteredResult(n, Fraction(best_num, d * best_den), best_r, True)
-    best_v = average_centered(sig, n, 0, limits)
-    best_r = 0
-    certified = True
-    gap = Fraction(0)
-    for r in range(1, r_cap + 1):
-        v = average_centered(sig, n, r, limits)
-        c = compare(v, best_v)
-        if c is Ordering.GREATER:
-            best_v, best_r = v, r
-        elif c is Ordering.INDETERMINATE:
-            certified = False
-            gap = max(gap, overlap_width(v, best_v))
+    averages = ((r, average_centered(sig, n, r, limits)) for r in range(r_cap + 1))
+    best_v, best_r, certified, gap = _best(averages)
     return CenteredResult(n, best_v, best_r, certified, gap if not certified else None)
 
 
@@ -369,17 +368,16 @@ def _u_peak(
     predicate stays true afterwards, so its first success is the peak."""
 
     def pred(u: int) -> int:
-        sub = _PeakState()
-        for mult in _ESCALATIONS:
-            lim = limits if mult == 1 else limits.with_(precision=limits.precision * mult)
-            p = lim.precision
+        def attempt(lim: Limits) -> Optional[int]:
             total = window_sum(sig, l, u, lim)
-            edge = v_mul_int(eval_at(sig, u + 1, lim), u - l + 1, p)
-            s = _sign(v_sub(edge, total, p))
-            if s is not None:
-                return 1 if s > 0 else 0  # 1: still rising
-        state.uncertified = True
-        return 0
+            edge = v_mul_int(eval_at(sig, u + 1, lim), u - l + 1, lim.precision)
+            return _sign(v_sub(edge, total, lim.precision))
+
+        s = escalate(limits, attempt)
+        if s is None:
+            state.uncertified = True
+            return 0
+        return 1 if s > 0 else 0  # 1: still rising
 
     if not pred(u1):
         return u1
@@ -479,37 +477,24 @@ def event_uncentered(sig: Signal, n: int, limits: Limits = DEFAULT_LIMITS) -> Un
         for u1, u2 in zip(u_cands, u_cands[1:]):
             if u2 - u1 >= 2 and isinstance(region_at(blocks, u1 + 1), PowerLaw):
                 pl_stretches.append((u1, u2))
-    best_v: Optional[Value] = None
-    best_diam = 0
-    certified = True
-    gap = Fraction(0)
-    for l in l_cands:
-        u_all = list(u_cands)
-        for u1, u2 in pl_stretches:
-            if u2 - u1 <= _ENUM_STRETCH:
-                u_all.extend(range(u1 + 1, u2))
-            else:
-                peak = _u_peak(blocks, l, u1, u2, limits, state)
-                if peak is not None:
-                    for u in (peak - 1, peak, peak + 1):
-                        if u1 < u < u2:
-                            u_all.append(u)
-        for u in sorted(set(u_all)):
-            v = average_uncentered(blocks, n, n - l, u - n, limits)
-            if best_v is None:
-                best_v, best_diam = v, u - l
-                continue
-            c = compare(v, best_v)
-            if c is Ordering.GREATER:
-                best_v, best_diam = v, u - l
-            elif c is Ordering.EQUAL:
-                if u - l < best_diam:
-                    best_diam = u - l
-            elif c is Ordering.INDETERMINATE:
-                certified = False
-                gap = max(gap, overlap_width(v, best_v))
-    if state.uncertified:
-        certified = False
+
+    def windows():
+        for l in l_cands:
+            u_all = list(u_cands)
+            for u1, u2 in pl_stretches:
+                if u2 - u1 <= _ENUM_STRETCH:
+                    u_all.extend(range(u1 + 1, u2))
+                else:
+                    peak = _u_peak(blocks, l, u1, u2, limits, state)
+                    if peak is not None:
+                        for u in (peak - 1, peak, peak + 1):
+                            if u1 < u < u2:
+                                u_all.append(u)
+            for u in sorted(set(u_all)):
+                yield u - l, average_uncentered(blocks, n, n - l, u - n, limits)
+
+    best_v, best_diam, certified, gap = _best(windows())
+    certified = certified and not state.uncertified
     return UncenteredResult(n, best_v, best_diam, certified, gap if not certified else None)
 
 
@@ -554,25 +539,11 @@ def oracle_uncentered(sig: Signal, n: int, limits: Limits = DEFAULT_LIMITS) -> U
                 if lhs > rhs or (lhs == rhs and rho + s < best_diam):
                     best_num, best_len, best_diam = num, length, rho + s
         return UncenteredResult(n, Fraction(best_num, d * best_len), best_diam, True)
-    best_v: Optional[Value] = None
-    best_diam = 0
-    certified = True
-    gap = Fraction(0)
-    for rho in range(rho_max + 1):
-        for s in range(s_max + 1):
-            v = average_uncentered(sig, n, rho, s, limits)
-            if best_v is None:
-                best_v, best_diam = v, rho + s
-                continue
-            c = compare(v, best_v)
-            if c is Ordering.GREATER:
-                best_v, best_diam = v, rho + s
-            elif c is Ordering.EQUAL:
-                if rho + s < best_diam:
-                    best_diam = rho + s
-            elif c is Ordering.INDETERMINATE:
-                certified = False
-                gap = max(gap, overlap_width(v, best_v))
+    best_v, best_diam, certified, gap = _best(
+        (rho + s, average_uncentered(sig, n, rho, s, limits))
+        for rho in range(rho_max + 1)
+        for s in range(s_max + 1)
+    )
     return UncenteredResult(n, best_v, best_diam, certified, gap if not certified else None)
 
 

@@ -1,16 +1,19 @@
-"""Exact rationals and directed-rounding enclosures.
+"""Exact rationals and integer dyadic enclosures.
 
-A Value is either an exact Fraction or an Enclosure [lo, hi] of binary floats
-at a fixed working precision.  Exact arithmetic never degrades to floating
-point; enclosures appear only where power-law terms force irrational sums.
-Every enclosure bound is a dyadic rational, so comparisons against exact
-values are themselves exact: an mpf converts to a Fraction without loss.
+A Value is either an exact Fraction or an Enclosure [lo, hi] whose bounds
+are dyadic rationals m * 2^e, each held as two plain ints.  Exact arithmetic
+never degrades to floating point; enclosures appear only where power-law
+terms force irrational sums.  Every enclosure operation computes its result
+exactly in integers and then rounds it outward to the working precision,
+lo toward -inf and hi toward +inf, to prec significant bits: the bits a
+correctly rounded binary float of that precision would keep.  Enclosures are
+thus certified by integer arithmetic alone, and comparisons against exact
+values are themselves exact.
 
-Power-law terms n^(-alpha) are bounded by integer arithmetic alone: an exact
-integer root gives floor(2^shift * n^(-alpha)), and only the final rounding
-of such scaled integers to the working precision goes through mpmath's
-correctly rounded conversion.  mpmath evaluates transcendentals only for
-logarithms and fractional powers of values (ln_value, pow_of_value).
+Power-law terms n^(-alpha) are bounded the same way: an exact integer root
+gives floor(2^shift * n^(-alpha)).  mpmath is used only to evaluate
+logarithms and fractional powers of values (ln_value, pow_of_value), whose
+results convert exactly to dyadic bounds, and to print bounds as decimals.
 
 Comparisons are three-way plus "indeterminate" (overlapping enclosures).
 Engine code treats indeterminate outcomes as ties broken toward the smaller
@@ -22,13 +25,11 @@ from __future__ import annotations
 import decimal
 import math
 import re
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from typing import Union
 
 import mpmath
-from mpmath.libmp import from_man_exp, round_ceiling, round_floor
 
 from .errors import ParameterViolation
 
@@ -62,42 +63,104 @@ _GUARD = 32
 # by a factor of about 2^20
 _WIDEN_SHIFT = 8
 
-_mpf = mpmath.mpf
-_make_mpf = mpmath.mp.make_mpf
+
+def _floor(m: int, e: int, prec: int) -> tuple:
+    """m * 2^e rounded toward -inf to prec significant bits, as (m, e)."""
+    s = m.bit_length() - prec
+    return (m >> s, e + s) if s > 0 else (m, e)
 
 
-def mpf_to_fraction(x) -> Fraction:
-    """Exact value of a finite mpf as a Fraction (mpf values are dyadic)."""
-    sign, man, exp, _ = x._mpf_
-    if man == 0:
-        if exp != 0:
-            raise ParameterViolation("non-finite bound in enclosure")
-        return Fraction(0)
-    man = int(man)
-    v = Fraction(man * 2**exp) if exp >= 0 else Fraction(man, 2**-exp)
-    return -v if sign else v
+def _ceil(m: int, e: int, prec: int) -> tuple:
+    """m * 2^e rounded toward +inf to prec significant bits, as (m, e)."""
+    s = m.bit_length() - prec
+    return (-(-m >> s), e + s) if s > 0 else (m, e)
 
 
-@dataclass(frozen=True)
-class Enclosure:
-    """Closed interval [lo, hi] certified to contain the true value."""
+def _add(am: int, ae: int, bm: int, be: int) -> tuple:
+    """am * 2^ae + bm * 2^be exactly, as (m, e)."""
+    if ae > be:
+        return (am << (ae - be)) + bm, be
+    return am + (bm << (be - ae)), ae
 
-    lo: object  # mpmath.mpf
-    hi: object  # mpmath.mpf
 
-    def __post_init__(self):
-        if not (mpmath.isfinite(self.lo) and mpmath.isfinite(self.hi)):
+def _quot(m: int, e: int, k: int, prec: int, rnd) -> tuple:
+    """m * 2^e / k for an int k > 0, rounded by rnd (_floor or _ceil).
+
+    The integer quotient keeps at least prec + 1 bits, so rounding the
+    floor (or ceiling) of the scaled quotient rounds the quotient itself."""
+    t = max(0, prec + 1 + k.bit_length() - m.bit_length())
+    m <<= t
+    return rnd(m // k if rnd is _floor else -(-m // k), e - t, prec)
+
+
+def _to_fraction(d: tuple) -> Fraction:
+    m, e = d
+    return Fraction(m << e) if e >= 0 else Fraction(m, 1 << -e)
+
+
+def _dyadic(x, rnd) -> tuple:
+    """A bound given as an mpf, int or Fraction as (m, e): exact when
+    dyadic, otherwise rounded by rnd to DEFAULT_PRECISION bits."""
+    raw = getattr(x, "_mpf_", None)
+    if raw is not None:
+        sign, man, exp, _ = raw
+        if not man and exp:
             raise ParameterViolation("enclosure bounds must be finite")
-        if self.lo > self.hi:
+        return (-int(man) if sign else int(man)), exp
+    x = Fraction(x)
+    d = x.denominator
+    if d & (d - 1) == 0:
+        return x.numerator, 1 - d.bit_length()
+    return _quot(x.numerator, 0, d, DEFAULT_PRECISION, rnd)
+
+
+class Enclosure:
+    """Closed interval [lo, hi] certified to contain the true value.
+
+    Each bound is a dyadic rational held as a pair of ints: dlo = (m, e)
+    means lo = m * 2^e, and likewise dhi.  The constructor takes mpf, int
+    or Fraction bounds, converts dyadic ones exactly and rounds others
+    outward to DEFAULT_PRECISION bits.  lo and hi read as exact Fractions.
+    Enclosures are immutable and compare and hash by value."""
+
+    __slots__ = ("dlo", "dhi")
+
+    def __init__(self, lo, hi):
+        self.dlo = _dyadic(lo, _floor)
+        self.dhi = _dyadic(hi, _ceil)
+        if _add(*self.dlo, -self.dhi[0], self.dhi[1])[0] > 0:
             raise ParameterViolation("enclosure with lo > hi")
 
+    @property
+    def lo(self) -> Fraction:
+        return _to_fraction(self.dlo)
+
+    @property
+    def hi(self) -> Fraction:
+        return _to_fraction(self.dhi)
+
     def bounds(self) -> tuple[Fraction, Fraction]:
-        return mpf_to_fraction(self.lo), mpf_to_fraction(self.hi)
+        return self.lo, self.hi
+
+    def __eq__(self, other):
+        return isinstance(other, Enclosure) and self.bounds() == other.bounds()
+
+    def __hash__(self):
+        return hash(self.bounds())
 
     def __repr__(self):  # keep reprs short; full precision lives in bounds()
-        return f"Enclosure({mpmath.nstr(self.lo, 12)}..{mpmath.nstr(self.hi, 12)})"
+        return f"Enclosure({value_str(self, 12)})"
 
 
+def _enc(dlo: tuple, dhi: tuple) -> Enclosure:
+    """Enclosure from (m, e) bounds known to be ordered, without checks."""
+    enc = object.__new__(Enclosure)
+    enc.dlo, enc.dhi = dlo, dhi
+    return enc
+
+
+# hot paths test isinstance(v, Enclosure): Fraction's metaclass is ABCMeta,
+# which makes isinstance(v, Fraction) several times slower
 Value = Union[Fraction, Enclosure]
 
 
@@ -109,22 +172,34 @@ class Ordering(Enum):
 
 
 def exact_bounds(v: Value) -> tuple[Fraction, Fraction]:
-    if isinstance(v, Fraction):
-        return v, v
-    return v.bounds()
+    if isinstance(v, Enclosure):
+        return v.bounds()
+    return v, v
+
+
+def _scaled(v: Value) -> tuple:
+    """(lo, hi, e, d) with the bounds of v equal to lo * 2^e / d and hi * 2^e / d."""
+    if not isinstance(v, Enclosure):
+        return v.numerator, v.numerator, 0, v.denominator
+    (lm, le), (hm, he) = v.dlo, v.dhi
+    e = min(le, he)
+    return lm << (le - e), hm << (he - e), e, 1
+
+
+def _aligned(a: Value, b: Value) -> tuple:
+    """(alo, ahi, blo, bhi, e, d): the bounds of a and b as integers over
+    one common scale, each bound equal to its integer times 2^e / d."""
+    alo, ahi, ae, ad = _scaled(a)
+    blo, bhi, be, bd = _scaled(b)
+    e = min(ae, be)
+    sa, sb = ae - e, be - e
+    return (alo * bd) << sa, (ahi * bd) << sa, (blo * ad) << sb, (bhi * ad) << sb, e, ad * bd
 
 
 def compare(a: Value, b: Value) -> Ordering:
     """Three-way comparison; INDETERMINATE iff the intervals overlap without
     being the same single point."""
-    if isinstance(a, Fraction) and isinstance(b, Fraction):
-        if a < b:
-            return Ordering.LESS
-        if a > b:
-            return Ordering.GREATER
-        return Ordering.EQUAL
-    alo, ahi = exact_bounds(a)
-    blo, bhi = exact_bounds(b)
+    alo, ahi, blo, bhi, _, _ = _aligned(a, b)
     if ahi < blo:
         return Ordering.LESS
     if alo > bhi:
@@ -136,10 +211,22 @@ def compare(a: Value, b: Value) -> Ordering:
 
 def overlap_width(a: Value, b: Value) -> Fraction:
     """Width of the overlap of two value intervals (0 for disjoint/exact)."""
-    alo, ahi = exact_bounds(a)
-    blo, bhi = exact_bounds(b)
+    alo, ahi, blo, bhi, e, d = _aligned(a, b)
     w = min(ahi, bhi) - max(alo, blo)
-    return w if w > 0 else Fraction(0)
+    if w <= 0:
+        return Fraction(0)
+    return Fraction(w << e, d) if e >= 0 else Fraction(w, d << -e)
+
+
+def escalate(limits, attempt):
+    """First result of attempt(lim) that is not None, trying the working
+    precision of limits times 1, 2 and 4; None when all three stay undecided."""
+    for mult in (1, 2, 4):
+        lim = limits if mult == 1 else limits.with_(precision=limits.precision * mult)
+        result = attempt(lim)
+        if result is not None:
+            return result
+    return None
 
 
 # up to this many (left, right) pairs, scanning them all for the largest
@@ -209,68 +296,50 @@ def max_slope_pair(xl: list, yl: list, xr: list, yr: list) -> tuple[int, int]:
 
 
 def fraction_to_enclosure(fr: Fraction, prec: int = DEFAULT_PRECISION) -> Enclosure:
-    lo = mpmath.fdiv(fr.numerator, fr.denominator, prec=prec, rounding="f")
-    hi = mpmath.fdiv(fr.numerator, fr.denominator, prec=prec, rounding="c")
-    return Enclosure(lo, hi)
-
-
-def _as_pair(v: Value, prec: int):
-    if isinstance(v, Fraction):
-        e = fraction_to_enclosure(v, prec)
-        return e.lo, e.hi
-    return v.lo, v.hi
+    n, d = fr.numerator, fr.denominator
+    return _enc(_quot(n, 0, d, prec, _floor), _quot(n, 0, d, prec, _ceil))
 
 
 def v_add(a: Value, b: Value, prec: int = DEFAULT_PRECISION) -> Value:
-    if isinstance(a, Fraction) and isinstance(b, Fraction):
-        return a + b
-    alo, ahi = _as_pair(a, prec)
-    blo, bhi = _as_pair(b, prec)
-    return Enclosure(
-        mpmath.fadd(alo, blo, prec=prec, rounding="f"),
-        mpmath.fadd(ahi, bhi, prec=prec, rounding="c"),
-    )
+    if not isinstance(a, Enclosure):
+        if not isinstance(b, Enclosure):
+            return a + b
+        a, b = b, a
+    if not isinstance(b, Enclosure):
+        # a Fraction operand is rounded outward first, so the sum rounds twice
+        b = fraction_to_enclosure(b, prec)
+    return _enc(_floor(*_add(*a.dlo, *b.dlo), prec), _ceil(*_add(*a.dhi, *b.dhi), prec))
 
 
 def v_sub(a: Value, b: Value, prec: int = DEFAULT_PRECISION) -> Value:
-    if isinstance(a, Fraction) and isinstance(b, Fraction):
-        return a - b
-    alo, ahi = _as_pair(a, prec)
-    blo, bhi = _as_pair(b, prec)
-    return Enclosure(
-        mpmath.fsub(alo, bhi, prec=prec, rounding="f"),
-        mpmath.fsub(ahi, blo, prec=prec, rounding="c"),
-    )
+    """a - b as a + (-b): negation is exact, and rounding -b outward gives
+    the negated outward rounding of b."""
+    if isinstance(b, Enclosure):
+        (lm, le), (hm, he) = b.dlo, b.dhi
+        return v_add(a, _enc((-hm, he), (-lm, le)), prec)
+    return v_add(a, -b, prec)
 
 
 def v_mul_int(a: Value, k: int, prec: int = DEFAULT_PRECISION) -> Value:
     """a * k for an exact integer k of either sign."""
-    if isinstance(a, Fraction):
+    if not isinstance(a, Enclosure):
         return a * k
-    if k >= 0:
-        lo = mpmath.fmul(a.lo, k, prec=prec, rounding="f")
-        hi = mpmath.fmul(a.hi, k, prec=prec, rounding="c")
-    else:
-        lo = mpmath.fmul(a.hi, k, prec=prec, rounding="f")
-        hi = mpmath.fmul(a.lo, k, prec=prec, rounding="c")
-    return Enclosure(lo, hi)
+    (lm, le), (hm, he) = (a.dlo, a.dhi) if k >= 0 else (a.dhi, a.dlo)
+    return _enc(_floor(lm * k, le, prec), _ceil(hm * k, he, prec))
 
 
 def v_div_posint(a: Value, k: int, prec: int = DEFAULT_PRECISION) -> Value:
     """a / k for an exact integer k > 0."""
     if k <= 0:
         raise ParameterViolation("division by a non-positive count")
-    if isinstance(a, Fraction):
+    if not isinstance(a, Enclosure):
         return a / k
-    return Enclosure(
-        mpmath.fdiv(a.lo, k, prec=prec, rounding="f"),
-        mpmath.fdiv(a.hi, k, prec=prec, rounding="c"),
-    )
+    return _enc(_quot(*a.dlo, k, prec, _floor), _quot(*a.dhi, k, prec, _ceil))
 
 
 def v_mul_frac(a: Value, c: Fraction, prec: int = DEFAULT_PRECISION) -> Value:
     """a * c for an exact rational c of either sign."""
-    if isinstance(a, Fraction):
+    if not isinstance(a, Enclosure):
         return a * c
     return v_div_posint(v_mul_int(a, c.numerator, prec), c.denominator, prec)
 
@@ -329,11 +398,8 @@ def power_bounds(n: int, alpha: Fraction, shift: int) -> tuple[int, bool]:
 
 
 def scaled_enclosure(lo: int, hi: int, shift: int, prec: int) -> Enclosure:
-    """[lo / 2^shift, hi / 2^shift] rounded outward to prec-bit floats."""
-    return Enclosure(
-        _make_mpf(from_man_exp(lo, -shift, prec, round_floor)),
-        _make_mpf(from_man_exp(hi, -shift, prec, round_ceiling)),
-    )
+    """[lo / 2^shift, hi / 2^shift] rounded outward to prec bits."""
+    return _enc(_floor(lo, -shift, prec), _ceil(hi, -shift, prec))
 
 
 def power_term(n: int, alpha: Fraction, prec: int = DEFAULT_PRECISION) -> Value:
@@ -384,13 +450,11 @@ def ln_of_value(v: Value, prec: int = DEFAULT_PRECISION) -> Value:
         raise ParameterViolation("log of a non-positive value")
     a = ln_value(lo, prec)
     b = ln_value(hi, prec)
-    alo, _ = exact_bounds(a)
-    _, bhi = exact_bounds(b)
-    if isinstance(a, Fraction):
+    if not isinstance(a, Enclosure):
         a = fraction_to_enclosure(a, prec)
-    if isinstance(b, Fraction):
+    if not isinstance(b, Enclosure):
         b = fraction_to_enclosure(b, prec)
-    return Enclosure(a.lo, b.hi)
+    return _enc(a.dlo, b.dhi)
 
 
 def pow_of_value(v: Value, beta: Fraction, prec: int = DEFAULT_PRECISION) -> Value:
@@ -401,10 +465,10 @@ def pow_of_value(v: Value, beta: Fraction, prec: int = DEFAULT_PRECISION) -> Val
     if lo <= 0:
         raise ParameterViolation("power of a non-positive value")
     with mpmath.workprec(prec + _GUARD):
-        b = _mpf(beta.numerator) / beta.denominator
+        b = mpmath.mpf(beta.numerator) / beta.denominator
         tlo = mpmath.power(mpmath.fdiv(lo.numerator, lo.denominator, prec=prec + _GUARD), b)
         thi = mpmath.power(mpmath.fdiv(hi.numerator, hi.denominator, prec=prec + _GUARD), b)
-    return Enclosure(_widen(tlo, prec).lo, _widen(thi, prec).hi)
+    return _enc(_widen(tlo, prec).dlo, _widen(thi, prec).dhi)
 
 
 def parse_rational(s: str) -> Fraction:
@@ -455,4 +519,6 @@ def value_str(v: Value, digits: int = 30) -> str:
     """Render a Value for CSV/JSON: "p/q" exact, "lo..hi" for enclosures."""
     if isinstance(v, Fraction):
         return rational_str(v)
-    return f"{mpmath.nstr(v.lo, digits)}..{mpmath.nstr(v.hi, digits)}"
+    # from_man_exp without a precision converts a bound exactly
+    lo, hi = (mpmath.mp.make_mpf(mpmath.libmp.from_man_exp(*d)) for d in (v.dlo, v.dhi))
+    return f"{mpmath.nstr(lo, digits)}..{mpmath.nstr(hi, digits)}"

@@ -158,6 +158,40 @@ class TestProfile:
 
 
     @pytest.mark.parametrize(
+        "content",
+        [
+            b"\xff\xfe{}",  # not UTF-8 text
+            b'{"type": "dense", "lo": ' + b"7" * 5000 + b', "values": ["1"]}',  # over int digit limit
+        ],
+    )
+    def test_undecodable_signal_file(self, tmp_path, content):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(content)
+        for cmd in (["profile", "--points", "0"], ["density", "--N-list", "5"]):
+            assert run(
+                *cmd, "--signal", str(bad), "--out", str(tmp_path / "o.csv")
+            ) == 2
+
+    def test_engine_value_error_is_not_an_input_error(self, tmp_path):
+        # only bad input exits 2; a ValueError from inside the engines is
+        # a fault, so it ends as a traceback with exit status 1
+        sig = tmp_path / "d.json"
+        assert run("construct", "delta", "--out", str(sig)) == 0
+        script = (
+            "import sys, hlmax.cli as cli\n"
+            "def boom(*a, **k):\n"
+            "    raise ValueError('engine fault')\n"
+            "cli.profile = boom\n"
+            f"sys.exit(cli.main(['profile', '--signal', {str(sig)!r}, "
+            f"'--points', '0', '--out', {str(tmp_path / 'p.csv')!r}]))\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, timeout=120
+        )
+        assert proc.returncode == 1
+        assert "ValueError: engine fault" in proc.stderr
+
+    @pytest.mark.parametrize(
         "doc",
         [
             {"type": "blocks", "blocks": [{"start": "1", "end": "3"}]},  # no "amp"

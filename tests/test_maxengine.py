@@ -34,6 +34,7 @@ from hlmax.signal import (
     translate,
     window_sum_scaled,
 )
+import hlmax.values
 from hlmax.values import Ordering, compare, exact_bounds
 from hlmax.constructions import dirac
 
@@ -281,6 +282,26 @@ class TestPowerLawEngine:
             Ordering.EQUAL,
             Ordering.INDETERMINATE,
         )
+
+
+class _NoMpmath:
+    def __getattr__(self, name):
+        raise AssertionError(f"mpmath.{name} reached from a power-law engine")
+
+
+class TestPowerLawHotPath:
+    def test_engines_and_oracle_run_without_mpmath(self, monkeypatch):
+        # power terms, window sums, averages, peak searches and comparisons
+        # all run in integer arithmetic; mpmath is left to ln, pow and printing
+        monkeypatch.setattr(hlmax.values, "mpmath", _NoMpmath())
+        sig = BlockSignal(
+            [Block(1, 150, PowerLaw(Fraction(3, 5))), Block(200, 260, Fraction(1, 40))]
+        )
+        for n in (1, 155, 230):
+            ev = event_centered(sig, n)
+            oc = oracle_centered(sig, n)
+            assert ev.certified and oc.certified and ev.radius == oc.radius
+            assert event_uncentered(sig, n).certified
 
 
 values_st = st.lists(

@@ -6,6 +6,7 @@ import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from mpmath.libmp import from_man_exp, round_ceiling, round_floor
 
 from hlmax.errors import ParameterViolation
 from hlmax.values import (
@@ -19,12 +20,14 @@ from hlmax.values import (
     ln_of_value,
     ln_value,
     max_slope_pair,
+    overlap_width,
     parse_rational,
     pow_of_value,
     power_bounds,
     power_shift,
     power_term,
     rational_str,
+    scaled_enclosure,
     v_add,
     v_div_posint,
     v_mul_frac,
@@ -289,3 +292,209 @@ class TestMaxSlopePair:
         )
         i, j = max_slope_pair(xl, yl, xr, yr)
         assert (Fraction(yr[j] - yl[i], xr[j] - xl[i]), xl[i] - xr[j]) == best
+
+
+# Reference for the integer enclosure arithmetic: every operation done as
+# mpmath floats with directed rounding, floor for lo and ceiling for hi, on
+# bounds converted exactly.  A Fraction operand of a mixed operation is
+# first rounded outward to prec bits, then the result is rounded again.
+
+
+def mpf_exact(fr: Fraction):
+    """A dyadic Fraction as an mpf, exactly."""
+    d = fr.denominator
+    assert d & (d - 1) == 0
+    return mpmath.mp.make_mpf(from_man_exp(fr.numerator, 1 - d.bit_length()))
+
+
+def mpf_fraction(x) -> Fraction:
+    sign, man, exp, _ = x._mpf_
+    v = Fraction(int(man)) * Fraction(2) ** exp
+    return -v if sign else v
+
+
+def ref_pair(v, prec: int) -> tuple:
+    if isinstance(v, Fraction):
+        return (
+            mpmath.fdiv(v.numerator, v.denominator, prec=prec, rounding="f"),
+            mpmath.fdiv(v.numerator, v.denominator, prec=prec, rounding="c"),
+        )
+    lo, hi = exact_bounds(v)
+    return mpf_exact(lo), mpf_exact(hi)
+
+
+def ref_bounds(r) -> tuple:
+    if isinstance(r, Fraction):
+        return r, r
+    return mpf_fraction(r[0]), mpf_fraction(r[1])
+
+
+def ref_add(a, b, prec):
+    if isinstance(a, Fraction) and isinstance(b, Fraction):
+        return a + b
+    (alo, ahi), (blo, bhi) = ref_pair(a, prec), ref_pair(b, prec)
+    return (
+        mpmath.fadd(alo, blo, prec=prec, rounding="f"),
+        mpmath.fadd(ahi, bhi, prec=prec, rounding="c"),
+    )
+
+
+def ref_sub(a, b, prec):
+    if isinstance(a, Fraction) and isinstance(b, Fraction):
+        return a - b
+    (alo, ahi), (blo, bhi) = ref_pair(a, prec), ref_pair(b, prec)
+    return (
+        mpmath.fsub(alo, bhi, prec=prec, rounding="f"),
+        mpmath.fsub(ahi, blo, prec=prec, rounding="c"),
+    )
+
+
+def ref_mul_int(pair, k, prec):
+    lo, hi = pair if k >= 0 else pair[::-1]
+    return (
+        mpmath.fmul(lo, k, prec=prec, rounding="f"),
+        mpmath.fmul(hi, k, prec=prec, rounding="c"),
+    )
+
+
+def ref_div_posint(pair, k, prec):
+    return (
+        mpmath.fdiv(pair[0], k, prec=prec, rounding="f"),
+        mpmath.fdiv(pair[1], k, prec=prec, rounding="c"),
+    )
+
+
+def ref_scaled(lo, hi, shift, prec):
+    return (
+        mpmath.mp.make_mpf(from_man_exp(lo, -shift, prec, round_floor)),
+        mpmath.mp.make_mpf(from_man_exp(hi, -shift, prec, round_ceiling)),
+    )
+
+
+def ref_compare(a, b) -> Ordering:
+    (alo, ahi), (blo, bhi) = exact_bounds(a), exact_bounds(b)
+    if ahi < blo:
+        return Ordering.LESS
+    if alo > bhi:
+        return Ordering.GREATER
+    if alo == ahi == blo == bhi:
+        return Ordering.EQUAL
+    return Ordering.INDETERMINATE
+
+
+PRECS = [64, 256, 512, 1024]
+# exponents near -10000, 0 and +10000
+scale_st = st.one_of(
+    st.just(0), st.integers(-10010, -9990), st.integers(9990, 10010)
+)
+# numerators up to about 10^90 over odd, dyadic or arbitrary denominators
+big_fraction_st = st.builds(
+    lambda n, d, e: Fraction(n, d) * Fraction(2) ** e,
+    st.integers(-(10**90), 10**90),
+    st.one_of(st.just(1), st.sampled_from([3, 7, 2**40]), st.integers(1, 10**30)),
+    scale_st,
+)
+
+
+@st.composite
+def operand(draw, prec: int):
+    """An exact Fraction or an Enclosure built the way the engines build
+    them: a rounded Fraction, a scaled integer window or a power term."""
+    kind = draw(st.sampled_from(["fraction", "rounded", "scaled", "power"]))
+    if kind == "fraction":
+        return draw(big_fraction_st)
+    if kind == "rounded":
+        return fraction_to_enclosure(draw(big_fraction_st), prec)
+    if kind == "scaled":
+        lo = draw(st.integers(-(10**90), 10**90))
+        hi = lo + draw(st.integers(0, 10**90))
+        shift = draw(st.one_of(st.integers(0, 400), st.integers(9990, 10010)))
+        return scaled_enclosure(lo, hi, shift, prec)
+    return power_term(draw(st.integers(2, 10**30)), draw(st.sampled_from(ALPHAS)), prec)
+
+
+@st.composite
+def two_operands(draw):
+    prec = draw(st.sampled_from(PRECS))
+    return prec, draw(operand(prec)), draw(operand(prec))
+
+
+class TestIntegerArithmeticMatchesMpmath:
+    """Each integer operation gives bounds equal, not just contained, to
+    those of mpmath's directed-rounding floats at the same precision."""
+
+    @given(two_operands())
+    @settings(max_examples=300, deadline=None)
+    def test_add_sub(self, ops):
+        prec, a, b = ops
+        assert exact_bounds(v_add(a, b, prec)) == ref_bounds(ref_add(a, b, prec))
+        assert exact_bounds(v_sub(a, b, prec)) == ref_bounds(ref_sub(a, b, prec))
+
+    @given(
+        two_operands(),
+        st.integers(-(10**40), 10**40),
+        st.integers(1, 10**40),
+        st.fractions(max_denominator=10**20).filter(lambda c: abs(c) < 10**20),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_mul_div(self, ops, k, d, c):
+        prec, a, _ = ops
+        if isinstance(a, Fraction):
+            a = fraction_to_enclosure(a, prec)
+        pair = ref_pair(a, prec)
+        assert exact_bounds(v_mul_int(a, k, prec)) == ref_bounds(ref_mul_int(pair, k, prec))
+        assert exact_bounds(v_div_posint(a, d, prec)) == ref_bounds(
+            ref_div_posint(pair, d, prec)
+        )
+        ref = ref_div_posint(ref_mul_int(pair, c.numerator, prec), c.denominator, prec)
+        assert exact_bounds(v_mul_frac(a, c, prec)) == ref_bounds(ref)
+
+    @given(big_fraction_st, st.sampled_from(PRECS))
+    @settings(max_examples=200, deadline=None)
+    def test_fraction_to_enclosure(self, fr, prec):
+        assert exact_bounds(fraction_to_enclosure(fr, prec)) == ref_bounds(ref_pair(fr, prec))
+
+    @given(
+        st.integers(-(10**90), 10**90),
+        st.integers(0, 10**90),
+        st.one_of(st.integers(-50, 400), st.integers(9990, 10010)),
+        st.sampled_from(PRECS),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_scaled_enclosure(self, lo, width, shift, prec):
+        got = exact_bounds(scaled_enclosure(lo, lo + width, shift, prec))
+        assert got == ref_bounds(ref_scaled(lo, lo + width, shift, prec))
+
+    @given(two_operands())
+    @settings(max_examples=300, deadline=None)
+    def test_compare_overlap_and_printing(self, ops):
+        prec, a, b = ops
+        # results of arithmetic too, so that near ties and overlaps occur
+        s = v_add(a, b, prec)
+        for x, y in ((a, b), (s, a), (v_sub(s, b, prec), a)):
+            assert compare(x, y) is ref_compare(x, y)
+            (xlo, xhi), (ylo, yhi) = exact_bounds(x), exact_bounds(y)
+            assert overlap_width(x, y) == max(Fraction(0), min(xhi, yhi) - max(xlo, ylo))
+        for x in (a, s):
+            if not isinstance(x, Fraction):
+                lo, hi = ref_pair(x, prec)
+                assert value_str(x) == f"{mpmath.nstr(lo, 30)}..{mpmath.nstr(hi, 30)}"
+
+
+class TestEnclosureConstructor:
+    def test_dyadic_bounds_are_exact_and_compare_by_value(self):
+        a = Enclosure(mpmath.mpf(0.75), mpmath.mpf(2))
+        assert a.bounds() == (Fraction(3, 4), Fraction(2))
+        b = Enclosure(Fraction(6, 8), 2)
+        assert a == b and hash(a) == hash(b)
+        assert a != Enclosure(Fraction(3, 4), Fraction(5, 2))
+        assert a.lo < 1 < a.hi and a.lo > 0.5
+
+    @given(fractions_st)
+    def test_other_fractions_round_outward_at_default_precision(self, fr):
+        assert Enclosure(fr, fr).bounds() == ref_bounds(ref_pair(fr, DEFAULT_PRECISION))
+
+    def test_non_finite_bounds_rejected(self):
+        for bad in (mpmath.inf, -mpmath.inf, mpmath.nan):
+            with pytest.raises(ParameterViolation):
+                Enclosure(0, bad)
