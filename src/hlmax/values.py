@@ -107,7 +107,10 @@ def _dyadic(x, rnd) -> tuple:
         if not man and exp:
             raise ParameterViolation("enclosure bounds must be finite")
         return (-int(man) if sign else int(man)), exp
-    x = Fraction(x)
+    try:
+        x = Fraction(x)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ParameterViolation(f"enclosure bound {x!r}: {exc}") from None
     d = x.denominator
     if d & (d - 1) == 0:
         return x.numerator, 1 - d.bit_length()
@@ -126,8 +129,7 @@ class Enclosure:
     __slots__ = ("dlo", "dhi")
 
     def __init__(self, lo, hi):
-        self.dlo = _dyadic(lo, _floor)
-        self.dhi = _dyadic(hi, _ceil)
+        self.dlo, self.dhi = _dyadic(lo, _floor), _dyadic(hi, _ceil)
         if _add(*self.dlo, -self.dhi[0], self.dhi[1])[0] > 0:
             raise ParameterViolation("enclosure with lo > hi")
 

@@ -495,6 +495,6 @@ class TestEnclosureConstructor:
         assert Enclosure(fr, fr).bounds() == ref_bounds(ref_pair(fr, DEFAULT_PRECISION))
 
     def test_non_finite_bounds_rejected(self):
-        for bad in (mpmath.inf, -mpmath.inf, mpmath.nan):
+        for bad in (mpmath.inf, -mpmath.inf, mpmath.nan, float("inf"), "x"):
             with pytest.raises(ParameterViolation):
                 Enclosure(0, bad)
