@@ -32,8 +32,8 @@ from .constructions import (
 from .corpus import diff_signal, random_dense
 from .errors import HlmaxError, ParameterViolation, ResourceCapExceeded
 from .maxengine import profile
-from .signal import BlockSignal, DenseSignal, signal_from_json, signal_to_json
-from .continuum import step_to_json
+from .signal import signal_from_json, signal_to_json
+from .continuum import StepFunction, step_to_json
 from .values import int_str, parse_int, parse_rational, rational_str, value_str
 
 _THEOREMS = ("delta", "theorem27", "theorem29-linf", "theorem29-lp")
@@ -64,6 +64,14 @@ def _read_json(path: str):
             raise
         except ValueError as exc:
             raise ParameterViolation(f"{path}: {exc}") from None
+
+
+def _read_signal(path: str, command: str):
+    """The integer signal in a JSON file; step functions are refused."""
+    doc = _read_json(path)
+    if isinstance(doc, dict) and doc.get("type") == "step":
+        raise ParameterViolation(f"{command} runs on integer signals (dense/blocks)")
+    return signal_from_json(doc)
 
 
 def _parse_points(spec: str) -> list:
@@ -126,7 +134,8 @@ def _construction(args, verify: bool):
     if args.theorem == "theorem29-linf":
         fn = verify_theorem29_linf if verify else build_theorem29_linf
         k = args.k if args.k is not None else 5
-        return fn(k, mode, n1=args.n1 or 2, growth_factor=args.growth_factor)
+        n1 = 2 if args.n1 is None else args.n1
+        return fn(k, mode, n1=n1, growth_factor=args.growth_factor)
     if args.p is None or args.alpha is None:
         raise ParameterViolation("theorem29-lp needs --p and --alpha")
     fn = verify_theorem29_lp if verify else build_theorem29_lp
@@ -139,7 +148,7 @@ def _construction(args, verify: bool):
 
 def _cmd_construct(args) -> int:
     sig, cert = _construction(args, verify=False)
-    doc = step_to_json(sig) if not isinstance(sig, (BlockSignal, DenseSignal)) else signal_to_json(sig)
+    doc = step_to_json(sig) if isinstance(sig, StepFunction) else signal_to_json(sig)
     with open(args.out, "w") as fh:
         json.dump(doc, fh, indent=2)
         fh.write("\n")
@@ -152,10 +161,7 @@ def _cmd_construct(args) -> int:
 
 
 def _cmd_profile(args) -> int:
-    doc = _read_json(args.signal)
-    if isinstance(doc, dict) and doc.get("type") == "step":
-        raise ParameterViolation("profile runs on integer signals (dense/blocks)")
-    sig = signal_from_json(doc)
+    sig = _read_signal(args.signal, "profile")
     if args.range is not None:
         points = _parse_range(args.range)
     elif args.points is not None:
@@ -179,10 +185,7 @@ def _cmd_profile(args) -> int:
 
 
 def _cmd_density(args) -> int:
-    doc = _read_json(args.signal)
-    if isinstance(doc, dict) and doc.get("type") == "step":
-        raise ParameterViolation("density runs on integer signals (dense/blocks)")
-    sig = signal_from_json(doc)
+    sig = _read_signal(args.signal, "density")
     g = _parse_growth(args.g) if args.g else None
     rows = density_series(
         sig,

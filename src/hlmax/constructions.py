@@ -26,6 +26,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
+from .analysis import density_series
 from .config import DEFAULT_LIMITS, Limits
 from .errors import (
     GrowthSpecInvalid,
@@ -35,7 +36,7 @@ from .errors import (
 )
 from .maxengine import event_centered, event_uncentered
 from .signal import Block, BlockSignal, PowerLaw, norm_l1
-from .continuum import StepFunction
+from .continuum import StepFunction, maximal_centered_cont
 from .values import (
     Ordering,
     Value,
@@ -327,6 +328,17 @@ def _smallest_admissible(
     return hi
 
 
+def _block_gaps(ns: list, ls: list, discrete: bool) -> list:
+    """start_k - end_{k-1} between consecutive theorem27 blocks, whose spans
+    are [N_k+1, N_k+L_k-1] (discrete) or (N_k, N_k+L_k) (continuous); a
+    block's d_min is the smaller of its two adjacent gaps."""
+    inset = 1 if discrete else 0
+    return [
+        (n + inset) - (n_prev + l_prev - inset)
+        for n_prev, l_prev, n in zip(ns, ls, ns[1:])
+    ]
+
+
 def build_theorem27(
     g: GrowthSpec,
     k_max: int,
@@ -365,7 +377,7 @@ def build_theorem27(
                     raise ParameterViolation("relaxed mode needs n1")
                 ns.append(int(n1))
             else:
-                ns.append(ns[-1] * int(growth_factor or 10))
+                ns.append(ns[-1] * (10 if growth_factor is None else int(growth_factor)))
     ls = [g.ceil_n_over_g(n, limits) for n in ns]
     conditions: list = []
     _cond(conditions, mode, "N1_geq_4", ns[0] >= 4, f"N_1 = {int_str(ns[0])}")
@@ -424,29 +436,18 @@ def build_theorem27(
     # block dominance: windows reaching any other block average at most
     # ||f||_1 over at least 2*d_min+1 points (discrete) or 2*d_min length
     # (continuous), so staying below a_k certifies Mf = a_k on all of I_k
-    dmins: list = []
+    gaps = _block_gaps(ns, ls, discrete)
     for k in range(1, k_max + 1):
-        cands = []
-        if k >= 2:
-            if discrete:
-                cands.append(ns[k - 1] + 1 - (ns[k - 2] + ls[k - 2] - 1))
-            else:
-                cands.append(ns[k - 1] - (ns[k - 2] + ls[k - 2]))
-        if k < k_max:
-            if discrete:
-                cands.append(ns[k] + 1 - (ns[k - 1] + ls[k - 1] - 1))
-            else:
-                cands.append(ns[k] - (ns[k - 1] + ls[k - 1]))
-        dmins.append(min(cands) if cands else None)
-        if dmins[-1] is None:
+        near = gaps[max(k - 2, 0):k]
+        if not near:
             ok = True
             note = "single block: no foreign mass to reach"
         elif discrete:
-            ok = total <= amps[k - 1] * (2 * dmins[-1] + 1)
-            note = f"||f||_1 = {rational_str(total)} vs a_{k}*(2*{int_str(dmins[-1])}+1)"
+            ok = total <= amps[k - 1] * (2 * min(near) + 1)
+            note = f"||f||_1 = {rational_str(total)} vs a_{k}*(2*{int_str(min(near))}+1)"
         else:
-            ok = total <= 2 * amps[k - 1] * dmins[-1]
-            note = f"||f||_1 = {rational_str(total)} vs 2*a_{k}*{int_str(dmins[-1])}"
+            ok = total <= 2 * amps[k - 1] * min(near)
+            note = f"||f||_1 = {rational_str(total)} vs 2*a_{k}*{int_str(min(near))}"
         _cond(conditions, mode, f"block_dominance_k{k}", ok, note)
     cert = Certificate(
         theorem="theorem27" if discrete else "theorem27-cont",
@@ -465,11 +466,33 @@ def build_theorem27(
     return sig, cert
 
 
+def _scales29(
+    k_max: int, mode: str, n1: Optional[int], n1_paper: int, growth_factor: Optional[int]
+) -> list:
+    """Theorem 29 scales N_1..N_kmax with N_{k+1} = N_k * growth_factor, or
+    N_k^10 without a factor; paper_exact forces N_1 = n1_paper and ^10."""
+    if mode not in ("paper_exact", "relaxed"):
+        raise ParameterViolation("mode must be paper_exact or relaxed")
+    if mode == "paper_exact":
+        n1, growth_factor = n1_paper, None
+    elif n1 is None:
+        raise ParameterViolation("relaxed mode needs n1")
+    ns = [int(n1)]
+    for _ in range(k_max - 1):
+        ns.append(ns[-1] ** 10 if growth_factor is None else ns[-1] * int(growth_factor))
+    return ns
+
+
+def _growth_conditions(conditions: list, mode: str, ns: list) -> None:
+    """Record the paper's N_{k+1} = N_k^10 for each consecutive pair."""
+    for k in range(1, len(ns)):
+        _cond(conditions, mode, f"growth_k{k}", ns[k] == ns[k - 1] ** 10, f"N_{k + 1} = N_{k}^10")
+
+
 def build_theorem29_linf(
     k_max: int,
     mode: str = "paper_exact",
     n1: int = 2,
-    growth_exponent: int = 10,
     growth_factor: Optional[int] = None,
     limits: Limits = DEFAULT_LIMITS,
 ):
@@ -481,27 +504,11 @@ def build_theorem29_linf(
     the range stable under truncating the infinite block family at k_max."""
     if k_max < 3:
         raise ParameterViolation("k_max must be >= 3")
-    if mode not in ("paper_exact", "relaxed"):
-        raise ParameterViolation("mode must be paper_exact or relaxed")
-    if mode == "paper_exact":
-        n1, growth_exponent, growth_factor = 2, 10, None
-    ns = [int(n1)]
-    for _ in range(k_max - 1):
-        if growth_factor is not None:
-            ns.append(ns[-1] * int(growth_factor))
-        else:
-            ns.append(ns[-1] ** int(growth_exponent))
+    ns = _scales29(k_max, mode, n1, 2, growth_factor)
     ls = [n // 3 for n in ns]
     conditions: list = []
-    _cond(conditions, mode, "N1_eq_2", ns[0] == 2, f"N_1 = {ns[0]}")
-    for k in range(1, k_max):
-        _cond(
-            conditions,
-            mode,
-            f"growth_k{k}",
-            ns[k] == ns[k - 1] ** 10,
-            f"N_{k + 1} = N_{k}^10",
-        )
+    _cond(conditions, mode, "N1_eq_2", ns[0] == 2, f"N_1 = {int_str(ns[0])}")
+    _growth_conditions(conditions, mode, ns)
     big_k = next((k for k in range(1, k_max + 1) if ls[k - 1] >= 3), None)
     _cond(
         conditions,
@@ -541,7 +548,6 @@ def build_theorem29_lp(
     k_max: int,
     mode: str = "paper_exact",
     n1: Optional[int] = None,
-    growth_exponent: int = 10,
     growth_factor: Optional[int] = None,
     limits: Limits = DEFAULT_LIMITS,
 ):
@@ -562,23 +568,9 @@ def build_theorem29_lp(
         raise ParameterViolation("need alpha * p > 1 for summability")
     if k_max < 1:
         raise ParameterViolation("k_max must be >= 1")
-    if mode not in ("paper_exact", "relaxed"):
-        raise ParameterViolation("mode must be paper_exact or relaxed")
     exponent_target = Fraction(10) / (1 - alpha)
     n1_paper = 2 ** (-((-exponent_target.numerator) // exponent_target.denominator))
-    if mode == "paper_exact":
-        ns = [n1_paper]
-        for _ in range(k_max - 1):
-            ns.append(ns[-1] ** 10)
-    else:
-        if n1 is None:
-            raise ParameterViolation("relaxed mode needs n1")
-        ns = [int(n1)]
-        for _ in range(k_max - 1):
-            if growth_factor is not None:
-                ns.append(ns[-1] * int(growth_factor))
-            else:
-                ns.append(ns[-1] ** int(growth_exponent))
+    ns = _scales29(k_max, mode, n1, n1_paper, growth_factor)
     ls = [n // 3 for n in ns]
     if any(l < 1 for l in ls):
         raise InfeasibleConstraint("a block is empty at these scales (N_k < 3)")
@@ -598,14 +590,7 @@ def build_theorem29_lp(
         ns[0] == n1_paper,
         f"N_1 = {int_str(ns[0])} vs 2^ceil(10/(1-alpha)) = {int_str(n1_paper)}",
     )
-    for k in range(1, k_max):
-        _cond(
-            conditions,
-            mode,
-            f"growth_k{k}",
-            ns[k] == ns[k - 1] ** 10,
-            f"N_{k + 1} = N_{k}^10",
-        )
+    _growth_conditions(conditions, mode, ns)
     verifiable = [l <= limits.powerlaw_sum_cap for l in ls]
     sig = BlockSignal(
         [Block(n + 1, n + l, PowerLaw(alpha)) for n, l in zip(ns, ls)]
@@ -657,9 +642,9 @@ def recheck_certificate(doc: dict, limits: Limits = DEFAULT_LIMITS) -> tuple[boo
             ok = False
             notes.append(f"{name}: paper_exact certificate with failing condition")
 
+    ns, ls = cert.N, cert.L
     if theorem in ("theorem27", "theorem27-cont"):
         g = GrowthSpec.from_json(json_field(doc, "g"))
-        ns, ls = cert.N, cert.L
         discrete = theorem == "theorem27"
         check("N1_geq_4", ns[0] >= 4)
         for k in range(1, len(ns)):
@@ -681,29 +666,19 @@ def recheck_certificate(doc: dict, limits: Limits = DEFAULT_LIMITS) -> tuple[boo
                 total += amps[k - 1] * (l - 1)
             else:
                 total += amps[k - 1] * l
+        gaps = _block_gaps(ns, ls, discrete)
         for k in range(1, len(ns) + 1):
-            cands = []
-            if k >= 2:
-                if discrete:
-                    cands.append(ns[k - 1] + 1 - (ns[k - 2] + ls[k - 2] - 1))
-                else:
-                    cands.append(ns[k - 1] - (ns[k - 2] + ls[k - 2]))
-            if k < len(ns):
-                if discrete:
-                    cands.append(ns[k] + 1 - (ns[k - 1] + ls[k - 1] - 1))
-                else:
-                    cands.append(ns[k] - (ns[k - 1] + ls[k - 1]))
-            if not cands:
+            near = gaps[max(k - 2, 0):k]
+            if not near:
                 check(f"block_dominance_k{k}", True)
             elif discrete:
-                check(f"block_dominance_k{k}", total <= amps[k - 1] * (2 * min(cands) + 1))
+                check(f"block_dominance_k{k}", total <= amps[k - 1] * (2 * min(near) + 1))
             else:
-                check(f"block_dominance_k{k}", total <= 2 * amps[k - 1] * min(cands))
+                check(f"block_dominance_k{k}", total <= 2 * amps[k - 1] * min(near))
         if json_rational(json_field(doc, "norm_l1")) != total:
             ok = False
             notes.append("stored norm_l1 does not match the recomputed mass")
     elif theorem == "theorem29-linf":
-        ns, ls = cert.N, cert.L
         check("N1_eq_2", ns[0] == 2)
         for k in range(1, len(ns)):
             check(f"growth_k{k}", ns[k] == ns[k - 1] ** 10)
@@ -716,7 +691,6 @@ def recheck_certificate(doc: dict, limits: Limits = DEFAULT_LIMITS) -> tuple[boo
             ok = False
             notes.append(f"stored K = {doc.get('K')}, re-derived {big_k}")
     elif theorem == "theorem29-lp":
-        ns, ls = cert.N, cert.L
         p = json_rational(json_field(doc, "p"))
         alpha = json_rational(json_field(doc, "alpha"))
         check("alpha_p_gt_1", alpha * p > 1)
@@ -748,14 +722,20 @@ def _claim(claims: list, name: str, status: str, basis: str, note: str = "") -> 
     claims.append({"name": name, "status": status, "basis": basis, "note": note})
 
 
-def _finish_report(report: dict) -> dict:
-    claims = report["claims"]
-    report["resource_capped"] = any(c["status"] == "unverifiable" for c in claims)
-    report["ok"] = (
-        report["certificate_recheck"]["ok"]
-        and all(c["status"] == "pass" for c in claims)
-    )
-    return report
+def _report(name: str, cert: Certificate, claims: list, limits: Limits) -> dict:
+    """A verify report: the certificate and its re-check, the claims, and
+    the verdicts drawn from both."""
+    doc = cert.to_json()
+    ok, notes = recheck_certificate(doc, limits)
+    return {
+        "verify": name,
+        "mode": cert.mode,
+        "certificate": doc,
+        "certificate_recheck": {"ok": ok, "notes": notes},
+        "claims": claims,
+        "resource_capped": any(c["status"] == "unverifiable" for c in claims),
+        "ok": ok and all(c["status"] == "pass" for c in claims),
+    }
 
 
 def _sample_indices(start: int, end: int, cap: int, per_block: int):
@@ -807,16 +787,7 @@ def verify_delta(limits: Limits = DEFAULT_LIMITS, n_abs_max: int = 1000) -> dict
         "exact",
         f"diam = |n|, value 1/(|n|+1) at {2 * n_abs_max + 1} points, {bad_u} mismatches",
     )
-    ok, notes = recheck_certificate(cert.to_json(), limits)
-    return _finish_report(
-        {
-            "verify": "delta",
-            "mode": "paper_exact",
-            "certificate": cert.to_json(),
-            "certificate_recheck": {"ok": ok, "notes": notes},
-            "claims": claims,
-        }
-    )
+    return _report("delta", cert, claims, limits)
 
 
 def verify_theorem27(
@@ -836,7 +807,6 @@ def verify_theorem27(
     plus engine samples, which is a proof, not a heuristic, since dominance
     alone forces the pointwise conclusion."""
     sig, cert = build_theorem27(g, k_max, mode, variant, n1, growth_factor, limits)
-    ok, notes = recheck_certificate(cert.to_json(), limits)
     claims: list = []
     ns, ls = cert.N, cert.L
     amps = [parse_rational(s) for s in cert.extras["a"]]
@@ -864,35 +834,22 @@ def verify_theorem27(
             if bad:
                 note = f"{bad} of {len(pts)} points mismatched"
             _claim(claims, f"block_k{k}_pointwise", status, "exact", note)
-        try:
-            from . import analysis
-
-            n_eval = ns[-1] + ls[-1]
-            row = analysis.density_series(
-                sig,
-                [n_eval],
-                C=Fraction(2),
-                epsilon=Fraction(1, 10),
-                g=g,
-                limits=limits,
-            )[0]
-            lo, _hi = exact_bounds(row.ratio_Z_over_NoverG)
-            status = "pass" if lo > Fraction(1, 2) else "fail"
-            _claim(
-                claims,
-                "density_zero_set_half",
-                status,
-                "enclosure",
-                f"count_Z = {int_str(row.count_Z)} at N = {int_str(n_eval)}; "
-                f"count_Z/(N/g(N)) = {value_str(row.ratio_Z_over_NoverG)}",
-            )
-        except PowerLawRangeTooLarge as exc:  # pragma: no cover - const blocks
-            _claim(claims, "density_zero_set_half", "unverifiable", "enclosure", str(exc))
+        n_eval = ns[-1] + ls[-1]
+        row = density_series(
+            sig, [n_eval], C=Fraction(2), epsilon=Fraction(1, 10), g=g, limits=limits
+        )[0]
+        lo, _hi = exact_bounds(row.ratio_Z_over_NoverG)
+        _claim(
+            claims,
+            "density_zero_set_half",
+            "pass" if lo > Fraction(1, 2) else "fail",
+            "enclosure",
+            f"count_Z = {int_str(row.count_Z)} at N = {int_str(n_eval)}; "
+            f"count_Z/(N/g(N)) = {value_str(row.ratio_Z_over_NoverG)}",
+        )
     else:
         for k in range(1, k_max + 1):
             a = amps[k - 1]
-            from .continuum import maximal_centered_cont
-
             n, l = ns[k - 1], ls[k - 1]
             bad = 0
             xs = [Fraction(n) + Fraction(j * l, 8) for j in range(1, 8)]
@@ -909,32 +866,20 @@ def verify_theorem27(
                 if bad == 0
                 else f"{bad} of {len(xs)} points mismatched",
             )
-    return _finish_report(
-        {
-            "verify": "theorem27" if variant == "discrete" else "theorem27-cont",
-            "mode": mode,
-            "certificate": cert.to_json(),
-            "certificate_recheck": {"ok": ok, "notes": notes},
-            "claims": claims,
-        }
-    )
+    return _report(cert.theorem, cert, claims, limits)
 
 
 def verify_theorem29_linf(
     k_max: int,
     mode: str = "paper_exact",
     n1: int = 2,
-    growth_exponent: int = 10,
     growth_factor: Optional[int] = None,
     limits: Limits = DEFAULT_LIMITS,
 ) -> dict:
     """Check r_{N_k} = L_k with Mf(N_k) = L_k/(2L_k+1) for K <= k < k_max,
     and the ratio window r/N in [1/4, 3/4] within 1/1000 of 1/3 at the
     largest claimed k.  Exact big-integer arithmetic throughout."""
-    sig, cert = build_theorem29_linf(
-        k_max, mode, n1, growth_exponent, growth_factor, limits
-    )
-    ok, notes = recheck_certificate(cert.to_json(), limits)
+    sig, cert = build_theorem29_linf(k_max, mode, n1, growth_factor, limits)
     claims: list = []
     ns, ls = cert.N, cert.L
     claim_ks = cert.extras["claim_ks"]
@@ -967,15 +912,7 @@ def verify_theorem29_linf(
             "exact",
             f"r/N = L_{k}/N_{k}, |ratio - 1/3| = {rational_str(abs(ratio - Fraction(1, 3)))}",
         )
-    return _finish_report(
-        {
-            "verify": "theorem29-linf",
-            "mode": mode,
-            "certificate": cert.to_json(),
-            "certificate_recheck": {"ok": ok, "notes": notes},
-            "claims": claims,
-        }
-    )
+    return _report("theorem29-linf", cert, claims, limits)
 
 
 def verify_theorem29_lp(
@@ -984,7 +921,6 @@ def verify_theorem29_lp(
     k_max: int,
     mode: str = "paper_exact",
     n1: Optional[int] = None,
-    growth_exponent: int = 10,
     growth_factor: Optional[int] = None,
     limits: Limits = DEFAULT_LIMITS,
 ) -> dict:
@@ -992,10 +928,7 @@ def verify_theorem29_lp(
     power-law block sums stay under the summation cap, and the ratio window
     r/n_k in [1/8, 7/8] within 1/50 of 1/4 at the largest verifiable k.
     Blocks beyond the cap are reported unverifiable, never silently skipped."""
-    sig, cert = build_theorem29_lp(
-        p, alpha, k_max, mode, n1, growth_exponent, growth_factor, limits
-    )
-    ok, notes = recheck_certificate(cert.to_json(), limits)
+    sig, cert = build_theorem29_lp(p, alpha, k_max, mode, n1, growth_factor, limits)
     claims: list = []
     ns, ls = cert.N, cert.L
     nks = [parse_int(s) for s in cert.extras["n_k"]]
@@ -1047,12 +980,4 @@ def verify_theorem29_lp(
             "exact",
             "no anchor point verifiable under the summation cap",
         )
-    return _finish_report(
-        {
-            "verify": "theorem29-lp",
-            "mode": mode,
-            "certificate": cert.to_json(),
-            "certificate_recheck": {"ok": ok, "notes": notes},
-            "claims": claims,
-        }
-    )
+    return _report("theorem29-lp", cert, claims, limits)

@@ -90,6 +90,19 @@ class TestConstruct:
         ])
         assert (args.n1, args.growth_factor, args.k) == (n1, n1, 3)
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["theorem29-linf", "--mode", "relaxed", "--n1", "0", "--k", "3"],
+            ["theorem27", "--mode", "relaxed", "--n1", "100", "--growth-factor", "0", "--k", "2"],
+        ],
+        ids=["linf-n1", "theorem27-growth-factor"],
+    )
+    def test_zero_flag_is_not_the_default(self, tmp_path, argv):
+        out = tmp_path / "x.json"
+        assert run("construct", *argv, "--out", str(out)) == 2
+        assert not out.exists()
+
     def test_non_integer_flag_usage_error(self, tmp_path):
         assert run("construct", "theorem27", "--k", "4.5", "--out", str(tmp_path / "x.json")) == 2
 

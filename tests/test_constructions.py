@@ -29,7 +29,7 @@ from hlmax.errors import (
 )
 from hlmax.maxengine import event_centered, oracle_centered
 from hlmax.signal import BlockSignal, norm_l1
-from hlmax.values import Ordering
+from hlmax.values import Ordering, rational_str
 
 F = Fraction
 
@@ -226,6 +226,11 @@ class TestTheorem27Goldens:
         assert [(b.start, b.end) for b in sig.blocks] == [(6, 6)]
         assert cert.extras["a"] == ["1/2"]
 
+    def test_zero_growth_factor_is_not_the_default(self):
+        # 0 is a given factor, not an absent one: N_2 = 0 is below g's domain
+        with pytest.raises(GrowthSpecInvalid):
+            build_theorem27(LOG, 2, "relaxed", n1=100, growth_factor=0)
+
     def test_parameter_validation(self):
         with pytest.raises(ParameterViolation):
             build_theorem27(LOG, 0)
@@ -233,6 +238,47 @@ class TestTheorem27Goldens:
             build_theorem27(LOG, 2, variant="semi")
         with pytest.raises(ParameterViolation):
             build_theorem27(LOG, 2, mode="loose")
+
+
+class TestBlockDominanceMatchesSignal:
+    """Build and re-check share one gap formula, so a mistake in it would
+    pass the re-check; these verdicts are recomputed from the edges and
+    amplitudes of the signal that was actually built."""
+
+    @pytest.mark.parametrize("variant", ["discrete", "continuous"])
+    def test_verdicts_follow_the_built_signal(self, variant):
+        sig, cert = build_theorem27(
+            LOG, 4, "relaxed", variant, n1=100, growth_factor=2
+        )
+        if variant == "discrete":
+            spans = [(b.start, b.end, b.amp) for b in sig.blocks]
+            total = norm_l1(sig)
+        else:
+            bps = sig.breakpoints
+            spans = [(bps[i], bps[i + 1], v) for i, v in enumerate(sig.values) if v]
+            total = sig.integral()
+        assert len(spans) == 4
+        gaps = [s - e for (_, e, _), (s, _, _) in zip(spans, spans[1:])]
+        expected = {}
+        for k, (_, _, a) in enumerate(spans, start=1):
+            d = min(gaps[i] for i in (k - 2, k - 1) if 0 <= i < len(gaps))
+            if variant == "discrete":
+                bound, rhs = a * (2 * d + 1), f"a_{k}*(2*{d}+1)"
+            else:
+                bound, rhs = 2 * a * d, f"2*a_{k}*{d}"
+            expected[f"block_dominance_k{k}"] = (
+                "satisfied" if total <= bound else "relaxed",
+                f"||f||_1 = {rational_str(total)} vs {rhs}",
+            )
+        stored = {
+            c.name: (c.status, c.note)
+            for c in cert.conditions
+            if c.name.startswith("block_dominance")
+        }
+        assert stored == expected
+        assert {status for status, _ in stored.values()} == {"satisfied", "relaxed"}
+        ok, notes = recheck_certificate(cert.to_json())
+        assert ok, notes
 
 
 class TestTheorem29LinfGoldens:
@@ -282,6 +328,13 @@ class TestTheorem29LinfGoldens:
         assert "growth_k1" in relaxed
         ok, notes = recheck_certificate(cert.to_json())
         assert ok, notes
+
+    def test_relaxed_n1_past_the_int_digit_limit(self):
+        # str() of an int over 4300 digits raises ValueError
+        n1 = 10**5000
+        _, cert = build_theorem29_linf(3, mode="relaxed", n1=n1, growth_factor=10)
+        note = next(c.note for c in cert.conditions if c.name == "N1_eq_2")
+        assert note == "N_1 = 1" + "0" * 5000
 
     def test_k_max_floor(self):
         with pytest.raises(ParameterViolation):
@@ -473,6 +526,39 @@ class TestVerificationReports:
         assert all(c["status"] == "unverifiable" for c in rep["claims"])
         # honesty: the certificate itself still rechecks
         assert rep["certificate_recheck"]["ok"]
+
+
+class TestReportShape:
+    KEYS = [
+        "verify", "mode", "certificate", "certificate_recheck",
+        "claims", "resource_capped", "ok",
+    ]
+
+    @pytest.mark.parametrize(
+        "verify, build",
+        [
+            (
+                lambda: verify_delta(n_abs_max=5),
+                lambda: (dirac(), Certificate("delta", "paper_exact", [], [], [])),
+            ),
+            (lambda: verify_theorem27(LOG, 3), lambda: build_theorem27(LOG, 3)),
+            (
+                lambda: verify_theorem27(LOG, 3, variant="continuous"),
+                lambda: build_theorem27(LOG, 3, variant="continuous"),
+            ),
+            (lambda: verify_theorem29_linf(4), lambda: build_theorem29_linf(4)),
+            (
+                lambda: verify_theorem29_lp(F(2), F(3, 5), 3, "relaxed", n1=100, growth_factor=10),
+                lambda: build_theorem29_lp(F(2), F(3, 5), 3, "relaxed", n1=100, growth_factor=10),
+            ),
+        ],
+        ids=["delta", "theorem27", "theorem27-cont", "theorem29-linf", "theorem29-lp"],
+    )
+    def test_keys_and_certificate(self, verify, build):
+        rep = verify()
+        assert list(rep) == self.KEYS
+        assert rep["certificate"] == build()[1].to_json()
+        assert list(rep["certificate_recheck"]) == ["ok", "notes"]
 
 
 class TestDirac:
