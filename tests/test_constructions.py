@@ -534,31 +534,30 @@ class TestReportShape:
         "claims", "resource_capped", "ok",
     ]
 
+    def check(self, rep, cert):
+        assert list(rep) == self.KEYS
+        assert rep["certificate"] == cert.to_json()
+
+    def test_delta(self):
+        self.check(verify_delta(n_abs_max=5), Certificate("delta", "paper_exact", [], [], []))
+
     @pytest.mark.parametrize(
-        "verify, build",
+        "verify, build, args, kwargs",
         [
+            (verify_theorem27, build_theorem27, (LOG, 3), {}),
+            (verify_theorem27, build_theorem27, (LOG, 3), {"variant": "continuous"}),
+            (verify_theorem29_linf, build_theorem29_linf, (4,), {}),
             (
-                lambda: verify_delta(n_abs_max=5),
-                lambda: (dirac(), Certificate("delta", "paper_exact", [], [], [])),
-            ),
-            (lambda: verify_theorem27(LOG, 3), lambda: build_theorem27(LOG, 3)),
-            (
-                lambda: verify_theorem27(LOG, 3, variant="continuous"),
-                lambda: build_theorem27(LOG, 3, variant="continuous"),
-            ),
-            (lambda: verify_theorem29_linf(4), lambda: build_theorem29_linf(4)),
-            (
-                lambda: verify_theorem29_lp(F(2), F(3, 5), 3, "relaxed", n1=100, growth_factor=10),
-                lambda: build_theorem29_lp(F(2), F(3, 5), 3, "relaxed", n1=100, growth_factor=10),
+                verify_theorem29_lp,
+                build_theorem29_lp,
+                (F(2), F(3, 5), 3, "relaxed"),
+                {"n1": 100, "growth_factor": 10},
             ),
         ],
-        ids=["delta", "theorem27", "theorem27-cont", "theorem29-linf", "theorem29-lp"],
+        ids=["theorem27", "theorem27-cont", "theorem29-linf", "theorem29-lp"],
     )
-    def test_keys_and_certificate(self, verify, build):
-        rep = verify()
-        assert list(rep) == self.KEYS
-        assert rep["certificate"] == build()[1].to_json()
-        assert list(rep["certificate_recheck"]) == ["ok", "notes"]
+    def test_constructions(self, verify, build, args, kwargs):
+        self.check(verify(*args, **kwargs), build(*args, **kwargs)[1])
 
 
 class TestDirac:
