@@ -8,13 +8,17 @@ points with ratio <= 1/C (S), with r_n = 0 (Z), and with ratio within
 epsilon of 1 (closed band), and reports the normalized ratios
 count_S/N, count_Z/(N/g(N)), count_near1/(2N) exactly or as enclosures.
 
-Counting is pointwise up to a horizon beyond which compact support pins
-every ratio (far windows must reach the support, so r_n is within the
-support radius of |n|), and closed forms finish the tail; block signals
-whose amplitude dominates all foreign mass get exact zero-set counts
-structurally without any pointwise work (rows flagged "structural").
-Requests beyond the evaluation budget yield rows flagged "partial" instead
-of raising, so a series never dies half-way.
+Counting runs up to a horizon beyond which compact support pins every
+ratio (far windows must reach the support, so r_n is within the support
+radius of |n|), and closed forms finish the tail.  Below the horizon,
+centered rows on constant-amplitude signals are counted from the exact
+pieces of frequency_pieces, on which every condition is linear in n;
+uncentered rows and power-law signals are evaluated point by point.
+Whichever way a row is counted, it is exact (flags "") only when its
+horizon is within density_eval_cap.  Past the cap, block signals whose
+amplitude dominates all foreign mass get exact zero-set counts
+structurally (rows flagged "structural"); other requests yield rows
+flagged "partial" instead of raising, so a series never dies half-way.
 """
 
 from __future__ import annotations
@@ -26,7 +30,13 @@ from typing import Optional, Sequence, Union
 
 from .config import DEFAULT_LIMITS, Limits
 from .errors import ParameterViolation, ZeroIndex
-from .maxengine import CenteredResult, UncenteredResult, event_centered, event_uncentered
+from .maxengine import (
+    CenteredResult,
+    UncenteredResult,
+    event_centered,
+    event_uncentered,
+    frequency_pieces,
+)
 from .signal import BlockSignal, DenseSignal, PowerLaw, norm_l1, support_bounds
 from .values import Value, int_str, rational_str, v_mul_frac, value_str
 
@@ -117,13 +127,21 @@ def _ceil_frac(x: Fraction) -> int:
     return -((-x.numerator) // x.denominator)
 
 
+def dominance_holds(total, amp, gap: int, discrete: bool = True) -> bool:
+    """Whether a block of amplitude amp dominates all foreign mass: a window
+    centered in the block that reaches another one has at least 2*gap + 1
+    points (discrete) or length 2*gap (continuous), so it averages at most
+    total over that, which must not exceed amp."""
+    return total <= amp * (2 * gap + 1) if discrete else total <= 2 * amp * gap
+
+
 def _structural_zero_blocks(sig: BlockSignal) -> Optional[list]:
     """Blocks where amplitude dominance forces Mf = f pointwise, hence
     minimal radius 0 on the whole block; None unless every block qualifies.
 
     A window centered in block k either stays within distance d of the
-    block (seeing only amplitude a_k and zeros, so averaging <= a_k) or has
-    radius >= d_min and averages at most ||f||_1/(2 d_min + 1) <= a_k."""
+    block (seeing only amplitude a_k and zeros, so averaging <= a_k) or
+    reaches another block (dominance_holds)."""
     for b in sig.blocks:
         if isinstance(b.amp, PowerLaw):
             return None
@@ -135,7 +153,7 @@ def _structural_zero_blocks(sig: BlockSignal) -> Optional[list]:
             gaps.append(s - spans[i - 1][1])
         if i + 1 < len(spans):
             gaps.append(spans[i + 1][0] - e)
-        if gaps and total > a * (2 * min(gaps) + 1):
+        if gaps and not dominance_holds(total, a, min(gaps)):
             return None
     return [(s, e) for s, e, _ in spans]
 
@@ -149,6 +167,57 @@ def _count_in_range(spans: list, n_cap: int) -> int:
             if a <= b:
                 total += b - a + 1
     return total
+
+
+def _count_where(a: int, b: int, conditions) -> int:
+    """Number of integers x in [a, b] with alpha * x <= beta for every
+    integer pair (alpha, beta)."""
+    for alpha, beta in conditions:
+        if alpha > 0:
+            b = min(b, beta // alpha)
+        elif alpha < 0:
+            a = max(a, -(beta // -alpha))
+        elif beta < 0:
+            return 0
+    return max(0, b - a + 1)
+
+
+def _piece_counts(pieces: list, needs: list, C: Fraction, epsilon: Fraction) -> list:
+    """Cumulative (count_S, count_Z, count_near1) over 0 < |n| <= need for
+    each need of the non-decreasing list, from the frequency pieces.
+
+    In x = |n| each piece reads r = sigma * x + c, and with C = p/q and
+    epsilon = u/v every condition is linear in x: p r <= q x (S), r = 0
+    (Z) and (v - u) x <= v r <= (v + u) x (near 1)."""
+    p, q = C.numerator, C.denominator
+    u, v = epsilon.numerator, epsilon.denominator
+    # positive n ascending, then negative n mirrored to ascending |n|
+    sides = (
+        [(max(a, 1), b, slope, c) for a, b, slope, c in pieces if b >= 1],
+        [(-min(b, -1), -a, -slope, c) for a, b, slope, c in reversed(pieces) if a <= -1],
+    )
+    index = [0, 0]
+    cs = cz = cn1 = 0
+    done = 0
+    out = []
+    for need in needs:
+        for side, runs in enumerate(sides):
+            i = index[side]
+            while i < len(runs) and runs[i][0] <= need:
+                a, b, sigma, c = runs[i]
+                lo, hi = max(a, done + 1), min(b, need)
+                cs += _count_where(lo, hi, [(p * sigma - q, -p * c)])
+                cz += _count_where(lo, hi, [(sigma, -c), (-sigma, c)])
+                cn1 += _count_where(
+                    lo, hi, [(v - u - v * sigma, v * c), (v * sigma - v - u, -v * c)]
+                )
+                if b > need:
+                    break
+                i += 1
+            index[side] = i
+        done = max(done, need)
+        out.append((cs, cz, cn1))
+    return out
 
 
 def density_series(
@@ -182,6 +251,13 @@ def density_series(
         horizon = None  # far membership in S straddles 1/C; stay pointwise
     else:
         horizon = max(a_rad, _ceil_frac(a_rad / epsilon), _ceil_frac(a_rad * C / (C - 1)))
+    needs = [n if horizon is None else min(n, horizon) for n in n_list]
+    counted = [m for m in needs if m <= limits.density_eval_cap]
+    constant = isinstance(signal, DenseSignal) or not signal.has_powerlaw
+    swept = None
+    if counted and constant and not uncentered:
+        pieces = frequency_pieces(signal, -counted[-1], counted[-1])
+        swept = _piece_counts(pieces, counted, C, epsilon)
 
     rows: list = []
     cur_s = cur_z = cur_n1 = 0
@@ -194,9 +270,11 @@ def density_series(
             return None
         return v_mul_frac(g.value_at(n_val, limits), Fraction(count, n_val), limits.precision)
 
-    for n_val in n_list:
-        need = n_val if horizon is None else min(n_val, horizon)
+    for i, (n_val, need) in enumerate(zip(n_list, needs)):
         if need <= limits.density_eval_cap:
+            if swept is not None:
+                cur_s, cur_z, cur_n1 = swept[i]
+                evaluated_to = need
             while evaluated_to < need:
                 evaluated_to += 1
                 for m in (evaluated_to, -evaluated_to):

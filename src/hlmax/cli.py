@@ -78,14 +78,14 @@ def _parse_points(spec: str) -> list:
     return [parse_int(tok) for tok in spec.split(",") if tok.strip()]
 
 
-def _parse_range(spec: str) -> list:
+def _parse_range(spec: str) -> range:
     a, sep, b = spec.partition("..")
     if not sep:
         raise ParameterViolation("--range expects A..B")
     lo, hi = parse_int(a), parse_int(b)
     if hi < lo:
         raise ParameterViolation("--range expects A <= B")
-    return list(range(lo, hi + 1))
+    return range(lo, hi + 1)
 
 
 def _int_arg(s: str) -> int:

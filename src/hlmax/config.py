@@ -22,7 +22,9 @@ class Limits:
     dense_width_cap: int = 10**8
     # refuse profiles over more evaluation points than this
     profile_point_cap: int = 2_000_000
-    # density rows above this N fall back to the structural zero count
+    # density rows whose counting horizon min(N, horizon) exceeds this are
+    # not counted (centered rows by piece sweep, others point by point):
+    # they carry the structural zero count or are flagged partial
     density_eval_cap: int = 100_000
     # refuse exhaustive radius scans longer than this
     scan_radius_cap: int = 2_000_000

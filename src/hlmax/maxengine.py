@@ -21,13 +21,14 @@ the overlap width in `gap`, never silently resolved.
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Union
 
 from .config import DEFAULT_LIMITS, Limits
-from .errors import BudgetExceeded, NonpositiveRadius
+from .errors import BudgetExceeded, NonpositiveRadius, ParameterViolation
 from .signal import (
     BlockSignal,
     DenseSignal,
@@ -46,6 +47,7 @@ from .values import (
     Value,
     compare,
     escalate,
+    int_str,
     max_slope_pair,
     overlap_width,
     v_add,
@@ -301,6 +303,156 @@ def event_centered(sig: Signal, n: int, limits: Limits = DEFAULT_LIMITS) -> Cent
     best_v, best_r, certified, gap = _best(averages)
     certified = certified and not state.uncertified
     return CenteredResult(n, best_v, best_r, certified, gap if not certified else None)
+
+
+def _mass_stretch(blocks: BlockSignal, view: tuple, y: int) -> tuple:
+    """(slope, P(y), last) for the prefix mass P(x) = scaled mass left of x
+    on the linear stretch starting at y: P(y + t) = P(y) + slope * t while
+    y + t <= last (None: for ever)."""
+    _, amps, pref = view
+    starts, ends = blocks._starts, blocks._ends
+    k = bisect_right(starts, y) - 1
+    if k >= 0 and y <= ends[k]:
+        return amps[k], pref[k] + amps[k] * (y - starts[k]), ends[k] + 1
+    return 0, pref[k + 1], starts[k + 1] if k + 1 < len(starts) else None
+
+
+def _cell_candidates(blocks: BlockSignal, view: tuple, n: int, t_max: int) -> tuple:
+    """The candidate radii of event_centered as affine forms from n on.
+
+    Returns (t_end, forms): each form (r0, rs, m0, ms) gives the radius
+    r0 + rs*t and the scaled window mass m0 + ms*t at n + t, and all of them
+    hold for 0 <= t <= t_end <= t_max.  A form changes where n crosses its
+    boundary b (n = b is a cell of its own, where b - 1 has no radius) and
+    where a moving window edge crosses a block edge.  Radii above the search
+    bound are kept: they hold the whole mass over a longer window than the
+    bound's radius, which is a candidate too, so they never win."""
+    t_end = t_max
+    # (radius at n, radius slope, left edge, its speed, right edge + 1, its speed)
+    shapes = [(0, 0, n, 1, n + 1, 1)]
+    for b in blocks.boundaries():
+        if n < b:
+            t_end = min(t_end, b - 1 - n)
+            shapes += [(b - n + d, -1, 2 * n - b - d, 2, b + d + 1, 0) for d in (-1, 0, 1)]
+        elif n == b:
+            t_end = 0
+            shapes += [(d, 0, b - d, 0, b + d + 1, 0) for d in (0, 1)]
+        else:
+            shapes += [(n - b + d, 1, b - d, 0, 2 * n - b + d + 1, 2) for d in (-1, 0, 1)]
+    forms = {}
+    for r0, rs, left, v_left, right, v_right in shapes:
+        if (r0, rs) in forms:
+            continue
+        mass = [0, 0]
+        for y, v, sign in ((right, v_right, 1), (left, v_left, -1)):
+            slope, p, last = _mass_stretch(blocks, view, y)
+            mass[0] += sign * p
+            if v:
+                mass[1] += sign * slope * v
+                if last is not None:
+                    t_end = min(t_end, (last - y) // v)
+        forms[(r0, rs)] = (r0, rs, mass[0], mass[1])
+    return t_end, list(forms.values())
+
+
+def _beats(f: tuple, w: tuple, t: int) -> bool:
+    """Whether form f has a larger average than w at t, or the same average
+    at a smaller radius."""
+    rf, rw = f[0] + f[1] * t, w[0] + w[1] * t
+    q = (f[2] + f[3] * t) * (2 * rw + 1) - (w[2] + w[3] * t) * (2 * rf + 1)
+    return q > 0 or (q == 0 and rf < rw)
+
+
+def _first_beat(f: tuple, w: tuple, t0: int, t1: int) -> Optional[int]:
+    """Smallest t in (t0, t1] at which f beats w, or None.
+
+    The comparison q(t) = mass_f * den_w - mass_w * den_f is an integer
+    quadratic.  When q is negative at both ends and has no maximum strictly
+    inside, f never beats w.  Otherwise _beats is constant between t0 + 1,
+    the integer neighbours of the real roots of q and of the radius
+    difference (isqrt puts a root within 1/2 of the truth, hence the margin
+    of two) and t1, so only those points are tried."""
+    lo = t0 + 1
+    if lo > t1:
+        return None
+    fr0, frs, fm0, fms = f
+    wr0, wrs, wm0, wms = w
+    fd0, fds, wd0, wds = 2 * fr0 + 1, 2 * frs, 2 * wr0 + 1, 2 * wrs
+    a = fms * wds - wms * fds
+    b = fms * wd0 + fm0 * wds - wms * fd0 - wm0 * fds
+    c = fm0 * wd0 - wm0 * fd0
+    if (
+        (a * lo + b) * lo + c < 0
+        and (a * t1 + b) * t1 + c < 0
+        and (a >= 0 or 2 * a * lo + b <= 0 or 2 * a * t1 + b >= 0)
+    ):
+        return None
+    keys = {lo}
+    if a:
+        disc = b * b - 4 * a * c
+        if disc >= 0:
+            s = math.isqrt(disc)
+            for m in ((s - b) // (2 * a), (-s - b) // (2 * a)):
+                keys.update(range(m - 1, m + 3))
+    elif b:
+        m = -c // b
+        keys.update((m, m + 1))
+    if frs != wrs:
+        m = (wr0 - fr0) // (frs - wrs)
+        keys.update((m, m + 1))
+    for t in sorted(k for k in keys if lo <= k <= t1):
+        if _beats(f, w, t):
+            return t
+    return None
+
+
+def frequency_pieces(sig: Signal, n_lo: int, n_hi: int) -> list:
+    """Minimal maximizing centered radii over n_lo <= n <= n_hi, exactly.
+
+    On an all-constant signal r_n is piecewise affine in n.  Returns the
+    maximal runs (n_a, n_b, slope, intercept), in order, on which
+    r_n = slope * n + intercept; expanded point by point they are the
+    radii event_centered reports.  The range is cut into cells on which
+    every candidate radius and window mass of event_centered is affine in
+    n; within a cell the winner changes only where some candidate's
+    quadratic comparison with it changes sign, so the sweep costs work per
+    cell and per change of winner, not per point."""
+    blocks = _as_blocks(sig)
+    view = blocks.int_view()
+    if view is None:
+        raise ParameterViolation("frequency pieces need an all-constant signal")
+    if n_hi < n_lo:
+        raise ParameterViolation("frequency pieces need n_lo <= n_hi")
+    pieces: list = []
+
+    def emit(a: int, b: int, slope: int, icpt: int) -> None:
+        if pieces and pieces[-1][2:] == (slope, icpt):
+            pieces[-1] = (pieces[-1][0], b, slope, icpt)
+        else:
+            pieces.append((a, b, slope, icpt))
+
+    n = n_lo
+    while n <= n_hi:
+        t_end, forms = _cell_candidates(blocks, view, n, n_hi - n)
+        t = 0
+        while True:
+            w = forms[0]
+            for f in forms[1:]:
+                if _beats(f, w, t):
+                    w = f
+            nxt = None
+            for f in forms:
+                if f is not w:
+                    hit = _first_beat(f, w, t, t_end if nxt is None else nxt - 1)
+                    if hit is not None:
+                        nxt = hit
+            stop = t_end if nxt is None else nxt - 1
+            emit(n + t, n + stop, w[1], w[0] - w[1] * n)
+            if nxt is None:
+                break
+            t = nxt
+        n += t_end + 1
+    return pieces
 
 
 def oracle_centered(sig: Signal, n: int, limits: Limits = DEFAULT_LIMITS) -> CenteredResult:
@@ -626,13 +778,31 @@ def profile(
     uncentered: bool = False,
     limits: Limits = DEFAULT_LIMITS,
 ) -> list:
-    """Event-engine results at each requested point."""
-    pts = list(points)
-    if len(pts) > limits.profile_point_cap:
+    """Event-engine results at each requested point.
+
+    A range of consecutive points on an all-constant signal is swept
+    centered: each radius comes from frequency_pieces and each value from
+    one window sum, with the results event_centered gives."""
+    if isinstance(points, range) and points.step == 1:
+        pts, count = points, max(0, points.stop - points.start)
+    else:
+        pts = list(points)
+        count = len(pts)
+    if count > limits.profile_point_cap:
         raise BudgetExceeded(
-            f"profile over {len(pts)} points exceeds cap {limits.profile_point_cap}"
+            f"profile over {int_str(count)} points exceeds cap {limits.profile_point_cap}"
         )
     blocks = _as_blocks(sig)
     if uncentered:
         return [event_uncentered(blocks, n, limits) for n in pts]
-    return [event_centered(blocks, n, limits) for n in pts]
+    view = blocks.int_view()
+    if not isinstance(pts, range) or view is None or not count:
+        return [event_centered(blocks, n, limits) for n in pts]
+    d = view[0]
+    out = []
+    for n_a, n_b, slope, icpt in frequency_pieces(blocks, pts.start, pts.stop - 1):
+        for n in range(n_a, n_b + 1):
+            r = slope * n + icpt
+            num = window_sum_scaled(blocks, n - r, n + r)
+            out.append(CenteredResult(n, Fraction(num, d * (2 * r + 1)), r, True))
+    return out

@@ -302,6 +302,67 @@ class TestDensitySeries:
         assert row.count_S == s
 
 
+def pointwise_counts(sig, n_max: int, C: Fraction, eps: Fraction) -> list:
+    """Cumulative (count_S, count_Z, count_near1) for N = 1..n_max from one
+    event_centered pass."""
+    out, s, z, n1 = [], 0, 0, 0
+    for m in range(1, n_max + 1):
+        for n in (m, -m):
+            ratio = F(event_centered(sig, n).radius, m)
+            s += ratio <= 1 / C
+            z += ratio == 0
+            n1 += 1 - eps <= ratio <= 1 + eps
+        out.append((s, z, n1))
+    return out
+
+
+class TestSweptCounts:
+    """Centered rows on constant signals are counted from frequency pieces;
+    they must equal one pointwise pass at every N."""
+
+    @pytest.mark.parametrize("k", [3, 4])
+    @pytest.mark.parametrize("C, eps", [(F(2), F(1, 10)), (F(5, 2), F(1, 8))])
+    def test_theorem27_every_n(self, k, C, eps):
+        sig, _ = build_theorem27(GrowthSpec("log"), k)
+        n_max = 10_000
+        rows = density_series(sig, list(range(1, n_max + 1)), C=C, epsilon=eps)
+        assert all(r.flags == "" for r in rows)
+        got = [(r.count_S, r.count_Z, r.count_near1) for r in rows]
+        assert got == pointwise_counts(sig, n_max, C, eps)
+
+    def test_dense_signal_rows(self):
+        rng = random.Random(77)
+        for _ in range(5):
+            sig = random_dense(rng, max_width=24)
+            rows = density_series(sig, [3, 17, 40, 90])
+            want = pointwise_counts(sig, 90, F(2), F(1, 10))
+            for row in rows:
+                # past the horizon every ratio is near 1, as the tail assumes
+                assert (row.count_S, row.count_Z) == want[row.N - 1][:2]
+                assert row.count_near1 == want[row.N - 1][2]
+
+    def test_constant_rows_make_no_engine_calls(self, monkeypatch):
+        import hlmax.analysis
+
+        def refuse(*args):
+            raise AssertionError("pointwise engine call")
+
+        monkeypatch.setattr(hlmax.analysis, "event_centered", refuse)
+        sig, _ = build_theorem27(GrowthSpec("log"), 4)
+        rows = density_series(sig, [200, 2000, 20000, 200000], g=GrowthSpec("log"))
+        assert [r.flags for r in rows] == ["", "", "", "structural"]
+
+    def test_power_law_rows_stay_pointwise(self):
+        from hlmax.signal import Block, BlockSignal, PowerLaw
+
+        sig = BlockSignal([Block(2, 9, PowerLaw(F(1, 2))), Block(12, 12, F(1, 5))])
+        row = density_series(sig, [25])[0]
+        assert row.flags == ""
+        assert (row.count_S, row.count_Z, row.count_near1) == pointwise_counts(
+            sig, 25, F(2), F(1, 10)
+        )[-1]
+
+
 class TestCsv:
     def test_header_and_cells(self):
         rows = density_series(dirac(), [10], g=GrowthSpec("log"))

@@ -126,6 +126,16 @@ class TestProfile:
         assert lines[4] == "0,1/1,0,true,"
         assert len(lines) == 8
 
+    def test_range_over_point_cap_is_resource_capped(self, tmp_path, capsys):
+        # the cap is checked on the range's length, before any point exists
+        sig = tmp_path / "d.json"
+        run("construct", "delta", "--out", str(sig))
+        out = tmp_path / "prof.csv"
+        code = run("profile", "--signal", str(sig), "--range", f"0..{10**30}", "--out", str(out))
+        assert code == 3
+        assert "exceeds cap" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_points_uncentered(self, tmp_path):
         sig = tmp_path / "d.json"
         run("construct", "delta", "--out", str(sig))

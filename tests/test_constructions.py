@@ -502,6 +502,21 @@ class TestVerificationReports:
         assert rep["ok"]
         assert all(c["status"] == "pass" for c in rep["claims"])
 
+    def test_theorem27_continuous_claims_need_dominance(self):
+        # relaxed scales leave block_dominance_k3 unsatisfied; seven exact
+        # samples must not stand in for it
+        rep = verify_theorem27(
+            LOG, 4, "relaxed", "continuous", n1=100, growth_factor=2
+        )
+        status = {c.name: c.status for c in Certificate.from_json(rep["certificate"]).conditions}
+        claims = {c["name"]: c for c in rep["claims"]}
+        assert status["block_dominance_k3"] == "relaxed"
+        assert claims["block_k3_pointwise"]["status"] == "fail"
+        assert "block_dominance_k3 not satisfied" in claims["block_k3_pointwise"]["note"]
+        assert status["block_dominance_k1"] == "satisfied"
+        assert claims["block_k1_pointwise"]["status"] == "pass"
+        assert not rep["ok"]
+
     def test_linf_report(self):
         rep = verify_theorem29_linf(5)
         assert rep["ok"] and not rep["resource_capped"]

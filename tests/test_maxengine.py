@@ -9,12 +9,15 @@ from hypothesis import strategies as st
 
 from hlmax.config import DEFAULT_LIMITS
 from hlmax.corpus import binary_signals, diff_signal, random_dense
-from hlmax.errors import BudgetExceeded, NonpositiveRadius
+from hlmax.errors import BudgetExceeded, NonpositiveRadius, ParameterViolation
 from hlmax.maxengine import (
+    _beats,
+    _first_beat,
     average_centered,
     average_uncentered,
     event_centered,
     event_uncentered,
+    frequency_pieces,
     oracle_centered,
     oracle_uncentered,
     oracle_uncentered_range,
@@ -395,6 +398,108 @@ class TestProfile:
         sig = dense(0, [1, 0, 2])
         rows = profile(sig, [1], uncentered=True)
         assert rows[0].min_diameter == event_uncentered(sig, 1).min_diameter
+
+
+    def test_range_sweep_matches_single_calls(self):
+        sig = BlockSignal([Block(3, 5, Fraction(1)), Block(9, 9, Fraction(4, 3))])
+        pts = range(-12, 25)
+        rows = profile(sig, pts)
+        assert [r.n for r in rows] == list(pts)
+        for row in rows:
+            assert row == event_centered(sig, row.n)
+
+    def test_range_cap_counts_without_materializing(self):
+        with pytest.raises(BudgetExceeded):
+            profile(dirac(), range(0, 10**30))
+
+
+def expand(pieces: list) -> dict:
+    return {n: s * n + c for a, b, s, c in pieces for n in range(a, b + 1)}
+
+
+constant_blocks_st = st.lists(
+    st.tuples(st.integers(0, 8), st.integers(1, 8), st.integers(1, 9), st.integers(1, 4)),
+    min_size=1,
+    max_size=12,
+)
+
+
+def blocks_from(spec: list) -> BlockSignal:
+    """Blocks after gaps of 0..8 (adjacent blocks of one amplitude merge)."""
+    blocks, pos = [], 0
+    for gap, length, num, den in spec:
+        pos += gap
+        blocks.append(Block(pos, pos + length - 1, Fraction(num, den)))
+        pos += length
+    return BlockSignal(blocks)
+
+
+class TestFrequencyPieces:
+    def check(self, sig: BlockSignal, n_lo: int, n_hi: int) -> list:
+        pieces = frequency_pieces(sig, n_lo, n_hi)
+        radii = expand(pieces)
+        assert list(radii) == list(range(n_lo, n_hi + 1))
+        for n, r in radii.items():
+            assert r == event_centered(sig, n).radius, n
+        for (_, b, s, c), (a, _, s2, c2) in zip(pieces, pieces[1:]):
+            assert a == b + 1 and (s, c) != (s2, c2)  # maximal runs
+        return pieces
+
+    @given(constant_blocks_st, st.integers(0, 20))
+    @settings(max_examples=40, deadline=None)
+    def test_equals_event_centered_at_both_offsets(self, spec, margin):
+        sig = blocks_from(spec)
+        lo, hi = support_bounds(sig)
+        pieces = self.check(sig, lo - margin - 10, hi + margin)
+        t = 2**10000
+        moved = self.check(translate(sig, t), lo - margin - 10 + t, hi + margin + t)
+        assert moved == [(a + t, b + t, s, c - s * t) for a, b, s, c in pieces]
+
+    def test_acceptance_corpus(self):
+        """Every signal of acceptance criterion 5's corpus, over the points
+        within one support width, as diff_signal checks the engines."""
+        rng = random.Random(20260818)
+        corpus = [random_dense(rng) for _ in range(500)] + list(binary_signals(12))
+        for sig in corpus:
+            lo, hi = support_bounds(sig)
+            width = hi - lo + 1
+            radii = expand(frequency_pieces(sig, lo - width, hi + width))
+            assert all(event_centered(sig, n).radius == r for n, r in radii.items())
+
+    def test_first_beat_equals_a_scan(self):
+        """_first_beat against trying every t, on random affine forms whose
+        comparison is often concave with a short positive stretch."""
+        rng = random.Random(11)
+
+        def form(span):
+            rs = rng.choice((-1, 0, 1))
+            r0 = rng.randint(span if rs < 0 else 0, span + 8)
+            ms = rng.randint(-40, 40)
+            m0 = rng.randint(max(0, -ms * span), max(0, -ms * span) + 400)
+            return (r0, rs, m0, ms)
+
+        for _ in range(3000):
+            span = rng.randint(1, 30)
+            f, w = form(span), form(span)
+            t0 = rng.randint(-1, span - 1)
+            want = next((t for t in range(t0 + 1, span + 1) if _beats(f, w, t)), None)
+            assert _first_beat(f, w, t0, span) == want, (f, w, t0, span)
+        # q(t) = -2 (t - 5)^2 + 1: negative at both ends, positive at t = 5 only
+        assert _first_beat((0, 1, 1, 121), (0, 0, 50, 1), 0, 10) == 5
+
+    def test_few_pieces_over_a_long_range(self):
+        sig = BlockSignal([Block(14, 18, Fraction(1, 10)), Block(150, 178, Fraction(1, 116))])
+        pieces = frequency_pieces(sig, -10**6, 10**6)
+        assert len(pieces) < 20
+        assert pieces[0] == (-10**6, pieces[0][1], -1, 178)  # far left: r = 178 - n
+        assert pieces[-1][2:] == (1, -14)  # far right: r = n - 14
+
+    def test_refusals(self):
+        with pytest.raises(ParameterViolation):
+            frequency_pieces(dirac(), 5, 4)
+        pl = BlockSignal([Block(1, 10, PowerLaw(Fraction(1, 2)))])
+        with pytest.raises(ParameterViolation):
+            frequency_pieces(pl, 0, 3)
 
 
 class TestEnclosureHonesty:
