@@ -343,15 +343,15 @@ def _cell_candidates(blocks: BlockSignal, view: tuple, n: int, t_max: int) -> tu
     for r0, rs, left, v_left, right, v_right in shapes:
         if (r0, rs) in forms:
             continue
-        mass = [0, 0]
+        m0 = ms = 0
         for y, v, sign in ((right, v_right, 1), (left, v_left, -1)):
             slope, p, last = _mass_stretch(blocks, view, y)
-            mass[0] += sign * p
+            m0 += sign * p
             if v:
-                mass[1] += sign * slope * v
+                ms += sign * slope * v
                 if last is not None:
                     t_end = min(t_end, (last - y) // v)
-        forms[(r0, rs)] = (r0, rs, mass[0], mass[1])
+        forms[(r0, rs)] = (r0, rs, m0, ms)
     return t_end, list(forms.values())
 
 
