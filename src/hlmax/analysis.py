@@ -15,10 +15,11 @@ centered rows on constant-amplitude signals are counted from the exact
 pieces of frequency_pieces, on which every condition is linear in n;
 uncentered rows and power-law signals are evaluated point by point.
 Whichever way a row is counted, it is exact (flags "") only when its
-horizon is within density_eval_cap.  Past the cap, block signals whose
-amplitude dominates all foreign mass get exact zero-set counts
-structurally (rows flagged "structural"); other requests yield rows
-flagged "partial" instead of raising, so a series never dies half-way.
+horizon is within density_eval_cap.  Past the cap, signals whose every
+block amplitude dominates all foreign mass (dense signals through their
+blocks) get exact zero-set counts structurally (rows flagged
+"structural"); other requests yield rows flagged "partial" instead of
+raising, so a series never dies half-way.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from .maxengine import (
     event_uncentered,
     frequency_pieces,
 )
-from .signal import BlockSignal, DenseSignal, PowerLaw, norm_l1, support_bounds
+from .signal import BlockSignal, PowerLaw, as_blocks, norm_l1, support_bounds
 from .values import Value, int_str, rational_str, v_mul_frac, value_str
 
 
@@ -243,8 +244,7 @@ def density_series(
         raise ParameterViolation("N values must be positive")
     if any(b >= a for a, b in zip(n_list[1:], n_list)):
         raise ParameterViolation("N values must be strictly increasing")
-    if not isinstance(signal, (BlockSignal, DenseSignal)):
-        raise ParameterViolation("density series runs on integer signals")
+    signal = as_blocks(signal)
     lo, hi = support_bounds(signal)
     a_rad = max(abs(lo), abs(hi))
     if uncentered:
@@ -253,9 +253,8 @@ def density_series(
         horizon = max(a_rad, _ceil_frac(a_rad / epsilon), _ceil_frac(a_rad * C / (C - 1)))
     needs = [n if horizon is None else min(n, horizon) for n in n_list]
     counted = [m for m in needs if m <= limits.density_eval_cap]
-    constant = isinstance(signal, DenseSignal) or not signal.has_powerlaw
     swept = None
-    if counted and constant and not uncentered:
+    if counted and not signal.has_powerlaw and not uncentered:
         pieces = frequency_pieces(signal, -counted[-1], counted[-1])
         swept = _piece_counts(pieces, counted, C, epsilon)
 
@@ -307,8 +306,7 @@ def density_series(
             continue
         if not uncentered and not structural_probed:
             structural_probed = True
-            if isinstance(signal, BlockSignal):
-                structural_spans = _structural_zero_blocks(signal)
+            structural_spans = _structural_zero_blocks(signal)
         if structural_spans is not None and not uncentered:
             z = _count_in_range(structural_spans, n_val)
             rows.append(

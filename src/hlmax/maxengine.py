@@ -31,13 +31,12 @@ from .config import DEFAULT_LIMITS, Limits
 from .errors import BudgetExceeded, NonpositiveRadius, ParameterViolation
 from .signal import (
     BlockSignal,
-    DenseSignal,
     PowerLaw,
     Signal,
+    as_blocks,
     eval_at,
     region_at,
     support_bounds,
-    to_blocks,
     window_sum,
     window_sum_scaled,
 )
@@ -130,10 +129,6 @@ def _sign(v: Value) -> Optional[int]:
     if lo == hi:
         return 0
     return None
-
-
-def _as_blocks(sig: Signal) -> BlockSignal:
-    return sig if isinstance(sig, BlockSignal) else to_blocks(sig)
 
 
 def _best(cands) -> tuple:
@@ -285,7 +280,7 @@ def event_centered(sig: Signal, n: int, limits: Limits = DEFAULT_LIMITS) -> Cent
     Only event radii are evaluated; Mobius monotonicity between events (and
     the peak searches inside power-law stretches) make the candidate set
     complete both for the maximum and for the minimal radius attaining it."""
-    blocks = _as_blocks(sig)
+    blocks = as_blocks(sig)
     r_cap = search_bound_centered(blocks, n)
     state = _PeakState()
     cands = _candidate_radii(blocks, n, r_cap, limits, state)
@@ -417,7 +412,7 @@ def frequency_pieces(sig: Signal, n_lo: int, n_hi: int) -> list:
     n; within a cell the winner changes only where some candidate's
     quadratic comparison with it changes sign, so the sweep costs work per
     cell and per change of winner, not per point."""
-    blocks = _as_blocks(sig)
+    blocks = as_blocks(sig)
     view = blocks.int_view()
     if view is None:
         raise ParameterViolation("frequency pieces need an all-constant signal")
@@ -455,34 +450,44 @@ def frequency_pieces(sig: Signal, n_lo: int, n_hi: int) -> list:
     return pieces
 
 
+def _dense_prefix(sig: BlockSignal) -> Optional[tuple]:
+    """(D, lo, prefix) for an all-constant signal, else None: prefix[k] is
+    D times the mass of [lo, lo + k - 1], lo the support start.  One walk
+    over every support position builds it, once per signal, so the oracles
+    read window masses by position, independently of the block search."""
+    if sig._dense_prefix is None:
+        view = sig.int_view()
+        if view is None:
+            return None
+        d, amps, _ = view
+        lo = sig.blocks[0].start
+        pref = [0]
+        for blk, amp in zip(sig.blocks, amps):
+            pref += [pref[-1]] * (blk.start - lo + 1 - len(pref))
+            for _ in range(blk.length):
+                pref.append(pref[-1] + amp)
+        sig._dense_prefix = (d, lo, pref)
+    return sig._dense_prefix
+
+
 def oracle_centered(sig: Signal, n: int, limits: Limits = DEFAULT_LIMITS) -> CenteredResult:
     """Brute-force maximal centered average: scan every radius up to the
     search bound, maintaining the window sum incrementally."""
+    sig = as_blocks(sig)
     r_cap = search_bound_centered(sig, n)
     if r_cap > limits.scan_radius_cap:
         raise BudgetExceeded(
             f"oracle scan over {r_cap} radii exceeds cap {limits.scan_radius_cap}"
         )
-    if isinstance(sig, DenseSignal):
-        d, scaled, _ = sig.int_view()
-        lo = sig.lo
-        width = len(scaled)
+    table = _dense_prefix(sig)
+    if table is not None:
+        d, lo, pref = table
+        width = len(pref) - 1
 
         def fs(pos: int) -> int:
             off = pos - lo
-            return scaled[off] if 0 <= off < width else 0
+            return pref[off + 1] - pref[off] if 0 <= off < width else 0
 
-    else:
-        view = sig.int_view()
-        if view is not None:
-            d, _, _ = view
-
-            def fs(pos: int) -> int:
-                return window_sum_scaled(sig, pos, pos)
-
-        else:
-            d = None
-    if d is not None:
         num = fs(n)
         best_num, best_den, best_r = num, 1, 0
         for r in range(1, r_cap + 1):
@@ -606,7 +611,7 @@ def event_uncentered(sig: Signal, n: int, limits: Limits = DEFAULT_LIMITS) -> Un
     stretch endpoints; for fixed left edge the average is unimodal in the
     right edge across power-law stretches, with the single interior peak
     located by a monotone binary search."""
-    blocks = _as_blocks(sig)
+    blocks = as_blocks(sig)
     rho_max, s_max = _uncentered_bounds(blocks, n)
     l_low, u_high = n - rho_max, n + s_max
     view = blocks.int_view()
@@ -662,20 +667,13 @@ def _uncentered_grid(sig: Signal, n: int, limits: Limits) -> tuple[int, int]:
 def oracle_uncentered(sig: Signal, n: int, limits: Limits = DEFAULT_LIMITS) -> UncenteredResult:
     """Brute-force maximal uncentered average: try every window
     [n - rho, n + s] within the useful reaches."""
+    sig = as_blocks(sig)
     rho_max, s_max = _uncentered_grid(sig, n, limits)
-    if isinstance(sig, DenseSignal):
-        d, _, pref = sig.int_view()
-        lo, width = sig.lo, len(sig.values)
-    else:
-        view = sig.int_view()
-        if view is None:
-            d = None
-        else:
-            d, _, pref = view
-            lo, hi = support_bounds(sig)
-            width = hi - lo + 1
-            pref = [window_sum_scaled(sig, lo, lo + k - 1) for k in range(width + 1)]
-    if d is not None:
+    table = _dense_prefix(sig)
+    if table is not None:
+        d, lo, pref = table
+        width = len(pref) - 1
+
         def mass(a: int, b: int) -> int:
             ia = min(max(a - lo, 0), width)
             ib = min(max(b - lo + 1, 0), width)
@@ -709,6 +707,7 @@ def oracle_uncentered_range(
     outside the support, all windows pinned at n on the near side.  An
     independent check of the per-point oracle at corpus scale, refused
     wherever the per-point oracle would refuse some n in [n_lo, n_hi]."""
+    sig = as_blocks(sig)
     lo, hi = support_bounds(sig)
     # the grid size falls left of lo, rises right of hi and is symmetric
     # and concave between, so it peaks at an end of the range or at the
@@ -716,15 +715,10 @@ def oracle_uncentered_range(
     for n in {n_lo, n_hi, (lo + hi) // 2}:
         if n_lo <= n <= n_hi:
             _uncentered_grid(sig, n, limits)
-    if isinstance(sig, DenseSignal):
-        d, _, pref = sig.int_view()
-    else:
-        view = sig.int_view()
-        if view is None:
-            return [oracle_uncentered(sig, n, limits) for n in range(n_lo, n_hi + 1)]
-        d = view[0]
-        width_sup = hi - lo + 1
-        pref = [window_sum_scaled(sig, lo, lo + k - 1) for k in range(width_sup + 1)]
+    table = _dense_prefix(sig)
+    if table is None:
+        return [oracle_uncentered(sig, n, limits) for n in range(n_lo, n_hi + 1)]
+    d, _, pref = table
     count = n_hi - n_lo + 1
     best_num = [-1] * count
     best_len = [1] * count
@@ -792,7 +786,7 @@ def profile(
         raise BudgetExceeded(
             f"profile over {int_str(count)} points exceeds cap {limits.profile_point_cap}"
         )
-    blocks = _as_blocks(sig)
+    blocks = as_blocks(sig)
     if uncentered:
         return [event_uncentered(blocks, n, limits) for n in pts]
     view = blocks.int_view()

@@ -1,12 +1,11 @@
 """Non-negative signals on the integers.
 
-Two representations:
-
-* DenseSignal: an explicit window of rational values, for brute-force oracles
-  and small experiments.  It compiles once, on first use, to its BlockSignal
-  (the maximal constant runs), which every later engine call reuses.
-* BlockSignal: sorted, disjoint constant or power-law blocks, for event-driven
-  engines at scales where n may have thousands of digits.
+One integer-signal representation, BlockSignal: sorted, disjoint constant or
+power-law blocks, for event-driven engines at scales where n may have
+thousands of digits.  A DenseSignal only lists rational values on a window
+(the input format of oracles, corpora and small experiments); every numeric
+read of it goes through `as_blocks`, which compiles it once, on first use,
+to the BlockSignal of its maximal constant runs.
 
 Window sums are exact Fractions whenever every overlapped block is constant;
 power-law overlaps produce certified enclosures.  All-constant block signals
@@ -87,11 +86,12 @@ class Block:
 class DenseSignal:
     """Explicit rational values on [lo, lo + len - 1], trimmed and non-zero.
 
-    Compiles once to its BlockSignal: `to_blocks` builds it on first use and
-    returns the same object afterwards, with its integer view, so repeated
-    engine calls on one signal share that work."""
+    Lists values only: engines, oracles, window sums and density series read
+    it through its BlockSignal, which `to_blocks` builds on first use and
+    returns as the same object afterwards, so repeated calls on one signal
+    share that work."""
 
-    __slots__ = ("lo", "values", "_prefix", "_int_view", "_blocks")
+    __slots__ = ("lo", "values", "_blocks")
 
     def __init__(self, lo: int, values):
         vals = [Fraction(v) for v in values]
@@ -107,25 +107,7 @@ class DenseSignal:
             raise ZeroSignal("dense signal is identically zero")
         self.lo = lo + i
         self.values = tuple(vals[i:j])
-        pref = [Fraction(0)]
-        for v in self.values:
-            pref.append(pref[-1] + v)
-        self._prefix = pref
-        self._int_view = None
         self._blocks = None
-
-    def int_view(self) -> tuple:
-        """(D, scaled values, scaled prefix) with D the common denominator."""
-        if self._int_view is None:
-            d = 1
-            for v in self.values:
-                d = d * v.denominator // math.gcd(d, v.denominator)
-            scaled = [v.numerator * (d // v.denominator) for v in self.values]
-            pref = [0]
-            for s in scaled:
-                pref.append(pref[-1] + s)
-            self._int_view = (d, scaled, pref)
-        return self._int_view
 
     @property
     def hi(self) -> int:
@@ -145,7 +127,9 @@ class DenseSignal:
 class BlockSignal:
     """Sorted disjoint blocks; adjacent blocks with identical amplitude merge."""
 
-    __slots__ = ("blocks", "_starts", "_ends", "_boundaries", "_int_view", "_pl_tables")
+    __slots__ = (
+        "blocks", "_starts", "_ends", "_boundaries", "_int_view", "_pl_tables", "_dense_prefix"
+    )
 
     def __init__(self, blocks):
         blist = sorted(blocks, key=lambda b: b.start)
@@ -170,6 +154,7 @@ class BlockSignal:
         self._boundaries = sorted(bset)
         self._int_view = None
         self._pl_tables = {}
+        self._dense_prefix = None
 
     @property
     def has_powerlaw(self) -> bool:
@@ -207,20 +192,26 @@ class BlockSignal:
 Signal = Union[DenseSignal, BlockSignal]
 
 
+def as_blocks(sig: Signal) -> BlockSignal:
+    """The BlockSignal every numeric read goes through: the signal itself,
+    or the compiled form of a DenseSignal."""
+    if isinstance(sig, BlockSignal):
+        return sig
+    if isinstance(sig, DenseSignal):
+        return to_blocks(sig)
+    raise ParameterViolation("expected an integer signal (DenseSignal or BlockSignal)")
+
+
 def support_bounds(sig: Signal) -> tuple[int, int]:
     """Smallest and largest n with f(n) != 0."""
-    if isinstance(sig, DenseSignal):
-        return sig.lo, sig.hi
-    return sig.blocks[0].start, sig.blocks[-1].end
+    blocks = as_blocks(sig).blocks
+    return blocks[0].start, blocks[-1].end
 
 
 def eval_at(sig: Signal, n: int, limits: Limits = DEFAULT_LIMITS) -> Value:
     """Pointwise value f(n); exact except at power-law points with
     irrational values."""
-    if isinstance(sig, DenseSignal):
-        if sig.lo <= n <= sig.hi:
-            return sig.values[n - sig.lo]
-        return Fraction(0)
+    sig = as_blocks(sig)
     i = bisect_right(sig._starts, n) - 1
     if i >= 0 and sig._ends[i] >= n:
         amp = sig.blocks[i].amp
@@ -296,12 +287,7 @@ def window_sum(sig: Signal, a: int, b: int, limits: Limits = DEFAULT_LIMITS) -> 
     """Sum of f over the integer window [a, b] (empty if a > b)."""
     if a > b:
         return Fraction(0)
-    if isinstance(sig, DenseSignal):
-        lo_i = max(a, sig.lo) - sig.lo
-        hi_i = min(b, sig.hi) - sig.lo + 1
-        if lo_i >= hi_i:
-            return Fraction(0)
-        return sig._prefix[hi_i] - sig._prefix[lo_i]
+    sig = as_blocks(sig)
     view = sig.int_view()
     if view is not None:
         d, _, _ = view

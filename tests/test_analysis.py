@@ -28,7 +28,7 @@ from hlmax.maxengine import (
     event_centered,
     event_uncentered,
 )
-from hlmax.signal import DenseSignal
+from hlmax.signal import DenseSignal, to_blocks
 from hlmax.values import Enclosure, exact_bounds
 
 F = Fraction
@@ -267,6 +267,21 @@ class TestDensitySeries:
         rows = density_series(sig, [10**6])
         assert rows[0].flags == "partial"
         assert rows[0].count_Z is None and rows[0].count_S is None
+
+    def test_dense_and_its_blocks_give_identical_rows(self):
+        # a signal's rows cannot depend on how it was written: past the cap
+        # both forms get the structural zero count of the same blocks
+        sig = DenseSignal(0, [F(1), F(0), F(0), F(0), F(0), F(5)])
+        limits = DEFAULT_LIMITS.with_(density_eval_cap=3)
+        for uncentered in (False, True):
+            dense_rows = density_series(sig, [2, 10**6], uncentered=uncentered, limits=limits)
+            block_rows = density_series(
+                to_blocks(sig), [2, 10**6], uncentered=uncentered, limits=limits
+            )
+            assert dense_rows == block_rows
+        rows = density_series(sig, [2, 10**6], limits=limits)
+        assert [r.flags for r in rows] == ["", "structural"]
+        assert rows[1].count_Z == 1
 
     def test_partial_row_uncentered_beyond_cap(self):
         # uncentered counting has no far-field closed form (membership at

@@ -294,6 +294,17 @@ class TestVerify:
         assert "RESOURCE-CAPPED" in out
         assert "unverifiable" in out
 
+    def test_theorem27_partial_density_row_is_resource_capped(self, capsys):
+        # the last block fails dominance and N_k + L_k is past the density
+        # cap, so the density row is partial: unverifiable, not a traceback
+        assert run(
+            "verify", "theorem27", "--mode", "relaxed", "--n1", "100000", "--growth-factor", "2"
+        ) == 3
+        out, err = capsys.readouterr()
+        assert "unverifiable  density_zero_set_half" in out
+        assert "RESOURCE-CAPPED" in out
+        assert "Traceback" not in out + err
+
     def test_infeasible_is_usage_error(self):
         assert run("verify", "theorem27", "--g", "log", "--k", "0") == 2
 

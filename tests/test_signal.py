@@ -302,9 +302,20 @@ class TestIntView:
     @given(values_st, st.integers(-20, 20))
     @settings(max_examples=40)
     def test_scaled_consistency(self, vals, lo):
+        # engines and oracles both read a DenseSignal through to_blocks, so
+        # its compiled blocks and their integer view are checked here
+        # against the listed values themselves
         sig = DenseSignal(lo, vals)
-        d, scaled, pref = sig.int_view()
-        assert len(scaled) == len(sig.values)
-        for v, s in zip(sig.values, scaled):
-            assert v * d == s
-        assert pref[-1] == norm_l1(sig) * d
+        blocks = to_blocks(sig)
+        d, amps, pref = blocks.int_view()
+        held = {}
+        for blk, amp in zip(blocks.blocks, amps):
+            assert isinstance(amp, int) and blk.amp * d == amp
+            for n in range(blk.start, blk.end + 1):
+                held[n] = blk.amp
+        for n in range(sig.lo - 2, sig.hi + 3):
+            want = sig.values[n - sig.lo] if sig.lo <= n <= sig.hi else 0
+            assert held.get(n, 0) == want
+        for i, blk in enumerate(blocks.blocks):
+            assert pref[i] == sum(sig.values[: blk.start - sig.lo]) * d
+        assert pref[-1] == sum(sig.values) * d
