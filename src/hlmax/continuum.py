@@ -5,7 +5,9 @@ breakpoints and zero outside.  Centered averages over balls (x - r, x + r)
 and uncentered averages over intervals containing x are exact rationals, and
 between breakpoint-crossing radii the average is a Mobius function of the
 radius with no interior extrema, so the maximum and the minimal maximizing
-radius are found by evaluating finitely many candidates.
+radius sit among finitely many candidates: one walk over the kinks of the
+ball mass in the centered case, the steepest chord between prefix-sum hulls
+in the uncentered one, both on integer-scaled offsets from x.
 
 The vanishing-radius convention: as r -> 0 the centered average tends to the
 mean of the one-sided limits at x, and a step function realizes that limit
@@ -21,7 +23,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import NonpositiveRadius, ParameterViolation, ZeroSignal
-from .values import json_field, json_rational, max_slope_pair, rational_str
+from .values import (
+    json_field,
+    json_rational,
+    max_average_radius,
+    max_slope_pair,
+    rational_str,
+)
 
 
 @dataclass(frozen=True)
@@ -120,20 +128,32 @@ def average_ball(f: StepFunction, x: Fraction, r: Fraction) -> Fraction:
 def maximal_centered_cont(f: StepFunction, x: Fraction) -> ContinuousResult:
     """Maximal centered average at x and the infimum of maximizing radii.
 
-    Candidate radii are the distances from x to the breakpoints: between
-    them the average is a Mobius function of r (mass is affine in r), hence
-    monotone or constant, and constancy propagates the same value to the
-    candidate endpoints.  The r -> 0 limit, the mean of the one-sided
-    limits, is matched exactly on radii below the nearest candidate."""
+    The ball mass M(r) is 0 at r = 0 and piecewise linear in r, its slope
+    f(x - r) + f(x + r) starting at f(x-) + f(x+) and changing by the jump
+    of f at each breakpoint b != x, at r = |x - b|.  Between those kinks the
+    average M(r) / (2r) is a Mobius function of r, hence monotone or
+    constant, so one walk over the kinks (max_average_radius), on offsets
+    and values scaled to integers, finds the maximum and the least radius
+    attaining it.  The r -> 0 limit, the mean of the one-sided limits, is
+    matched exactly on radii below the nearest kink; radius 0 reports it."""
     x = Fraction(x)
-    left, right = f.one_sided_limits(x)
-    best = (left + right) / 2
-    best_r = Fraction(0)
-    for r in sorted({abs(x - b) for b in f.breakpoints} - {Fraction(0)}):
-        a = average_ball(f, x, r)
-        if a > best:
-            best, best_r = a, r
-    return ContinuousResult(x, best, best_r, True)
+    bps = f.breakpoints
+    k, m = bisect_left(bps, x), bisect_right(bps, x)
+    offs, dx = _scaled([b - x for b in bps])
+    # vals[i] is f on (bps[i - 1], bps[i]), 0 outside the support
+    vals, dy = _scaled([Fraction(0), *f.values, Fraction(0)])
+    # at b > x the right edge meets the jump f(b+) - f(b-); at b < x the
+    # left edge meets f(b-) - f(b+)
+    kinks = sorted(
+        [(offs[i], vals[i + 1] - vals[i]) for i in range(m, len(bps))]
+        + [(-offs[i], vals[i] - vals[i + 1]) for i in range(k)]
+    )
+    rate = vals[k] + vals[m]  # dy (f(x-) + f(x+))
+    r = max_average_radius(kinks, 0, rate, odd=False)
+    if r == 0:
+        return ContinuousResult(x, Fraction(rate, 2 * dy), Fraction(0), True)
+    radius = Fraction(r, dx)
+    return ContinuousResult(x, average_ball(f, x, radius), radius, True)
 
 
 def _scaled(values: list) -> tuple[list, int]:

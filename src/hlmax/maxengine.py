@@ -5,13 +5,15 @@ averages over windows [n - rho, n + s] containing n.  The event engines
 evaluate only radii at which a window edge crosses a block boundary: between
 consecutive events the average is a monotone Mobius function of the radius
 when the moving edges sit in constant regions, so skipped radii host neither
-a new maximum nor a smaller maximizing radius.  Edges moving through
-power-law regions can create one interior peak per stretch; the peak is
-pinned down by monotone binary searches justified by the convexity of the
-edge terms.  On all-constant signals the uncentered maximum is the steepest
-chord of the prefix-sum graph across n, found on convex hulls rather than
-by trying every pair of window edges.  Exhaustive brute-force oracles
-recompute everything by direct scan for cross-validation.
+a new maximum nor a smaller maximizing radius.  On all-constant signals the
+centered engine therefore walks the O(B) kinks of the window mass once, in
+ascending radius, and reads one window sum at the winner.  Edges moving
+through power-law regions can create one interior peak per stretch; the
+peak is pinned down by monotone binary searches justified by the convexity
+of the edge terms.  On all-constant signals the uncentered maximum is the
+steepest chord of the prefix-sum graph across n, found on convex hulls
+rather than by trying every pair of window edges.  Exhaustive brute-force
+oracles recompute everything by direct scan for cross-validation.
 
 All-constant signals run entirely in integer arithmetic (scaled by the
 common denominator); power-law signals produce certified enclosures, and any
@@ -47,6 +49,7 @@ from .values import (
     compare,
     escalate,
     int_str,
+    max_average_radius,
     max_slope_pair,
     overlap_width,
     v_add,
@@ -274,26 +277,59 @@ def _candidate_radii(sig: BlockSignal, n: int, r_cap: int, limits: Limits, state
     return sorted(cand)
 
 
+def _centered_kinks(blocks: BlockSignal, amps: list, n: int) -> tuple:
+    """(kinks, mass, rate) of the scaled window mass M(r) around n.
+
+    M(r + 1) - M(r) = D (f(n - r - 1) + f(n + r + 1)) changes only where
+    an edge enters or leaves a block: at r = s - n - 1 and e - n for a
+    block [s, e] right of n (e > n), at r = n - e - 1 and n - s for one
+    left of n (s < n).  Kinks at r <= 0 fold into the rate at r = 0; the
+    rest come sorted by radius."""
+    starts, ends = blocks._starts, blocks._ends
+    i = bisect_left(ends, n)  # the first block ending at or after n
+    mass = amps[i] if i < len(starts) and starts[i] <= n else 0
+    rate = 0
+    right, left = [], []
+    for j in range(i, len(starts)):
+        if ends[j] > n:
+            r = starts[j] - n - 1
+            if r > 0:
+                right.append((r, amps[j]))
+            else:
+                rate += amps[j]
+            right.append((ends[j] - n, -amps[j]))
+    for j in range(bisect_left(starts, n) - 1, -1, -1):
+        r = n - ends[j] - 1
+        if r > 0:
+            left.append((r, amps[j]))
+        else:
+            rate += amps[j]
+        left.append((n - starts[j], -amps[j]))
+    # two ascending runs: sorting merges them in linear time
+    return sorted(right + left), mass, rate
+
+
 def event_centered(sig: Signal, n: int, limits: Limits = DEFAULT_LIMITS) -> CenteredResult:
     """Maximal centered average and minimal maximizing radius at n.
 
-    Only event radii are evaluated; Mobius monotonicity between events (and
-    the peak searches inside power-law stretches) make the candidate set
-    complete both for the maximum and for the minimal radius attaining it."""
+    On all-constant signals the scaled window mass is piecewise affine in
+    the radius, with kinks where an edge enters or leaves a block, so one
+    walk over those O(B) kinks (max_average_radius) finds the minimal
+    maximizing radius and one window sum reads its value.  Power-law
+    signals evaluate the event radii (edges meeting boundaries, +-1) plus
+    the interior peaks of power-law stretches; Mobius monotonicity between
+    events and the peak searches make that candidate set complete both for
+    the maximum and for the minimal radius attaining it."""
     blocks = as_blocks(sig)
+    view = blocks.int_view()
+    if view is not None:
+        d, amps, _ = view
+        r = max_average_radius(*_centered_kinks(blocks, amps, n), odd=True)
+        num = window_sum_scaled(blocks, n - r, n + r)
+        return CenteredResult(n, Fraction(num, d * (2 * r + 1)), r, True)
     r_cap = search_bound_centered(blocks, n)
     state = _PeakState()
     cands = _candidate_radii(blocks, n, r_cap, limits, state)
-    view = blocks.int_view()
-    if view is not None:
-        d, _, _ = view
-        best_num, best_den, best_r = -1, 1, 0
-        for r in cands:
-            num = window_sum_scaled(blocks, n - r, n + r)
-            den = 2 * r + 1
-            if num * best_den > best_num * den:
-                best_num, best_den, best_r = num, den, r
-        return CenteredResult(n, Fraction(best_num, d * best_den), best_r, True)
     averages = ((r, average_centered(blocks, n, r, limits)) for r in cands)
     best_v, best_r, certified, gap = _best(averages)
     certified = certified and not state.uncertified
@@ -313,7 +349,8 @@ def _mass_stretch(blocks: BlockSignal, view: tuple, y: int) -> tuple:
 
 
 def _cell_candidates(blocks: BlockSignal, view: tuple, n: int, t_max: int) -> tuple:
-    """The candidate radii of event_centered as affine forms from n on.
+    """The event radii 0 and |n - b| + d (d = -1, 0, 1) as affine forms
+    from n on.
 
     Returns (t_end, forms): each form (r0, rs, m0, ms) gives the radius
     r0 + rs*t and the scaled window mass m0 + ms*t at n + t, and all of them
@@ -408,10 +445,11 @@ def frequency_pieces(sig: Signal, n_lo: int, n_hi: int) -> list:
     maximal runs (n_a, n_b, slope, intercept), in order, on which
     r_n = slope * n + intercept; expanded point by point they are the
     radii event_centered reports.  The range is cut into cells on which
-    every candidate radius and window mass of event_centered is affine in
-    n; within a cell the winner changes only where some candidate's
-    quadratic comparison with it changes sign, so the sweep costs work per
-    cell and per change of winner, not per point."""
+    every event radius (0 and |n - b| + d, which include the kinks of the
+    window mass) and its window mass are affine in n; within a cell the
+    winner changes only where some candidate's quadratic comparison with it
+    changes sign, so the sweep costs work per cell and per change of
+    winner, not per point."""
     blocks = as_blocks(sig)
     view = blocks.int_view()
     if view is None:

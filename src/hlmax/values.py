@@ -13,7 +13,8 @@ values are themselves exact.
 Power-law terms n^(-alpha) are bounded the same way: an exact integer root
 gives floor(2^shift * n^(-alpha)).  mpmath is used only to evaluate
 logarithms and fractional powers of values (ln_value, pow_of_value), whose
-results convert exactly to dyadic bounds, and to print bounds as decimals.
+results convert exactly to dyadic bounds, and to print bounds as decimals;
+it is imported on the first such call.
 
 Comparisons are three-way plus "indeterminate" (overlapping enclosures).
 Engine code treats indeterminate outcomes as ties broken toward the smaller
@@ -28,8 +29,6 @@ import re
 from enum import Enum
 from fractions import Fraction
 from typing import Union
-
-import mpmath
 
 from .errors import ParameterViolation
 
@@ -62,6 +61,21 @@ _GUARD = 32
 # accurate to ~2 ulp at the guard precision, so 2^-(prec+8) is conservative
 # by a factor of about 2^20
 _WIDEN_SHIFT = 8
+
+
+# imported on first use by _mpmath(): exact and constant-signal work never
+# needs it
+mpmath = None
+
+
+def _mpmath():
+    """The mpmath module, imported on first use."""
+    global mpmath
+    if mpmath is None:
+        import mpmath as module
+
+        mpmath = module
+    return mpmath
 
 
 def _floor(m: int, e: int, prec: int) -> tuple:
@@ -297,6 +311,30 @@ def max_slope_pair(xl: list, yl: list, xr: list, yr: list) -> tuple[int, int]:
     return i, right.index(max(right))
 
 
+def max_average_radius(kinks, mass: int, rate: int, odd: bool) -> int:
+    """Minimal radius r >= 0 maximizing M(r) / (2r + 1) (odd) or M(r) / (2r).
+
+    The mass M is piecewise affine: M(0) = mass, its slope is rate from 0
+    and changes by dk at each (r, dk) of kinks, given in ascending r > 0
+    (several kinks may share a radius).  Between consecutive kinks the average is a
+    Mobius function of r, monotone or constant, so the maximum and the
+    least radius attaining it sit at 0 or at a kink; after the last kink the
+    mass is frozen and the average falls.  Keeping strict improvements in
+    ascending r returns that least radius.  With 2r, r = 0 means the limit
+    rate / 2 of vanishing radii."""
+    best_num, best_den = (mass, 1) if odd else (rate, 2)
+    best_r = last = 0
+    for r, dk in kinks:
+        if r != last:
+            mass += rate * (r - last)
+            den = 2 * r + odd
+            if mass * best_den > best_num * den:
+                best_num, best_den, best_r = mass, den, r
+            last = r
+        rate += dk
+    return best_r
+
+
 def fraction_to_enclosure(fr: Fraction, prec: int = DEFAULT_PRECISION) -> Enclosure:
     n, d = fr.numerator, fr.denominator
     return _enc(_quot(n, 0, d, prec, _floor), _quot(n, 0, d, prec, _ceil))
@@ -372,9 +410,10 @@ def iroot(x: int, q: int) -> int:
 
 def _widen(t, prec: int) -> Enclosure:
     """Wrap an approximately computed positive mpf in a conservative interval."""
-    eps = mpmath.ldexp(abs(t), -(prec + _WIDEN_SHIFT))
-    lo = mpmath.fsub(t, eps, prec=prec, rounding="f")
-    hi = mpmath.fadd(t, eps, prec=prec, rounding="c")
+    mp = _mpmath()
+    eps = mp.ldexp(abs(t), -(prec + _WIDEN_SHIFT))
+    lo = mp.fsub(t, eps, prec=prec, rounding="f")
+    hi = mp.fadd(t, eps, prec=prec, rounding="c")
     return Enclosure(lo, hi)
 
 
@@ -435,13 +474,14 @@ def ln_value(x: Union[int, Fraction], prec: int = DEFAULT_PRECISION) -> Value:
         raise ParameterViolation("log of a non-positive number")
     if fx == 1:
         return Fraction(0)
-    with mpmath.workprec(prec + _GUARD):
-        t = mpmath.ln(mpmath.fdiv(fx.numerator, fx.denominator, prec=prec + _GUARD))
+    mp = _mpmath()
+    with mp.workprec(prec + _GUARD):
+        t = mp.ln(mp.fdiv(fx.numerator, fx.denominator, prec=prec + _GUARD))
     # widen by relative + absolute terms: the absolute term covers the input
     # rounding of p/q, whose log-error does not scale with |ln x| near x = 1
-    eps = mpmath.ldexp(abs(t) + 1, -(prec + _WIDEN_SHIFT))
-    lo = mpmath.fsub(t, eps, prec=prec, rounding="f")
-    hi = mpmath.fadd(t, eps, prec=prec, rounding="c")
+    eps = mp.ldexp(abs(t) + 1, -(prec + _WIDEN_SHIFT))
+    lo = mp.fsub(t, eps, prec=prec, rounding="f")
+    hi = mp.fadd(t, eps, prec=prec, rounding="c")
     return Enclosure(lo, hi)
 
 
@@ -466,10 +506,11 @@ def pow_of_value(v: Value, beta: Fraction, prec: int = DEFAULT_PRECISION) -> Val
     lo, hi = exact_bounds(v)
     if lo <= 0:
         raise ParameterViolation("power of a non-positive value")
-    with mpmath.workprec(prec + _GUARD):
-        b = mpmath.mpf(beta.numerator) / beta.denominator
-        tlo = mpmath.power(mpmath.fdiv(lo.numerator, lo.denominator, prec=prec + _GUARD), b)
-        thi = mpmath.power(mpmath.fdiv(hi.numerator, hi.denominator, prec=prec + _GUARD), b)
+    mp = _mpmath()
+    with mp.workprec(prec + _GUARD):
+        b = mp.mpf(beta.numerator) / beta.denominator
+        tlo = mp.power(mp.fdiv(lo.numerator, lo.denominator, prec=prec + _GUARD), b)
+        thi = mp.power(mp.fdiv(hi.numerator, hi.denominator, prec=prec + _GUARD), b)
     return _enc(_widen(tlo, prec).dlo, _widen(thi, prec).dhi)
 
 
@@ -521,6 +562,7 @@ def value_str(v: Value, digits: int = 30) -> str:
     """Render a Value for CSV/JSON: "p/q" exact, "lo..hi" for enclosures."""
     if isinstance(v, Fraction):
         return rational_str(v)
+    mp = _mpmath()
     # from_man_exp without a precision converts a bound exactly
-    lo, hi = (mpmath.mp.make_mpf(mpmath.libmp.from_man_exp(*d)) for d in (v.dlo, v.dhi))
-    return f"{mpmath.nstr(lo, digits)}..{mpmath.nstr(hi, digits)}"
+    lo, hi = (mp.mp.make_mpf(mp.libmp.from_man_exp(*d)) for d in (v.dlo, v.dhi))
+    return f"{mp.nstr(lo, digits)}..{mp.nstr(hi, digits)}"

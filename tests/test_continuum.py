@@ -335,6 +335,67 @@ class TestUncenteredAgainstGridOracle:
             assert (a.max_value, a.radius) == (b.max_value, b.radius)
 
 
+def candidate_loop_centered(f: StepFunction, x: Fraction) -> tuple:
+    """Reference for maximal_centered_cont: the mean of the one-sided limits,
+    then every radius |x - b| in ascending order, keeping strict gains."""
+    left, right = f.one_sided_limits(x)
+    best, best_r = (left + right) / 2, F(0)
+    for r in sorted({abs(x - b) for b in f.breakpoints} - {F(0)}):
+        avg = average_ball(f, x, r)
+        if avg > best:
+            best, best_r = avg, r
+    return best, best_r
+
+
+@st.composite
+def rational_step_functions(draw):
+    """Breakpoints with denominators up to 6 and values with zero pieces
+    inside the support, so jumps of either sign and plateaus occur."""
+    vals = draw(
+        st.lists(
+            st.fractions(min_value=F(0), max_value=F(5), max_denominator=6),
+            min_size=1,
+            max_size=8,
+        ).filter(any)
+    )
+    bps = draw(
+        st.lists(
+            st.fractions(min_value=F(-12), max_value=F(12), max_denominator=6),
+            min_size=len(vals) + 1,
+            max_size=len(vals) + 1,
+            unique=True,
+        )
+    )
+    return StepFunction(sorted(bps), vals)
+
+
+class TestCenteredWalk:
+    """The kink walk of maximal_centered_cont against the candidate loop it
+    replaced, with x at breakpoints, between them and outside the support."""
+
+    @given(rational_step_functions(), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_equals_candidate_loop(self, f, data):
+        x = data.draw(
+            st.one_of(
+                st.sampled_from(f.breakpoints),
+                st.fractions(min_value=F(-20), max_value=F(20), max_denominator=12),
+            )
+        )
+        res = maximal_centered_cont(f, x)
+        assert (res.max_value, res.radius) == candidate_loop_centered(f, x)
+
+    def test_same_answer_at_two_to_the_10000(self):
+        rng = random.Random(5)
+        big = 2**10000
+        for _ in range(10):
+            f = random_lattice_step(rng)
+            x = F(rng.randint(-48, 48), 8)
+            moved = StepFunction([b + big for b in f.breakpoints], f.values)
+            a, b = maximal_centered_cont(f, x), maximal_centered_cont(moved, x + big)
+            assert (a.max_value, a.radius) == (b.max_value, b.radius)
+
+
 class TestJson:
     def test_round_trip(self):
         f = StepFunction([F(-1, 2), F(3, 8), 2], [F(5, 3), F(1, 7)])

@@ -502,6 +502,51 @@ class TestFrequencyPieces:
             frequency_pieces(pl, 0, 3)
 
 
+class TestCenteredWalk:
+    """The kink walk of event_centered on constant signals against the
+    brute-force radius scan, including adjacent blocks of different
+    amplitudes, one-point blocks and points outside the support."""
+
+    @given(constant_blocks_st, st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_equals_oracle_and_its_2p10000_twin(self, spec, data):
+        sig = blocks_from(spec)
+        lo, hi = support_bounds(sig)
+        t = 2**10000
+        moved = translate(sig, t)
+        near = data.draw(st.lists(st.integers(lo - 12, hi + 12), min_size=1, max_size=12))
+        far = data.draw(st.lists(st.sampled_from([lo - 10**6, hi + 10**6]), max_size=2))
+        for n in near:
+            ev, oc = event_centered(sig, n), oracle_centered(sig, n)
+            assert (ev.max_value, ev.radius, ev.certified) == (oc.max_value, oc.radius, True), n
+        for n in near + far:
+            a, b = event_centered(sig, n), event_centered(moved, n + t)
+            assert (a.max_value, a.radius) == (b.max_value, b.radius), n
+
+    def test_adjacent_amplitudes_and_single_points(self):
+        sig = BlockSignal(
+            [Block(0, 0, Fraction(5)), Block(1, 3, Fraction(1)), Block(4, 4, Fraction(9))]
+        )
+        for n in range(-6, 11):
+            ev, oc = event_centered(sig, n), oracle_centered(sig, n)
+            assert (ev.max_value, ev.radius) == (oc.max_value, oc.radius), n
+
+    def test_one_window_sum_per_query(self, monkeypatch):
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return window_sum_scaled(*args)
+
+        monkeypatch.setattr("hlmax.maxengine.window_sum_scaled", counted)
+        sig = blocks_from([(3, 2, 1, 1), (0, 1, 7, 2), (5, 4, 2, 3)] * 20)
+        lo, hi = support_bounds(sig)
+        for n in (lo - 50, lo, (lo + hi) // 2, hi + 1, hi + 10**6):
+            del calls[:]
+            event_centered(sig, n)
+            assert len(calls) <= 1, n
+
+
 class TestEnclosureHonesty:
     def test_powerlaw_value_is_enclosure_with_true_value_inside(self):
         sig = BlockSignal([Block(1, 100, PowerLaw(Fraction(1, 2)))])

@@ -1,5 +1,7 @@
 """Exact/enclosure arithmetic layer: containment, ordering, parsing."""
 
+import subprocess
+import sys
 from fractions import Fraction
 
 import mpmath
@@ -8,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath.libmp import from_man_exp, round_ceiling, round_floor
 
+import hlmax.values
 from hlmax.errors import ParameterViolation
 from hlmax.values import (
     DEFAULT_PRECISION,
@@ -19,6 +22,7 @@ from hlmax.values import (
     iroot,
     ln_of_value,
     ln_value,
+    max_average_radius,
     max_slope_pair,
     overlap_width,
     parse_rational,
@@ -498,3 +502,60 @@ class TestEnclosureConstructor:
         for bad in (mpmath.inf, -mpmath.inf, mpmath.nan, float("inf"), "x"):
             with pytest.raises(ParameterViolation):
                 Enclosure(0, bad)
+
+
+class TestMaxAverageRadius:
+    def test_odd_windows(self):
+        # M stays 1 up to r = 3 and then grows by 4 a step: M(5) = 9 and
+        # 9/11 < 1/1, so radius 0
+        assert max_average_radius([(3, 4), (5, -4)], 1, 0, odd=True) == 0
+        # M(2) = 1 + 2*2 = 5 over 5 ties M(0) = 1: the smaller radius wins
+        assert max_average_radius([(2, -2)], 1, 2, odd=True) == 0
+        # M(4) = 1 + 3*3 = 10 over 9 beats 1
+        assert max_average_radius([(1, 3), (4, -3)], 1, 0, odd=True) == 4
+
+    def test_even_windows_start_from_the_vanishing_limit(self):
+        # rate 2 near 0 averages 1, as M(1) = 2 over 2 does; two kinks at
+        # r = 1 raise the rate to 6 together, so M(3) = 14 and 14/6 > 1
+        assert max_average_radius([(1, 2), (1, 2), (3, -6)], 0, 2, odd=False) == 3
+        assert max_average_radius([(1, -2)], 0, 2, odd=False) == 0
+
+
+LAZY_MPMATH_SCRIPT = """
+import sys
+from fractions import Fraction
+import hlmax
+from hlmax.cli import main
+from hlmax.continuum import StepFunction, maximal_centered_cont
+from hlmax.maxengine import event_centered, event_uncentered
+from hlmax.signal import Block, BlockSignal
+
+sig = BlockSignal([Block(0, 2, Fraction(1, 3)), Block(5, 5, Fraction(2))])
+event_centered(sig, 9)
+event_uncentered(sig, 1)
+maximal_centered_cont(StepFunction([0, Fraction(1, 2), 2], [1, 3]), Fraction(1))
+assert main(["profile", "--signal", sys.argv[1], "--range", "-5..40", "--out", sys.argv[2]]) == 0
+print("mpmath" in sys.modules)
+"""
+
+
+class TestLazyMpmath:
+    def test_constant_work_never_imports_mpmath(self, tmp_path):
+        # mpmath serves only logs, fractional powers and printing enclosures
+        sig = tmp_path / "s.json"
+        sig.write_text(
+            '{"type": "blocks", "blocks": [{"start": "0", "end": "9", "amp": {"const": "1/2"}},'
+            ' {"start": "20", "end": "21", "amp": {"const": "3"}}]}'
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", LAZY_MPMATH_SCRIPT, str(sig), str(tmp_path / "p.csv")],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split()[-1] == "False"
+        assert (tmp_path / "p.csv").read_text().count("\n") == 47
+
+    def test_first_use_imports_it(self):
+        assert value_str(Enclosure(Fraction(1, 2), 1)) == "0.5..1.0"
+        assert hlmax.values.mpmath is mpmath
