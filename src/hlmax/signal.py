@@ -37,7 +37,7 @@ from .values import (
     json_field,
     json_int,
     json_rational,
-    power_bounds,
+    power_bounds_run,
     power_shift,
     power_term,
     rational_str,
@@ -229,19 +229,14 @@ def region_at(sig: BlockSignal, n: int):
     return Fraction(0)
 
 
-def _pl_term_bounds(alpha: Fraction, shift: int, a: int, b: int):
-    """Integer bounds (lo, hi) on 2^shift * n^(-alpha) for n = a..b."""
-    for n in range(a, b + 1):
-        m, exact = power_bounds(n, alpha, shift)
-        yield m, m if exact else m + 1
-
-
 def _pl_table(sig: BlockSignal, idx: int, prec: int):
     """(shift, LO, HI) for power-law block idx: LO[i] and HI[i] bound
     2^shift times the sum of the block's first i terms, as exact integers.
 
     One shift serves the whole block, taken at its smallest term (its end),
-    so every window sum is an integer difference."""
+    so every window sum is an integer difference.  The entries are running
+    sums of power_bounds, built by power_bounds_run, whose roots are checked
+    in integers (falling back to power_bounds when a check fails)."""
     key = (idx, prec)
     tab = sig._pl_tables.get(key)
     if tab is None:
@@ -249,12 +244,9 @@ def _pl_table(sig: BlockSignal, idx: int, prec: int):
         alpha = b.amp.alpha
         shift = power_shift(b.end, alpha, prec)
         los, his = [0], [0]
-        lo_acc = hi_acc = 0
-        for lo, hi in _pl_term_bounds(alpha, shift, b.start, b.end):
-            lo_acc += lo
-            hi_acc += hi
-            los.append(lo_acc)
-            his.append(hi_acc)
+        for m, exact in power_bounds_run(b.start, b.end, alpha, shift):
+            los.append(los[-1] + m)
+            his.append(his[-1] + (m if exact else m + 1))
         tab = (shift, los, his)
         sig._pl_tables[key] = tab
     return tab
@@ -277,9 +269,9 @@ def _pl_range_sum(sig: BlockSignal, idx: int, a: int, b: int, limits: Limits) ->
     alpha = blk.amp.alpha
     shift = power_shift(blk.end, alpha, prec)
     lo_acc = hi_acc = 0
-    for lo, hi in _pl_term_bounds(alpha, shift, a, b):
-        lo_acc += lo
-        hi_acc += hi
+    for m, exact in power_bounds_run(a, b, alpha, shift):
+        lo_acc += m
+        hi_acc += m if exact else m + 1
     return scaled_enclosure(lo_acc, hi_acc, shift, prec)
 
 

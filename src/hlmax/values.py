@@ -438,6 +438,44 @@ def power_bounds(n: int, alpha: Fraction, shift: int) -> tuple[int, bool]:
     return m, rem == 0 and m**q == x
 
 
+def power_bounds_run(a: int, b: int, alpha: Fraction, shift: int):
+    """Yield power_bounds(n, alpha, shift) for n = a..b (a >= 1): the same pairs.
+
+    With c = n^p and X = 2^(shift*q), each root r starts from the float
+    n ** (-p/q) and climbs a ladder of integer Newton steps that double its
+    significant bits up to shift - ceil(p*bitlen(n)/q), ending with one step
+    on all of floor(X / c).  That step lands at or above the floor root (see
+    iroot), and c * r^q <= X, after at most one decrement, puts r at or below
+    it: every r is certified, never trusted.  power_bounds serves the rest:
+    a failed check, n >= 2^53 (the float seed loses n), roots under 8 bits."""
+    p, q = alpha.numerator, alpha.denominator
+    qm, x, e = q - 1, 1 << (shift * q), -p / q
+    for bl in range(a.bit_length(), b.bit_length() + 1):
+        run = range(max(a, 1 << bl >> 1), min(b, (1 << bl) - 1) + 1)
+        top = shift + (-p * bl // q)
+        if bl > 53 or top < 8:
+            yield from (power_bounds(n, alpha, shift) for n in run)
+            continue
+        # seed at <= 40 bits; climbing from s to at most 2s - 7 bits keeps
+        # the Newton error of the next level below 1/8 for q <= 9
+        up = [top]
+        while up[0] > 40:
+            up.insert(0, up[0] // 2 + 4)
+        scale = 2.0 ** (shift - top + up[0])
+        steps = [(h - s, 1 << q * (shift - top + h)) for s, h in zip(up, up[1:])] or [(0, x)]
+        for n in run:
+            c = n**p
+            r = int(n**e * scale)
+            for k, xk in steps:
+                r <<= k
+                r = (qm * r + xk // (c * r**qm)) // q
+            t = c * r**q
+            if t > x:
+                r -= 1
+                t = c * r**q
+            yield (r, t == x) if t <= x else power_bounds(n, alpha, shift)
+
+
 def scaled_enclosure(lo: int, hi: int, shift: int, prec: int) -> Enclosure:
     """[lo / 2^shift, hi / 2^shift] rounded outward to prec bits."""
     return _enc(_floor(lo, -shift, prec), _ceil(hi, -shift, prec))

@@ -27,7 +27,8 @@ from hlmax.signal import (
     translate,
     window_sum,
 )
-from hlmax.values import exact_bounds, power_bounds, power_shift, power_term
+from hlmax.signal import _pl_table
+from hlmax.values import exact_bounds, power_bounds, power_shift, power_term, scaled_enclosure
 
 amp_st = st.fractions(min_value=Fraction(0), max_value=Fraction(4), max_denominator=12)
 values_st = st.lists(amp_st, min_size=1, max_size=40).filter(lambda vs: any(vs))
@@ -141,18 +142,24 @@ class TestPowerLawSums:
     @settings(max_examples=40, deadline=None)
     def test_table_and_loop_agree(self, window):
         blk, a, b = window
-        table = exact_bounds(window_sum(PL_SIG, a, b))
-        loop = exact_bounds(window_sum(PL_SIG, a, b, Limits(prefix_cache_cap=0)))
-        assert table == loop
-        # both contain the exact sum of the per-term integer bounds
+        prec = Limits().precision
+        table = window_sum(PL_SIG, a, b)
+        loop = window_sum(PL_SIG, a, b, Limits(prefix_cache_cap=0))
+        # every table entry up to b, and both window sums, are running sums
+        # of the per-term power_bounds integers
         alpha = blk.amp.alpha
-        shift = power_shift(blk.end, alpha, Limits().precision)
+        shift, los, his = _pl_table(PL_SIG, PL_SIG.blocks.index(blk), prec)
+        assert shift == power_shift(blk.end, alpha, prec)
+        assert los[0] == his[0] == 0
         lo = hi = 0
-        for n in range(a, b + 1):
+        for n in range(blk.start, b + 1):
             m, exact = power_bounds(n, alpha, shift)
             lo, hi = lo + m, hi + (m if exact else m + 1)
-        assert table[0] <= Fraction(lo, 2**shift) <= Fraction(hi, 2**shift) <= table[1]
+            assert (los[n - blk.start + 1], his[n - blk.start + 1]) == (lo, hi)
+        ia = a - blk.start
+        assert table == loop == scaled_enclosure(lo - los[ia], hi - his[ia], shift, prec)
         # and meet the sum of the single-term enclosures, which holds the truth
+        table = exact_bounds(table)
         terms = [exact_bounds(power_term(n, alpha)) for n in range(a, b + 1)]
         assert table[0] <= sum(t[1] for t in terms) and sum(t[0] for t in terms) <= table[1]
 

@@ -28,6 +28,7 @@ from hlmax.values import (
     parse_rational,
     pow_of_value,
     power_bounds,
+    power_bounds_run,
     power_shift,
     power_term,
     rational_str,
@@ -227,6 +228,78 @@ class TestPowerBounds:
             for alpha in ALPHAS:
                 m, _ = power_bounds(n, alpha, power_shift(n, alpha, 64))
                 assert m >= 2**64
+
+
+# every alpha = p/q in (0, 1) with q from 2 to 9
+RUN_ALPHAS = sorted({Fraction(p, q) for q in range(2, 10) for p in range(1, q)})
+
+
+@st.composite
+def power_runs(draw):
+    """(alpha, a, b, shift): a short run a..b and a shift for power_bounds_run."""
+    alpha = draw(st.sampled_from(RUN_ALPHAS))
+    a = draw(
+        st.one_of(
+            st.just(1),
+            st.integers(1, 70).map(lambda k: 2**k),  # around powers of two
+            st.integers(2, 2**9).map(lambda m: m**alpha.denominator),  # perfect q-th powers
+            st.integers(53, 80).map(lambda k: 2**k),  # the float seed loses n
+            big_n_st,
+        )
+    )
+    a = max(1, a + draw(st.integers(-6, 6)))
+    b = a + draw(st.integers(0, 24))
+    shift = draw(
+        st.one_of(
+            st.integers(0, 400),
+            st.sampled_from([53, 64, 256, 1024]).map(lambda prec: power_shift(b, alpha, prec)),
+        )
+    )
+    return alpha, a, b, shift
+
+
+class TestPowerBoundsRun:
+    """power_bounds_run against power_bounds, term by term."""
+
+    @given(power_runs())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_power_bounds(self, run):
+        alpha, a, b, shift = run
+        got = list(power_bounds_run(a, b, alpha, shift))
+        assert got == [power_bounds(n, alpha, shift) for n in range(a, b + 1)]
+
+    @staticmethod
+    def _counted(monkeypatch):
+        calls = []
+        reference = hlmax.values.power_bounds
+
+        def counting(n, alpha, shift):
+            calls.append(n)
+            return reference(n, alpha, shift)
+
+        monkeypatch.setattr(hlmax.values, "power_bounds", counting)
+        return calls, reference
+
+    def test_paper_lp_block_takes_the_fast_path(self, monkeypatch):
+        # the ladder counts bits of the root, about prec here, not of the
+        # scale 2^shift, which is about 15 bits longer at n near 2^25
+        calls, reference = self._counted(monkeypatch)
+        alpha, a, b = Fraction(3, 5), 2**25 - 300, 2**25 + 300
+        shift = power_shift(b, alpha, DEFAULT_PRECISION)
+        got = list(power_bounds_run(a, b, alpha, shift))
+        assert calls == []
+        assert got == [reference(n, alpha, shift) for n in range(a, b + 1)]
+
+    def test_newton_step_without_a_ladder(self, monkeypatch):
+        # roots of under 40 bits are seeded at full size; at n = 2^10 the
+        # float 2^(-10/5) falls just below 1/4, and only the Newton step
+        # lifts the seed back to the exact root 2^18
+        calls, reference = self._counted(monkeypatch)
+        alpha, shift = Fraction(1, 5), 20
+        got = list(power_bounds_run(1000, 1050, alpha, shift))
+        assert calls == []
+        assert got == [reference(n, alpha, shift) for n in range(1000, 1051)]
+        assert got[24] == (2**18, True)
 
 
 class TestLogs:
