@@ -134,8 +134,10 @@ def maximal_centered_cont(f: StepFunction, x: Fraction) -> ContinuousResult:
     average M(r) / (2r) is a Mobius function of r, hence monotone or
     constant, so one walk over the kinks (max_average_radius), on offsets
     and values scaled to integers, finds the maximum and the least radius
-    attaining it.  The r -> 0 limit, the mean of the one-sided limits, is
-    matched exactly on radii below the nearest kink; radius 0 reports it."""
+    attaining it; the scaled integral of f bounds every M(r), so the walk
+    stops once no later radius can beat the best.  The r -> 0 limit, the
+    mean of the one-sided limits, is matched exactly on radii below the
+    nearest kink; radius 0 reports it."""
     x = Fraction(x)
     bps = f.breakpoints
     k, m = bisect_left(bps, x), bisect_right(bps, x)
@@ -149,7 +151,8 @@ def maximal_centered_cont(f: StepFunction, x: Fraction) -> ContinuousResult:
         + [(-offs[i], vals[i] - vals[i + 1]) for i in range(k)]
     )
     rate = vals[k] + vals[m]  # dy (f(x-) + f(x+))
-    r = max_average_radius(kinks, 0, rate, odd=False)
+    bound = sum(v * (b - a) for v, a, b in zip(vals[1:], offs, offs[1:]))
+    r = max_average_radius(kinks, 0, rate, bound, odd=False)
     if r == 0:
         return ContinuousResult(x, Fraction(rate, 2 * dy), Fraction(0), True)
     radius = Fraction(r, dx)

@@ -7,10 +7,10 @@ consecutive events the average is a monotone Mobius function of the radius
 when the moving edges sit in constant regions, so skipped radii host neither
 a new maximum nor a smaller maximizing radius.  On all-constant signals the
 centered engine therefore walks the O(B) kinks of the window mass once, in
-ascending radius, and reads one window sum at the winner.  Edges moving
-through power-law regions can create one interior peak per stretch; the
-peak is pinned down by monotone binary searches justified by the convexity
-of the edge terms.  On all-constant signals the uncentered maximum is the
+ascending radius and on offsets from the support start, and reads one window
+sum at the winner.  Edges moving through power-law regions can create one
+interior peak per stretch; the peak is pinned down by monotone binary
+searches justified by the convexity of the edge terms.  On all-constant signals the uncentered maximum is the
 steepest chord of the prefix-sum graph across n, found on convex hulls
 rather than by trying every pair of window edges.  Exhaustive brute-force
 oracles recompute everything by direct scan for cross-validation.
@@ -33,6 +33,7 @@ from .config import DEFAULT_LIMITS, Limits
 from .errors import BudgetExceeded, NonpositiveRadius, ParameterViolation
 from .signal import (
     BlockSignal,
+    Geometry,
     PowerLaw,
     Signal,
     as_blocks,
@@ -277,36 +278,28 @@ def _candidate_radii(sig: BlockSignal, n: int, r_cap: int, limits: Limits, state
     return sorted(cand)
 
 
-def _centered_kinks(blocks: BlockSignal, amps: list, n: int) -> tuple:
-    """(kinks, mass, rate) of the scaled window mass M(r) around n.
+def _centered_radius(geom: Geometry, t: int) -> int:
+    """Minimal maximizing centered radius at support offset t = n - lo of an
+    all-constant signal, by one walk over the kinks of its scaled window mass.
 
     M(r + 1) - M(r) = D (f(n - r - 1) + f(n + r + 1)) changes only where
-    an edge enters or leaves a block: at r = s - n - 1 and e - n for a
-    block [s, e] right of n (e > n), at r = n - e - 1 and n - s for one
-    left of n (s < n).  Kinks at r <= 0 fold into the rate at r = 0; the
-    rest come sorted by radius."""
-    starts, ends = blocks._starts, blocks._ends
-    i = bisect_left(ends, n)  # the first block ending at or after n
-    mass = amps[i] if i < len(starts) and starts[i] <= n else 0
-    rate = 0
-    right, left = [], []
-    for j in range(i, len(starts)):
-        if ends[j] > n:
-            r = starts[j] - n - 1
-            if r > 0:
-                right.append((r, amps[j]))
-            else:
-                rate += amps[j]
-            right.append((ends[j] - n, -amps[j]))
-    for j in range(bisect_left(starts, n) - 1, -1, -1):
-        r = n - ends[j] - 1
-        if r > 0:
-            left.append((r, amps[j]))
-        else:
-            rate += amps[j]
-        left.append((n - starts[j], -amps[j]))
-    # two ascending runs: sorting merges them in linear time
-    return sorted(right + left), mass, rate
+    an edge meets a block edge point x of the Geometry: the right edge at
+    r = x - t - 1 for x > t + 1, by the jump of D * f at x, and the left
+    edge at r = t - x for x < t, by minus that jump.  Nearer points are the
+    rate at r = 0.  Both runs ascend in r, and the total mass bounds the
+    walk."""
+    xs, jumps = geom.xs, geom.jumps
+    # bisect_right(xs, u) is odd exactly when u lies in a block, whose
+    # scaled amplitude is then the jump just before
+    k0, k, k1 = bisect_left(xs, t), bisect_right(xs, t), bisect_right(xs, t + 1)
+    mass = jumps[k - 1] if k & 1 else 0
+    rate = (jumps[k0 - 1] if k0 & 1 else 0) + (jumps[k1 - 1] if k1 & 1 else 0)
+    u = t + 1
+    kinks = [(x - u, j) for x, j in zip(xs[k1:], jumps[k1:])]
+    if k0:
+        kinks += [(t - x, -j) for x, j in zip(xs[k0 - 1::-1], jumps[k0 - 1::-1])]
+        kinks.sort()  # two ascending runs: sorting merges them in linear time
+    return max_average_radius(kinks, mass, rate, geom.ys[-1], odd=True)
 
 
 def event_centered(sig: Signal, n: int, limits: Limits = DEFAULT_LIMITS) -> CenteredResult:
@@ -323,10 +316,10 @@ def event_centered(sig: Signal, n: int, limits: Limits = DEFAULT_LIMITS) -> Cent
     blocks = as_blocks(sig)
     view = blocks.int_view()
     if view is not None:
-        d, amps, _ = view
-        r = max_average_radius(*_centered_kinks(blocks, amps, n), odd=True)
+        geom = blocks.geometry()
+        r = _centered_radius(geom, n - geom.lo)
         num = window_sum_scaled(blocks, n - r, n + r)
-        return CenteredResult(n, Fraction(num, d * (2 * r + 1)), r, True)
+        return CenteredResult(n, Fraction(num, view[0] * (2 * r + 1)), r, True)
     r_cap = search_bound_centered(blocks, n)
     state = _PeakState()
     cands = _candidate_radii(blocks, n, r_cap, limits, state)
@@ -336,21 +329,21 @@ def event_centered(sig: Signal, n: int, limits: Limits = DEFAULT_LIMITS) -> Cent
     return CenteredResult(n, best_v, best_r, certified, gap if not certified else None)
 
 
-def _mass_stretch(blocks: BlockSignal, view: tuple, y: int) -> tuple:
-    """(slope, P(y), last) for the prefix mass P(x) = scaled mass left of x
-    on the linear stretch starting at y: P(y + t) = P(y) + slope * t while
-    y + t <= last (None: for ever)."""
-    _, amps, pref = view
-    starts, ends = blocks._starts, blocks._ends
-    k = bisect_right(starts, y) - 1
-    if k >= 0 and y <= ends[k]:
-        return amps[k], pref[k] + amps[k] * (y - starts[k]), ends[k] + 1
-    return 0, pref[k + 1], starts[k + 1] if k + 1 < len(starts) else None
+def _mass_stretch(geom: Geometry, y: int) -> tuple:
+    """(slope, P(y), last) for the prefix mass P of the Geometry on the
+    linear stretch starting at y: P(y + t) = P(y) + slope * t while
+    y + t <= last, the first edge point past y (None: for ever)."""
+    k = bisect_right(geom.xs, y)
+    return (
+        geom.jumps[k - 1] if k & 1 else 0,
+        geom.mass_left(y),
+        geom.xs[k] if k < len(geom.xs) else None,
+    )
 
 
-def _cell_candidates(blocks: BlockSignal, view: tuple, n: int, t_max: int) -> tuple:
+def _cell_candidates(geom: Geometry, bounds: list, n: int, t_max: int) -> tuple:
     """The event radii 0 and |n - b| + d (d = -1, 0, 1) as affine forms
-    from n on.
+    from support offset n on, bounds being the block boundaries as offsets.
 
     Returns (t_end, forms): each form (r0, rs, m0, ms) gives the radius
     r0 + rs*t and the scaled window mass m0 + ms*t at n + t, and all of them
@@ -362,7 +355,7 @@ def _cell_candidates(blocks: BlockSignal, view: tuple, n: int, t_max: int) -> tu
     t_end = t_max
     # (radius at n, radius slope, left edge, its speed, right edge + 1, its speed)
     shapes = [(0, 0, n, 1, n + 1, 1)]
-    for b in blocks.boundaries():
+    for b in bounds:
         if n < b:
             t_end = min(t_end, b - 1 - n)
             shapes += [(b - n + d, -1, 2 * n - b - d, 2, b + d + 1, 0) for d in (-1, 0, 1)]
@@ -377,7 +370,7 @@ def _cell_candidates(blocks: BlockSignal, view: tuple, n: int, t_max: int) -> tu
             continue
         m0 = ms = 0
         for y, v, sign in ((right, v_right, 1), (left, v_left, -1)):
-            slope, p, last = _mass_stretch(blocks, view, y)
+            slope, p, last = _mass_stretch(geom, y)
             m0 += sign * p
             if v:
                 ms += sign * slope * v
@@ -385,6 +378,21 @@ def _cell_candidates(blocks: BlockSignal, view: tuple, n: int, t_max: int) -> tu
                     t_end = min(t_end, (last - y) // v)
         forms[(r0, rs)] = (r0, rs, m0, ms)
     return t_end, list(forms.values())
+
+
+def _first_slope(bounds: list, t: int, r: int) -> int:
+    """Radius slope in n of the first form of _cell_candidates that has
+    radius r at a cell start t, the one the sweep picks among equal ones:
+    (0, 0) comes first, then the boundaries in ascending order, those left
+    of t (slope 1) before t itself (radii 0 and 1, slope 0) and those right
+    of it (slope -1)."""
+    if r == 0:
+        return 0
+    k = bisect_left(bounds, t - r - 1)
+    if k < len(bounds) and bounds[k] <= min(t - r + 1, t - 1):
+        return 1
+    # past that check no boundary lies in [t - r - 1, t - 1], so bounds[k] >= t
+    return 0 if r == 1 and k < len(bounds) and bounds[k] == t else -1
 
 
 def _beats(f: tuple, w: tuple, t: int) -> bool:
@@ -438,6 +446,35 @@ def _first_beat(f: tuple, w: tuple, t0: int, t1: int) -> Optional[int]:
     return None
 
 
+def _sweep_tables(geom: Geometry) -> tuple:
+    """(bounds, near3, near4): the block boundaries (starts and ends) as
+    sorted offsets, and for w = 3, 4 the offsets x such that one of x, ...,
+    x + w - 1 is a block edge point."""
+    bounds = sorted({x - (k & 1) for k, x in enumerate(geom.xs)})
+    near3 = {x - j for x in geom.xs for j in (0, 1, 2)}
+    return bounds, near3, near3 | {x - 3 for x in geom.xs}
+
+
+def _edge_hit(left: list, right: list, near: set, x: int) -> bool:
+    """Whether some moving window edge of the sweep's forms meets a block
+    edge point, for offsets t between two boundaries, left and right being
+    the boundaries on either side of t.
+
+    Those edges sit at 2t - c, c = b - d - 1 for a boundary b left of t and
+    b + d for one right of it (d = -1, 0, 1).  With near3, the cell started
+    at s ends before t exactly when x - c is an edge point for x = 2t - 1,
+    or for t - 1 > s for x = 2t - 2: the edge passes the point that bounds
+    t_end in _cell_candidates.  With near4 and x = 2t - 2 the test covers
+    both x at once."""
+    return not (near.isdisjoint(map(x.__sub__, left))
+                and near.isdisjoint(map((x - 1).__sub__, right)))
+
+
+# Cells shorter than this are walked point by point with _centered_radius:
+# a 1-point cell costs about 27 walks through _cell_candidates at B = 200
+_SHORT_CELL = 16
+
+
 def frequency_pieces(sig: Signal, n_lo: int, n_hi: int) -> list:
     """Minimal maximizing centered radii over n_lo <= n <= n_hi, exactly.
 
@@ -449,13 +486,19 @@ def frequency_pieces(sig: Signal, n_lo: int, n_hi: int) -> list:
     window mass) and its window mass are affine in n; within a cell the
     winner changes only where some candidate's quadratic comparison with it
     changes sign, so the sweep costs work per cell and per change of
-    winner, not per point."""
+    winner, not per point.  Cells shorter than _SHORT_CELL, as between
+    close boundaries, are cheaper walked point by point, each point on the
+    line the sweep would give it, so the pieces do not depend on which
+    cells were walked.  All arithmetic runs on offsets from the support
+    start."""
     blocks = as_blocks(sig)
     view = blocks.int_view()
     if view is None:
         raise ParameterViolation("frequency pieces need an all-constant signal")
     if n_hi < n_lo:
         raise ParameterViolation("frequency pieces need n_lo <= n_hi")
+    geom = blocks.geometry()
+    bounds, near3, near4 = _sweep_tables(geom)
     pieces: list = []
 
     def emit(a: int, b: int, slope: int, icpt: int) -> None:
@@ -464,28 +507,75 @@ def frequency_pieces(sig: Signal, n_lo: int, n_hi: int) -> list:
         else:
             pieces.append((a, b, slope, icpt))
 
-    n = n_lo
-    while n <= n_hi:
-        t_end, forms = _cell_candidates(blocks, view, n, n_hi - n)
-        t = 0
+    def walk(ta: int, tb: int, many: bool) -> None:
+        # Inside a cell the sweep keeps its winner while that form still
+        # has the minimal maximizing radius; at a cell start it takes the
+        # first such form (_first_slope).  Where two lines meet at that
+        # radius it matters whether t starts a cell.  ta does; more starts
+        # lie inside only when many, between two boundaries.
+        k = bisect_left(bounds, ta)
+        left, right = bounds[:k], bounds[k:]
+        starts_at = {ta: True}
+
+        def is_start(t: int) -> bool:
+            if t not in starts_at:
+                starts_at[t] = many and (
+                    _edge_hit(left, right, near3, 2 * t - 1)
+                    or (_edge_hit(left, right, near3, 2 * t - 2) and not is_start(t - 1))
+                )
+            return starts_at[t]
+
+        for t in range(ta, tb + 1):
+            r = _centered_radius(geom, t)
+            slope = _first_slope(bounds, t, r)
+            if t > ta and pieces[-1][2] != slope:
+                held, icpt = pieces[-1][2:]
+                if held * t + icpt == r and not is_start(t):
+                    slope = held
+            emit(t, t, slope, r - slope * t)
+
+    t, t_hi = n_lo - geom.lo, n_hi - geom.lo
+    while t <= t_hi:
+        k = bisect_left(bounds, t)
+        if k < len(bounds) and bounds[k] - t < _SHORT_CELL:
+            # every cell up to the next boundary (or at it) is short
+            stop = min(t_hi, max(t, bounds[k] - 1))
+            walk(t, stop, bounds[k] > t)
+            t = stop + 1
+            continue
+        # a long stretch: look up to _SHORT_CELL points ahead for the next
+        # cell start
+        left, right = bounds[:k], bounds[k:]
+        stop, limit = t, min(t_hi, t + _SHORT_CELL - 1)
+        if stop < limit and not _edge_hit(left, right, near3, 2 * t + 1):
+            stop += 1
+            while stop < limit and not _edge_hit(left, right, near4, 2 * stop):
+                stop += 1
+        if stop < t + _SHORT_CELL - 1:
+            walk(t, stop, False)
+            t = stop + 1
+            continue
+        t_end, forms = _cell_candidates(geom, bounds, t, t_hi - t)
+        u = 0
         while True:
             w = forms[0]
             for f in forms[1:]:
-                if _beats(f, w, t):
+                if _beats(f, w, u):
                     w = f
             nxt = None
             for f in forms:
                 if f is not w:
-                    hit = _first_beat(f, w, t, t_end if nxt is None else nxt - 1)
+                    hit = _first_beat(f, w, u, t_end if nxt is None else nxt - 1)
                     if hit is not None:
                         nxt = hit
             stop = t_end if nxt is None else nxt - 1
-            emit(n + t, n + stop, w[1], w[0] - w[1] * n)
+            emit(t + u, t + stop, w[1], w[0] - w[1] * t)
             if nxt is None:
                 break
-            t = nxt
-        n += t_end + 1
-    return pieces
+            u = nxt
+        t += t_end + 1
+    lo = geom.lo
+    return [(a + lo, b + lo, s, c - s * lo) for a, b, s, c in pieces]
 
 
 def _dense_prefix(sig: BlockSignal) -> Optional[tuple]:
@@ -588,9 +678,7 @@ def _u_peak(
     return hi_u
 
 
-def _uncentered_hull(
-    blocks: BlockSignal, view: tuple, n: int, l_low: int, u_high: int
-) -> UncenteredResult:
+def _uncentered_hull(geom: Geometry, d: int, n: int) -> UncenteredResult:
     """All-constant case of event_uncentered by prefix-sum hulls.
 
     With P(x) the scaled mass left of x, the window [l, u] averages the
@@ -600,23 +688,16 @@ def _uncentered_hull(
     E_i + 1, so on each side the slope term P*den - num*x is extremal, and
     extremal at its innermost, only at those edges or at the pinned ends;
     the other candidate edges (boundaries +-1) can neither raise the
-    maximum nor shorten the minimal window.  Coordinates are offsets from
-    the support start, so the arithmetic stays small at any n."""
-    d, amps, pref = view
-    starts, ends = blocks._starts, blocks._ends
-    base = starts[0]
-    xs, ys = [], []
-    for s, e, p0, p1 in zip(starts, ends, pref, pref[1:]):
-        xs += (s - base, e + 1 - base)
-        ys += (p0, p1)
-    # mass left of n and of n + 1; the outer ends hold none and all of it
-    k = bisect_right(starts, n) - 1
-    if k >= 0 and n <= ends[k]:
-        p_n = pref[k] + amps[k] * (n - starts[k])
-        p_n1 = p_n + amps[k]
-    else:
-        p_n = p_n1 = pref[k + 1]
-    t, x_lo, x_hi = n - base, l_low - base, u_high + 1 - base
+    maximum nor shorten the minimal window.  The edge points are the
+    signal's Geometry, built once per signal on offsets from the support
+    start, so a query subtracts lo once and its arithmetic stays small at
+    any n.  The reaches of _uncentered_bounds put the outer ends at
+    min(t, 0) and max(t, last end) + 1."""
+    xs, ys = geom.xs, geom.ys
+    t = n - geom.lo
+    # mass left of t and of t + 1; the outer ends hold none and all of it
+    p_n, p_n1 = geom.mass_left(t), geom.mass_left(t + 1)
+    x_lo, x_hi = min(t, 0), max(t + 1, xs[-1])
     a, b = bisect_right(xs, x_lo), bisect_left(xs, t)
     xl, yl = [x_lo] + xs[a:b], [0] + ys[a:b]
     if t > x_lo:
@@ -626,7 +707,7 @@ def _uncentered_hull(
     xr, yr = [t + 1] + xs[a:b], [p_n1] + ys[a:b]
     if x_hi > t + 1:
         xr.append(x_hi)
-        yr.append(pref[-1])
+        yr.append(ys[-1])
     i, j = max_slope_pair(xl, yl, xr, yr)
     length = xr[j] - xl[i]
     return UncenteredResult(n, Fraction(yr[j] - yl[i], d * length), length - 1, True)
@@ -650,11 +731,11 @@ def event_uncentered(sig: Signal, n: int, limits: Limits = DEFAULT_LIMITS) -> Un
     right edge across power-law stretches, with the single interior peak
     located by a monotone binary search."""
     blocks = as_blocks(sig)
-    rho_max, s_max = _uncentered_bounds(blocks, n)
-    l_low, u_high = n - rho_max, n + s_max
     view = blocks.int_view()
     if view is not None:
-        return _uncentered_hull(blocks, view, n, l_low, u_high)
+        return _uncentered_hull(blocks.geometry(), view[0], n)
+    rho_max, s_max = _uncentered_bounds(blocks, n)
+    l_low, u_high = n - rho_max, n + s_max
     l_set = {n, l_low}
     u_set = {n, u_high}
     for b in blocks.boundaries():

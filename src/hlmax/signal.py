@@ -22,7 +22,7 @@ import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Union
+from typing import NamedTuple, Optional, Union
 
 from .config import DEFAULT_LIMITS, Limits
 from .errors import (
@@ -124,11 +124,37 @@ class DenseSignal:
         return f"DenseSignal(lo={self.lo}, width={len(self.values)})"
 
 
+class Geometry(NamedTuple):
+    """Support-relative layout of an all-constant BlockSignal, with P(x) its
+    scaled prefix mass: D times the mass of f left of lo + x.
+
+    xs holds the block edge points as offsets from the support start lo,
+    starts[i] - lo at 2i and ends[i] + 1 - lo at 2i + 1, so it ascends (a
+    point repeats where two blocks touch).  ys[k] = P(xs[k]), and jumps[k]
+    is the change of D * f at xs[k]: +amps_scaled[i] and then
+    -amps_scaled[i].  P is linear between consecutive points, so a query at
+    n subtracts lo once and then works on these small ints."""
+
+    lo: int
+    xs: list
+    ys: list
+    jumps: list
+
+    def mass_left(self, x: int) -> int:
+        """P(x) at a support offset x."""
+        # bisect_right(xs, x) is odd exactly when x lies in a block
+        k = bisect_right(self.xs, x)
+        if not k:
+            return 0
+        return self.ys[k - 1] + (self.jumps[k - 1] * (x - self.xs[k - 1]) if k & 1 else 0)
+
+
 class BlockSignal:
     """Sorted disjoint blocks; adjacent blocks with identical amplitude merge."""
 
     __slots__ = (
-        "blocks", "_starts", "_ends", "_boundaries", "_int_view", "_pl_tables", "_dense_prefix"
+        "blocks", "_starts", "_ends", "_boundaries", "_int_view", "_geometry", "_pl_tables",
+        "_dense_prefix",
     )
 
     def __init__(self, blocks):
@@ -153,6 +179,7 @@ class BlockSignal:
             bset.add(b.end)
         self._boundaries = sorted(bset)
         self._int_view = None
+        self._geometry = None
         self._pl_tables = {}
         self._dense_prefix = None
 
@@ -167,7 +194,10 @@ class BlockSignal:
         """(D, amps_scaled, prefix_mass) for all-constant signals, else None.
 
         amps_scaled[i] = amp_i * D as an int; prefix_mass[i] = scaled mass of
-        blocks[:i].  Lets engines form window numerators as plain integers."""
+        blocks[:i].  Lets engines form window numerators as plain integers.
+        The same first call also compiles the signal's Geometry, so the
+        engines' per-block arithmetic runs on offsets from the support
+        start, which stay small wherever the support sits."""
         if self._int_view is None:
             if self.has_powerlaw:
                 self._int_view = (None,)
@@ -176,11 +206,21 @@ class BlockSignal:
                 for b in self.blocks:
                     d = d * b.amp.denominator // math.gcd(d, b.amp.denominator)
                 amps = [b.amp.numerator * (d // b.amp.denominator) for b in self.blocks]
-                pref = [0]
+                lo = self.blocks[0].start
+                pref, xs, ys, jumps = [0], [], [], []
                 for b, a in zip(self.blocks, amps):
-                    pref.append(pref[-1] + a * b.length)
+                    xs += (b.start - lo, b.end + 1 - lo)
+                    ys += (pref[-1], pref[-1] + a * b.length)
+                    jumps += (a, -a)
+                    pref.append(ys[-1])
                 self._int_view = (d, amps, pref)
+                self._geometry = Geometry(lo, xs, ys, jumps)
         return None if self._int_view == (None,) else self._int_view
+
+    def geometry(self) -> Optional[Geometry]:
+        """The support-relative Geometry of an all-constant signal, else None."""
+        self.int_view()
+        return self._geometry
 
     def __eq__(self, other):
         return isinstance(other, BlockSignal) and self.blocks == other.blocks

@@ -311,7 +311,7 @@ def max_slope_pair(xl: list, yl: list, xr: list, yr: list) -> tuple[int, int]:
     return i, right.index(max(right))
 
 
-def max_average_radius(kinks, mass: int, rate: int, odd: bool) -> int:
+def max_average_radius(kinks, mass: int, rate: int, bound: int, odd: bool) -> int:
     """Minimal radius r >= 0 maximizing M(r) / (2r + 1) (odd) or M(r) / (2r).
 
     The mass M is piecewise affine: M(0) = mass, its slope is rate from 0
@@ -321,15 +321,25 @@ def max_average_radius(kinks, mass: int, rate: int, odd: bool) -> int:
     least radius attaining it sit at 0 or at a kink; after the last kink the
     mass is frozen and the average falls.  Keeping strict improvements in
     ascending r returns that least radius.  With 2r, r = 0 means the limit
-    rate / 2 of vanishing radii."""
+    rate / 2 of vanishing radii.
+
+    bound is an upper bound on every M(r), such as the total mass.  The walk
+    stops at the first kink radius r with bound / (2r + odd) <= best: every
+    radius from r on averages at most that, so none beats the best strictly
+    and the least maximizing radius is already found."""
     best_num, best_den = (mass, 1) if odd else (rate, 2)
     best_r = last = 0
+    cap = bound * best_den
     for r, dk in kinks:
         if r != last:
-            mass += rate * (r - last)
             den = 2 * r + odd
-            if mass * best_den > best_num * den:
+            lim = best_num * den
+            if cap <= lim:
+                break
+            mass += rate * (r - last)
+            if mass * best_den > lim:
                 best_num, best_den, best_r = mass, den, r
+                cap = bound * den
             last = r
         rate += dk
     return best_r

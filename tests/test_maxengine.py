@@ -1,6 +1,7 @@
 """Event engines versus brute-force oracles, worked examples, invariances."""
 
 import random
+from bisect import bisect_left
 from fractions import Fraction
 
 import pytest
@@ -12,7 +13,11 @@ from hlmax.corpus import binary_signals, diff_signal, random_dense
 from hlmax.errors import BudgetExceeded, NonpositiveRadius, ParameterViolation
 from hlmax.maxengine import (
     _beats,
+    _cell_candidates,
+    _edge_hit,
     _first_beat,
+    _first_slope,
+    _sweep_tables,
     average_centered,
     average_uncentered,
     event_centered,
@@ -34,6 +39,7 @@ from hlmax.signal import (
     scale,
     support_bounds,
     to_blocks,
+    to_dense,
     translate,
     window_sum_scaled,
 )
@@ -545,6 +551,103 @@ class TestCenteredWalk:
             del calls[:]
             event_centered(sig, n)
             assert len(calls) <= 1, n
+
+
+class TestTranslationAt2p10000:
+    """Both discrete engines on constant signals, BlockSignal and DenseSignal,
+    equal the oracles at offset 0 and give the same value and radius (or
+    diameter) after a shift by 2^10000, inside the support, at its edges
+    and outside it."""
+
+    @given(constant_blocks_st, st.booleans(), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_engines_equal_oracles_and_their_translates(self, spec, as_dense, data):
+        sig = blocks_from(spec)
+        if as_dense:
+            sig = to_dense(sig)
+        lo, hi = support_bounds(sig)
+        t = 2**10000
+        moved = translate(sig, t)
+        inside = data.draw(st.lists(st.integers(lo, hi), min_size=1, max_size=6))
+        outside = data.draw(st.lists(
+            st.one_of(st.integers(lo - 15, lo - 1), st.integers(hi + 1, hi + 15)), max_size=4
+        ))
+        for n in inside + [lo, hi] + outside:
+            ec, oc = event_centered(sig, n), oracle_centered(sig, n)
+            assert (ec.max_value, ec.radius, ec.certified) == (oc.max_value, oc.radius, True), n
+            eu, ou = event_uncentered(sig, n), oracle_uncentered(sig, n)
+            assert (eu.max_value, eu.min_diameter, eu.certified) == (
+                ou.max_value, ou.min_diameter, True
+            ), n
+            far = event_centered(moved, n + t)
+            assert (far.max_value, far.radius) == (ec.max_value, ec.radius), n
+            far_u = event_uncentered(moved, n + t)
+            assert (far_u.max_value, far_u.min_diameter) == (eu.max_value, eu.min_diameter), n
+
+
+class TestShortCells:
+    """frequency_pieces walks short cells point by point; the pieces must
+    be the ones the sweep alone gives, wherever the walks start and end."""
+
+    @given(constant_blocks_st, st.integers(0, 20), st.integers(0, 30))
+    @settings(max_examples=60, deadline=None)
+    def test_walked_cells_give_the_sweeps_pieces(self, spec, margin, shift):
+        sig = blocks_from(spec)
+        lo, hi = support_bounds(sig)
+        n_lo, n_hi = lo - margin - 10 + shift, hi + margin
+        if n_hi < n_lo:
+            n_lo, n_hi = n_hi, n_lo
+        pieces = frequency_pieces(sig, n_lo, n_hi)
+        for cell in (0, 10**9):  # sweep every cell, walk every cell
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr("hlmax.maxengine._SHORT_CELL", cell)
+                assert frequency_pieces(sig, n_lo, n_hi) == pieces, cell
+
+    @given(constant_blocks_st, st.integers(0, 12))
+    @settings(max_examples=80, deadline=None)
+    def test_cell_starts_and_first_forms_match_the_sweep(self, spec, margin):
+        """Through every cell of the sweep: the edge-point test marks exactly
+        its end, and _first_slope names the slope of the form it picks at
+        its start."""
+        geom = blocks_from(spec).geometry()
+        bounds, near3, near4 = _sweep_tables(geom)
+        t, t_hi = -margin - 3, geom.xs[-1] + margin
+        while t <= t_hi:
+            t_end, forms = _cell_candidates(geom, bounds, t, t_hi - t)
+            w = forms[0]
+            for f in forms[1:]:
+                if _beats(f, w, 0):
+                    w = f
+            assert _first_slope(bounds, t, w[0]) == w[1], t
+            k = bisect_left(bounds, t)
+            left, right = bounds[:k], bounds[k:]
+            for u in range(t + 1, min(t + t_end + 1, t_hi) + 1):
+                if k < len(bounds) and bounds[k] <= u:
+                    break  # boundaries end cells on their own
+                ends = _edge_hit(left, right, near3, 2 * u - 1) or (
+                    u - 1 > t and _edge_hit(left, right, near3, 2 * u - 2)
+                )
+                assert ends == (u == t + t_end + 1), (t, u)
+                if u - 1 > t:
+                    assert _edge_hit(left, right, near4, 2 * u - 2) == ends, (t, u)
+            t += t_end + 1
+
+    def test_dense_layout_walks_without_a_sweep(self, monkeypatch):
+        # blocks 4-12 long with gaps 3-12: every cell inside the support is
+        # walked, so _cell_candidates never runs there
+        rng = random.Random(3)
+        spec = [(rng.randint(3, 12), rng.randint(4, 12), rng.randint(1, 16), rng.randint(1, 16))
+                for _ in range(60)]
+        sig = blocks_from(spec)
+        lo, hi = support_bounds(sig)
+        mid = (lo + hi) // 2
+        want = [event_centered(sig, n).radius for n in range(mid - 60, mid + 60)]
+
+        def refuse(*args):
+            raise AssertionError("swept a cell")
+
+        monkeypatch.setattr("hlmax.maxengine._cell_candidates", refuse)
+        assert list(expand(frequency_pieces(sig, mid - 60, mid + 59)).values()) == want
 
 
 class TestEnclosureHonesty:

@@ -581,17 +581,61 @@ class TestMaxAverageRadius:
     def test_odd_windows(self):
         # M stays 1 up to r = 3 and then grows by 4 a step: M(5) = 9 and
         # 9/11 < 1/1, so radius 0
-        assert max_average_radius([(3, 4), (5, -4)], 1, 0, odd=True) == 0
+        assert max_average_radius([(3, 4), (5, -4)], 1, 0, 9, odd=True) == 0
         # M(2) = 1 + 2*2 = 5 over 5 ties M(0) = 1: the smaller radius wins
-        assert max_average_radius([(2, -2)], 1, 2, odd=True) == 0
+        assert max_average_radius([(2, -2)], 1, 2, 5, odd=True) == 0
         # M(4) = 1 + 3*3 = 10 over 9 beats 1
-        assert max_average_radius([(1, 3), (4, -3)], 1, 0, odd=True) == 4
+        assert max_average_radius([(1, 3), (4, -3)], 1, 0, 10, odd=True) == 4
 
     def test_even_windows_start_from_the_vanishing_limit(self):
         # rate 2 near 0 averages 1, as M(1) = 2 over 2 does; two kinks at
         # r = 1 raise the rate to 6 together, so M(3) = 14 and 14/6 > 1
-        assert max_average_radius([(1, 2), (1, 2), (3, -6)], 0, 2, odd=False) == 3
-        assert max_average_radius([(1, -2)], 0, 2, odd=False) == 0
+        assert max_average_radius([(1, 2), (1, 2), (3, -6)], 0, 2, 14, odd=False) == 3
+        assert max_average_radius([(1, -2)], 0, 2, 2, odd=False) == 0
+
+    def test_stop_at_the_bound_keeps_a_tie_at_a_larger_radius_out(self):
+        # M(0) = 3 over 1; M(4) = 27 = bound over 9 ties it, so the walk
+        # may stop at r = 4 and the answer stays 0
+        assert max_average_radius([(1, 6), (4, -6)], 3, 0, 27, odd=True) == 0
+        # the bound equal to the final mass, which wins: M(4) = 19 over 9
+        assert max_average_radius([(1, 6), (4, -6)], 1, 0, 19, odd=True) == 4
+
+    @given(
+        st.integers(0, 5),
+        st.integers(0, 6),
+        st.lists(st.tuples(st.integers(1, 4), st.integers(0, 6), st.integers(1, 3)), max_size=7),
+        st.integers(1, 4),
+        st.one_of(st.just(0), st.integers(1, 20)),
+        st.booleans(),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_equals_a_scan_of_every_radius(self, mass, rate, segments, last_gap, extra, odd):
+        """Kinks (gap to the next kink radius, rate after it, kinks it is
+        split into), then a last kink that freezes the mass; the walk with
+        bound = final mass + extra against the argmax over every radius."""
+        if not odd:
+            mass = 0  # even windows start from M(0) = 0
+        kinks, r, cur = [], 0, rate
+        for gap, new_rate, parts in segments:
+            r += gap
+            steps = [1] * (parts - 1) + [new_rate - cur - (parts - 1)]
+            kinks += [(r, dk) for dk in steps]
+            cur = new_rate
+        r += last_gap
+        kinks.append((r, -cur))
+        masses, m, cur = [mass], mass, rate
+        by_radius = {}
+        for kr, dk in kinks:
+            by_radius[kr] = by_radius.get(kr, 0) + dk
+        for radius in range(1, r + 4):
+            m += cur
+            masses.append(m)
+            cur += by_radius.get(radius, 0)
+        averages = [Fraction(mm, 2 * k + odd) if 2 * k + odd else Fraction(rate, 2)
+                    for k, mm in enumerate(masses)]
+        best = max(averages)
+        want = averages.index(best)
+        assert max_average_radius(kinks, mass, rate, masses[-1] + extra, odd=odd) == want
 
 
 LAZY_MPMATH_SCRIPT = """
