@@ -7,7 +7,9 @@ between breakpoint-crossing radii the average is a Mobius function of the
 radius with no interior extrema, so the maximum and the minimal maximizing
 radius sit among finitely many candidates: one walk over the kinks of the
 ball mass in the centered case, the steepest chord between prefix-sum hulls
-in the uncentered one, both on integer-scaled offsets from x.
+in the uncentered one.  Both run on the integer StepLayout that each
+StepFunction compiles once relative to its support start, so a query does
+one Fraction subtraction and costs the same at 0 and at 2^10000.
 
 The vanishing-radius convention: as r -> 0 the centered average tends to the
 mean of the one-sided limits at x, and a step function realizes that limit
@@ -21,8 +23,10 @@ import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
-from .errors import NonpositiveRadius, ParameterViolation, ZeroSignal
+from .config import DEFAULT_LIMITS, Limits
+from .errors import BudgetExceeded, NonpositiveRadius, ParameterViolation, ZeroSignal
 from .values import (
     json_field,
     json_rational,
@@ -44,10 +48,41 @@ class ContinuousResult:
     attained: bool
 
 
+class StepLayout(NamedTuple):
+    """Support-relative integer layout of a StepFunction, compiled once.
+
+    xs[i] = (b_i - lo) * dx for the breakpoints b_i, lo = b_0 and dx the
+    least common denominator of the offsets b_i - lo; vals holds the values
+    padded with 0 on both sides, times their common denominator dy, so
+    vals[i] is dy * f on (b_{i-1}, b_i); ys[i] = dx * dy * F(b_i), with F
+    the mass over (-inf, t].  A query subtracts lo once (offset)."""
+
+    lo: Fraction
+    dx: int
+    dy: int
+    xs: list
+    vals: list
+    ys: list
+
+    def offset(self, x: Fraction) -> tuple[int, int]:
+        """(c, q) with x = lo + c / (dx * q): positions at scale dx * q."""
+        u = x - self.lo
+        return u.numerator * self.dx, u.denominator
+
+    def locate(self, c: int, q: int) -> tuple[int, int]:
+        """(number of breakpoints < x, number <= x) at the offset (c, q)."""
+        return bisect_left(self.xs, -(-c // q)), bisect_right(self.xs, c // q)
+
+    def mass_to(self, t: int, q: int) -> int:
+        """dx * dy * q * F(lo + t / (dx * q))."""
+        i = bisect_right(self.xs, t // q) - 1
+        return self.ys[i] * q + self.vals[i + 1] * (t - self.xs[i] * q) if i >= 0 else 0
+
+
 class StepFunction:
     """Breakpoints x_0 < ... < x_m with value v_i on (x_{i-1}, x_i)."""
 
-    __slots__ = ("breakpoints", "values", "_prefix")
+    __slots__ = ("breakpoints", "values", "layout")
 
     def __init__(self, breakpoints, values):
         bps = [Fraction(b) for b in breakpoints]
@@ -68,24 +103,22 @@ class StepFunction:
             raise ZeroSignal("step function is identically zero")
         self.breakpoints = tuple(bps)
         self.values = tuple(vals)
-        pref = [Fraction(0)]
-        for v, b1, b2 in zip(vals, bps, bps[1:]):
-            pref.append(pref[-1] + v * (b2 - b1))
-        self._prefix = pref
+        xs, dx = _scaled([b - bps[0] for b in bps])
+        ivals, dy = _scaled([Fraction(0), *vals, Fraction(0)])
+        ys = [0]
+        for v, a, b in zip(ivals[1:], xs, xs[1:]):
+            ys.append(ys[-1] + v * (b - a))
+        self.layout = StepLayout(bps[0], dx, dy, xs, ivals, ys)
 
     def integral(self) -> Fraction:
         """Total mass of the function."""
-        return self._prefix[-1]
+        return Fraction(self.layout.ys[-1], self.layout.dx * self.layout.dy)
 
     def _integral_to(self, t: Fraction) -> Fraction:
         """Mass over (-inf, t]."""
-        bps = self.breakpoints
-        if t <= bps[0]:
-            return Fraction(0)
-        if t >= bps[-1]:
-            return self._prefix[-1]
-        i = bisect_right(bps, t) - 1
-        return self._prefix[i] + self.values[i] * (t - bps[i])
+        lay = self.layout
+        c, q = lay.offset(Fraction(t))
+        return Fraction(lay.mass_to(c, q), lay.dx * lay.dy * q)
 
     def mass(self, a: Fraction, b: Fraction) -> Fraction:
         """Mass over the interval (a, b)."""
@@ -95,16 +128,9 @@ class StepFunction:
 
     def one_sided_limits(self, x: Fraction) -> tuple[Fraction, Fraction]:
         """(f(x-), f(x+)); breakpoints separate the two."""
-        bps = self.breakpoints
-        x = Fraction(x)
-        if x < bps[0] or x > bps[-1]:
-            return Fraction(0), Fraction(0)
-        i = bisect_left(bps, x)
-        if i < len(bps) and bps[i] == x:
-            left = self.values[i - 1] if i >= 1 else Fraction(0)
-            right = self.values[i] if i < len(self.values) else Fraction(0)
-            return left, right
-        return self.values[i - 1], self.values[i - 1]
+        lay = self.layout
+        k, m = lay.locate(*lay.offset(Fraction(x)))
+        return Fraction(lay.vals[k], lay.dy), Fraction(lay.vals[m], lay.dy)
 
     def __eq__(self, other):
         return (
@@ -115,6 +141,12 @@ class StepFunction:
 
     def __repr__(self):
         return f"StepFunction(pieces={len(self.values)}, support={self.breakpoints[0]}..{self.breakpoints[-1]})"
+
+
+def _scaled(values: list) -> tuple[list, int]:
+    """Integers v * D for Fractions v, with D their common denominator."""
+    d = math.lcm(*(v.denominator for v in values))
+    return [v.numerator * (d // v.denominator) for v in values], d
 
 
 def average_ball(f: StepFunction, x: Fraction, r: Fraction) -> Fraction:
@@ -132,37 +164,31 @@ def maximal_centered_cont(f: StepFunction, x: Fraction) -> ContinuousResult:
     f(x - r) + f(x + r) starting at f(x-) + f(x+) and changing by the jump
     of f at each breakpoint b != x, at r = |x - b|.  Between those kinks the
     average M(r) / (2r) is a Mobius function of r, hence monotone or
-    constant, so one walk over the kinks (max_average_radius), on offsets
-    and values scaled to integers, finds the maximum and the least radius
-    attaining it; the scaled integral of f bounds every M(r), so the walk
-    stops once no later radius can beat the best.  The r -> 0 limit, the
-    mean of the one-sided limits, is matched exactly on radii below the
-    nearest kink; radius 0 reports it."""
+    constant, so one walk over the kinks (max_average_radius) finds the
+    maximum and the least radius attaining it; the integral of f bounds
+    every M(r), so the walk stops once no later radius can beat the best.
+    The r -> 0 limit, the mean of the one-sided limits, is matched exactly
+    on radii below the nearest kink; radius 0 reports it.  Radii, masses
+    and the winner's two prefix reads are small ints on f's StepLayout, at
+    scale dx * q from the support start."""
     x = Fraction(x)
-    bps = f.breakpoints
-    k, m = bisect_left(bps, x), bisect_right(bps, x)
-    offs, dx = _scaled([b - x for b in bps])
-    # vals[i] is f on (bps[i - 1], bps[i]), 0 outside the support
-    vals, dy = _scaled([Fraction(0), *f.values, Fraction(0)])
+    lay = f.layout
+    xs, vals = lay.xs, lay.vals
+    c, q = lay.offset(x)
+    k, m = lay.locate(c, q)
     # at b > x the right edge meets the jump f(b+) - f(b-); at b < x the
     # left edge meets f(b-) - f(b+)
-    kinks = sorted(
-        [(offs[i], vals[i + 1] - vals[i]) for i in range(m, len(bps))]
-        + [(-offs[i], vals[i] - vals[i + 1]) for i in range(k)]
-    )
+    kinks = [(b * q - c, v1 - v0) for b, v0, v1 in zip(xs[m:], vals[m:], vals[m + 1:])]
+    if k:
+        left = zip(xs[k - 1::-1], vals[k::-1], vals[k - 1::-1])
+        kinks += [(c - b * q, v1 - v0) for b, v0, v1 in left]
+        kinks.sort()  # two ascending runs: sorting merges them in linear time
     rate = vals[k] + vals[m]  # dy (f(x-) + f(x+))
-    bound = sum(v * (b - a) for v, a, b in zip(vals[1:], offs, offs[1:]))
-    r = max_average_radius(kinks, 0, rate, bound, odd=False)
+    r = max_average_radius(kinks, 0, rate, lay.ys[-1] * q, odd=False)
     if r == 0:
-        return ContinuousResult(x, Fraction(rate, 2 * dy), Fraction(0), True)
-    radius = Fraction(r, dx)
-    return ContinuousResult(x, average_ball(f, x, radius), radius, True)
-
-
-def _scaled(values: list) -> tuple[list, int]:
-    """Integers v * D for Fractions v, with D their common denominator."""
-    d = math.lcm(*(v.denominator for v in values))
-    return [v.numerator * (d // v.denominator) for v in values], d
+        return ContinuousResult(x, Fraction(rate, 2 * lay.dy), Fraction(0), True)
+    mass = lay.mass_to(c + r, q) - lay.mass_to(c - r, q)
+    return ContinuousResult(x, Fraction(mass, 2 * r * lay.dy), Fraction(r, lay.dx * q), True)
 
 
 def maximal_uncentered_cont(f: StepFunction, x: Fraction) -> ContinuousResult:
@@ -175,43 +201,46 @@ def maximal_uncentered_cont(f: StepFunction, x: Fraction) -> ContinuousResult:
     from l to u.  F is linear between breakpoints, so the candidate ends
     are the breakpoints on each side of x and x itself, and the answer is
     the steepest chord from a left candidate to a right one: exact prefix-
-    sum hulls (max_slope_pair) on integer-scaled offsets from x, innermost
-    pair first, so the reported interval is the shortest maximizer.  The
-    zero-length pair (x, x) is no interval; the chords are split into
-    those from a breakpoint left of x and those from x itself."""
+    sum hulls (max_slope_pair), innermost pair first, so the reported
+    interval is the shortest maximizer.  The zero-length pair (x, x) is no
+    interval; the chords are split into those from a breakpoint left of x
+    and those from x itself.  The hull points are f's StepLayout scaled by
+    q, and x's own point is one integer prefix read."""
     x = Fraction(x)
-    left, right = f.one_sided_limits(x)
-    bps = f.breakpoints
-    k, m = bisect_left(bps, x), bisect_right(bps, x)
-    xs, dx = _scaled([b - x for b in bps])
-    ys, dy = _scaled(f._prefix + [f._integral_to(x)])
-    fx = ys.pop()
+    lay = f.layout
+    c, q = lay.offset(x)
+    k, m = lay.locate(c, q)
+    xs, ys = [b * q for b in lay.xs], [y * q for y in lay.ys]
+    fx = lay.mass_to(c, q)
     splits = []
     if k:
-        splits.append((xs[:k], ys[:k], [0] + xs[m:], [fx] + ys[m:]))
-    if m < len(bps):
-        splits.append(([0], [fx], xs[m:], ys[m:]))
+        splits.append((xs[:k], ys[:k], [c] + xs[m:], [fx] + ys[m:]))
+    if m < len(xs):
+        splits.append(([c], [fx], xs[m:], ys[m:]))
     num, den = -1, 0
     for xl, yl, xr, yr in splits:
         i, j = max_slope_pair(xl, yl, xr, yr)
         n2, d2 = yr[j] - yl[i], xr[j] - xl[i]
         if den == 0 or n2 * den > num * d2 or (n2 * den == num * d2 and d2 < den):
             num, den = n2, d2
-    value = Fraction(num * dx, den * dy)
-    if value > max(left, right):
-        return ContinuousResult(x, value, Fraction(den, 2 * dx), True)
-    return ContinuousResult(x, max(left, right), Fraction(0), True)
+    limit = max(lay.vals[k], lay.vals[m])  # dy max(f(x-), f(x+))
+    if num > limit * den:
+        return ContinuousResult(x, Fraction(num, den * lay.dy), Fraction(den, 2 * lay.dx * q), True)
+    return ContinuousResult(x, Fraction(limit, lay.dy), Fraction(0), True)
 
 
 def grid_scan_centered(
-    f: StepFunction, x: Fraction, r_max: Fraction, steps: int
+    f: StepFunction, x: Fraction, r_max: Fraction, steps: int, limits: Limits = DEFAULT_LIMITS
 ) -> tuple[Fraction, Fraction]:
     """Brute-force grid oracle: the exact maximum of A_r over the radii
     k * (r_max / steps), k = 1..steps.  A lower bound for the true maximum,
-    and equal to it whenever some maximizing radius lies on the grid."""
+    and equal to it whenever some maximizing radius lies on the grid.
+    More than limits.scan_radius_cap steps are refused."""
     x, r_max = Fraction(x), Fraction(r_max)
     if steps < 1 or r_max <= 0:
         raise ParameterViolation("grid scan needs steps >= 1 and r_max > 0")
+    if steps > limits.scan_radius_cap:
+        raise BudgetExceeded(f"grid scan over {steps} radii exceeds cap {limits.scan_radius_cap}")
     step = r_max / steps
     best = None
     best_r = None

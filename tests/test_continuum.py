@@ -19,7 +19,8 @@ from hlmax.continuum import (
     step_from_json,
     step_to_json,
 )
-from hlmax.errors import NonpositiveRadius, ParameterViolation, ZeroSignal
+from hlmax.config import Limits
+from hlmax.errors import BudgetExceeded, NonpositiveRadius, ParameterViolation, ZeroSignal
 
 F = Fraction
 
@@ -167,6 +168,14 @@ class TestGridScan:
             grid_scan_centered(box(), 2, F(4), 0)
         with pytest.raises(ParameterViolation):
             grid_scan_centered(box(), 2, F(0), 16)
+
+    def test_step_count_capped(self):
+        with pytest.raises(BudgetExceeded):
+            grid_scan_centered(box(), 2, F(4), 10**12)
+        tight = Limits(scan_radius_cap=16)
+        assert grid_scan_centered(box(), 2, F(4), 16, tight) == (F(1, 3), F(3))
+        with pytest.raises(BudgetExceeded):
+            grid_scan_centered(box(), 2, F(4), 17, tight)
 
     def test_grid_hits_the_maximizer(self):
         best, best_r = grid_scan_centered(box(), 2, F(4), 16)
@@ -367,6 +376,104 @@ def rational_step_functions(draw):
         )
     )
     return StepFunction(sorted(bps), vals)
+
+
+def rational_points(f: StepFunction):
+    """Points with denominators up to 12: breakpoints, their neighbours at
+    +-1/d (a layout unit away when the offsets have small denominators)
+    and points anywhere within 20 of the origin."""
+    return st.one_of(
+        st.sampled_from(f.breakpoints),
+        st.builds(
+            lambda b, d, s: b + F(s, d),
+            st.sampled_from(f.breakpoints),
+            st.integers(min_value=1, max_value=12),
+            st.sampled_from((-1, 1)),
+        ),
+        st.fractions(min_value=F(-20), max_value=F(20), max_denominator=12),
+    )
+
+
+def piecewise_mass(f: StepFunction, a: Fraction, b: Fraction) -> Fraction:
+    """Mass over (a, b) summed piece by piece in Fractions."""
+    bps = f.breakpoints
+    return sum(
+        (v * max(F(0), min(b, hi) - max(a, lo)) for v, lo, hi in zip(f.values, bps, bps[1:])),
+        F(0),
+    )
+
+
+def chord_oracle_uncentered(f: StepFunction, x: Fraction) -> tuple:
+    """Reference for maximal_uncentered_cont at any rational x, in piecewise
+    Fractions: every chord from an end in {breakpoints <= x} u {x} to one in
+    {breakpoints >= x} u {x}, the zero-length pair (x, x) excluded; the
+    largest average and the shortest length attaining it, or (max(f(x-),
+    f(x+)), 0) when vanishing intervals already reach it."""
+    bps = f.breakpoints
+    pieces = list(zip(f.values, bps, bps[1:]))
+    lefts = {b for b in bps if b <= x} | {x}
+    rights = {b for b in bps if b >= x} | {x}
+    best, best_len = F(-1), F(0)
+    for a in lefts:
+        for b in rights:
+            if b > a:
+                avg = piecewise_mass(f, a, b) / (b - a)
+                if avg > best or (avg == best and b - a < best_len):
+                    best, best_len = avg, b - a
+    limit = max([F(0)] + [v for v, lo, hi in pieces if lo <= x <= hi])
+    return (best, best_len) if best > limit else (limit, F(0))
+
+
+class TestUncenteredOffGrid:
+    """x with denominators up to 12 against breakpoints with denominators up
+    to 6, so the denominator of x's offset need not divide the layout's."""
+
+    @given(rational_step_functions(), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_equals_chord_oracle(self, f, data):
+        xs = data.draw(st.lists(rational_points(f), min_size=1, max_size=4))
+        for x in xs:
+            res = maximal_uncentered_cont(f, x)
+            assert (res.max_value, 2 * res.radius) == chord_oracle_uncentered(f, x)
+
+
+class TestTranslation:
+    """Both engines are translation covariant, and the compiled layout only
+    moves its support start, also by a shift that is not a multiple of any
+    breakpoint denominator."""
+
+    @given(rational_step_functions(), st.data())
+    @settings(max_examples=50, deadline=None)
+    def test_same_answers_after_shift(self, f, data):
+        xs = data.draw(st.lists(rational_points(f), min_size=1, max_size=4))
+        for shift in (F(2**10000), 2**10000 + F(1, 7)):
+            moved = StepFunction([b + shift for b in f.breakpoints], f.values)
+            assert moved.layout._replace(lo=0) == f.layout._replace(lo=0)
+            assert moved.layout.lo == f.layout.lo + shift
+            for x in xs:
+                for engine in (maximal_centered_cont, maximal_uncentered_cont):
+                    a, b = engine(f, x), engine(moved, x + shift)
+                    assert (b.max_value, b.radius) == (a.max_value, a.radius)
+
+
+class TestMassFromLayout:
+    @given(rational_step_functions(), st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_mass_and_integral(self, f, data):
+        ends = rational_points(f)
+        for a, b in data.draw(st.lists(st.tuples(ends, ends), min_size=1, max_size=6)):
+            assert f.mass(a, b) == piecewise_mass(f, a, b)
+        assert f.integral() == piecewise_mass(f, f.breakpoints[0], f.breakpoints[-1])
+
+    def test_hand_cases(self):
+        f = StepFunction([0, 1, 3, 4], [F(1, 2), 2, F(3, 7)])
+        total = F(1, 2) + 4 + F(3, 7)
+        assert f.integral() == total
+        assert f.mass(-5, 9) == total  # both ends outside the support
+        assert f.mass(-5, -1) == f.mass(5, 9) == 0
+        assert f.mass(1, 3) == 4  # ends on breakpoints
+        assert f.mass(F(1, 2), F(7, 2)) == F(1, 4) + 4 + F(3, 14)
+        assert f.mass(3, 3) == f.mass(3, 1) == f.mass(9, -5) == 0  # a >= b
 
 
 class TestCenteredWalk:
