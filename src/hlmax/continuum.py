@@ -11,6 +11,12 @@ in the uncentered one.  Both run on the integer StepLayout that each
 StepFunction compiles once relative to its support start, so a query does
 one Fraction subtraction and costs the same at 0 and at 2^10000.
 
+The StepLayout is the one compiled form of every constant signal: an
+all-constant BlockSignal on Z compiles to the layout of the step function
+x -> f(floor(x)), whose ball of radius r + 1/2 about n + 1/2 is the window
+[n - r, n + r], so the discrete centered engine runs the same kink walk
+(StepLayout.centered_radius) at the half-integer centre.
+
 The vanishing-radius convention: as r -> 0 the centered average tends to the
 mean of the one-sided limits at x, and a step function realizes that limit
 exactly on a whole initial interval of radii, so when nothing beats it the
@@ -23,7 +29,6 @@ import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import NamedTuple
 
 from .config import DEFAULT_LIMITS, Limits
 from .errors import BudgetExceeded, NonpositiveRadius, ParameterViolation, ZeroSignal
@@ -48,14 +53,17 @@ class ContinuousResult:
     attained: bool
 
 
-class StepLayout(NamedTuple):
-    """Support-relative integer layout of a StepFunction, compiled once.
+@dataclass(frozen=True, slots=True)
+class StepLayout:
+    """Support-relative integer layout of a constant signal, compiled once.
 
     xs[i] = (b_i - lo) * dx for the breakpoints b_i, lo = b_0 and dx the
     least common denominator of the offsets b_i - lo; vals holds the values
     padded with 0 on both sides, times their common denominator dy, so
     vals[i] is dy * f on (b_{i-1}, b_i); ys[i] = dx * dy * F(b_i), with F
-    the mass over (-inf, t].  A query subtracts lo once (offset)."""
+    the mass over (-inf, t]; jumps[i] = vals[i + 1] - vals[i], the jump at
+    b_i.  A query subtracts lo once (offset).  A BlockSignal's layout has
+    integer breakpoints, so lo is an int and dx = 1."""
 
     lo: Fraction
     dx: int
@@ -63,6 +71,7 @@ class StepLayout(NamedTuple):
     xs: list
     vals: list
     ys: list
+    jumps: list
 
     def offset(self, x: Fraction) -> tuple[int, int]:
         """(c, q) with x = lo + c / (dx * q): positions at scale dx * q."""
@@ -77,6 +86,37 @@ class StepLayout(NamedTuple):
         """dx * dy * q * F(lo + t / (dx * q))."""
         i = bisect_right(self.xs, t // q) - 1
         return self.ys[i] * q + self.vals[i + 1] * (t - self.xs[i] * q) if i >= 0 else 0
+
+    def centered_radius(self, c: int, q: int) -> int:
+        """Minimal maximizing ball radius about the offset (c, q), at scale
+        dx * q, with 0 for the limit of vanishing radii.
+
+        The ball mass M(r) is 0 at r = 0 and piecewise linear in r, its
+        slope dy (f(x-) + f(x+)) at first and changing by the jump at each
+        breakpoint b != x, at r = |x - b|: the right edge meets the jump, the
+        left edge its negative.  Between those kinks the average is a
+        Mobius function of r, so one walk over them (max_average_radius),
+        bounded by the total mass, finds the least radius attaining the
+        maximum."""
+        xs, jumps = self.xs, self.jumps
+        k, m = self.locate(c, q)
+        kinks = [(b * q - c, j) for b, j in zip(xs[m:], jumps[m:])]
+        if k:
+            kinks += [(c - b * q, -j) for b, j in zip(xs[k - 1::-1], jumps[k - 1::-1])]
+            kinks.sort()  # two ascending runs: sorting merges them in linear time
+        return max_average_radius(kinks, self.vals[k] + self.vals[m], self.ys[-1] * q)
+
+
+def step_layout(breakpoints: list, values: list) -> StepLayout:
+    """The StepLayout of the step function with value values[i] between
+    breakpoints[i] and breakpoints[i + 1] (ints or Fractions)."""
+    xs, dx = _scaled([b - breakpoints[0] for b in breakpoints])
+    vals, dy = _scaled([0, *values, 0])
+    ys = [0]
+    for v, a, b in zip(vals[1:], xs, xs[1:]):
+        ys.append(ys[-1] + v * (b - a))
+    jumps = [b - a for a, b in zip(vals, vals[1:])]
+    return StepLayout(breakpoints[0], dx, dy, xs, vals, ys, jumps)
 
 
 class StepFunction:
@@ -103,12 +143,7 @@ class StepFunction:
             raise ZeroSignal("step function is identically zero")
         self.breakpoints = tuple(bps)
         self.values = tuple(vals)
-        xs, dx = _scaled([b - bps[0] for b in bps])
-        ivals, dy = _scaled([Fraction(0), *vals, Fraction(0)])
-        ys = [0]
-        for v, a, b in zip(ivals[1:], xs, xs[1:]):
-            ys.append(ys[-1] + v * (b - a))
-        self.layout = StepLayout(bps[0], dx, dy, xs, ivals, ys)
+        self.layout = step_layout(bps, vals)
 
     def integral(self) -> Fraction:
         """Total mass of the function."""
@@ -144,7 +179,7 @@ class StepFunction:
 
 
 def _scaled(values: list) -> tuple[list, int]:
-    """Integers v * D for Fractions v, with D their common denominator."""
+    """Integers v * D for rationals v, with D their common denominator."""
     d = math.lcm(*(v.denominator for v in values))
     return [v.numerator * (d // v.denominator) for v in values], d
 
@@ -160,32 +195,20 @@ def average_ball(f: StepFunction, x: Fraction, r: Fraction) -> Fraction:
 def maximal_centered_cont(f: StepFunction, x: Fraction) -> ContinuousResult:
     """Maximal centered average at x and the infimum of maximizing radii.
 
-    The ball mass M(r) is 0 at r = 0 and piecewise linear in r, its slope
-    f(x - r) + f(x + r) starting at f(x-) + f(x+) and changing by the jump
-    of f at each breakpoint b != x, at r = |x - b|.  Between those kinks the
-    average M(r) / (2r) is a Mobius function of r, hence monotone or
-    constant, so one walk over the kinks (max_average_radius) finds the
-    maximum and the least radius attaining it; the integral of f bounds
-    every M(r), so the walk stops once no later radius can beat the best.
-    The r -> 0 limit, the mean of the one-sided limits, is matched exactly
-    on radii below the nearest kink; radius 0 reports it.  Radii, masses
-    and the winner's two prefix reads are small ints on f's StepLayout, at
-    scale dx * q from the support start."""
+    The ball mass is piecewise linear in the radius, with kinks where an
+    edge of the ball meets a breakpoint; between kinks the average is
+    monotone or constant, so one walk over the kinks of f's StepLayout
+    (StepLayout.centered_radius) finds the maximum and the least radius
+    attaining it.  The r -> 0 limit, the mean of the one-sided limits, is
+    matched exactly on radii below the nearest kink; radius 0 reports it.
+    Otherwise the winner's value is two integer prefix reads."""
     x = Fraction(x)
     lay = f.layout
-    xs, vals = lay.xs, lay.vals
     c, q = lay.offset(x)
-    k, m = lay.locate(c, q)
-    # at b > x the right edge meets the jump f(b+) - f(b-); at b < x the
-    # left edge meets f(b-) - f(b+)
-    kinks = [(b * q - c, v1 - v0) for b, v0, v1 in zip(xs[m:], vals[m:], vals[m + 1:])]
-    if k:
-        left = zip(xs[k - 1::-1], vals[k::-1], vals[k - 1::-1])
-        kinks += [(c - b * q, v1 - v0) for b, v0, v1 in left]
-        kinks.sort()  # two ascending runs: sorting merges them in linear time
-    rate = vals[k] + vals[m]  # dy (f(x-) + f(x+))
-    r = max_average_radius(kinks, 0, rate, lay.ys[-1] * q, odd=False)
+    r = lay.centered_radius(c, q)
     if r == 0:
+        k, m = lay.locate(c, q)
+        rate = lay.vals[k] + lay.vals[m]  # dy (f(x-) + f(x+))
         return ContinuousResult(x, Fraction(rate, 2 * lay.dy), Fraction(0), True)
     mass = lay.mass_to(c + r, q) - lay.mass_to(c - r, q)
     return ContinuousResult(x, Fraction(mass, 2 * r * lay.dy), Fraction(r, lay.dx * q), True)

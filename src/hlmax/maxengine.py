@@ -5,20 +5,26 @@ averages over windows [n - rho, n + s] containing n.  The event engines
 evaluate only radii at which a window edge crosses a block boundary: between
 consecutive events the average is a monotone Mobius function of the radius
 when the moving edges sit in constant regions, so skipped radii host neither
-a new maximum nor a smaller maximizing radius.  On all-constant signals the
-centered engine therefore walks the O(B) kinks of the window mass once, in
-ascending radius and on offsets from the support start, and reads one window
-sum at the winner.  Edges moving through power-law regions can create one
-interior peak per stretch; the peak is pinned down by monotone binary
-searches justified by the convexity of the edge terms.  On all-constant signals the uncentered maximum is the
-steepest chord of the prefix-sum graph across n, found on convex hulls
-rather than by trying every pair of window edges.  Exhaustive brute-force
-oracles recompute everything by direct scan for cross-validation.
+a new maximum nor a smaller maximizing radius.  Edges moving through
+power-law regions can create one interior peak per stretch; the peak is
+pinned down by monotone binary searches justified by the convexity of the
+edge terms.  Exhaustive brute-force oracles recompute everything by direct
+scan for cross-validation.
 
-All-constant signals run entirely in integer arithmetic (scaled by the
-common denominator); power-law signals produce certified enclosures, and any
-comparison the enclosures cannot decide is surfaced as certified=False with
-the overlap width in `gap`, never silently resolved.
+An all-constant signal is the step function x -> f(floor(x)) on R, and its
+window [n - r, n + r] is the ball of radius r + 1/2 about n + 1/2, so its
+engines run on the one continuum.StepLayout that the signal compiles when it
+is built: the centered engine is the continuous kink walk at the
+half-integer centre, reading one window sum at the winner; the uncentered
+maximum is the steepest chord of the prefix-mass graph across n, found on
+convex hulls rather than by trying every pair of window edges; and the
+radius sweep of frequency_pieces compares affine forms on the same
+breakpoints, all in integers (scaled by the common denominator) on offsets
+from the support start.
+
+Power-law signals produce certified enclosures, and any comparison the
+enclosures cannot decide is surfaced as certified=False with the overlap
+width in `gap`, never silently resolved.
 """
 
 from __future__ import annotations
@@ -30,10 +36,10 @@ from fractions import Fraction
 from typing import Optional, Union
 
 from .config import DEFAULT_LIMITS, Limits
+from .continuum import StepLayout
 from .errors import BudgetExceeded, NonpositiveRadius, ParameterViolation
 from .signal import (
     BlockSignal,
-    Geometry,
     PowerLaw,
     Signal,
     as_blocks,
@@ -50,7 +56,6 @@ from .values import (
     compare,
     escalate,
     int_str,
-    max_average_radius,
     max_slope_pair,
     overlap_width,
     v_add,
@@ -278,48 +283,24 @@ def _candidate_radii(sig: BlockSignal, n: int, r_cap: int, limits: Limits, state
     return sorted(cand)
 
 
-def _centered_radius(geom: Geometry, t: int) -> int:
-    """Minimal maximizing centered radius at support offset t = n - lo of an
-    all-constant signal, by one walk over the kinks of its scaled window mass.
-
-    M(r + 1) - M(r) = D (f(n - r - 1) + f(n + r + 1)) changes only where
-    an edge meets a block edge point x of the Geometry: the right edge at
-    r = x - t - 1 for x > t + 1, by the jump of D * f at x, and the left
-    edge at r = t - x for x < t, by minus that jump.  Nearer points are the
-    rate at r = 0.  Both runs ascend in r, and the total mass bounds the
-    walk."""
-    xs, jumps = geom.xs, geom.jumps
-    # bisect_right(xs, u) is odd exactly when u lies in a block, whose
-    # scaled amplitude is then the jump just before
-    k0, k, k1 = bisect_left(xs, t), bisect_right(xs, t), bisect_right(xs, t + 1)
-    mass = jumps[k - 1] if k & 1 else 0
-    rate = (jumps[k0 - 1] if k0 & 1 else 0) + (jumps[k1 - 1] if k1 & 1 else 0)
-    u = t + 1
-    kinks = [(x - u, j) for x, j in zip(xs[k1:], jumps[k1:])]
-    if k0:
-        kinks += [(t - x, -j) for x, j in zip(xs[k0 - 1::-1], jumps[k0 - 1::-1])]
-        kinks.sort()  # two ascending runs: sorting merges them in linear time
-    return max_average_radius(kinks, mass, rate, geom.ys[-1], odd=True)
-
-
 def event_centered(sig: Signal, n: int, limits: Limits = DEFAULT_LIMITS) -> CenteredResult:
     """Maximal centered average and minimal maximizing radius at n.
 
-    On all-constant signals the scaled window mass is piecewise affine in
-    the radius, with kinks where an edge enters or leaves a block, so one
-    walk over those O(B) kinks (max_average_radius) finds the minimal
-    maximizing radius and one window sum reads its value.  Power-law
-    signals evaluate the event radii (edges meeting boundaries, +-1) plus
-    the interior peaks of power-law stretches; Mobius monotonicity between
-    events and the peak searches make that candidate set complete both for
-    the maximum and for the minimal radius attaining it."""
+    On all-constant signals the window [n - r, n + r] is the ball of radius
+    r + 1/2 about n + 1/2 of the signal's StepLayout, so one walk over the
+    O(B) kinks of the ball mass (StepLayout.centered_radius at the offset
+    (2t + 1, 2), t = n - lo) returns 2r + 1, or 0 where f(n) is the
+    maximum, and one window sum reads the value.  Power-law signals evaluate
+    the event radii (edges meeting boundaries, +-1) plus the interior peaks
+    of power-law stretches; Mobius monotonicity between events and the peak
+    searches make that candidate set complete both for the maximum and for
+    the minimal radius attaining it."""
     blocks = as_blocks(sig)
-    view = blocks.int_view()
-    if view is not None:
-        geom = blocks.geometry()
-        r = _centered_radius(geom, n - geom.lo)
+    lay = blocks.layout
+    if lay is not None:
+        r = lay.centered_radius(2 * (n - lay.lo) + 1, 2) // 2
         num = window_sum_scaled(blocks, n - r, n + r)
-        return CenteredResult(n, Fraction(num, view[0] * (2 * r + 1)), r, True)
+        return CenteredResult(n, Fraction(num, lay.dy * (2 * r + 1)), r, True)
     r_cap = search_bound_centered(blocks, n)
     state = _PeakState()
     cands = _candidate_radii(blocks, n, r_cap, limits, state)
@@ -329,19 +310,16 @@ def event_centered(sig: Signal, n: int, limits: Limits = DEFAULT_LIMITS) -> Cent
     return CenteredResult(n, best_v, best_r, certified, gap if not certified else None)
 
 
-def _mass_stretch(geom: Geometry, y: int) -> tuple:
-    """(slope, P(y), last) for the prefix mass P of the Geometry on the
+def _mass_stretch(lay: StepLayout, y: int) -> tuple:
+    """(slope, P(y), last) for the prefix mass P of the layout on the
     linear stretch starting at y: P(y + t) = P(y) + slope * t while
-    y + t <= last, the first edge point past y (None: for ever)."""
-    k = bisect_right(geom.xs, y)
-    return (
-        geom.jumps[k - 1] if k & 1 else 0,
-        geom.mass_left(y),
-        geom.xs[k] if k < len(geom.xs) else None,
-    )
+    y + t <= last, the first breakpoint past y (None: for ever)."""
+    xs = lay.xs
+    k = bisect_right(xs, y)
+    return lay.vals[k], lay.mass_to(y, 1), xs[k] if k < len(xs) else None
 
 
-def _cell_candidates(geom: Geometry, bounds: list, n: int, t_max: int) -> tuple:
+def _cell_candidates(lay: StepLayout, bounds: list, n: int, t_max: int) -> tuple:
     """The event radii 0 and |n - b| + d (d = -1, 0, 1) as affine forms
     from support offset n on, bounds being the block boundaries as offsets.
 
@@ -349,7 +327,7 @@ def _cell_candidates(geom: Geometry, bounds: list, n: int, t_max: int) -> tuple:
     r0 + rs*t and the scaled window mass m0 + ms*t at n + t, and all of them
     hold for 0 <= t <= t_end <= t_max.  A form changes where n crosses its
     boundary b (n = b is a cell of its own, where b - 1 has no radius) and
-    where a moving window edge crosses a block edge.  Radii above the search
+    where a moving window edge crosses a breakpoint.  Radii above the search
     bound are kept: they hold the whole mass over a longer window than the
     bound's radius, which is a candidate too, so they never win."""
     t_end = t_max
@@ -370,7 +348,7 @@ def _cell_candidates(geom: Geometry, bounds: list, n: int, t_max: int) -> tuple:
             continue
         m0 = ms = 0
         for y, v, sign in ((right, v_right, 1), (left, v_left, -1)):
-            slope, p, last = _mass_stretch(geom, y)
+            slope, p, last = _mass_stretch(lay, y)
             m0 += sign * p
             if v:
                 ms += sign * slope * v
@@ -446,23 +424,27 @@ def _first_beat(f: tuple, w: tuple, t0: int, t1: int) -> Optional[int]:
     return None
 
 
-def _sweep_tables(geom: Geometry) -> tuple:
+def _sweep_tables(lay: StepLayout) -> tuple:
     """(bounds, near3, near4): the block boundaries (starts and ends) as
     sorted offsets, and for w = 3, 4 the offsets x such that one of x, ...,
-    x + w - 1 is a block edge point."""
-    bounds = sorted({x - (k & 1) for k, x in enumerate(geom.xs)})
-    near3 = {x - j for x in geom.xs for j in (0, 1, 2)}
-    return bounds, near3, near3 | {x - 3 for x in geom.xs}
+    x + w - 1 is a breakpoint of the layout.  A breakpoint x starts a
+    block when f is non-zero right of it and ends one at x - 1 when f is
+    non-zero left of it."""
+    xs, vals = lay.xs, lay.vals
+    starts = {x for x, v in zip(xs, vals[1:]) if v}
+    bounds = sorted(starts | {x - 1 for x, v in zip(xs, vals) if v})
+    near3 = {x - j for x in xs for j in (0, 1, 2)}
+    return bounds, near3, near3 | {x - 3 for x in xs}
 
 
 def _edge_hit(left: list, right: list, near: set, x: int) -> bool:
-    """Whether some moving window edge of the sweep's forms meets a block
-    edge point, for offsets t between two boundaries, left and right being
+    """Whether some moving window edge of the sweep's forms meets a
+    breakpoint, for offsets t between two boundaries, left and right being
     the boundaries on either side of t.
 
     Those edges sit at 2t - c, c = b - d - 1 for a boundary b left of t and
     b + d for one right of it (d = -1, 0, 1).  With near3, the cell started
-    at s ends before t exactly when x - c is an edge point for x = 2t - 1,
+    at s ends before t exactly when x - c is a breakpoint for x = 2t - 1,
     or for t - 1 > s for x = 2t - 2: the edge passes the point that bounds
     t_end in _cell_candidates.  With near4 and x = 2t - 2 the test covers
     both x at once."""
@@ -470,7 +452,7 @@ def _edge_hit(left: list, right: list, near: set, x: int) -> bool:
                 and near.isdisjoint(map((x - 1).__sub__, right)))
 
 
-# Cells shorter than this are walked point by point with _centered_radius:
+# Cells shorter than this are walked point by point with the kink walk:
 # a 1-point cell costs about 27 walks through _cell_candidates at B = 200
 _SHORT_CELL = 16
 
@@ -491,14 +473,12 @@ def frequency_pieces(sig: Signal, n_lo: int, n_hi: int) -> list:
     line the sweep would give it, so the pieces do not depend on which
     cells were walked.  All arithmetic runs on offsets from the support
     start."""
-    blocks = as_blocks(sig)
-    view = blocks.int_view()
-    if view is None:
+    lay = as_blocks(sig).layout
+    if lay is None:
         raise ParameterViolation("frequency pieces need an all-constant signal")
     if n_hi < n_lo:
         raise ParameterViolation("frequency pieces need n_lo <= n_hi")
-    geom = blocks.geometry()
-    bounds, near3, near4 = _sweep_tables(geom)
+    bounds, near3, near4 = _sweep_tables(lay)
     pieces: list = []
 
     def emit(a: int, b: int, slope: int, icpt: int) -> None:
@@ -526,7 +506,7 @@ def frequency_pieces(sig: Signal, n_lo: int, n_hi: int) -> list:
             return starts_at[t]
 
         for t in range(ta, tb + 1):
-            r = _centered_radius(geom, t)
+            r = lay.centered_radius(2 * t + 1, 2) // 2  # as in event_centered
             slope = _first_slope(bounds, t, r)
             if t > ta and pieces[-1][2] != slope:
                 held, icpt = pieces[-1][2:]
@@ -534,7 +514,7 @@ def frequency_pieces(sig: Signal, n_lo: int, n_hi: int) -> list:
                     slope = held
             emit(t, t, slope, r - slope * t)
 
-    t, t_hi = n_lo - geom.lo, n_hi - geom.lo
+    t, t_hi = n_lo - lay.lo, n_hi - lay.lo
     while t <= t_hi:
         k = bisect_left(bounds, t)
         if k < len(bounds) and bounds[k] - t < _SHORT_CELL:
@@ -555,7 +535,7 @@ def frequency_pieces(sig: Signal, n_lo: int, n_hi: int) -> list:
             walk(t, stop, False)
             t = stop + 1
             continue
-        t_end, forms = _cell_candidates(geom, bounds, t, t_hi - t)
+        t_end, forms = _cell_candidates(lay, bounds, t, t_hi - t)
         u = 0
         while True:
             w = forms[0]
@@ -574,27 +554,25 @@ def frequency_pieces(sig: Signal, n_lo: int, n_hi: int) -> list:
                 break
             u = nxt
         t += t_end + 1
-    lo = geom.lo
+    lo = lay.lo
     return [(a + lo, b + lo, s, c - s * lo) for a, b, s, c in pieces]
 
 
 def _dense_prefix(sig: BlockSignal) -> Optional[tuple]:
     """(D, lo, prefix) for an all-constant signal, else None: prefix[k] is
     D times the mass of [lo, lo + k - 1], lo the support start.  One walk
-    over every support position builds it, once per signal, so the oracles
-    read window masses by position, independently of the block search."""
+    over every support position builds it from the layout's scaled values,
+    once per signal, so the oracles read window masses by position,
+    independently of the layout's prefix masses and bisect reads."""
+    lay = sig.layout
+    if lay is None:
+        return None
     if sig._dense_prefix is None:
-        view = sig.int_view()
-        if view is None:
-            return None
-        d, amps, _ = view
-        lo = sig.blocks[0].start
         pref = [0]
-        for blk, amp in zip(sig.blocks, amps):
-            pref += [pref[-1]] * (blk.start - lo + 1 - len(pref))
-            for _ in range(blk.length):
-                pref.append(pref[-1] + amp)
-        sig._dense_prefix = (d, lo, pref)
+        for a, b, v in zip(lay.xs, lay.xs[1:], lay.vals[1:]):
+            for _ in range(b - a):
+                pref.append(pref[-1] + v)
+        sig._dense_prefix = (lay.dy, lay.lo, pref)
     return sig._dense_prefix
 
 
@@ -678,7 +656,7 @@ def _u_peak(
     return hi_u
 
 
-def _uncentered_hull(geom: Geometry, d: int, n: int) -> UncenteredResult:
+def _uncentered_hull(lay: StepLayout, n: int) -> UncenteredResult:
     """All-constant case of event_uncentered by prefix-sum hulls.
 
     With P(x) the scaled mass left of x, the window [l, u] averages the
@@ -689,14 +667,14 @@ def _uncentered_hull(geom: Geometry, d: int, n: int) -> UncenteredResult:
     extremal at its innermost, only at those edges or at the pinned ends;
     the other candidate edges (boundaries +-1) can neither raise the
     maximum nor shorten the minimal window.  The edge points are the
-    signal's Geometry, built once per signal on offsets from the support
-    start, so a query subtracts lo once and its arithmetic stays small at
-    any n.  The reaches of _uncentered_bounds put the outer ends at
-    min(t, 0) and max(t, last end) + 1."""
-    xs, ys = geom.xs, geom.ys
-    t = n - geom.lo
+    breakpoints of the signal's StepLayout, built once per signal on
+    offsets from the support start, so a query subtracts lo once and its
+    arithmetic stays small at any n.  The reaches of _uncentered_bounds put
+    the outer ends at min(t, 0) and max(t, last end) + 1."""
+    xs, ys = lay.xs, lay.ys
+    t = n - lay.lo
     # mass left of t and of t + 1; the outer ends hold none and all of it
-    p_n, p_n1 = geom.mass_left(t), geom.mass_left(t + 1)
+    p_n, p_n1 = lay.mass_to(t, 1), lay.mass_to(t + 1, 1)
     x_lo, x_hi = min(t, 0), max(t + 1, xs[-1])
     a, b = bisect_right(xs, x_lo), bisect_left(xs, t)
     xl, yl = [x_lo] + xs[a:b], [0] + ys[a:b]
@@ -710,7 +688,7 @@ def _uncentered_hull(geom: Geometry, d: int, n: int) -> UncenteredResult:
         yr.append(ys[-1])
     i, j = max_slope_pair(xl, yl, xr, yr)
     length = xr[j] - xl[i]
-    return UncenteredResult(n, Fraction(yr[j] - yl[i], d * length), length - 1, True)
+    return UncenteredResult(n, Fraction(yr[j] - yl[i], lay.dy * length), length - 1, True)
 
 
 def event_uncentered(sig: Signal, n: int, limits: Limits = DEFAULT_LIMITS) -> UncenteredResult:
@@ -731,9 +709,8 @@ def event_uncentered(sig: Signal, n: int, limits: Limits = DEFAULT_LIMITS) -> Un
     right edge across power-law stretches, with the single interior peak
     located by a monotone binary search."""
     blocks = as_blocks(sig)
-    view = blocks.int_view()
-    if view is not None:
-        return _uncentered_hull(blocks.geometry(), view[0], n)
+    if blocks.layout is not None:
+        return _uncentered_hull(blocks.layout, n)
     rho_max, s_max = _uncentered_bounds(blocks, n)
     l_low, u_high = n - rho_max, n + s_max
     l_set = {n, l_low}
@@ -908,10 +885,9 @@ def profile(
     blocks = as_blocks(sig)
     if uncentered:
         return [event_uncentered(blocks, n, limits) for n in pts]
-    view = blocks.int_view()
-    if not isinstance(pts, range) or view is None or not count:
+    if not isinstance(pts, range) or blocks.layout is None or not count:
         return [event_centered(blocks, n, limits) for n in pts]
-    d = view[0]
+    d = blocks.layout.dy
     out = []
     for n_a, n_b, slope, icpt in frequency_pieces(blocks, pts.start, pts.stop - 1):
         for n in range(n_a, n_b + 1):

@@ -8,23 +8,27 @@ read of it goes through `as_blocks`, which compiles it once, on first use,
 to the BlockSignal of its maximal constant runs.
 
 Window sums are exact Fractions whenever every overlapped block is constant;
-power-law overlaps produce certified enclosures.  All-constant block signals
-additionally expose an integer "scaled view" (amplitudes multiplied by their
-common denominator) so hot loops can run on machine-free big-int arithmetic
-with no Fraction normalization.  Power-law blocks likewise keep integer prefix
-bounds at a power-of-two scale, so a window's enclosure is one integer
-difference rounded once.
+power-law overlaps produce certified enclosures.  An all-constant block
+signal compiles, when it is built, to the continuum.StepLayout of the step
+function x -> f(floor(x)): its breakpoints are the distinct block edges as
+offsets from the support start, its values the amplitudes times their
+common denominator D, with 0 in the gaps.  The mass of that step function
+left of an integer t is D times the sum of f below t, so a window sum is two
+integer prefix reads, and the window [n - r, n + r] is its ball of radius
+r + 1/2 about n + 1/2: the discrete and the continuous engines share one
+layout.  Power-law blocks keep integer prefix bounds at a power-of-two
+scale, so a window's enclosure is one integer difference rounded once.
 """
 
 from __future__ import annotations
 
-import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import NamedTuple, Optional, Union
+from typing import Optional, Union
 
 from .config import DEFAULT_LIMITS, Limits
+from .continuum import StepLayout, step_layout
 from .errors import (
     DenseWidthExceeded,
     ParameterViolation,
@@ -124,37 +128,13 @@ class DenseSignal:
         return f"DenseSignal(lo={self.lo}, width={len(self.values)})"
 
 
-class Geometry(NamedTuple):
-    """Support-relative layout of an all-constant BlockSignal, with P(x) its
-    scaled prefix mass: D times the mass of f left of lo + x.
-
-    xs holds the block edge points as offsets from the support start lo,
-    starts[i] - lo at 2i and ends[i] + 1 - lo at 2i + 1, so it ascends (a
-    point repeats where two blocks touch).  ys[k] = P(xs[k]), and jumps[k]
-    is the change of D * f at xs[k]: +amps_scaled[i] and then
-    -amps_scaled[i].  P is linear between consecutive points, so a query at
-    n subtracts lo once and then works on these small ints."""
-
-    lo: int
-    xs: list
-    ys: list
-    jumps: list
-
-    def mass_left(self, x: int) -> int:
-        """P(x) at a support offset x."""
-        # bisect_right(xs, x) is odd exactly when x lies in a block
-        k = bisect_right(self.xs, x)
-        if not k:
-            return 0
-        return self.ys[k - 1] + (self.jumps[k - 1] * (x - self.xs[k - 1]) if k & 1 else 0)
-
-
 class BlockSignal:
-    """Sorted disjoint blocks; adjacent blocks with identical amplitude merge."""
+    """Sorted disjoint blocks; adjacent blocks with identical amplitude merge.
+    `layout` is the StepLayout of an all-constant signal, None when a block
+    is power-law."""
 
     __slots__ = (
-        "blocks", "_starts", "_ends", "_boundaries", "_int_view", "_geometry", "_pl_tables",
-        "_dense_prefix",
+        "blocks", "_starts", "_ends", "_boundaries", "layout", "_pl_tables", "_dense_prefix",
     )
 
     def __init__(self, blocks):
@@ -178,8 +158,7 @@ class BlockSignal:
             bset.add(b.start)
             bset.add(b.end)
         self._boundaries = sorted(bset)
-        self._int_view = None
-        self._geometry = None
+        self.layout = None if self.has_powerlaw else _block_layout(merged)
         self._pl_tables = {}
         self._dense_prefix = None
 
@@ -190,38 +169,6 @@ class BlockSignal:
     def boundaries(self) -> list:
         return self._boundaries
 
-    def int_view(self) -> Optional[tuple]:
-        """(D, amps_scaled, prefix_mass) for all-constant signals, else None.
-
-        amps_scaled[i] = amp_i * D as an int; prefix_mass[i] = scaled mass of
-        blocks[:i].  Lets engines form window numerators as plain integers.
-        The same first call also compiles the signal's Geometry, so the
-        engines' per-block arithmetic runs on offsets from the support
-        start, which stay small wherever the support sits."""
-        if self._int_view is None:
-            if self.has_powerlaw:
-                self._int_view = (None,)
-            else:
-                d = 1
-                for b in self.blocks:
-                    d = d * b.amp.denominator // math.gcd(d, b.amp.denominator)
-                amps = [b.amp.numerator * (d // b.amp.denominator) for b in self.blocks]
-                lo = self.blocks[0].start
-                pref, xs, ys, jumps = [0], [], [], []
-                for b, a in zip(self.blocks, amps):
-                    xs += (b.start - lo, b.end + 1 - lo)
-                    ys += (pref[-1], pref[-1] + a * b.length)
-                    jumps += (a, -a)
-                    pref.append(ys[-1])
-                self._int_view = (d, amps, pref)
-                self._geometry = Geometry(lo, xs, ys, jumps)
-        return None if self._int_view == (None,) else self._int_view
-
-    def geometry(self) -> Optional[Geometry]:
-        """The support-relative Geometry of an all-constant signal, else None."""
-        self.int_view()
-        return self._geometry
-
     def __eq__(self, other):
         return isinstance(other, BlockSignal) and self.blocks == other.blocks
 
@@ -230,6 +177,19 @@ class BlockSignal:
 
 
 Signal = Union[DenseSignal, BlockSignal]
+
+
+def _block_layout(blocks: list) -> StepLayout:
+    """The StepLayout of x -> f(floor(x)) for all-constant blocks: the
+    distinct block edges start and end + 1, with 0 in the gaps."""
+    bps, vals = [blocks[0].start], []
+    for b in blocks:
+        if b.start != bps[-1]:
+            bps.append(b.start)
+            vals.append(0)
+        bps.append(b.end + 1)
+        vals.append(b.amp)
+    return step_layout(bps, vals)
 
 
 def as_blocks(sig: Signal) -> BlockSignal:
@@ -320,11 +280,8 @@ def window_sum(sig: Signal, a: int, b: int, limits: Limits = DEFAULT_LIMITS) -> 
     if a > b:
         return Fraction(0)
     sig = as_blocks(sig)
-    view = sig.int_view()
-    if view is not None:
-        d, _, _ = view
-        num = window_sum_scaled(sig, a, b)
-        return Fraction(num, d)
+    if sig.layout is not None:
+        return Fraction(window_sum_scaled(sig, a, b), sig.layout.dy)
     exact = Fraction(0)
     enc: Optional[Value] = None
     i0 = bisect_left(sig._ends, a)
@@ -348,22 +305,21 @@ def window_sum(sig: Signal, a: int, b: int, limits: Limits = DEFAULT_LIMITS) -> 
 
 
 def window_sum_scaled(sig: BlockSignal, a: int, b: int) -> int:
-    """Integer window numerator for all-constant block signals (amp * D)."""
-    d, amps, pref = sig.int_view()
+    """Integer window numerator for all-constant block signals (amp * D):
+    the layout's prefix mass (StepLayout.mass_to at q = 1) at b + 1 minus
+    that at a, read inline, as this runs once per point of a profile."""
     if a > b:
         return 0
-    i0 = bisect_left(sig._ends, a)
-    i1 = bisect_right(sig._starts, b) - 1
-    if i0 > i1:
+    lay = sig.layout
+    xs, lo = lay.xs, lay.lo
+    s, e = a - lo, b + 1 - lo
+    j = bisect_right(xs, e)
+    if not j:
         return 0
-    total = pref[i1 + 1] - pref[i0]
-    first = sig.blocks[i0]
-    if a > first.start:
-        total -= amps[i0] * (a - first.start)
-    last = sig.blocks[i1]
-    if b < last.end:
-        total -= amps[i1] * (last.end - b)
-    return total
+    ys, vals = lay.ys, lay.vals
+    i = bisect_right(xs, s)
+    mass = ys[j - 1] + vals[j] * (e - xs[j - 1])
+    return mass - ys[i - 1] - vals[i] * (s - xs[i - 1]) if i else mass
 
 
 def norm_l1(sig: Signal, limits: Limits = DEFAULT_LIMITS) -> Value:

@@ -4,6 +4,7 @@ tie-breaking, and the grid-scan oracle (exact equality on lattice geometry,
 where every candidate radius lies on a coarse dyadic grid)."""
 
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -448,7 +449,7 @@ class TestTranslation:
         xs = data.draw(st.lists(rational_points(f), min_size=1, max_size=4))
         for shift in (F(2**10000), 2**10000 + F(1, 7)):
             moved = StepFunction([b + shift for b in f.breakpoints], f.values)
-            assert moved.layout._replace(lo=0) == f.layout._replace(lo=0)
+            assert replace(moved.layout, lo=0) == replace(f.layout, lo=0)
             assert moved.layout.lo == f.layout.lo + shift
             for x in xs:
                 for engine in (maximal_centered_cont, maximal_uncentered_cont):

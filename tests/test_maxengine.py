@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hlmax.config import DEFAULT_LIMITS
+from hlmax.continuum import StepFunction, maximal_centered_cont
 from hlmax.corpus import binary_signals, diff_signal, random_dense
 from hlmax.errors import BudgetExceeded, NonpositiveRadius, ParameterViolation
 from hlmax.maxengine import (
@@ -34,6 +35,7 @@ from hlmax.signal import (
     BlockSignal,
     DenseSignal,
     PowerLaw,
+    as_blocks,
     norm_l1,
     reflect,
     scale,
@@ -211,7 +213,7 @@ def quadratic_uncentered(sig: BlockSignal, n: int) -> tuple:
             rhs = best_num * length
             if lhs > rhs or (lhs == rhs and u - l < best_diam):
                 best_num, best_len, best_diam = num, length, u - l
-    return Fraction(best_num, sig.int_view()[0] * best_len), best_diam
+    return Fraction(best_num, sig.layout.dy * best_len), best_diam
 
 
 def random_blocks(rng, count: int, offset: int, amps: list) -> BlockSignal:
@@ -585,6 +587,37 @@ class TestTranslationAt2p10000:
             assert (far_u.max_value, far_u.min_diameter) == (eu.max_value, eu.min_diameter), n
 
 
+class TestOneLayoutForZAndR:
+    """A constant signal on Z is the step function x -> f(floor(x)), and the
+    window [n - r, n + r] is its ball of radius r + 1/2 about n + 1/2."""
+
+    @given(constant_blocks_st, st.booleans(), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_discrete_engine_is_the_continuous_one_at_half_integers(self, spec, as_dense, data):
+        base = blocks_from(spec)
+        lo, hi = support_bounds(base)
+        points = data.draw(st.lists(st.integers(lo - 12, hi + 12), min_size=1, max_size=10))
+        for off in (0, 2**10000):
+            sig = translate(to_dense(base) if as_dense else base, off)
+            values = to_dense(as_blocks(sig)).values
+
+            def f(m):
+                return values[m - lo - off] if lo + off <= m <= hi + off else 0
+
+            # one unit piece per integer, built from the listed values
+            units = StepFunction(range(lo + off, hi + off + 2), values)
+            for n in points:
+                ev = event_centered(sig, n + off)
+                co = maximal_centered_cont(units, n + off + Fraction(1, 2))
+                assert ev.max_value == co.max_value, n
+                assert co.radius == (ev.radius + Fraction(1, 2) if ev.radius else 0), n
+            # the signal's layout is the one of the step function whose
+            # breakpoints are the block edges, where the listed value changes
+            edges = [m for m in range(lo + off, hi + off + 2) if f(m - 1) != f(m)]
+            steps = StepFunction(edges, [f(m) for m in edges[:-1]])
+            assert as_blocks(sig).layout == steps.layout
+
+
 class TestShortCells:
     """frequency_pieces walks short cells point by point; the pieces must
     be the ones the sweep alone gives, wherever the walks start and end."""
@@ -609,11 +642,11 @@ class TestShortCells:
         """Through every cell of the sweep: the edge-point test marks exactly
         its end, and _first_slope names the slope of the form it picks at
         its start."""
-        geom = blocks_from(spec).geometry()
-        bounds, near3, near4 = _sweep_tables(geom)
-        t, t_hi = -margin - 3, geom.xs[-1] + margin
+        lay = blocks_from(spec).layout
+        bounds, near3, near4 = _sweep_tables(lay)
+        t, t_hi = -margin - 3, lay.xs[-1] + margin
         while t <= t_hi:
-            t_end, forms = _cell_candidates(geom, bounds, t, t_hi - t)
+            t_end, forms = _cell_candidates(lay, bounds, t, t_hi - t)
             w = forms[0]
             for f in forms[1:]:
                 if _beats(f, w, 0):

@@ -1,6 +1,7 @@
 """Signal layer: validation, window sums, conversions, JSON round trips."""
 
 import random
+from bisect import bisect_right
 from fractions import Fraction
 
 import pytest
@@ -26,6 +27,7 @@ from hlmax.signal import (
     to_dense,
     translate,
     window_sum,
+    window_sum_scaled,
 )
 from hlmax.signal import _pl_table
 from hlmax.values import exact_bounds, power_bounds, power_shift, power_term, scaled_enclosure
@@ -311,24 +313,47 @@ class TestJson:
             signal_from_json(doc)
 
 
-class TestIntView:
+class TestLayout:
     @given(values_st, st.integers(-20, 20))
     @settings(max_examples=40)
     def test_scaled_consistency(self, vals, lo):
         # engines and oracles both read a DenseSignal through to_blocks, so
-        # its compiled blocks and their integer view are checked here
-        # against the listed values themselves
+        # its compiled blocks and their StepLayout are checked here against
+        # the listed values themselves
         sig = DenseSignal(lo, vals)
         blocks = to_blocks(sig)
-        d, amps, pref = blocks.int_view()
-        held = {}
-        for blk, amp in zip(blocks.blocks, amps):
-            assert isinstance(amp, int) and blk.amp * d == amp
-            for n in range(blk.start, blk.end + 1):
-                held[n] = blk.amp
-        for n in range(sig.lo - 2, sig.hi + 3):
-            want = sig.values[n - sig.lo] if sig.lo <= n <= sig.hi else 0
-            assert held.get(n, 0) == want
-        for i, blk in enumerate(blocks.blocks):
-            assert pref[i] == sum(sig.values[: blk.start - sig.lo]) * d
-        assert pref[-1] == sum(sig.values) * d
+        lay = blocks.layout
+        d = lay.dy
+        assert type(lay.lo) is int and lay.lo == sig.lo and lay.dx == 1
+
+        def listed(n):
+            return sig.values[n - sig.lo] if sig.lo <= n <= sig.hi else 0
+
+        span = range(sig.lo - 3, sig.hi + 4)
+        # breakpoints: exactly the offsets where the listed value changes
+        assert lay.xs == [n - sig.lo for n in span if listed(n - 1) != listed(n)]
+        below = {}  # D times the listed mass left of n
+        acc = 0
+        for n in span:
+            below[n] = acc * d
+            acc += listed(n)
+            held = lay.vals[bisect_right(lay.xs, n - lay.lo)]
+            assert isinstance(held, int) and held == listed(n) * d, n
+        below[span.stop] = acc * d
+        assert lay.ys == [below[lay.lo + x] for x in lay.xs]
+        assert lay.ys[-1] == sum(sig.values) * d
+        for a in span:
+            for b in range(a - 1, span.stop):
+                assert window_sum_scaled(blocks, a, b) == below[b + 1] - below[a], (a, b)
+
+    @pytest.mark.parametrize("off", [0, 2**10000])
+    def test_block_layout_lo_is_an_int(self, off):
+        # queries subtract lo from n: a Fraction lo would carry Fraction
+        # arithmetic into every kink, about 20 times slower per query
+        sig = BlockSignal(
+            [Block(off - 3, off, Fraction(1, 3)), Block(off + 4, off + 9, Fraction(2))]
+        )
+        dense_sig = to_blocks(DenseSignal(off, [Fraction(1, 2), 0, 3]))
+        for s in (sig, translate(sig, 5), signal_from_json(signal_to_json(sig)), dense_sig):
+            assert type(s.layout.lo) is int and s.layout.lo == s.blocks[0].start
+            assert all(type(x) is int for x in s.layout.xs)

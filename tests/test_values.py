@@ -577,28 +577,38 @@ class TestEnclosureConstructor:
                 Enclosure(0, bad)
 
 
+def odd_windows(kinks, mass: int, rate: int, bound: int) -> int:
+    """The walk for M(r) / (2r + 1), M(0) = mass and slope rate from 0, at
+    the half-integer centre: the window of radius r is the ball of radius
+    R = 2r + 1 in half units, whose mass is twice M(r), so the ball mass
+    rises by 2 mass over (0, 1], then at rate, with each kink at 2r + 1.
+    Returns R: 0 when M(0) is the maximum, else 2r + 1."""
+    half = [(1, rate - 2 * mass)] + [(2 * r + 1, dk) for r, dk in kinks]
+    return max_average_radius(half, 2 * mass, 2 * bound)
+
+
 class TestMaxAverageRadius:
     def test_odd_windows(self):
         # M stays 1 up to r = 3 and then grows by 4 a step: M(5) = 9 and
         # 9/11 < 1/1, so radius 0
-        assert max_average_radius([(3, 4), (5, -4)], 1, 0, 9, odd=True) == 0
+        assert odd_windows([(3, 4), (5, -4)], 1, 0, 9) == 0
         # M(2) = 1 + 2*2 = 5 over 5 ties M(0) = 1: the smaller radius wins
-        assert max_average_radius([(2, -2)], 1, 2, 5, odd=True) == 0
-        # M(4) = 1 + 3*3 = 10 over 9 beats 1
-        assert max_average_radius([(1, 3), (4, -3)], 1, 0, 10, odd=True) == 4
+        assert odd_windows([(2, -2)], 1, 2, 5) == 0
+        # M(4) = 1 + 3*3 = 10 over 9 beats 1: r = 4, R = 9
+        assert odd_windows([(1, 3), (4, -3)], 1, 0, 10) == 9
 
     def test_even_windows_start_from_the_vanishing_limit(self):
         # rate 2 near 0 averages 1, as M(1) = 2 over 2 does; two kinks at
         # r = 1 raise the rate to 6 together, so M(3) = 14 and 14/6 > 1
-        assert max_average_radius([(1, 2), (1, 2), (3, -6)], 0, 2, 14, odd=False) == 3
-        assert max_average_radius([(1, -2)], 0, 2, 2, odd=False) == 0
+        assert max_average_radius([(1, 2), (1, 2), (3, -6)], 2, 14) == 3
+        assert max_average_radius([(1, -2)], 2, 2) == 0
 
     def test_stop_at_the_bound_keeps_a_tie_at_a_larger_radius_out(self):
         # M(0) = 3 over 1; M(4) = 27 = bound over 9 ties it, so the walk
         # may stop at r = 4 and the answer stays 0
-        assert max_average_radius([(1, 6), (4, -6)], 3, 0, 27, odd=True) == 0
+        assert odd_windows([(1, 6), (4, -6)], 3, 0, 27) == 0
         # the bound equal to the final mass, which wins: M(4) = 19 over 9
-        assert max_average_radius([(1, 6), (4, -6)], 1, 0, 19, odd=True) == 4
+        assert odd_windows([(1, 6), (4, -6)], 1, 0, 19) == 9
 
     @given(
         st.integers(0, 5),
@@ -612,7 +622,8 @@ class TestMaxAverageRadius:
     def test_equals_a_scan_of_every_radius(self, mass, rate, segments, last_gap, extra, odd):
         """Kinks (gap to the next kink radius, rate after it, kinks it is
         split into), then a last kink that freezes the mass; the walk with
-        bound = final mass + extra against the argmax over every radius."""
+        bound = final mass + extra against the argmax over every radius,
+        of M(r) / (2r + 1) at the half-integer centre (odd) or of M(r) / (2r)."""
         if not odd:
             mass = 0  # even windows start from M(0) = 0
         kinks, r, cur = [], 0, rate
@@ -635,7 +646,11 @@ class TestMaxAverageRadius:
                     for k, mm in enumerate(masses)]
         best = max(averages)
         want = averages.index(best)
-        assert max_average_radius(kinks, mass, rate, masses[-1] + extra, odd=odd) == want
+        if odd:
+            got = odd_windows(kinks, mass, rate, masses[-1] + extra)
+            assert got == (2 * want + 1 if want else 0)
+        else:
+            assert max_average_radius(kinks, rate, masses[-1] + extra) == want
 
 
 LAZY_MPMATH_SCRIPT = """
