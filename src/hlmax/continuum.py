@@ -17,6 +17,12 @@ x -> f(floor(x)), whose ball of radius r + 1/2 about n + 1/2 is the window
 [n - r, n + r], so the discrete centered engine runs the same kink walk
 (StepLayout.centered_radius) at the half-integer centre.
 
+The walk takes the kinks in stretches of at most _STRETCH a side.  Every
+value is >= 0, so the ball mass never falls as the radius grows, and a
+stretch [r1, R] whose end mass M(R) over 2 r1 does not beat the best average
+so far holds no radius that does: it is skipped after two prefix reads, so a
+query walks only the stretches that can still win, and no answer changes.
+
 The vanishing-radius convention: as r -> 0 the centered average tends to the
 mean of the one-sided limits at x, and a step function realizes that limit
 exactly on a whole initial interval of radii, so when nothing beats it the
@@ -35,10 +41,13 @@ from .errors import BudgetExceeded, NonpositiveRadius, ParameterViolation, ZeroS
 from .values import (
     json_field,
     json_rational,
-    max_average_radius,
     max_slope_pair,
     rational_str,
 )
+
+# Kinks a side per stretch of the centered walk (StepLayout.centered_radius);
+# layouts with at most this many a side are walked in one stretch
+_STRETCH = 32
 
 
 @dataclass(frozen=True)
@@ -94,17 +103,68 @@ class StepLayout:
         The ball mass M(r) is 0 at r = 0 and piecewise linear in r, its
         slope dy (f(x-) + f(x+)) at first and changing by the jump at each
         breakpoint b != x, at r = |x - b|: the right edge meets the jump, the
-        left edge its negative.  Between those kinks the average is a
-        Mobius function of r, so one walk over them (max_average_radius),
-        bounded by the total mass, finds the least radius attaining the
-        maximum."""
-        xs, jumps = self.xs, self.jumps
+        left edge its negative.  Between those kinks the average M(r) / (2r)
+        is a Mobius function of r, monotone or constant, so the maximum and
+        the least radius attaining it sit at 0 or at a kink, and keeping
+        strict improvements in ascending r finds that least radius.
+
+        The kinks are walked in stretches of at most _STRETCH a side, each
+        sorted from two index ranges of xs.  f >= 0, so M is nondecreasing
+        and every radius in a stretch [r1, R] averages at most
+        M(R) / (2 r1).  A stretch after the first whose end mass (two
+        mass_to reads) gives no more than the best is skipped, as none of
+        its radii beats the best strictly (a tie keeps the smaller radius
+        already held); the walk resumes at R with the slope read from vals.
+        The walk stops at the first radius r with M(inf) / (2r) <= best, as
+        no larger radius beats it."""
+        xs, vals, jumps = self.xs, self.vals, self.jumps
         k, m = self.locate(c, q)
-        kinks = [(b * q - c, j) for b, j in zip(xs[m:], jumps[m:])]
-        if k:
-            kinks += [(c - b * q, -j) for b, j in zip(xs[k - 1::-1], jumps[k - 1::-1])]
-            kinks.sort()  # two ascending runs: sorting merges them in linear time
-        return max_average_radius(kinks, self.vals[k] + self.vals[m], self.ys[-1] * q)
+        bound = self.ys[-1] * q
+        rate = vals[k] + vals[m]
+        # the best average is best_num / (2 best_den), and cap = bound * best_den
+        best_num, best_den, cap = rate, 1, bound
+        best_r = last = mass = 0
+        j, i, end = m, k - 1, len(xs)  # the next breakpoint right of x, left of x
+        while j < end or i >= 0:
+            if end - j <= _STRETCH and i < _STRETCH:
+                jr, il = end, -1  # the rest is one stretch
+            else:
+                rad = []
+                if end - j > _STRETCH:
+                    rad.append(xs[j + _STRETCH - 1] * q - c)
+                if i >= _STRETCH:
+                    rad.append(c - xs[i - _STRETCH + 1] * q)
+                R = min(rad)
+                jr = bisect_right(xs, (c + R) // q, j)
+                il = bisect_left(xs, -(-(c - R) // q), 0, i + 1) - 1
+                if last:  # past the first stretch
+                    r1 = min(xs[j] * q - c if j < end else R, c - xs[i] * q if i >= 0 else R)
+                    lim = best_num * r1
+                    if cap <= lim:
+                        return best_r
+                    end_mass = self.mass_to(c + R, q) - self.mass_to(c - R, q)
+                    if end_mass * best_den <= lim:
+                        mass, last, rate = end_mass, R, vals[jr] + vals[il + 1]
+                        j, i = jr, il
+                        continue
+            kinks = [(b * q - c, d) for b, d in zip(xs[j:jr], jumps[j:jr])]
+            if il < i:
+                stop = il if il >= 0 else None
+                kinks += [(c - b * q, -d) for b, d in zip(xs[i:stop:-1], jumps[i:stop:-1])]
+                kinks.sort()  # two ascending runs: sorting merges them in linear time
+            for r, dk in kinks:
+                if r != last:
+                    lim = best_num * r
+                    if cap <= lim:
+                        return best_r
+                    mass += rate * (r - last)
+                    if mass * best_den > lim:
+                        best_num, best_den, best_r = mass, r, r
+                        cap = bound * r
+                    last = r
+                rate += dk
+            j, i = jr, il
+        return best_r
 
 
 def step_layout(breakpoints: list, values: list) -> StepLayout:
@@ -199,7 +259,9 @@ def maximal_centered_cont(f: StepFunction, x: Fraction) -> ContinuousResult:
     edge of the ball meets a breakpoint; between kinks the average is
     monotone or constant, so one walk over the kinks of f's StepLayout
     (StepLayout.centered_radius) finds the maximum and the least radius
-    attaining it.  The r -> 0 limit, the mean of the one-sided limits, is
+    attaining it.  f >= 0 keeps the ball mass nondecreasing, so the walk
+    skips, exactly, each stretch of kinks whose end mass cannot beat the
+    best so far.  The r -> 0 limit, the mean of the one-sided limits, is
     matched exactly on radii below the nearest kink; radius 0 reports it.
     Otherwise the winner's value is two integer prefix reads."""
     x = Fraction(x)

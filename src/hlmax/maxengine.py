@@ -290,11 +290,13 @@ def event_centered(sig: Signal, n: int, limits: Limits = DEFAULT_LIMITS) -> Cent
     r + 1/2 about n + 1/2 of the signal's StepLayout, so one walk over the
     O(B) kinks of the ball mass (StepLayout.centered_radius at the offset
     (2t + 1, 2), t = n - lo) returns 2r + 1, or 0 where f(n) is the
-    maximum, and one window sum reads the value.  Power-law signals evaluate
-    the event radii (edges meeting boundaries, +-1) plus the interior peaks
-    of power-law stretches; Mobius monotonicity between events and the peak
-    searches make that candidate set complete both for the maximum and for
-    the minimal radius attaining it."""
+    maximum, and one window sum reads the value.  f >= 0 keeps the window
+    mass nondecreasing in r, so the walk skips, exactly, each stretch of
+    kinks whose end mass shows that none of its radii can win.  Power-law
+    signals evaluate the event radii (edges meeting boundaries, +-1) plus
+    the interior peaks of power-law stretches; Mobius monotonicity between
+    events and the peak searches make that candidate set complete both for
+    the maximum and for the minimal radius attaining it."""
     blocks = as_blocks(sig)
     lay = blocks.layout
     if lay is not None:

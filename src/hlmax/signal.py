@@ -153,11 +153,11 @@ class BlockSignal:
         self.blocks = tuple(merged)
         self._starts = [b.start for b in merged]
         self._ends = [b.end for b in merged]
-        bset = set()
+        self._boundaries = []  # s_0 <= e_0 < s_1 <= e_1 < ...: already ascending
         for b in merged:
-            bset.add(b.start)
-            bset.add(b.end)
-        self._boundaries = sorted(bset)
+            self._boundaries.append(b.start)
+            if b.end != b.start:
+                self._boundaries.append(b.end)
         self.layout = None if self.has_powerlaw else _block_layout(merged)
         self._pl_tables = {}
         self._dense_prefix = None

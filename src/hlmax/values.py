@@ -311,40 +311,6 @@ def max_slope_pair(xl: list, yl: list, xr: list, yr: list) -> tuple[int, int]:
     return i, right.index(max(right))
 
 
-def max_average_radius(kinks, rate: int, bound: int) -> int:
-    """Minimal radius r >= 0 maximizing M(r) / (2r), r = 0 meaning the
-    limit rate / 2 of vanishing radii.
-
-    The mass M is piecewise affine: M(0) = 0, its slope is rate from 0 and
-    changes by dk at each (r, dk) of kinks, given in ascending r > 0
-    (several kinks may share a radius).  Between consecutive kinks the
-    average is a Mobius function of r, monotone or constant, so the maximum
-    and the least radius attaining it sit at 0 or at a kink; after the last
-    kink the mass is frozen and the average falls.  Keeping strict
-    improvements in ascending r returns that least radius.
-
-    bound is an upper bound on every M(r), such as the total mass.  The walk
-    stops at the first kink radius r with bound / (2r) <= best: every
-    radius from r on averages at most that, so none beats the best strictly
-    and the least maximizing radius is already found."""
-    best_num, best_den = rate, 2
-    best_r = last = mass = 0
-    cap = 2 * bound
-    for r, dk in kinks:
-        if r != last:
-            den = 2 * r
-            lim = best_num * den
-            if cap <= lim:
-                break
-            mass += rate * (r - last)
-            if mass * best_den > lim:
-                best_num, best_den, best_r = mass, den, r
-                cap = bound * den
-            last = r
-        rate += dk
-    return best_r
-
-
 def fraction_to_enclosure(fr: Fraction, prec: int = DEFAULT_PRECISION) -> Enclosure:
     n, d = fr.numerator, fr.denominator
     return _enc(_quot(n, 0, d, prec, _floor), _quot(n, 0, d, prec, _ceil))

@@ -6,11 +6,13 @@ where every candidate radius lies on a coarse dyadic grid)."""
 import random
 from dataclasses import replace
 from fractions import Fraction
+from unittest.mock import patch
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hlmax import continuum
 from hlmax.continuum import (
     StepFunction,
     average_ball,
@@ -22,6 +24,8 @@ from hlmax.continuum import (
 )
 from hlmax.config import Limits
 from hlmax.errors import BudgetExceeded, NonpositiveRadius, ParameterViolation, ZeroSignal
+from hlmax.maxengine import event_centered
+from hlmax.signal import Block, BlockSignal
 
 F = Fraction
 
@@ -502,6 +506,82 @@ class TestCenteredWalk:
             moved = StepFunction([b + big for b in f.breakpoints], f.values)
             a, b = maximal_centered_cont(f, x), maximal_centered_cont(moved, x + big)
             assert (a.max_value, a.radius) == (b.max_value, b.radius)
+
+
+@st.composite
+def block_signals(draw):
+    """Up to 80 constant blocks (gap before, length, amplitude): gaps of 0
+    make touching blocks, length 1 one-point blocks; as (spec, lo, hi)."""
+    count = draw(st.integers(1, 80))
+    spec = draw(
+        st.lists(
+            st.tuples(st.integers(0, 6), st.integers(1, 6), st.integers(1, 9), st.integers(1, 4)),
+            min_size=count,
+            max_size=count,
+        )
+    )
+    return spec, spec[0][0], sum(g + n for g, n, _, _ in spec) - 1
+
+
+def shifted(spec, off: int) -> BlockSignal:
+    blocks, pos = [], off
+    for gap, length, p, d in spec:
+        pos += gap
+        blocks.append(Block(pos, pos + length - 1, F(p, d)))
+        pos += length
+    return BlockSignal(blocks)
+
+
+def window_scan(spec, n: int) -> int:
+    """Least r maximizing the mean over [n - r, n + r], every r scanned."""
+    f = {}
+    pos = 0
+    for gap, length, p, d in spec:
+        pos += gap
+        for i in range(pos, pos + length):
+            f[i] = F(p, d)
+        pos += length
+    reach = max(abs(n - min(f)), abs(n - max(f)))
+    mass, best, best_r = f.get(n, 0), f.get(n, 0), 0
+    for r in range(1, reach + 1):
+        mass += f.get(n - r, 0) + f.get(n + r, 0)
+        if mass / (2 * r + 1) > best:
+            best, best_r = mass / (2 * r + 1), r
+    return best_r
+
+
+class TestBoundedWalk:
+    """The centered walk skips a stretch of kinks when its end mass cannot
+    beat the best: exact because f >= 0 keeps the ball mass nondecreasing.
+    One kink a side per stretch, two, and the whole walk in one stretch
+    against the default and an exhaustive scan over every kink radius."""
+
+    SIZES = (1, 2, 10**9)
+
+    @given(block_signals(), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_block_layouts(self, layout, data):
+        spec, lo, hi = layout
+        pts = data.draw(st.lists(st.integers(lo - 3, hi + 3), min_size=1, max_size=4))
+        sigs = [(off, shifted(spec, off)) for off in (0, 2**10000)]
+        for n in pts:
+            want = window_scan(spec, n)
+            for off, sig in sigs:
+                ref = event_centered(sig, n + off)
+                assert ref.radius == want
+                for size in self.SIZES:
+                    with patch.object(continuum, "_STRETCH", size):
+                        assert event_centered(sig, n + off) == ref
+
+    @given(rational_step_functions(), st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_rational_step_functions(self, f, data):
+        for x in data.draw(st.lists(rational_points(f), min_size=1, max_size=4)):
+            ref = maximal_centered_cont(f, x)
+            assert (ref.max_value, ref.radius) == candidate_loop_centered(f, x)
+            for size in self.SIZES:
+                with patch.object(continuum, "_STRETCH", size):
+                    assert maximal_centered_cont(f, x) == ref
 
 
 class TestJson:

@@ -79,6 +79,32 @@ class TestConstruction:
         with pytest.raises(ParameterViolation):
             PowerLaw(Fraction(0))
 
+    @given(
+        st.lists(
+            st.tuples(
+                st.integers(0, 3),
+                st.integers(1, 4),
+                st.one_of(st.sampled_from((Fraction(1), Fraction(1, 3))),
+                          st.builds(PowerLaw, st.sampled_from((Fraction(1, 2), Fraction(2, 3))))),
+            ),
+            min_size=1,
+            max_size=12,
+        ),
+        st.sampled_from((1, 2**10000)),
+    )
+    @settings(max_examples=100)
+    def test_boundaries_are_the_sorted_block_edges(self, spec, off):
+        # gaps of 0 make touching blocks (merged when their amplitudes
+        # agree), length 1 one-point blocks with start == end
+        blocks, pos = [], off
+        for gap, length, amp in spec:
+            pos += gap
+            blocks.append(Block(pos, pos + length - 1, amp))
+            pos += length
+        sig = BlockSignal(blocks)
+        edges = {b.start for b in sig.blocks} | {b.end for b in sig.blocks}
+        assert sig.boundaries() == sorted(edges)
+
 
 class TestWindowSums:
     @given(values_st, st.integers(-30, 30), st.data())

@@ -2,7 +2,9 @@
 
 import subprocess
 import sys
+from dataclasses import replace
 from fractions import Fraction
+from unittest.mock import patch
 
 import mpmath
 import pytest
@@ -11,7 +13,10 @@ from hypothesis import strategies as st
 from mpmath.libmp import from_man_exp, round_ceiling, round_floor
 
 import hlmax.values
+from hlmax import continuum
+from hlmax.continuum import StepFunction, maximal_centered_cont
 from hlmax.errors import ParameterViolation
+from hlmax.signal import Block, BlockSignal
 from hlmax.values import (
     DEFAULT_PRECISION,
     Enclosure,
@@ -22,7 +27,6 @@ from hlmax.values import (
     iroot,
     ln_of_value,
     ln_value,
-    max_average_radius,
     max_slope_pair,
     overlap_width,
     parse_rational,
@@ -40,6 +44,8 @@ from hlmax.values import (
     v_sub,
     value_str,
 )
+
+F = Fraction
 
 fractions_st = st.fractions(
     min_value=Fraction(-100), max_value=Fraction(100), max_denominator=64
@@ -577,80 +583,122 @@ class TestEnclosureConstructor:
                 Enclosure(0, bad)
 
 
-def odd_windows(kinks, mass: int, rate: int, bound: int) -> int:
-    """The walk for M(r) / (2r + 1), M(0) = mass and slope rate from 0, at
-    the half-integer centre: the window of radius r is the ball of radius
-    R = 2r + 1 in half units, whose mass is twice M(r), so the ball mass
-    rises by 2 mass over (0, 1], then at rate, with each kink at 2r + 1.
-    Returns R: 0 when M(0) is the maximum, else 2r + 1."""
-    half = [(1, rate - 2 * mass)] + [(2 * r + 1, dk) for r, dk in kinks]
-    return max_average_radius(half, 2 * mass, 2 * bound)
+def window_radius(blocks, n: int) -> int:
+    """The kink walk for the windows [n - r, n + r] of BlockSignal(blocks):
+    the ball of radius R = 2r + 1 in half units about n + 1/2, so R is 0
+    when f(n) alone is the maximum, else 2r + 1."""
+    lay = BlockSignal(blocks).layout
+    return lay.centered_radius(2 * (n - lay.lo) + 1, 2)
+
+
+def ball_radius(f: StepFunction, x) -> Fraction:
+    """The kink walk for the balls about x, in units of x."""
+    lay = f.layout
+    c, q = lay.offset(Fraction(x))
+    return Fraction(lay.centered_radius(c, q), lay.dx * q)
+
+
+class Reads(list):
+    """A list that records which indices its slices read."""
+
+    def __init__(self, items):
+        super().__init__(items)
+        self.read = set()
+
+    def __getitem__(self, key):
+        if isinstance(key, slice):
+            self.read.update(range(*key.indices(len(self))))
+        return super().__getitem__(key)
 
 
 class TestMaxAverageRadius:
+    """The centered kink walk, StepLayout.centered_radius: the least radius
+    maximizing M(r) / (2r), r = 0 for the vanishing limit, with the windows
+    of a signal on Z as the balls of radius 2r + 1 about n + 1/2."""
+
     def test_odd_windows(self):
-        # M stays 1 up to r = 3 and then grows by 4 a step: M(5) = 9 and
-        # 9/11 < 1/1, so radius 0
-        assert odd_windows([(3, 4), (5, -4)], 1, 0, 9) == 0
-        # M(2) = 1 + 2*2 = 5 over 5 ties M(0) = 1: the smaller radius wins
-        assert odd_windows([(2, -2)], 1, 2, 5) == 0
+        # f(0) = 1, then 0 up to r = 3 and 2 on both sides at r = 4, 5:
+        # M(5) = 9 and 9/11 < 1/1, so radius 0
+        assert window_radius([Block(-5, -4, F(2)), Block(0, 0, F(1)), Block(4, 5, F(2))], 0) == 0
+        # every window of ones averages 1: the smallest radius wins
+        assert window_radius([Block(-2, 2, F(1))], 0) == 0
         # M(4) = 1 + 3*3 = 10 over 9 beats 1: r = 4, R = 9
-        assert odd_windows([(1, 3), (4, -3)], 1, 0, 10) == 9
+        assert window_radius([Block(-4, -2, F(1)), Block(0, 0, F(1)), Block(2, 4, F(2))], 0) == 9
 
     def test_even_windows_start_from_the_vanishing_limit(self):
-        # rate 2 near 0 averages 1, as M(1) = 2 over 2 does; two kinks at
-        # r = 1 raise the rate to 6 together, so M(3) = 14 and 14/6 > 1
-        assert max_average_radius([(1, 2), (1, 2), (3, -6)], 2, 14) == 3
-        assert max_average_radius([(1, -2)], 2, 2) == 0
+        # rate 2 near 0 averages 1, as the ball of radius 1 does; both edges
+        # raise the rate at r = 1, so M(3) = 14 and 14/6 > 1
+        assert ball_radius(StepFunction([-3, -1, 1, 3], [3, 1, 3]), 0) == 3
+        assert ball_radius(StepFunction([-1, 1], [1]), 0) == 0
 
     def test_stop_at_the_bound_keeps_a_tie_at_a_larger_radius_out(self):
-        # M(0) = 3 over 1; M(4) = 27 = bound over 9 ties it, so the walk
-        # may stop at r = 4 and the answer stays 0
-        assert odd_windows([(1, 6), (4, -6)], 3, 0, 27) == 0
-        # the bound equal to the final mass, which wins: M(4) = 19 over 9
-        assert odd_windows([(1, 6), (4, -6)], 1, 0, 19) == 9
+        # M(0) = 3 over 1; M(4) = 27, the total mass, over 9 ties it, so
+        # the walk may stop at r = 4 and the answer stays 0
+        assert window_radius([Block(-4, -2, F(4)), Block(0, 0, F(3)), Block(2, 4, F(4))], 0) == 0
+        # the total mass at the end wins: M(4) = 19 over 9
+        assert window_radius([Block(-4, -2, F(3)), Block(0, 0, F(1)), Block(2, 4, F(3))], 0) == 9
+
+    def test_skipped_stretch_that_ties_keeps_the_smaller_radius(self):
+        # g = 1, 3, 0, 2, 0, 1 on the unit cells either side of 0: the mean
+        # over (0, 2) is 2; the stretch of the kinks at 3 and 4 ends with
+        # mass 2 * 6 and 12 / (2 * 3) ties 2, so it is skipped unread
+        g = [1, 3, 0, 2, 0, 1]
+        f = StepFunction(range(-6, 7), g[::-1] + g)
+        lay = replace(f.layout, jumps=Reads(f.layout.jumps))
+        with patch.object(continuum, "_STRETCH", 2):
+            assert lay.centered_radius(*lay.offset(F(0))) == 2
+        tied = {i for i, x in enumerate(lay.xs) if abs(x - 6) in (3, 4)}
+        assert len(tied) == 4 and not lay.jumps.read & tied
+        assert maximal_centered_cont(f, 0).max_value == 2
+
+    def test_best_after_a_skipped_zero_gap(self):
+        # g = 1, 0, 1, 0, 4: one kink a side per stretch, the stretches
+        # at 2, 3 and 4 are skipped, the last with the zero cell (3, 4)
+        # before it; only both edges' slope on (4, 5) make the ball of
+        # radius 5 the best, mean 6/5 against 1
+        g = [1, 0, 1, 0, 4]
+        f = StepFunction(range(-5, 6), g[::-1] + g)
+        for size in (1, 2, 10**9):
+            with patch.object(continuum, "_STRETCH", size):
+                assert ball_radius(f, 0) == 5
+                assert maximal_centered_cont(f, 0).max_value == F(6, 5)
+        # the same on one side, with x on the left end of the support
+        with patch.object(continuum, "_STRETCH", 1):
+            assert ball_radius(StepFunction(range(6), g), 0) == 5
 
     @given(
-        st.integers(0, 5),
-        st.integers(0, 6),
-        st.lists(st.tuples(st.integers(1, 4), st.integers(0, 6), st.integers(1, 3)), max_size=7),
-        st.integers(1, 4),
-        st.one_of(st.just(0), st.integers(1, 20)),
+        st.lists(st.integers(0, 6), min_size=1, max_size=12),
+        st.lists(st.integers(0, 6), min_size=1, max_size=12),
         st.booleans(),
+        st.sampled_from((1, 2, 3, 10**9)),
     )
     @settings(max_examples=300, deadline=None)
-    def test_equals_a_scan_of_every_radius(self, mass, rate, segments, last_gap, extra, odd):
-        """Kinks (gap to the next kink radius, rate after it, kinks it is
-        split into), then a last kink that freezes the mass; the walk with
-        bound = final mass + extra against the argmax over every radius,
-        of M(r) / (2r + 1) at the half-integer centre (odd) or of M(r) / (2r)."""
-        if not odd:
-            mass = 0  # even windows start from M(0) = 0
-        kinks, r, cur = [], 0, rate
-        for gap, new_rate, parts in segments:
-            r += gap
-            steps = [1] * (parts - 1) + [new_rate - cur - (parts - 1)]
-            kinks += [(r, dk) for dk in steps]
-            cur = new_rate
-        r += last_gap
-        kinks.append((r, -cur))
-        masses, m, cur = [mass], mass, rate
-        by_radius = {}
-        for kr, dk in kinks:
-            by_radius[kr] = by_radius.get(kr, 0) + dk
-        for radius in range(1, r + 4):
-            m += cur
-            masses.append(m)
-            cur += by_radius.get(radius, 0)
-        averages = [Fraction(mm, 2 * k + odd) if 2 * k + odd else Fraction(rate, 2)
-                    for k, mm in enumerate(masses)]
-        best = max(averages)
-        want = averages.index(best)
+    def test_equals_a_scan_of_every_radius(self, left, right, odd, size):
+        """Values on the unit cells left and right of 0 (of the point 0 on
+        Z when odd); the walk against the least argmax over every radius:
+        the integer ones are every kink radius."""
+        if not any(left + right):
+            right[0] = 1
+        g = left[::-1] + right
+        cell = dict(enumerate(g, -len(left)))  # cell n: the point n, or (n, n + 1)
         if odd:
-            got = odd_windows(kinks, mass, rate, masses[-1] + extra)
-            assert got == (2 * want + 1 if want else 0)
+            masses = [cell[0]]  # M(r), the mass of the window [-r, r]
+            for r in range(1, len(g) + 1):
+                masses.append(masses[-1] + cell.get(-r, 0) + cell.get(r, 0))
+            averages = [F(m, 2 * r + 1) for r, m in enumerate(masses)]
+            want = averages.index(max(averages))
+            blocks = [Block(n, n, F(v)) for n, v in cell.items() if v]
+            with patch.object(continuum, "_STRETCH", size):
+                assert window_radius(blocks, 0) == (2 * want + 1 if want else 0)
         else:
-            assert max_average_radius(kinks, rate, masses[-1] + extra) == want
+            masses = [0]  # M(r), the mass of the ball (-r, r)
+            for r in range(1, len(g) + 1):
+                masses.append(masses[-1] + cell.get(-r, 0) + cell.get(r - 1, 0))
+            averages = [F(cell[-1] + cell[0], 2)] + [F(m, 2 * r) for r, m in enumerate(masses) if r]
+            want = averages.index(max(averages))
+            f = StepFunction(range(-len(left), len(right) + 1), g)
+            with patch.object(continuum, "_STRETCH", size):
+                assert ball_radius(f, 0) == want
 
 
 LAZY_MPMATH_SCRIPT = """
