@@ -75,7 +75,8 @@ def _read_signal(path: str, command: str):
 
 
 def _parse_points(spec: str) -> list:
-    return [parse_int(tok) for tok in spec.split(",") if tok.strip()]
+    """Comma-separated integers; an empty entry (so an empty list) is refused."""
+    return [parse_int(tok) for tok in spec.split(",")]
 
 
 def _parse_range(spec: str) -> range:
@@ -162,12 +163,9 @@ def _cmd_construct(args) -> int:
 
 def _cmd_profile(args) -> int:
     sig = _read_signal(args.signal, "profile")
-    if args.range is not None:
-        points = _parse_range(args.range)
-    elif args.points is not None:
-        points = _parse_points(args.points)
-    else:
-        raise ParameterViolation("profile needs --range or --points")
+    if (args.range is None) == (args.points is None):
+        raise ParameterViolation("profile needs one of --range and --points")
+    points = _parse_range(args.range) if args.range is not None else _parse_points(args.points)
     results = profile(sig, points, uncentered=args.uncentered)
     radius_col = "min_diameter" if args.uncentered else "radius"
     lines = [f"n,max_value,{radius_col},certified,gap"]

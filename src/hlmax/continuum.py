@@ -8,8 +8,9 @@ radius with no interior extrema, so the maximum and the minimal maximizing
 radius sit among finitely many candidates: one walk over the kinks of the
 ball mass in the centered case, the steepest chord between prefix-sum hulls
 in the uncentered one.  Both run on the integer StepLayout that each
-StepFunction compiles once relative to its support start, so a query does
-one Fraction subtraction and costs the same at 0 and at 2^10000.
+StepFunction compiles once relative to its support start, hulls of every
+prefix and suffix included, so a query does one Fraction subtraction and
+costs the same at 0 and at 2^10000.
 
 The StepLayout is the one compiled form of every constant signal: an
 all-constant BlockSignal on Z compiles to the layout of the step function
@@ -38,12 +39,7 @@ from fractions import Fraction
 
 from .config import DEFAULT_LIMITS, Limits
 from .errors import BudgetExceeded, NonpositiveRadius, ParameterViolation, ZeroSignal
-from .values import (
-    json_field,
-    json_rational,
-    max_slope_pair,
-    rational_str,
-)
+from .values import json_field, json_rational, rational_str
 
 # Kinks a side per stretch of the centered walk (StepLayout.centered_radius);
 # layouts with at most this many a side are walked in one stretch
@@ -71,8 +67,12 @@ class StepLayout:
     padded with 0 on both sides, times their common denominator dy, so
     vals[i] is dy * f on (b_{i-1}, b_i); ys[i] = dx * dy * F(b_i), with F
     the mass over (-inf, t]; jumps[i] = vals[i + 1] - vals[i], the jump at
-    b_i.  A query subtracts lo once (offset).  A BlockSignal's layout has
-    integer breakpoints, so lo is an int and dx = 1."""
+    b_i.  Over the points (xs[i], ys[i]), lower[i] is the previous vertex
+    of the lower hull of points 0..i (-1 for none) and upper[i] the next
+    vertex of the upper hull of points i..end (len(xs) for none), so every
+    prefix and suffix hull is one parent chain.  A query subtracts lo once
+    (offset).  A BlockSignal's layout has integer breakpoints, so lo is an
+    int and dx = 1."""
 
     lo: Fraction
     dx: int
@@ -81,6 +81,8 @@ class StepLayout:
     vals: list
     ys: list
     jumps: list
+    lower: list
+    upper: list
 
     def offset(self, x: Fraction) -> tuple[int, int]:
         """(c, q) with x = lo + c / (dx * q): positions at scale dx * q."""
@@ -166,6 +168,74 @@ class StepLayout:
             j, i = jr, il
         return best_r
 
+    def steepest_chord(self, b: int, left, a: int, right, q: int) -> tuple[int, int]:
+        """(rise, run) of the steepest chord, at scale dx * q, from the
+        points 0..b-1 and the pinned point `left` to `right` and the points
+        a..end, every left point lying left of every right one; a pinned
+        point is an (x, y) pair at that scale, or None.
+
+        This is the maximum-density segment problem (Goldwasser, Kao & Lu,
+        JCSS 2005): the chord joins a vertex of the lower hull of the left
+        points to one of the upper hull of the right ones.  Both hulls are
+        the compiled parent chains from b - 1 and from a, with the pinned
+        point attached at the inner end after popping the vertices it
+        leaves no longer strictly convex.  From the inner ends, a step of
+        either end to a neighbouring vertex in either direction is taken
+        while it makes the chord strictly steeper; the chord slope is
+        unimodal along each hull, so where no step helps each end is best
+        for the other, the line through them has every left point on or
+        above it and every right point on or below, and the chord is the
+        steepest.  It then slides to the innermost vertices on that line:
+        a point on it lies on a hull edge in it, whose ends are vertices,
+        so the shortest steepest chord comes out."""
+        xs, ys, lower, upper = self.xs, self.ys, self.lower, self.upper
+        lx, ly, rx, ry = [], [], [], []  # the hull vertices, innermost first
+        i, j, end = b - 1, a, len(xs)
+        if left is not None:
+            px, py = left
+            while i > 0 and (ys[i] - ys[h := lower[i]]) * (px - xs[i] * q) >= (
+                py - ys[i] * q
+            ) * (xs[i] - xs[h]):
+                i = h
+            lx.append(px)
+            ly.append(py)
+        while i >= 0:
+            lx.append(xs[i] * q)
+            ly.append(ys[i] * q)
+            i = lower[i]
+        if right is not None:
+            px, py = right
+            while j < end - 1 and (ys[j] * q - py) * (xs[h := upper[j]] - xs[j]) <= (
+                ys[h] - ys[j]
+            ) * (xs[j] * q - px):
+                j = h
+            rx.append(px)
+            ry.append(py)
+        while j < end:
+            rx.append(xs[j] * q)
+            ry.append(ys[j] * q)
+            j = upper[j]
+        i = j = 0
+        nl, nr = len(lx), len(rx)
+        num, den = ry[0] - ly[0], rx[0] - lx[0]
+        while True:
+            if i + 1 < nl and (ry[j] - ly[i + 1]) * den > num * (rx[j] - lx[i + 1]):
+                i += 1
+            elif i and (ry[j] - ly[i - 1]) * den > num * (rx[j] - lx[i - 1]):
+                i -= 1
+            elif j + 1 < nr and (ry[j + 1] - ly[i]) * den > num * (rx[j + 1] - lx[i]):
+                j += 1
+            elif j and (ry[j - 1] - ly[i]) * den > num * (rx[j - 1] - lx[i]):
+                j -= 1
+            else:
+                break
+            num, den = ry[j] - ly[i], rx[j] - lx[i]
+        if i and (ry[j] - ly[i - 1]) * den == num * (rx[j] - lx[i - 1]):
+            i -= 1
+        if j and (ry[j - 1] - ly[i]) * den == num * (rx[j - 1] - lx[i]):
+            j -= 1
+        return ry[j] - ly[i], rx[j] - lx[i]
+
 
 def step_layout(breakpoints: list, values: list) -> StepLayout:
     """The StepLayout of the step function with value values[i] between
@@ -176,7 +246,19 @@ def step_layout(breakpoints: list, values: list) -> StepLayout:
     for v, a, b in zip(vals[1:], xs, xs[1:]):
         ys.append(ys[-1] + v * (b - a))
     jumps = [b - a for a, b in zip(vals, vals[1:])]
-    return StepLayout(breakpoints[0], dx, dy, xs, vals, ys, jumps)
+    end = len(xs)
+    lower, upper = [-1] * end, [end] * end
+    for i in range(1, end):  # pop h while (lower[h], h, i) turns clockwise or not at all
+        h = i - 1
+        while h and (ys[h] - ys[g := lower[h]]) * (xs[i] - xs[h]) >= (ys[i] - ys[h]) * (xs[h] - xs[g]):
+            h = g
+        lower[i] = h
+    for i in range(end - 2, -1, -1):  # the same from the right for the upper hull
+        h = i + 1
+        while h < end - 1 and (ys[h] - ys[i]) * (xs[g := upper[h]] - xs[h]) <= (ys[g] - ys[h]) * (xs[h] - xs[i]):
+            h = g
+        upper[i] = h
+    return StepLayout(breakpoints[0], dx, dy, xs, vals, ys, jumps, lower, upper)
 
 
 class StepFunction:
@@ -285,29 +367,23 @@ def maximal_uncentered_cont(f: StepFunction, x: Fraction) -> ContinuousResult:
     With F the mass function, the interval (l, u) averages the slope of F
     from l to u.  F is linear between breakpoints, so the candidate ends
     are the breakpoints on each side of x and x itself, and the answer is
-    the steepest chord from a left candidate to a right one: exact prefix-
-    sum hulls (max_slope_pair), innermost pair first, so the reported
-    interval is the shortest maximizer.  The zero-length pair (x, x) is no
-    interval; the chords are split into those from a breakpoint left of x
-    and those from x itself.  The hull points are f's StepLayout scaled by
-    q, and x's own point is one integer prefix read."""
+    the steepest chord from a left candidate to a right one, innermost
+    pair first (StepLayout.steepest_chord on f's compiled hulls), so the
+    reported interval is the shortest maximizer.  The zero-length pair
+    (x, x) is no interval; the chords are split into those from a
+    breakpoint left of x and those from x itself.  x's own point is one
+    integer prefix read at scale q."""
     x = Fraction(x)
     lay = f.layout
     c, q = lay.offset(x)
     k, m = lay.locate(c, q)
-    xs, ys = [b * q for b in lay.xs], [y * q for y in lay.ys]
-    fx = lay.mass_to(c, q)
-    splits = []
-    if k:
-        splits.append((xs[:k], ys[:k], [c] + xs[m:], [fx] + ys[m:]))
-    if m < len(xs):
-        splits.append(([c], [fx], xs[m:], ys[m:]))
-    num, den = -1, 0
-    for xl, yl, xr, yr in splits:
-        i, j = max_slope_pair(xl, yl, xr, yr)
-        n2, d2 = yr[j] - yl[i], xr[j] - xl[i]
-        if den == 0 or n2 * den > num * d2 or (n2 * den == num * d2 and d2 < den):
-            num, den = n2, d2
+    pin = (c, lay.mass_to(c, q))
+    chords = []
+    if k:  # from a breakpoint left of x to x or to one right of it
+        chords.append(lay.steepest_chord(k, None, m, pin, q))
+    if m < len(lay.xs):  # from x to a breakpoint right of it
+        chords.append(lay.steepest_chord(0, pin, m, None, q))
+    num, den = max(chords, key=lambda ch: (Fraction(*ch), -ch[1]))
     limit = max(lay.vals[k], lay.vals[m])  # dy max(f(x-), f(x+))
     if num > limit * den:
         return ContinuousResult(x, Fraction(num, den * lay.dy), Fraction(den, 2 * lay.dx * q), True)

@@ -16,8 +16,9 @@ window [n - r, n + r] is the ball of radius r + 1/2 about n + 1/2, so its
 engines run on the one continuum.StepLayout that the signal compiles when it
 is built: the centered engine is the continuous kink walk at the
 half-integer centre, reading one window sum at the winner; the uncentered
-maximum is the steepest chord of the prefix-mass graph across n, found on
-convex hulls rather than by trying every pair of window edges; and the
+maximum is the steepest chord of the prefix-mass graph across n, found by
+tangent steps between the prefix and suffix hulls the layout compiles with
+it, rather than by trying every pair of window edges; and the
 radius sweep of frequency_pieces compares affine forms on the same
 breakpoints, all in integers (scaled by the common denominator) on offsets
 from the support start.
@@ -56,7 +57,6 @@ from .values import (
     compare,
     escalate,
     int_str,
-    max_slope_pair,
     overlap_width,
     v_add,
     v_div_posint,
@@ -662,35 +662,25 @@ def _uncentered_hull(lay: StepLayout, n: int) -> UncenteredResult:
     """All-constant case of event_uncentered by prefix-sum hulls.
 
     With P(x) the scaled mass left of x, the window [l, u] averages the
-    slope from (l, P(l)) to (u + 1, P(u + 1)), so the answer is the largest
-    slope from a left point to a right one, innermost pair first
-    (max_slope_pair).  P is linear between the block edges S_i and
-    E_i + 1, so on each side the slope term P*den - num*x is extremal, and
-    extremal at its innermost, only at those edges or at the pinned ends;
-    the other candidate edges (boundaries +-1) can neither raise the
-    maximum nor shorten the minimal window.  The edge points are the
-    breakpoints of the signal's StepLayout, built once per signal on
-    offsets from the support start, so a query subtracts lo once and its
-    arithmetic stays small at any n.  The reaches of _uncentered_bounds put
-    the outer ends at min(t, 0) and max(t, last end) + 1."""
-    xs, ys = lay.xs, lay.ys
+    slope from (l, P(l)) to (u + 1, P(u + 1)), so the answer is the
+    steepest chord from a left point to a right one, innermost pair first
+    (StepLayout.steepest_chord).  P is linear between the block edges S_i
+    and E_i + 1, the breakpoints of the signal's StepLayout, so on each side
+    the slope term P*den - num*x is extremal, and extremal at its innermost,
+    only at those edges or at the pinned ends t = n - lo and t + 1; the
+    other candidate edges (boundaries +-1) can neither raise the maximum
+    nor shorten the minimal window.  The left points are the breakpoints
+    below t and (t, P(t)), the right ones (t + 1, P(t + 1)) and the
+    breakpoints above t + 1: the reaches of _uncentered_bounds, with
+    P = 0 left of the support.  The hulls of every prefix and suffix of
+    the breakpoints are compiled with the layout, so a query walks two
+    parent chains on offsets from the support start, and its arithmetic
+    stays small at any n."""
+    xs = lay.xs
     t = n - lay.lo
-    # mass left of t and of t + 1; the outer ends hold none and all of it
-    p_n, p_n1 = lay.mass_to(t, 1), lay.mass_to(t + 1, 1)
-    x_lo, x_hi = min(t, 0), max(t + 1, xs[-1])
-    a, b = bisect_right(xs, x_lo), bisect_left(xs, t)
-    xl, yl = [x_lo] + xs[a:b], [0] + ys[a:b]
-    if t > x_lo:
-        xl.append(t)
-        yl.append(p_n)
-    a, b = bisect_right(xs, t + 1), bisect_left(xs, x_hi)
-    xr, yr = [t + 1] + xs[a:b], [p_n1] + ys[a:b]
-    if x_hi > t + 1:
-        xr.append(x_hi)
-        yr.append(ys[-1])
-    i, j = max_slope_pair(xl, yl, xr, yr)
-    length = xr[j] - xl[i]
-    return UncenteredResult(n, Fraction(yr[j] - yl[i], lay.dy * length), length - 1, True)
+    left, right = (t, lay.mass_to(t, 1)), (t + 1, lay.mass_to(t + 1, 1))
+    mass, length = lay.steepest_chord(bisect_left(xs, t), left, bisect_right(xs, t + 1), right, 1)
+    return UncenteredResult(n, Fraction(mass, lay.dy * length), length - 1, True)
 
 
 def event_uncentered(sig: Signal, n: int, limits: Limits = DEFAULT_LIMITS) -> UncenteredResult:
@@ -700,16 +690,16 @@ def event_uncentered(sig: Signal, n: int, limits: Limits = DEFAULT_LIMITS) -> Un
     edges n and the support ends.  All-constant signals take the exact
     prefix-sum hull route: the best window is the steepest chord from a
     left-edge point of the prefix-mass graph to a right-edge one, found by
-    tangent searches between the two hulls in time near-linear in the
-    block count, and among the windows attaining it the one with the
-    largest left edge and the smallest right edge, which has the minimal
-    diameter, is reported.  Power-law signals try every candidate pair: for
-    fixed right edge the average is valley-shaped in the left edge
-    (constant regions: monotone Mobius; power-law regions: leftward
-    extension meets non-decreasing values), so left edges only matter at
-    stretch endpoints; for fixed left edge the average is unimodal in the
-    right edge across power-law stretches, with the single interior peak
-    located by a monotone binary search."""
+    tangent steps between the layout's compiled prefix and suffix hulls,
+    so a query costs the two hull chains it walks, and among the windows
+    attaining it the one with the largest left edge and the smallest right
+    edge, which has the minimal diameter, is reported.  Power-law signals
+    try every candidate pair: for fixed right edge the average is
+    valley-shaped in the left edge (constant regions: monotone Mobius;
+    power-law regions: leftward extension meets non-decreasing values), so
+    left edges only matter at stretch endpoints; for fixed left edge the
+    average is unimodal in the right edge across power-law stretches, with
+    the single interior peak located by a monotone binary search."""
     blocks = as_blocks(sig)
     if blocks.layout is not None:
         return _uncentered_hull(blocks.layout, n)

@@ -245,72 +245,6 @@ def escalate(limits, attempt):
     return None
 
 
-# up to this many (left, right) pairs, scanning them all for the largest
-# slope is cheaper than building the two hulls
-_DIRECT_PAIRS = 36
-
-
-def _lower_hull(xs, ys) -> list:
-    """Vertices (x, y) of the lower convex hull of points given in
-    ascending x; points on a hull edge are dropped."""
-    hull: list = []
-    for p in zip(xs, ys):
-        x, y = p
-        while len(hull) > 1:
-            (xa, ya), (xb, yb) = hull[-2], hull[-1]
-            if (yb - ya) * (x - xa) < (y - ya) * (xb - xa):
-                break
-            hull.pop()
-        hull.append(p)
-    return hull
-
-
-def max_slope_pair(xl: list, yl: list, xr: list, yr: list) -> tuple[int, int]:
-    """Exact innermost maximizer (i, j) of (yr[j] - yl[i]) / (xr[j] - xl[i]).
-
-    xl and xr ascend, every xl lies left of every xr, and coordinates are
-    ints or Fractions.  This is the maximum-density segment problem
-    (Goldwasser, Kao & Lu, JCSS 2005): the largest slope s joins a vertex
-    of the lower hull of the left points to one of the upper hull of the
-    right points, and a binary tangent search from each right vertex finds
-    it.  With s = num/den, a pair attains s exactly when yl[i]*den - num*xl[i]
-    is minimal and yr[j]*den - num*xr[j] is maximal, so one pass over all
-    points returns the innermost maximizer: the largest such i and the
-    smallest such j.  Up to _DIRECT_PAIRS pairs are instead scanned
-    directly, in an order that meets the innermost maximizer first."""
-    num, den = -1, 0
-    if len(xl) * len(xr) <= _DIRECT_PAIRS:
-        # right points outward and left points inward: the first pair to
-        # reach the largest slope is the innermost one
-        best = (0, 0)
-        for j, (xq, yq) in enumerate(zip(xr, yr)):
-            for i in range(len(xl) - 1, -1, -1):
-                if den == 0 or (yq - yl[i]) * den > num * (xq - xl[i]):
-                    num, den, best = yq - yl[i], xq - xl[i], (i, j)
-        return best
-    lower = _lower_hull(xl, yl)
-    top = len(lower) - 1
-    for xq, yq in _lower_hull(xr, [-y for y in yr]):
-        yq = -yq  # the upper hull of the right points, flipped back
-        # slope(v_k, q) rises from k to k + 1 iff the hull edge there
-        # is flatter than slope(v_{k+1}, q); convexity makes that a prefix
-        lo, hi = 0, top
-        while lo < hi:
-            mid = (lo + hi) // 2
-            (x0, y0), (x1, y1) = lower[mid], lower[mid + 1]
-            if (y1 - y0) * (xq - x1) < (yq - y1) * (x1 - x0):
-                lo = mid + 1
-            else:
-                hi = mid
-        xv, yv = lower[lo]
-        if den == 0 or (yq - yv) * den > num * (xq - xv):
-            num, den = yq - yv, xq - xv
-    left = [y * den - num * x for x, y in zip(xl, yl)]
-    right = [y * den - num * x for x, y in zip(xr, yr)]
-    i = len(left) - 1 - left[::-1].index(min(left))
-    return i, right.index(max(right))
-
-
 def fraction_to_enclosure(fr: Fraction, prec: int = DEFAULT_PRECISION) -> Enclosure:
     n, d = fr.numerator, fr.denominator
     return _enc(_quot(n, 0, d, prec, _floor), _quot(n, 0, d, prec, _ceil))

@@ -165,6 +165,25 @@ class TestProfile:
             "profile", "--signal", str(t27_signal), "--out", str(tmp_path / "p.csv")
         ) == 2
 
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["--points", ",", "--uncentered"],
+            ["--points", "1,,2"],
+            ["--points", "3,"],
+            ["--points", ""],
+            ["--range", "1..3", "--points", "2"],
+        ],
+        ids=["empty-list", "empty-entry", "trailing-comma", "empty-string", "range-and-points"],
+    )
+    def test_malformed_points_refused(self, tmp_path, capsys, args):
+        sig = tmp_path / "d.json"
+        run("construct", "delta", "--out", str(sig))
+        out = tmp_path / "p.csv"
+        assert run("profile", "--signal", str(sig), *args, "--out", str(out)) == 2
+        assert "ParameterViolation" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_signal_file(self, tmp_path):
         assert run(
             "profile", "--signal", str(tmp_path / "absent.json"),
@@ -248,6 +267,13 @@ class TestDensity:
             "density", "--signal", str(t27_signal), "--N-list", "10",
             "--C", "1", "--out", str(tmp_path / "d.csv"),
         ) == 2
+
+    @pytest.mark.parametrize("n_list", ["5,,", ",", "5,,50"])
+    def test_empty_n_entry_refused(self, tmp_path, capsys, t27_signal, n_list):
+        out = tmp_path / "d.csv"
+        assert run("density", "--signal", str(t27_signal), "--N-list", n_list, "--out", str(out)) == 2
+        assert "ParameterViolation" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_deterministic_bytes(self, tmp_path, t27_signal):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"

@@ -9,7 +9,7 @@ from fractions import Fraction
 from unittest.mock import patch
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from hlmax import continuum
@@ -21,6 +21,7 @@ from hlmax.continuum import (
     maximal_uncentered_cont,
     step_from_json,
     step_to_json,
+    step_layout,
 )
 from hlmax.config import Limits
 from hlmax.errors import BudgetExceeded, NonpositiveRadius, ParameterViolation, ZeroSignal
@@ -413,16 +414,22 @@ def chord_oracle_uncentered(f: StepFunction, x: Fraction) -> tuple:
     Fractions: every chord from an end in {breakpoints <= x} u {x} to one in
     {breakpoints >= x} u {x}, the zero-length pair (x, x) excluded; the
     largest average and the shortest length attaining it, or (max(f(x-),
-    f(x+)), 0) when vanishing intervals already reach it."""
+    f(x+)), 0) when vanishing intervals already reach it.  The mass from
+    the support start to each end is a running sum of whole pieces, so the
+    chords cost one subtraction each and layouts of 800 pieces stay cheap."""
     bps = f.breakpoints
     pieces = list(zip(f.values, bps, bps[1:]))
+    mass_to = {bps[0]: F(0)}
+    for v, lo, hi in pieces:
+        mass_to[hi] = mass_to[lo] + v * (hi - lo)
+    mass_to.setdefault(x, piecewise_mass(f, bps[0], x))
     lefts = {b for b in bps if b <= x} | {x}
     rights = {b for b in bps if b >= x} | {x}
     best, best_len = F(-1), F(0)
     for a in lefts:
         for b in rights:
             if b > a:
-                avg = piecewise_mass(f, a, b) / (b - a)
+                avg = (mass_to[b] - mass_to[a]) / (b - a)
                 if avg > best or (avg == best and b - a < best_len):
                     best, best_len = avg, b - a
     limit = max([F(0)] + [v for v, lo, hi in pieces if lo <= x <= hi])
@@ -440,6 +447,177 @@ class TestUncenteredOffGrid:
         for x in xs:
             res = maximal_uncentered_cont(f, x)
             assert (res.max_value, 2 * res.radius) == chord_oracle_uncentered(f, x)
+
+
+def hull_chain(parent: list, i: int) -> list:
+    """The vertices reached from i by the compiled parent pointers."""
+    chain = []
+    while 0 <= i < len(parent):
+        chain.append(i)
+        i = parent[i]
+    return chain
+
+
+def brute_hull(pts: list, lower: bool) -> list:
+    """Indices of the strict lower (upper) hull vertices of pts, ascending
+    in x: a point is one exactly when a line through it has every other
+    point strictly above (below) it, that is when every chord from a point
+    left of it is less steep (steeper) than every chord to a point right of
+    it.  The two end points always are."""
+    out = []
+    for k, (x, y) in enumerate(pts):
+        into = [F(y - v, x - u) for u, v in pts[:k]]
+        away = [F(v - y, u - x) for u, v in pts[k + 1 :]]
+        if not into or not away or (max(into) < min(away) if lower else min(into) > max(away)):
+            out.append(k)
+    return out
+
+
+def unit_layout(values: list, widths: list):
+    """The StepLayout of integer values (of any sign) on integer widths,
+    so its heights ys are the plain running masses (dy = 1)."""
+    bps = [0]
+    for w in widths:
+        bps.append(bps[-1] + w)
+    return step_layout(bps, values)
+
+
+class TestCompiledHulls:
+    """StepLayout.lower and .upper: walking lower from every prefix end and
+    upper from every suffix start gives the strict hull of those points."""
+
+    @staticmethod
+    def check(lay):
+        pts = list(zip(lay.xs, lay.ys))
+        for i in range(len(pts)):
+            assert hull_chain(lay.lower, i)[::-1] == brute_hull(pts[: i + 1], lower=True)
+            assert hull_chain(lay.upper, i) == [i + k for k in brute_hull(pts[i:], lower=False)]
+
+    @given(st.lists(st.tuples(st.integers(-2, 3), st.integers(1, 3)), min_size=1, max_size=14))
+    @settings(max_examples=150, deadline=None)
+    def test_every_prefix_and_suffix(self, steps):
+        # few values and widths put many points on one line
+        self.check(unit_layout([v for v, _ in steps], [w for _, w in steps]))
+
+    def test_collinear_runs(self):
+        # equal blocks at equal gaps: the block starts (5k, 3k) lie on one
+        # line and the block ends (5k + 3, 3k + 3) on a parallel one above
+        # it, so of each run only its outer points are hull vertices
+        lay = BlockSignal([Block(5 * k, 5 * k + 2, F(1)) for k in range(8)]).layout
+        self.check(lay)
+        assert hull_chain(lay.lower, 15) == [15, 14, 0]
+        assert hull_chain(lay.upper, 0) == [0, 1, 15]
+        self.check(unit_layout([2, 2, 1, 1, 0, 0, 1, 1], [1, 1, 2, 2, 1, 3, 1, 1]))
+
+
+@st.composite
+def chord_cases(draw):
+    """A layout on integer heights (steps of either sign), a scale q, index
+    bounds b <= a, and pinned points at that scale strictly between the
+    points b - 1 and a, the left one left of the right one; returns the
+    steepest_chord arguments and the left and right point lists."""
+    steps = draw(st.lists(st.tuples(st.integers(-3, 3), st.integers(1, 4)), min_size=1, max_size=22))
+    lay = unit_layout([v for v, _ in steps], [w for _, w in steps])
+    q = draw(st.sampled_from((1, 3)))
+    pts = [(x * q, y * q) for x, y in zip(lay.xs, lay.ys)]
+    end = len(pts)
+    b = draw(st.integers(0, end))
+    a = draw(st.integers(b, end))
+    lo = pts[b - 1][0] if b else -10 * q
+    hi = pts[a][0] if a < end else pts[-1][0] + 10 * q
+    ys = [y for _, y in pts]
+    pin_x = draw(st.lists(st.integers(lo + 1, hi - 1), max_size=2, unique=True)) if hi - lo > 1 else []
+    pins = [(x, draw(st.integers(min(ys) - 4, max(ys) + 4))) for x in sorted(pin_x)]
+    if len(pins) == 1 and draw(st.booleans()):
+        pins = [None] + pins
+    left, right = (pins + [None, None])[:2]
+    lefts = pts[:b] + ([left] if left else [])
+    rights = ([right] if right else []) + pts[a:]
+    assume(lefts and rights)
+    return lay, (b, left, a, right, q), lefts, rights
+
+
+class TestSteepestChord:
+    """StepLayout.steepest_chord against every pair: the steepest chord,
+    and among the steepest the shortest, which is the innermost pair."""
+
+    @given(chord_cases())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_all_pairs(self, case):
+        lay, args, lefts, rights = case
+        best = max((F(v - y, u - x), x - u) for x, y in lefts for u, v in rights)
+        rise, run = lay.steepest_chord(*args)
+        assert (F(rise, run), -run) == best
+
+    def test_pinned_point_on_the_last_hull_edge(self):
+        # the left points (0, 0), (2, 0), (4, 2) and the pinned (6, 4),
+        # which continues the edge from (2, 0); the walk first steps out to
+        # (2, 0), then the line of slope 1 through (9, 7) holds (2, 0),
+        # (4, 2) and (6, 4), and the innermost of them is the pinned point
+        lay = unit_layout([0, 1, 1], [2, 2, 5])
+        assert lay.steepest_chord(3, (6, 4), 3, (7, 4), 1) == (3, 3)
+        # the mirror image: the right pinned (3, 3) continues the hull edge
+        # from (5, 5) to (7, 7)
+        lay = unit_layout([1, 1, 0], [5, 2, 2])
+        assert lay.steepest_chord(1, (2, 3), 1, (3, 3), 1) == (3, 3)
+
+    def test_convex_chains(self):
+        # every point is a hull vertex: a convex left chain, a concave right one
+        xs = list(range(70))
+        ys = [x * x for x in xs[:30]] + [900] * 10 + [2000 - (x - 70) ** 2 for x in xs[40:]]
+        lay = unit_layout([b - a for a, b in zip(ys, ys[1:])], [1] * 69)
+        assert len(hull_chain(lay.lower, 29)) == 30 and len(hull_chain(lay.upper, 40)) == 30
+        best = max((F(v - y, u - x), x - u) for x, y in zip(xs[:30], ys) for u, v in zip(xs[40:], ys[40:]))
+        rise, run = lay.steepest_chord(30, None, 40, None, 1)
+        assert (F(rise, run), -run) == best
+
+
+def monotone_step(offset, count: int, rising: bool) -> StepFunction:
+    """count touching pieces of widths 1..4 whose values rise (fall)
+    1, 2, ..., count, so the mass is convex (concave) and every breakpoint
+    is a vertex of the prefix (suffix) hull."""
+    bps = [F(offset)]
+    for k in range(count):
+        bps.append(bps[-1] + k % 4 + 1)
+    vals = list(range(1, count + 1))
+    return StepFunction(bps, vals if rising else vals[::-1])
+
+
+class TestUncenteredWorstCases:
+    """Hulls as long as they get and windows that tie, at 0 and 2^10000."""
+
+    @pytest.mark.parametrize("offset", [0, 2**10000], ids=["o0", "at2p10000"])
+    def test_convex_800_pieces(self, offset):
+        # right of a rising layout the best interval reaches back to a
+        # tangent point deep in the 801-vertex prefix hull; the falling
+        # layout is its mirror image
+        for rising in (True, False):
+            f = monotone_step(offset, 800, rising)
+            lo, hi = f.breakpoints[0], f.breakpoints[-1]
+            near = [F(1, 3), F(1), F(7), F(60), F(900), F(20000), F(0), F(-5, 2), F(-31)]
+            for d in near:
+                x = hi + d if rising else lo - d
+                res = maximal_uncentered_cont(f, x)
+                assert (res.max_value, 2 * res.radius) == chord_oracle_uncentered(f, x)
+
+    @pytest.mark.parametrize("offset", [0, 2**10000], ids=["o0", "at2p10000"])
+    def test_collinear_ties(self, offset):
+        # value 1 on (5k, 5k + 3) for six periods: from x = hi + 2 every
+        # interval from a piece start to x averages 3/5, and the innermost,
+        # of length 5, is the one reported; on both sides and across the
+        # quarter grid the engine meets the grid and the chord oracles
+        bps = [F(offset + 5 * k + e) for k in range(6) for e in (0, 3)]
+        f = StepFunction(bps, [1, 0] * 5 + [1])
+        lo, hi = bps[0], bps[-1]
+        for x in (hi + 2, lo - 2):
+            res = maximal_uncentered_cont(f, x)
+            assert (res.max_value, res.radius) == (F(3, 5), F(5, 2))
+        for k in range(-12, 4 * 34, 5):
+            x = lo + F(k, 4)
+            res = maximal_uncentered_cont(f, x)
+            got = (res.max_value, 2 * res.radius)
+            assert got == chord_oracle_uncentered(f, x)
+            assert got == grid_oracle_uncentered(f, x)
 
 
 class TestTranslation:

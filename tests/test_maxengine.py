@@ -254,6 +254,51 @@ class TestHullAgainstPairSearch:
             assert (res.max_value, res.min_diameter) == quadratic_uncentered(sig, n)
 
 
+def monotone_blocks(offset: int, count: int, rising: bool) -> BlockSignal:
+    """count touching blocks of lengths 1..4 with amplitudes rising
+    (falling) 1, 2, ..., count: the prefix mass is convex (concave), so
+    every block edge is a vertex of the prefix (suffix) hull."""
+    blocks, pos = [], offset
+    for k in range(count):
+        amp = k + 1 if rising else count - k
+        blocks.append(Block(pos, pos + k % 4, Fraction(amp)))
+        pos += k % 4 + 1
+    return BlockSignal(blocks)
+
+
+class TestHullWorstCases:
+    """The hull route against the exhaustive pair search where the hulls
+    are longest and where many windows tie, at offset 0 and 2^10000."""
+
+    @pytest.mark.parametrize("offset", [0, 2**10000], ids=["o0", "at2p10000"])
+    def test_convex_b800(self, offset):
+        # right of a rising layout (left of a falling one) the best window
+        # reaches back to a tangent point deep in the 801-vertex hull
+        for rising in (True, False):
+            sig = monotone_blocks(offset, 800, rising)
+            lo, hi = support_bounds(sig)
+            for d in (1, 2, 9, 70, 1000, 30000, 0, -3, -40):
+                n = hi + d if rising else lo - d
+                res = event_uncentered(sig, n)
+                assert res.certified
+                assert (res.max_value, res.min_diameter) == quadratic_uncentered(sig, n)
+
+    @pytest.mark.parametrize("offset", [0, 2**10000], ids=["o0", "at2p10000"])
+    def test_collinear_ties(self, offset):
+        # amplitude 1 on [5k, 5k + 2]: the block starts lie on one line, so
+        # from n = hi + 2 every window from a block start to n averages 3/5
+        # and the innermost, [hi - 2, n], is the one reported; every point
+        # around the support against the pair search
+        sig = BlockSignal([Block(offset + 5 * k, offset + 5 * k + 2, Fraction(1)) for k in range(12)])
+        lo, hi = support_bounds(sig)
+        for n in (hi + 2, lo - 2):
+            res = event_uncentered(sig, n)
+            assert (res.max_value, res.min_diameter) == (Fraction(3, 5), 4)
+        for n in range(lo - 11, hi + 12):
+            res = event_uncentered(sig, n)
+            assert (res.max_value, res.min_diameter) == quadratic_uncentered(sig, n)
+
+
 @pytest.fixture(scope="module")
 def long_pl_signal():
     return BlockSignal(

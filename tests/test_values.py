@@ -27,7 +27,6 @@ from hlmax.values import (
     iroot,
     ln_of_value,
     ln_value,
-    max_slope_pair,
     overlap_width,
     parse_rational,
     pow_of_value,
@@ -331,50 +330,6 @@ class TestLogs:
     def test_ln_rejects_nonpositive(self):
         with pytest.raises(ParameterViolation):
             ln_value(0, DEFAULT_PRECISION)
-
-
-@st.composite
-def split_points(draw):
-    """Left points strictly left of right points, x ascending, y from a
-    small range so that many slopes tie."""
-    xs = draw(st.lists(st.integers(-40, 40), min_size=2, max_size=26, unique=True))
-    xs.sort()
-    cut = draw(st.integers(1, len(xs) - 1))
-    ys = draw(st.lists(st.integers(-6, 6), min_size=len(xs), max_size=len(xs)))
-    return xs[:cut], ys[:cut], xs[cut:], ys[cut:]
-
-
-class TestMaxSlopePair:
-    """Both ways of finding the largest slope (direct scan for few pairs,
-    hull tangents for many) against every pair."""
-
-    @given(split_points(), st.booleans())
-    @settings(max_examples=200, deadline=None)
-    def test_matches_all_pairs(self, pts, as_fractions):
-        xl, yl, xr, yr = pts
-        if as_fractions:
-            xl, xr = [Fraction(x, 3) for x in xl], [Fraction(x, 3) for x in xr]
-        best = max(
-            (Fraction(yr[j] - yl[i]) / (xr[j] - xl[i]), -(xr[j] - xl[i]))
-            for i in range(len(xl))
-            for j in range(len(xr))
-        )
-        i, j = max_slope_pair(xl, yl, xr, yr)
-        assert (Fraction(yr[j] - yl[i]) / (xr[j] - xl[i]), -(xr[j] - xl[i])) == best
-
-    def test_hull_route_on_convex_chains(self):
-        # every point is a hull vertex: a convex left chain, a concave right one
-        xl = list(range(30))
-        yl = [x * x for x in xl]
-        xr = list(range(40, 70))
-        yr = [2000 - (x - 70) ** 2 for x in xr]
-        best = max(
-            (Fraction(b - a, v - u), u - v)
-            for u, a in zip(xl, yl)
-            for v, b in zip(xr, yr)
-        )
-        i, j = max_slope_pair(xl, yl, xr, yr)
-        assert (Fraction(yr[j] - yl[i], xr[j] - xl[i]), xl[i] - xr[j]) == best
 
 
 # Reference for the integer enclosure arithmetic: every operation done as
