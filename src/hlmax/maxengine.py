@@ -8,8 +8,8 @@ when the moving edges sit in constant regions, so skipped radii host neither
 a new maximum nor a smaller maximizing radius.  Edges moving through
 power-law regions can create one interior peak per stretch; the peak is
 pinned down by monotone binary searches justified by the convexity of the
-edge terms.  Exhaustive brute-force oracles recompute everything by direct
-scan for cross-validation.
+edge terms.  Exhaustive brute-force oracles enumerate each window once, by
+direct scan, for cross-validation.
 
 An all-constant signal is the step function x -> f(floor(x)) on R, and its
 window [n - r, n + r] is the ball of radius r + 1/2 about n + 1/2, so its
@@ -34,6 +34,7 @@ import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain, repeat
 from typing import Optional, Union
 
 from .config import DEFAULT_LIMITS, Limits
@@ -580,7 +581,7 @@ def _dense_prefix(sig: BlockSignal) -> Optional[tuple]:
 
 def oracle_centered(sig: Signal, n: int, limits: Limits = DEFAULT_LIMITS) -> CenteredResult:
     """Brute-force maximal centered average: scan every radius up to the
-    search bound, maintaining the window sum incrementally."""
+    search bound, reading each window's mass from two clamped prefix masses."""
     sig = as_blocks(sig)
     r_cap = search_bound_centered(sig, n)
     if r_cap > limits.scan_radius_cap:
@@ -590,20 +591,16 @@ def oracle_centered(sig: Signal, n: int, limits: Limits = DEFAULT_LIMITS) -> Cen
     table = _dense_prefix(sig)
     if table is not None:
         d, lo, pref = table
-        width = len(pref) - 1
-
-        def fs(pos: int) -> int:
-            off = pos - lo
-            return pref[off + 1] - pref[off] if 0 <= off < width else 0
-
-        num = fs(n)
-        best_num, best_den, best_r = num, 1, 0
-        for r in range(1, r_cap + 1):
-            num += fs(n - r) + fs(n + r)
-            den = 2 * r + 1
-            if num * best_den > best_num * den:
-                best_num, best_den, best_r = num, den, r
-        return CenteredResult(n, Fraction(best_num, d * best_den), best_r, True)
+        width, off, total = len(pref) - 1, n - lo, pref[-1]
+        # the window [n - r, n + r] has mass pref[off + r + 1] - pref[off - r]
+        # with both indices clamped to [0, width]
+        rights = chain(repeat(0, -off - 1), pref[max(0, off + 1):], repeat(total))
+        lefts = chain(repeat(total, off - width), pref[::-1][max(0, width - off):], repeat(0))
+        best_num, best_den = -1, 1
+        for den, a, b in zip(range(1, 2 * r_cap + 2, 2), rights, lefts):
+            if (a - b) * best_den > best_num * den:
+                best_num, best_den = a - b, den
+        return CenteredResult(n, Fraction(best_num, d * best_den), best_den // 2, True)
     averages = ((r, average_centered(sig, n, r, limits)) for r in range(r_cap + 1))
     best_v, best_r, certified, gap = _best(averages)
     return CenteredResult(n, best_v, best_r, certified, gap if not certified else None)
@@ -790,9 +787,13 @@ def oracle_uncentered_range(
 ) -> list:
     """Brute-force uncentered results for every n in [n_lo, n_hi] at once.
 
-    Enumerates all windows with both endpoints inside the support (for inner
-    points the trimming argument pins maximizers there) and, for points
-    outside the support, all windows pinned at n on the near side.  An
+    Enumerates every window with both endpoints inside the support once
+    (for inner points the trimming argument pins maximizers there): for
+    each left edge l, a pass with u descending from the support end keeps
+    the best window [l, u'] with u' >= u, shortest on ties, which is the
+    best window from l containing n = u, and folds it into n's result, so
+    inner points cost O(width^2) in all.  Points outside the support try
+    every window pinned at n on the near side, O(width) each.  An
     independent check of the per-point oracle at corpus scale, refused
     wherever the per-point oracle would refuse some n in [n_lo, n_hi]."""
     sig = as_blocks(sig)
@@ -808,26 +809,23 @@ def oracle_uncentered_range(
         return [oracle_uncentered(sig, n, limits) for n in range(n_lo, n_hi + 1)]
     d, _, pref = table
     count = n_hi - n_lo + 1
+    # a window's diameter is its length minus one, so ties compare lengths
     best_num = [-1] * count
     best_len = [1] * count
-    best_diam = [0] * count
-    width = hi - lo + 1
     for l in range(lo, hi + 1):
         pl = pref[l - lo]
-        n_start = max(l, n_lo)
-        for u in range(l, hi + 1):
-            num = pref[u - lo + 1] - pl
-            if num == 0:
-                continue
-            length = u - l + 1
-            diam = u - l
-            for n in range(n_start, min(u, n_hi) + 1):
-                i = n - n_lo
-                lhs = num * best_len[i]
-                rhs = best_num[i] * length
-                if lhs > rhs or (lhs == rhs and diam < best_diam[i]):
-                    best_num[i], best_len[i], best_diam[i] = num, length, diam
-    total = pref[width]
+        run_num, run_len = -1, 1
+        for u in range(hi, max(l, n_lo) - 1, -1):
+            num, length = pref[u - lo + 1] - pl, u - l + 1
+            if num * run_len >= run_num * length:
+                run_num, run_len = num, length
+            i = u - n_lo
+            if i < count:
+                lhs = run_num * best_len[i]
+                rhs = best_num[i] * run_len
+                if lhs > rhs or (lhs == rhs and run_len < best_len[i]):
+                    best_num[i], best_len[i] = run_num, run_len
+    total = pref[-1]
     for n in range(n_lo, min(lo - 1, n_hi) + 1):
         i = n - n_lo
         for u in range(lo, hi + 1):
@@ -835,8 +833,8 @@ def oracle_uncentered_range(
             length = u - n + 1
             lhs = num * best_len[i]
             rhs = best_num[i] * length
-            if lhs > rhs or (lhs == rhs and u - n < best_diam[i]):
-                best_num[i], best_len[i], best_diam[i] = num, length, u - n
+            if lhs > rhs or (lhs == rhs and length < best_len[i]):
+                best_num[i], best_len[i] = num, length
     for n in range(max(hi + 1, n_lo), n_hi + 1):
         i = n - n_lo
         for l in range(lo, hi + 1):
@@ -844,12 +842,10 @@ def oracle_uncentered_range(
             length = n - l + 1
             lhs = num * best_len[i]
             rhs = best_num[i] * length
-            if lhs > rhs or (lhs == rhs and n - l < best_diam[i]):
-                best_num[i], best_len[i], best_diam[i] = num, length, n - l
+            if lhs > rhs or (lhs == rhs and length < best_len[i]):
+                best_num[i], best_len[i] = num, length
     return [
-        UncenteredResult(
-            n_lo + i, Fraction(best_num[i], d * best_len[i]), best_diam[i], True
-        )
+        UncenteredResult(n_lo + i, Fraction(best_num[i], d * best_len[i]), best_len[i] - 1, True)
         for i in range(count)
     ]
 

@@ -5,7 +5,7 @@ from bisect import bisect_left
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from hlmax.config import DEFAULT_LIMITS
@@ -186,6 +186,73 @@ class TestOracleBudget:
             assert [(r.max_value, r.min_diameter) for r in batch] == [
                 (r.max_value, r.min_diameter) for r in singles
             ]
+
+
+def equal_runs(amp: int, run: int, gap: int, count: int) -> list:
+    """count runs of amp, run long, gap zeros apart: windows tie everywhere."""
+    return ([amp] * run + [0] * gap) * (count - 1) + [amp] * run
+
+
+tie_rich_st = st.one_of(
+    st.lists(st.sampled_from([0, 1]), min_size=1, max_size=14).map(lambda vs: [1] + vs + [1]),
+    st.builds(
+        equal_runs, st.integers(1, 3), st.integers(1, 4), st.integers(1, 4), st.integers(1, 4)
+    ),
+    st.lists(st.sampled_from([0, 0, 1, 2]), max_size=14).map(lambda vs: [2] + vs + [1]),
+)
+
+
+class TestRangeOracle:
+    """oracle_uncentered_range against the per-point (rho, s) grid oracle."""
+
+    @pytest.mark.parametrize("case", ["full", "inner", "outside", "single"])
+    @given(tie_rich_st, st.integers(-6, 6), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_equals_pointwise_oracle(self, case, vals, lo, data):
+        sig = dense(lo, vals)
+        lo, hi = support_bounds(sig)
+        w = hi - lo + 1
+        if case == "full":
+            n_lo, n_hi = lo - w - 3, hi + w + 3
+        elif case == "inner":
+            assume(w >= 3)
+            n_lo = data.draw(st.integers(lo + 1, hi - 1))
+            n_hi = data.draw(st.integers(n_lo, hi - 1))
+        elif case == "outside":
+            a, b = (lo - w - 3, lo - 1) if data.draw(st.booleans()) else (hi + 1, hi + w + 3)
+            n_lo = data.draw(st.integers(a, b))
+            n_hi = data.draw(st.integers(n_lo, b))
+        else:
+            n_lo = n_hi = data.draw(st.integers(lo - w - 3, hi + w + 3))
+        batch = oracle_uncentered_range(sig, n_lo, n_hi)
+        assert batch == [oracle_uncentered(sig, n) for n in range(n_lo, n_hi + 1)]
+
+    def test_wide_signal_at_seeded_points(self):
+        # wider than any corpus signal; one point outside the support each side
+        sig = DenseSignal(0, [Fraction(1 + i % 3) for i in range(600)])
+        rng = random.Random(600)
+        points = [rng.randint(-600, -1), rng.randint(600, 1199)]
+        points += rng.sample(range(600), 3)
+        batch = oracle_uncentered_range(sig, -600, 1199)
+        for n in points:
+            assert batch[n + 600] == oracle_uncentered(sig, n)
+
+
+class TestCenteredOracle:
+    @pytest.mark.parametrize("where", ["left_far", "start", "end_plus_one", "right_far"])
+    @given(tie_rich_st, st.integers(-6, 6), st.integers(2, 8))
+    @settings(max_examples=40, deadline=None)
+    def test_equals_a_fraction_scan(self, where, vals, lo, far):
+        # off = n - lo below -1, at 0, at the support width, beyond width + 1
+        sig = dense(lo, vals)
+        lo, hi = support_bounds(sig)
+        w = hi - lo + 1
+        n = {"left_far": lo - far, "start": lo, "end_plus_one": lo + w}.get(where, lo + w + far)
+        best_v, best_r = max(
+            (average_centered(sig, n, r), -r) for r in range(search_bound_centered(sig, n) + 1)
+        )
+        res = oracle_centered(sig, n)
+        assert (res.max_value, res.radius, res.certified) == (best_v, -best_r, True)
 
 
 def quadratic_uncentered(sig: BlockSignal, n: int) -> tuple:
