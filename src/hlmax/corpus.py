@@ -19,7 +19,7 @@ from .config import DEFAULT_LIMITS, Limits
 from .maxengine import (
     event_centered,
     event_uncentered,
-    oracle_centered,
+    oracle_centered_range,
     oracle_uncentered_range,
 )
 from .signal import DenseSignal, support_bounds
@@ -71,15 +71,17 @@ def diff_signal(
     sig: DenseSignal, limits: Limits = DEFAULT_LIMITS, max_report: int = 8
 ) -> list:
     """Engine-versus-oracle mismatch descriptions over every n within one
-    support width of the signal; empty means exact agreement everywhere."""
+    support width of the signal; empty means exact agreement everywhere.
+    Each oracle answers the whole range in one call."""
     lo, hi = support_bounds(sig)
     width = hi - lo + 1
     n_lo, n_hi = lo - width, hi + width
     batch = oracle_uncentered_range(sig, n_lo, n_hi, limits)
+    centered = oracle_centered_range(sig, n_lo, n_hi, limits)
     mismatches: list = []
     for n in range(n_lo, n_hi + 1):
         ev = event_centered(sig, n, limits)
-        oc = oracle_centered(sig, n, limits)
+        oc = centered[n - n_lo]
         if not ev.certified or ev.max_value != oc.max_value or ev.radius != oc.radius:
             mismatches.append(
                 f"centered n={n}: event ({ev.max_value}, r={ev.radius}, "

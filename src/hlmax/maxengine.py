@@ -9,7 +9,8 @@ a new maximum nor a smaller maximizing radius.  Edges moving through
 power-law regions can create one interior peak per stretch; the peak is
 pinned down by monotone binary searches justified by the convexity of the
 edge terms.  Exhaustive brute-force oracles enumerate each window once, by
-direct scan, for cross-validation.
+direct scan, for cross-validation; the range oracles answer every point of
+an interval in one call, which is how corpus.diff_signal calls them.
 
 An all-constant signal is the step function x -> f(floor(x)) on R, and its
 window [n - r, n + r] is the ball of radius r + 1/2 about n + 1/2, so its
@@ -580,30 +581,51 @@ def _dense_prefix(sig: BlockSignal) -> Optional[tuple]:
 
 
 def oracle_centered(sig: Signal, n: int, limits: Limits = DEFAULT_LIMITS) -> CenteredResult:
-    """Brute-force maximal centered average: scan every radius up to the
-    search bound, reading each window's mass from two clamped prefix masses."""
+    """Brute-force maximal centered average at n (oracle_centered_range)."""
+    return oracle_centered_range(sig, n, n, limits)[0]
+
+
+def oracle_centered_range(
+    sig: Signal, n_lo: int, n_hi: int, limits: Limits = DEFAULT_LIMITS
+) -> list:
+    """Brute-force centered results for every n in [n_lo, n_hi]: each point
+    scans its radii from the first window meeting the support (smaller ones
+    read mass 0, below the positive maximum) up to the search bound.
+    Refused wherever some point's scan would exceed scan_radius_cap."""
     sig = as_blocks(sig)
-    r_cap = search_bound_centered(sig, n)
-    if r_cap > limits.scan_radius_cap:
-        raise BudgetExceeded(
-            f"oracle scan over {r_cap} radii exceeds cap {limits.scan_radius_cap}"
-        )
+    # the search bound is convex in n, so it peaks at an end of the range
+    for n in (n_lo, n_hi):
+        r_cap = search_bound_centered(sig, n)
+        if r_cap > limits.scan_radius_cap:
+            raise BudgetExceeded(
+                f"oracle scan over {r_cap} radii exceeds cap {limits.scan_radius_cap}"
+            )
     table = _dense_prefix(sig)
-    if table is not None:
-        d, lo, pref = table
-        width, off, total = len(pref) - 1, n - lo, pref[-1]
+    results = []
+    if table is None:
+        for n in range(n_lo, n_hi + 1):
+            r_cap = search_bound_centered(sig, n)
+            averages = ((r, average_centered(sig, n, r, limits)) for r in range(r_cap + 1))
+            best_v, best_r, certified, gap = _best(averages)
+            gap = gap if not certified else None
+            results.append(CenteredResult(n, best_v, best_r, certified, gap))
+        return results
+    d, lo, pref = table
+    width, total, rev = len(pref) - 1, pref[-1], pref[::-1]
+    for n in range(n_lo, n_hi + 1):
+        off = n - lo
         # the window [n - r, n + r] has mass pref[off + r + 1] - pref[off - r]
-        # with both indices clamped to [0, width]
-        rights = chain(repeat(0, -off - 1), pref[max(0, off + 1):], repeat(total))
-        lefts = chain(repeat(total, off - width), pref[::-1][max(0, width - off):], repeat(0))
+        # with both indices clamped to [0, width]; it meets the support from r0
+        r0 = max(0, -off, off - width + 1)
+        dens = range(2 * r0 + 1, 2 * max(off, width - 1 - off) + 2, 2)
+        rights = chain(pref[off + r0 + 1:], repeat(total))
+        lefts = chain(rev[width - off + r0:], repeat(0))
         best_num, best_den = -1, 1
-        for den, a, b in zip(range(1, 2 * r_cap + 2, 2), rights, lefts):
+        for den, a, b in zip(dens, rights, lefts):
             if (a - b) * best_den > best_num * den:
                 best_num, best_den = a - b, den
-        return CenteredResult(n, Fraction(best_num, d * best_den), best_den // 2, True)
-    averages = ((r, average_centered(sig, n, r, limits)) for r in range(r_cap + 1))
-    best_v, best_r, certified, gap = _best(averages)
-    return CenteredResult(n, best_v, best_r, certified, gap if not certified else None)
+        results.append(CenteredResult(n, Fraction(best_num, d * best_den), best_den // 2, True))
+    return results
 
 
 def _uncentered_bounds(sig: Signal, n: int) -> tuple[int, int]:
@@ -825,25 +847,17 @@ def oracle_uncentered_range(
                 rhs = best_num[i] * run_len
                 if lhs > rhs or (lhs == rhs and run_len < best_len[i]):
                     best_num[i], best_len[i] = run_num, run_len
-    total = pref[-1]
-    for n in range(n_lo, min(lo - 1, n_hi) + 1):
-        i = n - n_lo
-        for u in range(lo, hi + 1):
-            num = pref[u - lo + 1]
-            length = u - n + 1
-            lhs = num * best_len[i]
-            rhs = best_num[i] * length
-            if lhs > rhs or (lhs == rhs and length < best_len[i]):
-                best_num[i], best_len[i] = num, length
-    for n in range(max(hi + 1, n_lo), n_hi + 1):
-        i = n - n_lo
-        for l in range(lo, hi + 1):
-            num = total - pref[l - lo]
-            length = n - l + 1
-            lhs = num * best_len[i]
-            rhs = best_num[i] * length
-            if lhs > rhs or (lhs == rhs and length < best_len[i]):
-                best_num[i], best_len[i] = num, length
+    # a point outside the support pins the near edge at n; lengths rise
+    # along each scan, so strict gains keep the shortest maximizer
+    heads, tails = pref[1:], [pref[-1] - m for m in pref[-2::-1]]
+    outside = chain(range(n_lo, min(lo - 1, n_hi) + 1), range(max(hi + 1, n_lo), n_hi + 1))
+    for n in outside:
+        masses, dist = (heads, lo - n) if n < lo else (tails, n - hi)
+        bn, bl = -1, 1
+        for num, length in zip(masses, range(dist + 1, dist + len(masses) + 1)):
+            if num * bl > bn * length:
+                bn, bl = num, length
+        best_num[n - n_lo], best_len[n - n_lo] = bn, bl
     return [
         UncenteredResult(n_lo + i, Fraction(best_num[i], d * best_len[i]), best_len[i] - 1, True)
         for i in range(count)

@@ -14,6 +14,7 @@ from hlmax.corpus import binary_signals, diff_signal, random_dense
 from hlmax.errors import BudgetExceeded, NonpositiveRadius, ParameterViolation
 from hlmax.maxengine import (
     _beats,
+    _best,
     _cell_candidates,
     _edge_hit,
     _first_beat,
@@ -25,6 +26,7 @@ from hlmax.maxengine import (
     event_uncentered,
     frequency_pieces,
     oracle_centered,
+    oracle_centered_range,
     oracle_uncentered,
     oracle_uncentered_range,
     profile,
@@ -202,6 +204,25 @@ tie_rich_st = st.one_of(
 )
 
 
+def draw_range(case: str, lo: int, hi: int, data) -> tuple:
+    """[n_lo, n_hi] for the range oracles: the full range within the
+    support width (plus 3) either side, a sub-range strictly inside the
+    support, a range wholly outside it, or a single point."""
+    w = hi - lo + 1
+    if case == "full":
+        return lo - w - 3, hi + w + 3
+    if case == "inner":
+        assume(w >= 3)
+        n_lo = data.draw(st.integers(lo + 1, hi - 1))
+        return n_lo, data.draw(st.integers(n_lo, hi - 1))
+    if case == "outside":
+        a, b = (lo - w - 3, lo - 1) if data.draw(st.booleans()) else (hi + 1, hi + w + 3)
+        n_lo = data.draw(st.integers(a, b))
+        return n_lo, data.draw(st.integers(n_lo, b))
+    n = data.draw(st.integers(lo - w - 3, hi + w + 3))
+    return n, n
+
+
 class TestRangeOracle:
     """oracle_uncentered_range against the per-point (rho, s) grid oracle."""
 
@@ -210,22 +231,20 @@ class TestRangeOracle:
     @settings(max_examples=60, deadline=None)
     def test_equals_pointwise_oracle(self, case, vals, lo, data):
         sig = dense(lo, vals)
-        lo, hi = support_bounds(sig)
-        w = hi - lo + 1
-        if case == "full":
-            n_lo, n_hi = lo - w - 3, hi + w + 3
-        elif case == "inner":
-            assume(w >= 3)
-            n_lo = data.draw(st.integers(lo + 1, hi - 1))
-            n_hi = data.draw(st.integers(n_lo, hi - 1))
-        elif case == "outside":
-            a, b = (lo - w - 3, lo - 1) if data.draw(st.booleans()) else (hi + 1, hi + w + 3)
-            n_lo = data.draw(st.integers(a, b))
-            n_hi = data.draw(st.integers(n_lo, b))
-        else:
-            n_lo = n_hi = data.draw(st.integers(lo - w - 3, hi + w + 3))
+        n_lo, n_hi = draw_range(case, *support_bounds(sig), data)
         batch = oracle_uncentered_range(sig, n_lo, n_hi)
         assert batch == [oracle_uncentered(sig, n) for n in range(n_lo, n_hi + 1)]
+
+    def test_pinned_ties_keep_the_shortest_window(self):
+        # 1, 0, 1: one step outside either end, the window reaching the near
+        # 1 ties the one reaching both (1/2 = 2/4), and the shorter must win
+        sig = dense(0, [1, 0, 1])
+        batch = oracle_uncentered_range(sig, -3, 5)
+        assert [(r.max_value, r.min_diameter) for r in batch] == [
+            (Fraction(1, 3), 5), (Fraction(2, 5), 4), (Fraction(1, 2), 1),
+            (Fraction(1), 0), (Fraction(2, 3), 2), (Fraction(1), 0),
+            (Fraction(1, 2), 1), (Fraction(2, 5), 4), (Fraction(1, 3), 5),
+        ]
 
     def test_wide_signal_at_seeded_points(self):
         # wider than any corpus signal; one point outside the support each side
@@ -253,6 +272,49 @@ class TestCenteredOracle:
         )
         res = oracle_centered(sig, n)
         assert (res.max_value, res.radius, res.certified) == (best_v, -best_r, True)
+
+    @pytest.mark.parametrize("case", ["full", "inner", "outside", "single"])
+    @given(tie_rich_st, st.integers(-6, 6), st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_range_equals_fraction_scan(self, case, vals, lo, data):
+        sig = dense(lo, vals)
+        n_lo, n_hi = draw_range(case, *support_bounds(sig), data)
+        want = []
+        for n in range(n_lo, n_hi + 1):
+            r_cap = search_bound_centered(sig, n)
+            best_v, best_r = max((average_centered(sig, n, r), -r) for r in range(r_cap + 1))
+            want.append((n, best_v, -best_r, True))
+        got = oracle_centered_range(sig, n_lo, n_hi)
+        assert [(r.n, r.max_value, r.radius, r.certified) for r in got] == want
+
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 30), st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_range_refuses_iff_a_point_refuses(self, seed, cap, data):
+        rng = random.Random(seed)
+        sig = random_dense(rng, max_width=12)
+        lo, hi = support_bounds(sig)
+        w = hi - lo + 1
+        n_lo = data.draw(st.integers(lo - w, hi + w))
+        n_hi = data.draw(st.integers(n_lo, hi + w))
+        limits = DEFAULT_LIMITS.with_(scan_radius_cap=cap)
+        if any(search_bound_centered(sig, n) > cap for n in range(n_lo, n_hi + 1)):
+            with pytest.raises(BudgetExceeded):
+                oracle_centered_range(sig, n_lo, n_hi, limits)
+        else:
+            batch = oracle_centered_range(sig, n_lo, n_hi, limits)
+            assert batch == [oracle_centered(sig, n, limits) for n in range(n_lo, n_hi + 1)]
+
+    def test_power_law_range_is_the_pointwise_scan(self):
+        sig = BlockSignal([Block(1, 40, PowerLaw(Fraction(3, 5))), Block(46, 50, Fraction(1, 4))])
+        got = oracle_centered_range(sig, -3, 55)
+        for res in got:
+            averages = (
+                (r, average_centered(sig, res.n, r))
+                for r in range(search_bound_centered(sig, res.n) + 1)
+            )
+            best_v, best_r, certified, gap = _best(averages)
+            assert (res.max_value, res.radius, res.certified) == (best_v, best_r, certified)
+            assert res.gap == (gap if not certified else None)
 
 
 def quadratic_uncentered(sig: BlockSignal, n: int) -> tuple:
