@@ -7,6 +7,15 @@ at N_4 = 2^1000 — a 302-digit integer — costs a handful of big-rational
 comparisons.  The minimal maximizing radius there is exactly L_4 and the
 ratio r/N_4 misses 1/3 by exactly 1/(3*2^1000).
 
+Far outside the support the minimal radius reaches one end of a stretch of
+blocks, so r_n/|n| -> 1 (the paper's asymptotics for compactly supported
+f).  The demo queries 2^10000, 2^10100 and 2^20000 left of the support and
+right of it, where each centered query is one steepest chord on the
+compiled prefix hulls: left of it the window reaches the support end hi,
+r = hi - n; right of it r = n - s, with s the start of the last block
+until the whole support wins (s = lo, past about 2^19000 here).  The
+uncentered window [n, hi] or [s, n] has diameter r.
+
 Certificates serialize integers as decimal strings (the interpreter's
 int<->str digit guard would reject direct conversion at 2^10000) and can
 be re-checked from the JSON alone.
@@ -20,8 +29,10 @@ from fractions import Fraction as F
 from hlmax import (
     build_theorem29_linf,
     event_centered,
+    event_uncentered,
     int_str,
     recheck_certificate,
+    support_bounds,
 )
 
 
@@ -46,6 +57,23 @@ def main() -> None:
             f"  k = {k}:  r at N_k equals L_k: {res.radius == l_k}   "
             f"|r/N_k - 1/3| = 1/(3*N_k) exactly: {exact_dev}"
         )
+
+    print()
+    print("== Far outside the support: r_n / |n| -> 1 ==")
+    lo, hi = support_bounds(sig)
+    last = sig.blocks[-1].start  # the block at N_5 = 2^10000
+    for e in (10000, 10100, 20000):
+        for side, n in (("left ", lo - 2**e), ("right", hi + 2**e)):
+            r = event_centered(sig, n).radius
+            # only the reaches from n's own side are positive, so no two keys collide
+            reach = {hi - n: "hi - n", n - lo: "n - lo", n - last: "n - N_5 block start"}.get(r, "?")
+            diam = event_uncentered(sig, n).min_diameter
+            # |r / |n| - 1| = |r - |n|| / |n| < 2^exp
+            exp = (r - abs(n)).bit_length() - abs(n).bit_length() + 1
+            print(
+                f"  2^{e} {side}: r = {reach}, uncentered diameter = r: {diam == r}, "
+                f"|r/|n| - 1| < 2^{exp}"
+            )
 
     print()
     print("== Certificate round trip at full scale ==")

@@ -6,11 +6,11 @@ and uncentered averages over intervals containing x are exact rationals, and
 between breakpoint-crossing radii the average is a Mobius function of the
 radius with no interior extrema, so the maximum and the minimal maximizing
 radius sit among finitely many candidates: one walk over the kinks of the
-ball mass in the centered case, the steepest chord between prefix-sum hulls
-in the uncentered one.  Both run on the integer StepLayout that each
-StepFunction compiles once relative to its support start, hulls of every
-prefix and suffix included, so a query does one Fraction subtraction and
-costs the same at 0 and at 2^10000.
+ball mass in the centered case (one chord outside the support), the
+steepest chord between prefix-sum hulls in the uncentered one.  Both run on
+the integer StepLayout that each StepFunction compiles once relative to its
+support start, hulls of every prefix and suffix included, so a query does
+one Fraction subtraction and costs the same at 0 and at 2^10000.
 
 The StepLayout is the one compiled form of every constant signal: an
 all-constant BlockSignal on Z compiles to the layout of the step function
@@ -118,8 +118,18 @@ class StepLayout:
         its radii beats the best strictly (a tie keeps the smaller radius
         already held); the walk resumes at R with the slope read from vals.
         The walk stops at the first radius r with M(inf) / (2r) <= best, as
-        no larger radius beats it."""
+        no larger radius beats it.
+
+        A point strictly outside the support takes no walk: M(r) is
+        F(x + r) left of it and F(inf) - F(x - r) right of it, so the answer
+        is the run of the innermost steepest chord from (x, 0) to the
+        prefix-mass points, or from them to (x, F(inf)), on the compiled
+        hulls.  Points from lo to the last breakpoint, both included, walk."""
         xs, vals, jumps = self.xs, self.vals, self.jumps
+        if c < 0:
+            return self.steepest_chord(0, (c, 0), 0, None, q)[1]
+        if c > xs[-1] * q:
+            return self.steepest_chord(len(xs), None, len(xs), (c, self.ys[-1] * q), q)[1]
         k, m = self.locate(c, q)
         bound = self.ys[-1] * q
         rate = vals[k] + vals[m]
@@ -343,9 +353,11 @@ def maximal_centered_cont(f: StepFunction, x: Fraction) -> ContinuousResult:
     (StepLayout.centered_radius) finds the maximum and the least radius
     attaining it.  f >= 0 keeps the ball mass nondecreasing, so the walk
     skips, exactly, each stretch of kinks whose end mass cannot beat the
-    best so far.  The r -> 0 limit, the mean of the one-sided limits, is
-    matched exactly on radii below the nearest kink; radius 0 reports it.
-    Otherwise the winner's value is two integer prefix reads."""
+    best so far.  A point outside the support takes no walk but one
+    steepest chord on the compiled prefix hulls, at any distance.  The
+    r -> 0 limit, the mean of the one-sided limits, is matched exactly on
+    radii below the nearest kink; radius 0 reports it.  Otherwise the
+    winner's value is two integer prefix reads."""
     x = Fraction(x)
     lay = f.layout
     c, q = lay.offset(x)

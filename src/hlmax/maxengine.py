@@ -294,7 +294,9 @@ def event_centered(sig: Signal, n: int, limits: Limits = DEFAULT_LIMITS) -> Cent
     (2t + 1, 2), t = n - lo) returns 2r + 1, or 0 where f(n) is the
     maximum, and one window sum reads the value.  f >= 0 keeps the window
     mass nondecreasing in r, so the walk skips, exactly, each stretch of
-    kinks whose end mass shows that none of its radii can win.  Power-law
+    kinks whose end mass shows that none of its radii can win; a point
+    outside [lo, hi] takes one steepest chord on the layout's prefix hulls
+    instead, so it costs the same at any distance.  Power-law
     signals evaluate the event radii (edges meeting boundaries, +-1) plus
     the interior peaks of power-law stretches; Mobius monotonicity between
     events and the peak searches make that candidate set complete both for

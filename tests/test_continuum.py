@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from hlmax import continuum
 from hlmax.continuum import (
+    ContinuousResult,
     StepFunction,
     average_ball,
     grid_scan_centered,
@@ -25,8 +26,8 @@ from hlmax.continuum import (
 )
 from hlmax.config import Limits
 from hlmax.errors import BudgetExceeded, NonpositiveRadius, ParameterViolation, ZeroSignal
-from hlmax.maxengine import event_centered
-from hlmax.signal import Block, BlockSignal
+from hlmax.maxengine import CenteredResult, event_centered, oracle_centered_range
+from hlmax.signal import Block, BlockSignal, norm_l1, support_bounds
 
 F = Fraction
 
@@ -760,6 +761,74 @@ class TestBoundedWalk:
             for size in self.SIZES:
                 with patch.object(continuum, "_STRETCH", size):
                     assert maximal_centered_cont(f, x) == ref
+
+
+@st.composite
+def tie_rich_signals(draw):
+    """Up to 12 blocks of amplitude 1 or 2, 1-3 points long (one-point
+    blocks) after gaps of 0-4, so many windows tie; as a BlockSignal."""
+    spec = draw(
+        st.lists(
+            st.tuples(st.integers(0, 4), st.integers(1, 3), st.integers(1, 2), st.just(1)),
+            min_size=1,
+            max_size=12,
+        )
+    )
+    return shifted(spec, draw(st.integers(-5, 5)))
+
+
+class TestOutsideSupport:
+    """Points strictly outside the support take one steepest chord on the
+    compiled prefix hulls instead of the kink walk; lo and hi themselves,
+    and every point between, stay on the walk."""
+
+    @given(tie_rich_signals())
+    @settings(max_examples=80, deadline=None)
+    def test_tie_rich_signals_match_the_range_oracle(self, sig):
+        lo, hi = support_bounds(sig)
+        reach = 3 * (hi - lo + 1)
+        for a, b in ((lo - reach, lo - 1), (hi + 1, hi + reach)):
+            assert [event_centered(sig, n) for n in range(a, b + 1)] == oracle_centered_range(sig, a, b)
+
+    @given(rational_step_functions(), st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_rational_points_either_side_match_the_candidate_loop(self, f, data):
+        step = st.fractions(min_value=F(1, 12), max_value=F(40), max_denominator=12)
+        first, last = f.breakpoints[0], f.breakpoints[-1]
+        for x in (first - data.draw(step), first, last, last + data.draw(step)):
+            res = maximal_centered_cont(f, x)
+            assert (res.max_value, res.radius) == candidate_loop_centered(f, x)
+
+    def test_closed_form_two_to_the_10000_away(self):
+        # so far out the whole mass wins, reached by the least radius: the
+        # window (ball) ends at the far end of the support
+        big = 2**10000
+        rng = random.Random(19)
+        for _ in range(6):
+            spec = [(rng.randint(0, 4), rng.randint(1, 4), rng.randint(1, 9), 1) for _ in range(5)]
+            sig = shifted(spec, rng.randint(-50, 50))
+            lo, hi = support_bounds(sig)
+            mass = norm_l1(sig)
+            for n, r in ((lo - big, hi - lo + big), (hi + big, hi - lo + big)):
+                assert event_centered(sig, n) == CenteredResult(n, mass / (2 * r + 1), r, True)
+            f = random_lattice_step(rng)
+            first, last = f.breakpoints[0], f.breakpoints[-1]
+            for x, rho in ((first - big, last - first + big), (last + big, last - first + big)):
+                assert maximal_centered_cont(f, x) == ContinuousResult(x, f.integral() / (2 * rho), rho, True)
+
+    def test_support_ends_stay_on_the_walk(self):
+        # about either end of the box every ball averages at most the
+        # vanishing limit 1/2, so the radius is 0
+        for x in (-1, 1):
+            assert maximal_centered_cont(box(), x) == ContinuousResult(F(x), F(1, 2), F(0), True)
+        # 1 then 5 from the left end: the whole support wins, M(2) = 6 over
+        # 4 against the limit 1/2; the same from the right end of 5 then 1
+        for vals, x in (([1, 5], 0), ([5, 1], 2)):
+            f = StepFunction([0, 1, 2], vals)
+            assert maximal_centered_cont(f, x) == ContinuousResult(F(x), F(3, 2), F(2), True)
+        sig = BlockSignal([Block(0, 4, F(1)), Block(7, 7, F(2))])
+        for n in (0, 7):
+            assert event_centered(sig, n) == oracle_centered_range(sig, n, n)[0]
 
 
 class TestJson:
