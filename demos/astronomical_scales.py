@@ -10,11 +10,14 @@ ratio r/N_4 misses 1/3 by exactly 1/(3*2^1000).
 Far outside the support the minimal radius reaches one end of a stretch of
 blocks, so r_n/|n| -> 1 (the paper's asymptotics for compactly supported
 f).  The demo queries 2^10000, 2^10100 and 2^20000 left of the support and
-right of it, where each centered query is one steepest chord on the
-compiled prefix hulls: left of it the window reaches the support end hi,
-r = hi - n; right of it r = n - s, with s the start of the last block
-until the whole support wins (s = lo, past about 2^19000 here).  The
-uncentered window [n, hi] or [s, n] has diameter r.
+right of it, where each centered query is one bisect over the tangent
+switch points that the signal compiles: left of it the window reaches the
+support end hi, r = hi - n; right of it r = n - s, with s the start of the
+last block until the whole support wins (s = lo).  The uncentered window
+[n, hi] or [s, n] has diameter r.  The demo prints the exact switch point
+where the whole support starts to win on the right, about 2^19000 past lo,
+and the pieces of r_n over 1001 points 2^10000 left of the support, read
+off the switch points as well.
 
 Certificates serialize integers as decimal strings (the interpreter's
 int<->str digit guard would reject direct conversion at 2^10000) and can
@@ -24,12 +27,14 @@ Run:  python3 demos/astronomical_scales.py
 """
 
 import json
+import math
 from fractions import Fraction as F
 
 from hlmax import (
     build_theorem29_linf,
     event_centered,
     event_uncentered,
+    frequency_pieces,
     int_str,
     recheck_certificate,
     support_bounds,
@@ -74,6 +79,24 @@ def main() -> None:
                 f"  2^{e} {side}: r = {reach}, uncentered diameter = r: {diam == r}, "
                 f"|r/|n| - 1| < 2^{exp}"
             )
+
+    print()
+    print("== Read off the compiled switch points ==")
+    # right of the support the tangent vertex steps inward to the support
+    # start at the last switch point, z beyond the support end hi + 1 (a
+    # centered query at n sits at n + 1/2): from n0 on the window is [lo, n + r]
+    _, num, den = sig.layout.right_tangents[1][-1]
+    z = F(num, den)
+    n0 = hi + 1 + math.floor(z - F(1, 2)) + 1
+    print(f"  the whole support wins past hi + 1 + z, z = p/q exactly with p of "
+          f"{z.numerator.bit_length()} bits and q of {z.denominator.bit_length()}: "
+          f"2^18999 < z < 2^19000 is {2**18999 < z < 2**19000}")
+    print(f"  r = n - N_5 block start at n0 - 1: {event_centered(sig, n0 - 1).radius == n0 - 1 - last}, "
+          f"r = n - lo at n0: {event_centered(sig, n0).radius == n0 - lo}")
+    far = lo - 2**10000
+    pieces = frequency_pieces(sig, far - 1000, far)
+    print(f"  pieces over the 1001 points ending 2^10000 left of lo: {len(pieces)}, "
+          f"r = hi - n on all of them: {pieces == [(far - 1000, far, -1, hi)]}")
 
     print()
     print("== Certificate round trip at full scale ==")

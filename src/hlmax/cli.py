@@ -11,6 +11,7 @@ byte-identical files.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import random
 import sys
@@ -238,7 +239,10 @@ def _cmd_oracle_diff(args) -> int:
     return 0 if not mismatches else 1
 
 
+@functools.cache
 def _make_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parse_args keeps no
+    state in it, so every main call in one process can share it."""
     parser = argparse.ArgumentParser(
         prog="hlmax",
         description="Exact maximal-function and frequency-function toolkit",

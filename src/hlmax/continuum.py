@@ -6,11 +6,16 @@ and uncentered averages over intervals containing x are exact rationals, and
 between breakpoint-crossing radii the average is a Mobius function of the
 radius with no interior extrema, so the maximum and the minimal maximizing
 radius sit among finitely many candidates: one walk over the kinks of the
-ball mass in the centered case (one chord outside the support), the
-steepest chord between prefix-sum hulls in the uncentered one.  Both run on
-the integer StepLayout that each StepFunction compiles once relative to its
-support start, hulls of every prefix and suffix included, so a query does
-one Fraction subtraction and costs the same at 0 and at 2^10000.
+ball mass in the centered case, the steepest chord between prefix-sum hulls
+in the uncentered one.  Both run on the integer StepLayout that each
+StepFunction compiles once relative to its support start, hulls of every
+prefix and suffix included, so a query does one Fraction subtraction and
+costs the same at 0 and at 2^10000.
+
+Outside the support both answers are one chord from x to the hull of the
+whole support, and the hull vertex it touches changes only where x crosses
+a tangent switch point, which the layout compiles too: a query there is one
+bisect, at any distance (StepLayout.outside_chord).
 
 The StepLayout is the one compiled form of every constant signal: an
 all-constant BlockSignal on Z compiles to the layout of the step function
@@ -70,9 +75,13 @@ class StepLayout:
     b_i.  Over the points (xs[i], ys[i]), lower[i] is the previous vertex
     of the lower hull of points 0..i (-1 for none) and upper[i] the next
     vertex of the upper hull of points i..end (len(xs) for none), so every
-    prefix and suffix hull is one parent chain.  A query subtracts lo once
-    (offset).  A BlockSignal's layout has integer breakpoints, so lo is an
-    int and dx = 1."""
+    prefix and suffix hull is one parent chain.  left_tangents and
+    right_tangents hold the whole-support hull as seen from either side
+    (_tangents): the vertices of the upper chain from point 0 and of the
+    lower chain from the last point, each as (distance, mass) from the
+    support end it faces, and the switch points between them.  A query
+    subtracts lo once (offset).  A BlockSignal's layout has integer
+    breakpoints, so lo is an int and dx = 1."""
 
     lo: Fraction
     dx: int
@@ -83,6 +92,8 @@ class StepLayout:
     jumps: list
     lower: list
     upper: list
+    left_tangents: tuple
+    right_tangents: tuple
 
     def offset(self, x: Fraction) -> tuple[int, int]:
         """(c, q) with x = lo + c / (dx * q): positions at scale dx * q."""
@@ -120,16 +131,13 @@ class StepLayout:
         The walk stops at the first radius r with M(inf) / (2r) <= best, as
         no larger radius beats it.
 
-        A point strictly outside the support takes no walk: M(r) is
-        F(x + r) left of it and F(inf) - F(x - r) right of it, so the answer
-        is the run of the innermost steepest chord from (x, 0) to the
-        prefix-mass points, or from them to (x, F(inf)), on the compiled
-        hulls.  Points from lo to the last breakpoint, both included, walk."""
+        A point strictly outside the support takes no walk but the run of
+        outside_chord.  Points from lo to the last breakpoint, both
+        included, walk."""
+        chord = self.outside_chord(c, q)
+        if chord is not None:
+            return chord[1]
         xs, vals, jumps = self.xs, self.vals, self.jumps
-        if c < 0:
-            return self.steepest_chord(0, (c, 0), 0, None, q)[1]
-        if c > xs[-1] * q:
-            return self.steepest_chord(len(xs), None, len(xs), (c, self.ys[-1] * q), q)[1]
         k, m = self.locate(c, q)
         bound = self.ys[-1] * q
         rate = vals[k] + vals[m]
@@ -177,6 +185,32 @@ class StepLayout:
                 rate += dk
             j, i = jr, il
         return best_r
+
+    def outside_chord(self, c: int, q: int) -> tuple[int, int] | None:
+        """(rise, run) at scale dx * q of the innermost steepest chord from
+        (x, 0) to the prefix-mass points for x = the offset (c, q) left of
+        the support (c < 0), or from them to (x, F(inf)) right of it
+        (c > xs[-1] q); None for x in the support, ends included.
+
+        Every ball or interval about such an x that meets the support has
+        mass F(x + r) or F(inf) - F(x - r), so this chord gives the least
+        maximizing radius (centered, the run) and the shortest maximizing
+        interval (uncentered), and its rise is the mass.  The chord ends at
+        the vertex of the whole-support hull that the tangent from x
+        touches.  That vertex moves inward as x nears the support and
+        switches from pts[k + 1] to pts[k] at cuts[k], where both lie on
+        the tangent, so one bisect over the compiled cuts finds it, the
+        inner vertex on a tie (Goldwasser, Kao & Lu, JCSS 2005, with the
+        left end pinned on a horizontal line)."""
+        end = self.xs[-1] * q
+        if c < 0:
+            (pts, cuts), d = self.left_tangents, -c
+        elif c > end:
+            (pts, cuts), d = self.right_tangents, c - end
+        else:
+            return None
+        dist, mass = pts[tangent_count(cuts, d, q)]
+        return mass * q, dist * q + d
 
     def steepest_chord(self, b: int, left, a: int, right, q: int) -> tuple[int, int]:
         """(rise, run) of the steepest chord, at scale dx * q, from the
@@ -268,7 +302,52 @@ def step_layout(breakpoints: list, values: list) -> StepLayout:
         while h < end - 1 and (ys[h] - ys[i]) * (xs[g := upper[h]] - xs[h]) <= (ys[g] - ys[h]) * (xs[h] - xs[i]):
             h = g
         upper[i] = h
-    return StepLayout(breakpoints[0], dx, dy, xs, vals, ys, jumps, lower, upper)
+    # the upper chain from point 0 and the lower chain from the last point;
+    # f >= 0 with non-zero end values makes every edge of either rise (the
+    # chains stop at one that does not, which only signed values give)
+    left, right = [0], [end - 1]
+    while left[-1] < end - 1 and ys[upper[left[-1]]] > ys[left[-1]]:
+        left.append(upper[left[-1]])
+    while right[-1] > 0 and ys[lower[right[-1]]] < ys[right[-1]]:
+        right.append(lower[right[-1]])
+    return StepLayout(
+        breakpoints[0], dx, dy, xs, vals, ys, jumps, lower, upper,
+        _tangents([(xs[i], ys[i]) for i in left]),
+        _tangents([(xs[-1] - xs[i], ys[-1] - ys[i]) for i in right]),
+    )
+
+
+def _tangents(pts: list) -> tuple:
+    """(pts, cuts) for hull vertices pts given as (distance, mass) from the
+    support end they face, innermost first: the tangent from a point at
+    distance d beyond that end touches pts[k] for k the number of cuts
+    below d, cuts[k] being where the line through pts[k] and pts[k + 1]
+    meets mass 0, a switch point num / den stored as (floor, num, den)."""
+    cuts = []
+    for (x1, y1), (x2, y2) in zip(pts, pts[1:]):
+        num, den = y1 * (x2 - x1) - x1 * (y2 - y1), y2 - y1
+        cuts.append((num // den, num, den))
+    return pts, cuts
+
+
+def tangent_count(cuts: list, c: int, q: int) -> int:
+    """The number of switch points in cuts (ascending, as _tangents makes
+    them) below c / q, q > 0.  A point past the floor of the last one plus
+    one, as every point far from the support is, has all of them below it;
+    otherwise a bisect on the floors leaves only the cuts with floor c // q
+    to compare exactly, and c // q costs no more than the cuts' size."""
+    if c >= (cuts[-1][0] + 1) * q:
+        return len(cuts)
+    f = c // q
+    k = bisect_left(cuts, (f,))
+    hi = bisect_left(cuts, (f + 1,), k)
+    while k < hi:
+        mid = (k + hi) // 2
+        if cuts[mid][1] * q < c * cuts[mid][2]:
+            k = mid + 1
+        else:
+            hi = mid
+    return k
 
 
 class StepFunction:
@@ -353,14 +432,19 @@ def maximal_centered_cont(f: StepFunction, x: Fraction) -> ContinuousResult:
     (StepLayout.centered_radius) finds the maximum and the least radius
     attaining it.  f >= 0 keeps the ball mass nondecreasing, so the walk
     skips, exactly, each stretch of kinks whose end mass cannot beat the
-    best so far.  A point outside the support takes no walk but one
-    steepest chord on the compiled prefix hulls, at any distance.  The
+    best so far.  A point outside the support takes no walk: one bisect
+    over the compiled switch points gives the chord whose run is the
+    radius and whose rise is the mass, at any distance.  The
     r -> 0 limit, the mean of the one-sided limits, is matched exactly on
     radii below the nearest kink; radius 0 reports it.  Otherwise the
     winner's value is two integer prefix reads."""
     x = Fraction(x)
     lay = f.layout
     c, q = lay.offset(x)
+    chord = lay.outside_chord(c, q)
+    if chord is not None:
+        mass, r = chord
+        return ContinuousResult(x, Fraction(mass, 2 * r * lay.dy), Fraction(r, lay.dx * q), True)
     r = lay.centered_radius(c, q)
     if r == 0:
         k, m = lay.locate(c, q)
@@ -384,10 +468,16 @@ def maximal_uncentered_cont(f: StepFunction, x: Fraction) -> ContinuousResult:
     reported interval is the shortest maximizer.  The zero-length pair
     (x, x) is no interval; the chords are split into those from a
     breakpoint left of x and those from x itself.  x's own point is one
-    integer prefix read at scale q."""
+    integer prefix read at scale q.  Outside the support the interval's
+    near end is x and the chord is the one of the centered case
+    (StepLayout.outside_chord), one bisect at any distance."""
     x = Fraction(x)
     lay = f.layout
     c, q = lay.offset(x)
+    chord = lay.outside_chord(c, q)
+    if chord is not None:
+        num, den = chord
+        return ContinuousResult(x, Fraction(num, den * lay.dy), Fraction(den, 2 * lay.dx * q), True)
     k, m = lay.locate(c, q)
     pin = (c, lay.mass_to(c, q))
     chords = []

@@ -22,7 +22,9 @@ tangent steps between the prefix and suffix hulls the layout compiles with
 it, rather than by trying every pair of window edges; and the
 radius sweep of frequency_pieces compares affine forms on the same
 breakpoints, all in integers (scaled by the common denominator) on offsets
-from the support start.
+from the support start.  Outside the support all three read the tangent
+switch points the layout compiles: one bisect per query, and the pieces
+straight off the switch points.
 
 Power-law signals produce certified enclosures, and any comparison the
 enclosures cannot decide is surfaced as certified=False with the overlap
@@ -39,7 +41,7 @@ from itertools import chain, repeat
 from typing import Optional, Union
 
 from .config import DEFAULT_LIMITS, Limits
-from .continuum import StepLayout
+from .continuum import StepLayout, tangent_count
 from .errors import BudgetExceeded, NonpositiveRadius, ParameterViolation
 from .signal import (
     BlockSignal,
@@ -294,9 +296,11 @@ def event_centered(sig: Signal, n: int, limits: Limits = DEFAULT_LIMITS) -> Cent
     (2t + 1, 2), t = n - lo) returns 2r + 1, or 0 where f(n) is the
     maximum, and one window sum reads the value.  f >= 0 keeps the window
     mass nondecreasing in r, so the walk skips, exactly, each stretch of
-    kinks whose end mass shows that none of its radii can win; a point
-    outside [lo, hi] takes one steepest chord on the layout's prefix hulls
-    instead, so it costs the same at any distance.  Power-law
+    kinks whose end mass shows that none of its radii can win.  A point
+    outside [lo, hi] takes one bisect over the layout's tangent switch
+    points instead (StepLayout.outside_chord), whose chord gives both the
+    radius and the window mass, so it costs the same at any distance.
+    Power-law
     signals evaluate the event radii (edges meeting boundaries, +-1) plus
     the interior peaks of power-law stretches; Mobius monotonicity between
     events and the peak searches make that candidate set complete both for
@@ -304,7 +308,12 @@ def event_centered(sig: Signal, n: int, limits: Limits = DEFAULT_LIMITS) -> Cent
     blocks = as_blocks(sig)
     lay = blocks.layout
     if lay is not None:
-        r = lay.centered_radius(2 * (n - lay.lo) + 1, 2) // 2
+        c = 2 * (n - lay.lo) + 1
+        chord = lay.outside_chord(c, 2)
+        if chord is not None:  # the window mass is half the chord's rise
+            rise, run = chord
+            return CenteredResult(n, Fraction(rise, 2 * lay.dy * run), run // 2, True)
+        r = lay.centered_radius(c, 2) // 2
         num = window_sum_scaled(blocks, n - r, n + r)
         return CenteredResult(n, Fraction(num, lay.dy * (2 * r + 1)), r, True)
     r_cap = search_bound_centered(blocks, n)
@@ -458,6 +467,27 @@ def _edge_hit(left: list, right: list, near: set, x: int) -> bool:
                 and near.isdisjoint(map((x - 1).__sub__, right)))
 
 
+def _outside_runs(tangents: tuple, u_a: int, u_b: int):
+    """(u0, u1, dist): the runs of u_a <= u <= u_b, ascending, on which the
+    tangent from the centre n + 1/2 at u + 1/2 beyond a support end touches
+    the hull vertex dist from that end (StepLayout.left_tangents or
+    right_tangents), so the least maximizing window reaches that vertex,
+    radius dist + u.  A vertex holds until u + 1/2 passes the next switch
+    point num / den."""
+    pts, cuts = tangents
+    k = tangent_count(cuts, 2 * u_a + 1, 2)
+    u = u_a
+    while u <= u_b:
+        stop = u_b
+        if k < len(cuts):
+            _, num, den = cuts[k]
+            stop = min(stop, (2 * num - den) // (2 * den))
+        if stop >= u:
+            yield u, stop, pts[k][0]
+            u = stop + 1
+        k += 1
+
+
 # Cells shorter than this are walked point by point with the kink walk:
 # a 1-point cell costs about 27 walks through _cell_candidates at B = 200
 _SHORT_CELL = 16
@@ -477,14 +507,17 @@ def frequency_pieces(sig: Signal, n_lo: int, n_hi: int) -> list:
     winner, not per point.  Cells shorter than _SHORT_CELL, as between
     close boundaries, are cheaper walked point by point, each point on the
     line the sweep would give it, so the pieces do not depend on which
-    cells were walked.  All arithmetic runs on offsets from the support
-    start."""
+    cells were walked.  Only [lo, hi] is swept.  Outside it the radius is
+    the distance to the tangent vertex of the whole-support hull, slope -1
+    on the left and +1 on the right, and that vertex changes only at the
+    layout's tangent switch points, so those runs come straight off the
+    switch points, one per vertex, at any distance.  All arithmetic runs on
+    offsets from the support start."""
     lay = as_blocks(sig).layout
     if lay is None:
         raise ParameterViolation("frequency pieces need an all-constant signal")
     if n_hi < n_lo:
         raise ParameterViolation("frequency pieces need n_lo <= n_hi")
-    bounds, near3, near4 = _sweep_tables(lay)
     pieces: list = []
 
     def emit(a: int, b: int, slope: int, icpt: int) -> None:
@@ -520,7 +553,17 @@ def frequency_pieces(sig: Signal, n_lo: int, n_hi: int) -> list:
                     slope = held
             emit(t, t, slope, r - slope * t)
 
-    t, t_hi = n_lo - lay.lo, n_hi - lay.lo
+    t, t_last = n_lo - lay.lo, n_hi - lay.lo
+    end = lay.xs[-1]  # the first offset right of the support
+    if t < 0:  # left of the support t = -1 - u
+        t_left = min(t_last, -1)
+        runs = list(_outside_runs(lay.left_tangents, -1 - t_left, -1 - t))
+        for u0, u1, dist in reversed(runs):
+            emit(-1 - u1, -1 - u0, -1, dist - 1)
+        t = t_left + 1
+    t_hi = min(t_last, end - 1)
+    if t <= t_hi:  # the sweep's tables cost O(B), so only a range in [lo, hi] builds them
+        bounds, near3, near4 = _sweep_tables(lay)
     while t <= t_hi:
         k = bisect_left(bounds, t)
         if k < len(bounds) and bounds[k] - t < _SHORT_CELL:
@@ -560,6 +603,9 @@ def frequency_pieces(sig: Signal, n_lo: int, n_hi: int) -> list:
                 break
             u = nxt
         t += t_end + 1
+    if t <= t_last:  # right of it t = end + u
+        for u0, u1, dist in _outside_runs(lay.right_tangents, t - end, t_last - end):
+            emit(end + u0, end + u1, 1, dist - end)
     lo = lay.lo
     return [(a + lo, b + lo, s, c - s * lo) for a, b, s, c in pieces]
 
@@ -696,11 +742,17 @@ def _uncentered_hull(lay: StepLayout, n: int) -> UncenteredResult:
     P = 0 left of the support.  The hulls of every prefix and suffix of
     the breakpoints are compiled with the layout, so a query walks two
     parent chains on offsets from the support start, and its arithmetic
-    stays small at any n."""
+    stays small at any n.  Outside the support the near end is pinned at
+    t (left) or t + 1 (right) and the far end is the tangent vertex of the
+    whole-support hull, one bisect over the switch points
+    (StepLayout.outside_chord)."""
     xs = lay.xs
     t = n - lay.lo
-    left, right = (t, lay.mass_to(t, 1)), (t + 1, lay.mass_to(t + 1, 1))
-    mass, length = lay.steepest_chord(bisect_left(xs, t), left, bisect_right(xs, t + 1), right, 1)
+    chord = lay.outside_chord(t if t < 0 else t + 1, 1)
+    if chord is None:
+        left, right = (t, lay.mass_to(t, 1)), (t + 1, lay.mass_to(t + 1, 1))
+        chord = lay.steepest_chord(bisect_left(xs, t), left, bisect_right(xs, t + 1), right, 1)
+    mass, length = chord
     return UncenteredResult(n, Fraction(mass, lay.dy * length), length - 1, True)
 
 
@@ -714,7 +766,9 @@ def event_uncentered(sig: Signal, n: int, limits: Limits = DEFAULT_LIMITS) -> Un
     tangent steps between the layout's compiled prefix and suffix hulls,
     so a query costs the two hull chains it walks, and among the windows
     attaining it the one with the largest left edge and the smallest right
-    edge, which has the minimal diameter, is reported.  Power-law signals
+    edge, which has the minimal diameter, is reported.  A point outside the
+    support pins the near edge at n and finds the far one by one bisect
+    over the layout's tangent switch points, at any distance.  Power-law signals
     try every candidate pair: for fixed right edge the average is
     valley-shaped in the left edge (constant regions: monotone Mobius;
     power-law regions: leftward extension meets non-decreasing values), so

@@ -38,19 +38,27 @@ _INT_RE = re.compile(r"[+-]?\d+")
 def int_str(n: int) -> str:
     """Decimal digits of n at any size.
 
-    Routed through Decimal because the interpreter's int<->str digit guard
-    (sys.get_int_max_str_digits) rejects direct conversion of the
-    multi-thousand-digit scales these constructions live at; Decimal
-    rendering is exact and unguarded."""
-    return str(decimal.Decimal(n))
+    str(n) first; the interpreter's int<->str digit guard
+    (sys.get_int_max_str_digits) rejects it with ValueError at the
+    multi-thousand-digit scales these constructions live at, and those go
+    through Decimal, whose rendering of an int is the same digits,
+    exact and unguarded."""
+    try:
+        return str(n)
+    except ValueError:
+        return str(decimal.Decimal(n))
 
 
 def parse_int(s: str) -> int:
-    """Exact inverse of int_str, valid at any number of digits."""
+    """Exact inverse of int_str, valid at any number of digits (int(s)
+    first, Decimal past the digit guard)."""
     s = s.strip()
     if not _INT_RE.fullmatch(s):
         raise ParameterViolation(f"not an integer: {s!r}")
-    return int(decimal.Decimal(s))
+    try:
+        return int(s)
+    except ValueError:
+        return int(decimal.Decimal(s))
 
 DEFAULT_PRECISION = 256
 # guard bits for the transcendental evaluations in ln_value and pow_of_value

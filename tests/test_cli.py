@@ -385,6 +385,38 @@ def declared_script(name):
     return module.strip(), func.strip()
 
 
+class TestSharedParser:
+    """main builds its argparse parser once per process; what one call
+    parses must not reach the next."""
+
+    def test_parser_is_built_once(self):
+        assert _make_parser() is _make_parser()
+
+    def test_consecutive_calls_share_no_state(self, tmp_path, t27_signal):
+        sig = str(t27_signal)
+
+        def profile(name, *flags) -> bytes:
+            out = tmp_path / name
+            assert run("profile", "--signal", sig, *flags, "--out", str(out)) == 0
+            return out.read_bytes()
+
+        centered = profile("a.csv", "--points", "-3,0,13")
+        uncentered = profile("b.csv", "--points", "-3,0,13", "--uncentered")
+        assert uncentered != centered
+        # every optional construct flag set, then none: the defaults return
+        assert run(
+            "construct", "theorem27", "--g", "loglog", "--k", "3", "--mode", "relaxed",
+            "--n1", "100", "--growth-factor", "10", "--out", str(tmp_path / "x.json"),
+        ) == 0
+        assert run("construct", "theorem27", "--out", str(tmp_path / "y.json")) == 0
+        assert (tmp_path / "y.json").read_bytes() == t27_signal.read_bytes()
+        # neither --range nor --points: none is left over from the calls above
+        assert run("profile", "--signal", sig, "--out", str(tmp_path / "c.csv")) == 2
+        assert run("oracle-diff", "--trials", "2", "--max-width", "6", "--seed", "3") == 0
+        assert profile("d.csv", "--points", "-3,0,13") == centered
+        assert profile("e.csv", "--points", "-3,0,13", "--uncentered") == uncentered
+
+
 class TestEntryPoint:
     def test_console_script(self, tmp_path):
         # Run the declared target the way the wrapper that pip installs

@@ -3,6 +3,7 @@ hand-computed exact values, the vanishing-radius convention, minimal-diameter
 tie-breaking, and the grid-scan oracle (exact equality on lattice geometry,
 where every candidate radius lies on a coarse dyadic grid)."""
 
+import math
 import random
 from dataclasses import replace
 from fractions import Fraction
@@ -26,8 +27,16 @@ from hlmax.continuum import (
 )
 from hlmax.config import Limits
 from hlmax.errors import BudgetExceeded, NonpositiveRadius, ParameterViolation, ZeroSignal
-from hlmax.maxengine import CenteredResult, event_centered, oracle_centered_range
-from hlmax.signal import Block, BlockSignal, norm_l1, support_bounds
+from hlmax.maxengine import (
+    CenteredResult,
+    UncenteredResult,
+    event_centered,
+    event_uncentered,
+    frequency_pieces,
+    oracle_centered_range,
+    oracle_uncentered_range,
+)
+from hlmax.signal import Block, BlockSignal, as_blocks, norm_l1, support_bounds, to_dense
 
 F = Fraction
 
@@ -829,6 +838,141 @@ class TestOutsideSupport:
         sig = BlockSignal([Block(0, 4, F(1)), Block(7, 7, F(2))])
         for n in (0, 7):
             assert event_centered(sig, n) == oracle_centered_range(sig, n, n)[0]
+
+
+OFFSETS = (0, 2**10000, -(2**300))
+
+
+def pinned_chord(lay, c: int, q: int) -> tuple:
+    """(rise, run) by the route the compiled switch points replaced, kept
+    as the reference: the steepest chord from the pinned point (x, 0) to
+    the prefix-mass points left of the support, or from them to the pinned
+    (x, F(inf)) right of it, x being the offset (c, q)."""
+    end = len(lay.xs)
+    if c < 0:
+        return lay.steepest_chord(0, (c, 0), 0, None, q)
+    return lay.steepest_chord(end, None, end, (c, lay.ys[-1] * q), q)
+
+
+def switch_abscissae(lay) -> list:
+    """The layout's switch points as offsets at scale dx (they are stored
+    as distances beyond the support end they face)."""
+    return [F(-num, den) for _, num, den in lay.left_tangents[1]] + [
+        lay.xs[-1] + F(num, den) for _, num, den in lay.right_tangents[1]
+    ]
+
+
+@st.composite
+def tie_rich_z(draw):
+    """Up to 12 blocks of amplitude 1 or 2 after gaps of 0-4 at offset 0,
+    2^10000 or -2^300, as a BlockSignal or as the DenseSignal of its values."""
+    spec = draw(
+        st.lists(
+            st.tuples(st.integers(0, 4), st.integers(1, 3), st.integers(1, 2), st.just(1)),
+            min_size=1,
+            max_size=12,
+        )
+    )
+    sig = shifted(spec, draw(st.sampled_from(OFFSETS)))
+    return to_dense(sig) if draw(st.booleans()) else sig
+
+
+class TestSwitchPoints:
+    """Outside the support every answer comes from one bisect over the
+    compiled tangent switch points (StepLayout.outside_chord).  Against the
+    pinned steepest_chord route it replaced and against the oracles: every
+    point within 3 support widths either side, points on and next to each
+    switch point and points 2^10000 away."""
+
+    @given(tie_rich_z())
+    @settings(max_examples=80, deadline=None)
+    def test_z_engines(self, sig):
+        lay = as_blocks(sig).layout
+        lo, hi = support_bounds(sig)
+        reach = 3 * (hi - lo + 1)
+        oracle = {}
+        for a, b in ((lo - reach, lo - 1), (hi + 1, hi + reach)):
+            pairs = zip(oracle_centered_range(sig, a, b), oracle_uncentered_range(sig, a, b))
+            oracle.update((cen.n, (cen, unc)) for cen, unc in pairs)
+        # n + 1/2 on a switch point and next to it, n and n + 1 as pinned ends
+        near = {lo + math.floor(z) + d for z in switch_abscissae(lay) for d in (-2, -1, 0, 1)}
+        far = {lo - 2**10000, hi + 2**10000}
+        for n in sorted(set(oracle) | {n for n in near if not lo <= n <= hi} | far):
+            t = n - lay.lo
+            rise, run = pinned_chord(lay, 2 * t + 1, 2)
+            cen = event_centered(sig, n)
+            assert cen == CenteredResult(n, F(rise, 2 * lay.dy * run), run // 2, True)
+            rise, run = pinned_chord(lay, t if t < 0 else t + 1, 1)
+            unc = event_uncentered(sig, n)
+            assert unc == UncenteredResult(n, F(rise, lay.dy * run), run - 1, True)
+            if n in oracle:
+                assert (cen, unc) == oracle[n]
+
+    @given(rational_step_functions(), st.sampled_from(OFFSETS), st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_step_functions(self, f, off, data):
+        f = StepFunction([b + off for b in f.breakpoints], f.values)
+        lay = f.layout
+        first, last = f.breakpoints[0], f.breakpoints[-1]
+        reach = math.ceil(3 * (last - first))
+        step = st.fractions(min_value=F(1, 12), max_value=reach, max_denominator=12)
+        xs = [first - data.draw(step), last + data.draw(step), first - 2**10000, last + 2**10000]
+        xs += [first + (z + F(d, 2)) / lay.dx for z in switch_abscissae(lay) for d in (-1, 0, 1)]
+        for x in xs:
+            if first <= x <= last:
+                continue
+            c, q = lay.offset(x)
+            rise, run = pinned_chord(lay, c, q)
+            cen, unc = maximal_centered_cont(f, x), maximal_uncentered_cont(f, x)
+            assert cen == ContinuousResult(x, F(rise, 2 * run * lay.dy), F(run, lay.dx * q), True)
+            assert unc == ContinuousResult(x, F(rise, run * lay.dy), F(run, 2 * lay.dx * q), True)
+            assert (cen.max_value, cen.radius) == candidate_loop_centered(f, x)
+            assert (unc.max_value, 2 * unc.radius) == chord_oracle_uncentered(f, x)
+
+    @staticmethod
+    def check_pieces(sig, n_lo: int, n_hi: int) -> None:
+        """frequency_pieces over [n_lo, n_hi] gives event_centered's radius
+        at every point, in maximal runs."""
+        pieces = frequency_pieces(sig, n_lo, n_hi)
+        assert pieces[0][0] == n_lo and pieces[-1][1] == n_hi
+        for (_, b, s, c), (a, _, s2, c2) in zip(pieces, pieces[1:]):
+            assert a == b + 1 and (s, c) != (s2, c2)
+        for a, b, s, c in pieces:
+            for n in range(a, b + 1):
+                assert event_centered(sig, n).radius == s * n + c, n
+
+    @given(tie_rich_z(), st.sampled_from(("lo", "hi", "left", "right", "far")), st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_pieces(self, sig, case, data):
+        lo, hi = support_bounds(sig)
+        reach = 3 * (hi - lo + 1)
+        a, b = sorted(data.draw(st.lists(st.integers(1, reach), min_size=2, max_size=2)))
+        n_lo, n_hi = {
+            "lo": (lo - b, lo + a - 1),
+            "hi": (hi - a + 1, hi + b),
+            "left": (lo - b, lo - a),
+            "right": (hi + a, hi + b),
+            "far": (lo - 2**10000 - 1000, lo - 2**10000),
+        }[case]
+        self.check_pieces(sig, n_lo, n_hi)
+
+    def test_b800_layout_either_side_and_far(self):
+        """800 seeded blocks (lengths 4-12, gaps 3-12): the pieces of
+        [lo - 3000, lo - 1], [hi + 1, hi + 3000] and the 1001 points ending
+        2^10000 left of lo against the pinned reference point by point.
+        No benchmark workload queries outside the support at this size."""
+        rng = random.Random(800)
+        spec = [(rng.randint(3, 12), rng.randint(4, 12), rng.randint(1, 9), rng.randint(1, 4))
+                for _ in range(800)]
+        sig = shifted(spec, 0)
+        lay = sig.layout
+        lo, hi = support_bounds(sig)
+        far = lo - 2**10000
+        for n_lo, n_hi in ((lo - 3000, lo - 1), (hi + 1, hi + 3000), (far - 1000, far)):
+            self.check_pieces(sig, n_lo, n_hi)
+            for n in range(n_lo, n_hi + 1, 7):
+                rise, run = pinned_chord(lay, 2 * (n - lo) + 1, 2)
+                assert event_centered(sig, n).radius == run // 2
 
 
 class TestJson:

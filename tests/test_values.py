@@ -1,5 +1,6 @@
 """Exact/enclosure arithmetic layer: containment, ordering, parsing."""
 
+import decimal
 import subprocess
 import sys
 from dataclasses import replace
@@ -24,10 +25,12 @@ from hlmax.values import (
     compare,
     exact_bounds,
     fraction_to_enclosure,
+    int_str,
     iroot,
     ln_of_value,
     ln_value,
     overlap_width,
+    parse_int,
     parse_rational,
     pow_of_value,
     power_bounds,
@@ -75,6 +78,35 @@ class TestRationalStrings:
 
     def test_value_str_fraction(self):
         assert value_str(Fraction(3, 4)) == "3/4"
+
+
+class TestIntStrings:
+    """int_str and parse_int take str(n) and int(s) first and Decimal past
+    the interpreter's digit guard; both routes give the same digits."""
+
+    VALUES = (0, 10**40, -(10**40), 2**20000, -(2**20000))
+
+    # None keeps the interpreter's guard, 640 is its least non-zero
+    # setting, 0 turns it off so that str and int take every value
+    @pytest.mark.parametrize("guard", [None, 640, 0])
+    def test_round_trip_either_side_of_the_guard(self, guard):
+        if guard is not None and not hasattr(sys, "set_int_max_str_digits"):
+            pytest.skip("the interpreter has no int<->str digit guard")
+        old = sys.get_int_max_str_digits() if guard is not None else None
+        try:
+            if guard is not None:
+                sys.set_int_max_str_digits(guard)
+            for n in self.VALUES:
+                digits = int_str(n)
+                assert digits == str(decimal.Decimal(n))
+                assert parse_int(digits) == n
+                assert parse_int(f"  +{digits}  " if n >= 0 else digits) == n
+            if guard == 640:  # 2^20000 has 6021 digits: the fallback ran
+                with pytest.raises(ValueError):
+                    str(2**20000)
+        finally:
+            if old is not None:
+                sys.set_int_max_str_digits(old)
 
 
 class TestEnclosureBasics:
