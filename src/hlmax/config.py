@@ -18,8 +18,6 @@ class Limits:
     powerlaw_sum_cap: int = 10**7
     # build O(1)-query prefix tables only for power-law blocks up to this length
     prefix_cache_cap: int = 200_000
-    # refuse dense materialization wider than this
-    dense_width_cap: int = 10**8
     # refuse profiles over more evaluation points than this
     profile_point_cap: int = 2_000_000
     # density rows whose counting horizon min(N, horizon) exceeds this are

@@ -14,9 +14,12 @@ Three families:
   near 1/4.
 
 Every build returns (signal, Certificate); the certificate stores the chosen
-scales and a per-inequality verdict list, and recheck_certificate re-derives
-every verdict from the stored numbers alone.  The verify_* functions run the
-event engines against the construction's claims and return report dicts.
+scales and a per-inequality verdict list.  Each theorem's inequalities are
+stated once, in one generator of (name, holds, note) triples
+(_conditions27, _conditions29_linf, _conditions29_lp): the build records
+its verdicts, and recheck_certificate runs the same generator on the stored
+numbers alone and compares.  The verify_* functions run the event engines
+against the construction's claims and return report dicts.
 """
 
 from __future__ import annotations
@@ -261,14 +264,18 @@ def dirac() -> BlockSignal:
     return BlockSignal([Block(0, 0, Fraction(1))])
 
 
-def _cond(conditions: list, mode: str, name: str, ok: bool, note: str = "") -> None:
-    """Record a condition; paper_exact may not carry violated conditions."""
-    if ok:
-        conditions.append(Condition(name, "satisfied", note))
-    elif mode == "relaxed":
-        conditions.append(Condition(name, "relaxed", note or "violated in relaxed mode"))
-    else:
-        raise InfeasibleConstraint(f"paper_exact condition failed: {name} ({note})")
+def _cond(mode: str, conditions) -> list:
+    """Record each (name, holds, note) of a theorem's conditions; paper_exact
+    may not carry violated conditions."""
+    out = []
+    for name, ok, note in conditions:
+        if ok:
+            out.append(Condition(name, "satisfied", note))
+        elif mode == "relaxed":
+            out.append(Condition(name, "relaxed", note or "violated in relaxed mode"))
+        else:
+            raise InfeasibleConstraint(f"paper_exact condition failed: {name} ({note})")
+    return out
 
 
 def _smallest_admissible(
@@ -339,6 +346,50 @@ def _block_gaps(ns: list, ls: list, discrete: bool) -> list:
     ]
 
 
+def _conditions27(
+    g: GrowthSpec, ns: list, ls: list, amps: list, total: Fraction, discrete: bool, limits: Limits
+):
+    """Theorem 27's inequalities at the scales N, L with amplitudes a and
+    mass ||f||_1 = total, as (name, holds, note) in certificate order."""
+    yield "N1_geq_4", ns[0] >= 4, f"N_1 = {int_str(ns[0])}"
+    for k in range(1, len(ns)):
+        yield (
+            f"sep_k{k}",
+            ns[k] >= 10 * ns[k - 1],
+            f"N_{k + 1} = {int_str(ns[k])} vs 10*N_{k} = {int_str(10 * ns[k - 1])}",
+        )
+    for k, (n, l) in enumerate(zip(ns, ls), start=1):
+        target = max(Fraction(2), Fraction(5, 4) * 2**k)
+        yield (
+            f"g_large_k{k}",
+            g.cmp_at(n, target, limits) is not Ordering.LESS,
+            f"g(N_{k}) vs max(2, (5/4)*2^{k}) = {target}",
+        )
+        yield (
+            f"n_over_g_k{k}",
+            g.cmp_at(n, Fraction(n), limits) is not Ordering.GREATER,
+            f"N_{k} >= g(N_{k})",
+        )
+        if discrete:
+            yield f"L_geq_2_k{k}", l >= 2, f"L_{k} = {int_str(l)}"
+    # block dominance: windows reaching any other block average at most
+    # ||f||_1 over at least 2*d_min+1 points (discrete) or 2*d_min length
+    # (continuous), so staying below a_k certifies Mf = a_k on all of I_k
+    gaps = _block_gaps(ns, ls, discrete)
+    for k, a in enumerate(amps, start=1):
+        near = gaps[max(k - 2, 0):k]
+        if not near:
+            yield f"block_dominance_k{k}", True, "single block: no foreign mass to reach"
+            continue
+        d = min(near)
+        rhs = f"a_{k}*(2*{int_str(d)}+1)" if discrete else f"2*a_{k}*{int_str(d)}"
+        yield (
+            f"block_dominance_k{k}",
+            dominance_holds(total, a, d, discrete),
+            f"||f||_1 = {rational_str(total)} vs {rhs}",
+        )
+
+
 def build_theorem27(
     g: GrowthSpec,
     k_max: int,
@@ -379,40 +430,10 @@ def build_theorem27(
             else:
                 ns.append(ns[-1] * (10 if growth_factor is None else int(growth_factor)))
     ls = [g.ceil_n_over_g(n, limits) for n in ns]
-    conditions: list = []
-    _cond(conditions, mode, "N1_geq_4", ns[0] >= 4, f"N_1 = {int_str(ns[0])}")
-    for k in range(1, k_max):
-        _cond(
-            conditions,
-            mode,
-            f"sep_k{k}",
-            ns[k] >= 10 * ns[k - 1],
-            f"N_{k + 1} = {int_str(ns[k])} vs 10*N_{k} = {int_str(10 * ns[k - 1])}",
-        )
-    for k in range(1, k_max + 1):
-        n = ns[k - 1]
-        target = max(Fraction(2), Fraction(5, 4) * 2**k)
-        _cond(
-            conditions,
-            mode,
-            f"g_large_k{k}",
-            g.cmp_at(n, target, limits) is not Ordering.LESS,
-            f"g(N_{k}) vs max(2, (5/4)*2^{k}) = {target}",
-        )
-        _cond(
-            conditions,
-            mode,
-            f"n_over_g_k{k}",
-            g.cmp_at(n, Fraction(n), limits) is not Ordering.GREATER,
-            f"N_{k} >= g(N_{k})",
-        )
-        if discrete:
-            _cond(conditions, mode, f"L_geq_2_k{k}", ls[k - 1] >= 2, f"L_{k} = {int_str(ls[k - 1])}")
-            if ls[k - 1] < 2:
-                raise InfeasibleConstraint(
-                    f"L_{k} = {int_str(ls[k - 1])} leaves the discrete block empty"
-                )
-    if discrete:
+    if discrete:  # a_k divides by L_k - 1
+        for k, l in enumerate(ls, start=1):
+            if l < 2:
+                raise InfeasibleConstraint(f"L_{k} = {int_str(l)} leaves the discrete block empty")
         amps = [Fraction(1, 2**k * (ls[k - 1] - 1)) for k in range(1, k_max + 1)]
         blocks = [
             Block(n + 1, n + l - 1, a) for n, l, a in zip(ns, ls, amps)
@@ -433,21 +454,7 @@ def build_theorem27(
         sig = StepFunction(bps, vals)
         total = sig.integral()
         counts = list(ls)
-    # block dominance: windows reaching any other block average at most
-    # ||f||_1 over at least 2*d_min+1 points (discrete) or 2*d_min length
-    # (continuous), so staying below a_k certifies Mf = a_k on all of I_k
-    gaps = _block_gaps(ns, ls, discrete)
-    for k in range(1, k_max + 1):
-        near = gaps[max(k - 2, 0):k]
-        if not near:
-            ok = True
-            note = "single block: no foreign mass to reach"
-        else:
-            ok = dominance_holds(total, amps[k - 1], min(near), discrete)
-            d = int_str(min(near))
-            rhs = f"a_{k}*(2*{d}+1)" if discrete else f"2*a_{k}*{d}"
-            note = f"||f||_1 = {rational_str(total)} vs {rhs}"
-        _cond(conditions, mode, f"block_dominance_k{k}", ok, note)
+    conditions = _cond(mode, _conditions27(g, ns, ls, amps, total, discrete, limits))
     cert = Certificate(
         theorem="theorem27" if discrete else "theorem27-cont",
         mode=mode,
@@ -482,10 +489,44 @@ def _scales29(
     return ns
 
 
-def _growth_conditions(conditions: list, mode: str, ns: list) -> None:
-    """Record the paper's N_{k+1} = N_k^10 for each consecutive pair."""
+def _growth_conditions(ns: list):
+    """The paper's N_{k+1} = N_k^10 for each consecutive pair."""
     for k in range(1, len(ns)):
-        _cond(conditions, mode, f"growth_k{k}", ns[k] == ns[k - 1] ** 10, f"N_{k + 1} = N_{k}^10")
+        yield f"growth_k{k}", ns[k] == ns[k - 1] ** 10, f"N_{k + 1} = N_{k}^10"
+
+
+def _first_wide(ls: list) -> Optional[int]:
+    """K: the smallest k with L_k/(2L_k+1) > 5/12, i.e. L_k >= 3."""
+    return next((k for k, l in enumerate(ls, start=1) if l >= 3), None)
+
+
+def _conditions29_linf(ns: list, ls: list):
+    """Theorem 29's L^inf conditions as (name, holds, note) in certificate order."""
+    yield "N1_eq_2", ns[0] == 2, f"N_1 = {int_str(ns[0])}"
+    yield from _growth_conditions(ns)
+    yield (
+        "K_exists",
+        _first_wide(ls) is not None,
+        "smallest k with L_k/(2L_k+1) > 5/12, i.e. L_k >= 3",
+    )
+
+
+def _n1_paper(alpha: Fraction) -> int:
+    """The paper's N_1 = 2^ceil(10/(1-alpha)) for the L^p construction."""
+    e = Fraction(10) / (1 - alpha)
+    return 2 ** (-((-e.numerator) // e.denominator))
+
+
+def _conditions29_lp(ns: list, p: Fraction, alpha: Fraction):
+    """Theorem 29's L^p conditions as (name, holds, note) in certificate order."""
+    yield "alpha_p_gt_1", alpha * p > 1, f"alpha*p = {alpha * p}"
+    n1_paper = _n1_paper(alpha)
+    yield (
+        "N1_paper",
+        ns[0] == n1_paper,
+        f"N_1 = {int_str(ns[0])} vs 2^ceil(10/(1-alpha)) = {int_str(n1_paper)}",
+    )
+    yield from _growth_conditions(ns)
 
 
 def build_theorem29_linf(
@@ -505,17 +546,8 @@ def build_theorem29_linf(
         raise ParameterViolation("k_max must be >= 3")
     ns = _scales29(k_max, mode, n1, 2, growth_factor)
     ls = [n // 3 for n in ns]
-    conditions: list = []
-    _cond(conditions, mode, "N1_eq_2", ns[0] == 2, f"N_1 = {int_str(ns[0])}")
-    _growth_conditions(conditions, mode, ns)
-    big_k = next((k for k in range(1, k_max + 1) if ls[k - 1] >= 3), None)
-    _cond(
-        conditions,
-        mode,
-        "K_exists",
-        big_k is not None,
-        "smallest k with L_k/(2L_k+1) > 5/12, i.e. L_k >= 3",
-    )
+    conditions = _cond(mode, _conditions29_linf(ns, ls))
+    big_k = _first_wide(ls)
     blocks = [
         Block(n + 1, n + l, Fraction(1))
         for k, (n, l) in enumerate(zip(ns, ls), start=1)
@@ -567,29 +599,12 @@ def build_theorem29_lp(
         raise ParameterViolation("need alpha * p > 1 for summability")
     if k_max < 1:
         raise ParameterViolation("k_max must be >= 1")
-    exponent_target = Fraction(10) / (1 - alpha)
-    n1_paper = 2 ** (-((-exponent_target.numerator) // exponent_target.denominator))
-    ns = _scales29(k_max, mode, n1, n1_paper, growth_factor)
+    ns = _scales29(k_max, mode, n1, _n1_paper(alpha), growth_factor)
     ls = [n // 3 for n in ns]
     if any(l < 1 for l in ls):
         raise InfeasibleConstraint("a block is empty at these scales (N_k < 3)")
     nks = [n + l + 1 for n, l in zip(ns, ls)]
-    conditions: list = []
-    _cond(
-        conditions,
-        mode,
-        "alpha_p_gt_1",
-        alpha * p > 1,
-        f"alpha*p = {alpha * p}",
-    )
-    _cond(
-        conditions,
-        mode,
-        "N1_paper",
-        ns[0] == n1_paper,
-        f"N_1 = {int_str(ns[0])} vs 2^ceil(10/(1-alpha)) = {int_str(n1_paper)}",
-    )
-    _growth_conditions(conditions, mode, ns)
+    conditions = _cond(mode, _conditions29_lp(ns, p, alpha))
     verifiable = [l <= limits.powerlaw_sum_cap for l in ls]
     sig = BlockSignal(
         [Block(n + 1, n + l, PowerLaw(alpha)) for n, l in zip(ns, ls)]
@@ -613,101 +628,65 @@ def build_theorem29_lp(
 
 
 def recheck_certificate(doc: dict, limits: Limits = DEFAULT_LIMITS) -> tuple[bool, list]:
-    """Re-derive every certificate condition from the stored scales alone.
+    """Re-derive every certificate condition from the stored numbers alone.
 
+    The theorem's condition generator, the one the build records, runs on
+    the stored N, L, a, g, p and alpha, and each verdict is compared by name
+    with the stored status; the derived facts that are not conditions (L
+    from N, the mass, K, the probe points) are checked beside them.
     Returns (ok, notes): ok is True when all re-derived verdicts match the
     stored ones and no stored 'satisfied' verdict fails re-evaluation."""
     cert = Certificate.from_json(doc)
     notes: list = []
-    ok = True
     theorem = cert.theorem
-    mode = cert.mode
-    scaled = ("theorem27", "theorem27-cont", "theorem29-linf", "theorem29-lp")
-    if theorem in scaled and not (cert.N and len(cert.L) == len(cert.N)):
-        raise ParameterViolation("certificate N and L must be non-empty and of one length")
-
-    def check(name: str, derived: bool):
-        nonlocal ok
-        stored = next((c for c in cert.conditions if c.name == name), None)
-        if stored is None:
-            ok = False
-            notes.append(f"{name}: missing from certificate")
-            return
-        derived_status = "satisfied" if derived else "relaxed"
-        if stored.status != derived_status:
-            ok = False
-            notes.append(f"{name}: stored {stored.status}, re-derived {derived_status}")
-        elif mode == "paper_exact" and not derived:
-            ok = False
-            notes.append(f"{name}: paper_exact certificate with failing condition")
-
     ns, ls = cert.N, cert.L
+    scaled = ("theorem27", "theorem27-cont", "theorem29-linf", "theorem29-lp")
+    if theorem in scaled and not (ns and len(ls) == len(ns)):
+        raise ParameterViolation("certificate N and L must be non-empty and of one length")
     if theorem in ("theorem27", "theorem27-cont"):
         g = GrowthSpec.from_json(json_field(doc, "g"))
         discrete = theorem == "theorem27"
-        check("N1_geq_4", ns[0] >= 4)
-        for k in range(1, len(ns)):
-            check(f"sep_k{k}", ns[k] >= 10 * ns[k - 1])
         amps = [json_rational(s) for s in json_field(doc, "a", list)]
         if len(amps) != len(ns):
             raise ParameterViolation("certificate needs one amplitude per scale")
         total = Fraction(0)
-        for k in range(1, len(ns) + 1):
-            n, l = ns[k - 1], ls[k - 1]
-            target = max(Fraction(2), Fraction(5, 4) * 2**k)
-            check(f"g_large_k{k}", g.cmp_at(n, target, limits) is not Ordering.LESS)
-            check(f"n_over_g_k{k}", g.cmp_at(n, Fraction(n), limits) is not Ordering.GREATER)
+        for k, (n, l, a) in enumerate(zip(ns, ls, amps), start=1):
             if g.ceil_n_over_g(n, limits) != l:
-                ok = False
                 notes.append(f"L_{k} = {l} does not match ceil(N/g(N))")
-            if discrete:
-                check(f"L_geq_2_k{k}", l >= 2)
-                total += amps[k - 1] * (l - 1)
-            else:
-                total += amps[k - 1] * l
-        gaps = _block_gaps(ns, ls, discrete)
-        for k in range(1, len(ns) + 1):
-            near = gaps[max(k - 2, 0):k]
-            check(
-                f"block_dominance_k{k}",
-                not near or dominance_holds(total, amps[k - 1], min(near), discrete),
-            )
+            total += a * (l - 1 if discrete else l)
         if json_rational(json_field(doc, "norm_l1")) != total:
-            ok = False
             notes.append("stored norm_l1 does not match the recomputed mass")
-    elif theorem == "theorem29-linf":
-        check("N1_eq_2", ns[0] == 2)
-        for k in range(1, len(ns)):
-            check(f"growth_k{k}", ns[k] == ns[k - 1] ** 10)
+        derived = _conditions27(g, ns, ls, amps, total, discrete, limits)
+    elif theorem in ("theorem29-linf", "theorem29-lp"):
         if ls != [n // 3 for n in ns]:
-            ok = False
             notes.append("L list does not match floor(N/3)")
-        big_k = next((k for k in range(1, len(ls) + 1) if ls[k - 1] >= 3), None)
-        check("K_exists", big_k is not None)
-        if doc.get("K") != big_k:
-            ok = False
-            notes.append(f"stored K = {doc.get('K')}, re-derived {big_k}")
-    elif theorem == "theorem29-lp":
-        p = json_rational(json_field(doc, "p"))
-        alpha = json_rational(json_field(doc, "alpha"))
-        check("alpha_p_gt_1", alpha * p > 1)
-        exponent_target = Fraction(10) / (1 - alpha)
-        n1_paper = 2 ** (-((-exponent_target.numerator) // exponent_target.denominator))
-        check("N1_paper", ns[0] == n1_paper)
-        for k in range(1, len(ns)):
-            check(f"growth_k{k}", ns[k] == ns[k - 1] ** 10)
-        if ls != [n // 3 for n in ns]:
-            ok = False
-            notes.append("L list does not match floor(N/3)")
-        if [json_int(s) for s in json_field(doc, "n_k", list)] != [n + l + 1 for n, l in zip(ns, ls)]:
-            ok = False
-            notes.append("n_k list does not match N_k + L_k + 1")
+        if theorem == "theorem29-linf":
+            big_k = _first_wide(ls)
+            if doc.get("K") != big_k:
+                notes.append(f"stored K = {doc.get('K')}, re-derived {big_k}")
+            derived = _conditions29_linf(ns, ls)
+        else:
+            p = json_rational(json_field(doc, "p"))
+            alpha = json_rational(json_field(doc, "alpha"))
+            if [json_int(s) for s in json_field(doc, "n_k", list)] != [
+                n + l + 1 for n, l in zip(ns, ls)
+            ]:
+                notes.append("n_k list does not match N_k + L_k + 1")
+            derived = _conditions29_lp(ns, p, alpha)
     elif theorem == "delta":
-        pass  # no parameter conditions: the point mass is parameter-free
+        derived = ()  # no parameter conditions: the point mass is parameter-free
     else:
-        ok = False
-        notes.append(f"unknown certificate theorem {theorem!r}")
-    return ok, notes
+        return False, [f"unknown certificate theorem {theorem!r}"]
+    stored = {c.name: c.status for c in reversed(cert.conditions)}  # first of a name
+    for name, holds, _note in derived:
+        status = "satisfied" if holds else "relaxed"
+        if name not in stored:
+            notes.append(f"{name}: missing from certificate")
+        elif stored[name] != status:
+            notes.append(f"{name}: stored {stored[name]}, re-derived {status}")
+        elif cert.mode == "paper_exact" and not holds:
+            notes.append(f"{name}: paper_exact certificate with failing condition")
+    return not notes, notes
 
 
 # ---------------------------------------------------------------------------

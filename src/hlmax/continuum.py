@@ -131,12 +131,10 @@ class StepLayout:
         The walk stops at the first radius r with M(inf) / (2r) <= best, as
         no larger radius beats it.
 
-        A point strictly outside the support takes no walk but the run of
-        outside_chord.  Points from lo to the last breakpoint, both
-        included, walk."""
-        chord = self.outside_chord(c, q)
-        if chord is not None:
-            return chord[1]
+        Callers answer points strictly outside the support by
+        outside_chord first, in one bisect; the walk is meant for points
+        from lo to the last breakpoint, both included, and stays exact
+        outside them, at O(B)."""
         xs, vals, jumps = self.xs, self.vals, self.jumps
         k, m = self.locate(c, q)
         bound = self.ys[-1] * q

@@ -49,9 +49,5 @@ class PowerLawRangeTooLarge(ResourceCapExceeded):
     """A power-law window intersection exceeds the summation cap."""
 
 
-class DenseWidthExceeded(ResourceCapExceeded):
-    """Dense materialization wider than the configured cap."""
-
-
 class BudgetExceeded(ResourceCapExceeded):
     """Point-count or radius-count budget exceeded (profiles, scans, density)."""

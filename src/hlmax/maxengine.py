@@ -269,7 +269,8 @@ def _centered_stretch_peaks(
 
 
 def _candidate_radii(sig: BlockSignal, n: int, r_cap: int, limits: Limits, state: _PeakState) -> list:
-    """Event radii (edge meets boundary, +-1) plus interior power-law peaks."""
+    """Event radii (edge meets boundary, +-1) plus interior power-law peaks,
+    for a signal with a power-law block (one with a layout walks instead)."""
     cand = {0, r_cap}
     for b in sig.boundaries():
         base = abs(n - b)
@@ -277,14 +278,12 @@ def _candidate_radii(sig: BlockSignal, n: int, r_cap: int, limits: Limits, state
             r = base + d
             if 0 <= r <= r_cap:
                 cand.add(r)
-    if sig.has_powerlaw:
-        ordered = sorted(cand)
-        extra: set = set()
-        for r1, r2 in zip(ordered, ordered[1:]):
-            if r2 - r1 >= 2:
-                _centered_stretch_peaks(sig, n, r1, r2, limits, extra, state)
-        cand |= extra
-    return sorted(cand)
+    ordered = sorted(cand)
+    extra: set = set()
+    for r1, r2 in zip(ordered, ordered[1:]):
+        if r2 - r1 >= 2:
+            _centered_stretch_peaks(sig, n, r1, r2, limits, extra, state)
+    return sorted(cand | extra)
 
 
 def event_centered(sig: Signal, n: int, limits: Limits = DEFAULT_LIMITS) -> CenteredResult:
@@ -793,10 +792,9 @@ def event_uncentered(sig: Signal, n: int, limits: Limits = DEFAULT_LIMITS) -> Un
     u_cands = sorted(u_set)
     state = _PeakState()
     pl_stretches = []
-    if blocks.has_powerlaw:
-        for u1, u2 in zip(u_cands, u_cands[1:]):
-            if u2 - u1 >= 2 and isinstance(region_at(blocks, u1 + 1), PowerLaw):
-                pl_stretches.append((u1, u2))
+    for u1, u2 in zip(u_cands, u_cands[1:]):
+        if u2 - u1 >= 2 and isinstance(region_at(blocks, u1 + 1), PowerLaw):
+            pl_stretches.append((u1, u2))
 
     def windows():
         for l in l_cands:

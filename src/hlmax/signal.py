@@ -29,12 +29,7 @@ from typing import Optional, Union
 
 from .config import DEFAULT_LIMITS, Limits
 from .continuum import StepLayout, step_layout
-from .errors import (
-    DenseWidthExceeded,
-    ParameterViolation,
-    PowerLawRangeTooLarge,
-    ZeroSignal,
-)
+from .errors import ParameterViolation, PowerLawRangeTooLarge, ZeroSignal
 from .values import (
     Value,
     int_str,
@@ -346,22 +341,6 @@ def to_blocks(sig: DenseSignal) -> BlockSignal:
         blocks.append(Block(run_start, sig.hi, run_val))
     sig._blocks = BlockSignal(blocks)
     return sig._blocks
-
-
-def to_dense(sig: BlockSignal, limits: Limits = DEFAULT_LIMITS) -> DenseSignal:
-    """Materialize a block signal; refuses power-law blocks (irrational values)
-    and widths above the cap."""
-    if sig.has_powerlaw:
-        raise ParameterViolation("power-law blocks have no exact dense form")
-    lo, hi = support_bounds(sig)
-    width = hi - lo + 1
-    if width > limits.dense_width_cap:
-        raise DenseWidthExceeded(f"dense width {width} exceeds cap {limits.dense_width_cap}")
-    vals = [Fraction(0)] * width
-    for b in sig.blocks:
-        for n in range(b.start, b.end + 1):
-            vals[n - lo] = b.amp
-    return DenseSignal(lo, vals)
 
 
 def translate(sig: Signal, m: int) -> Signal:

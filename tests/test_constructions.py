@@ -479,6 +479,66 @@ class TestCertificateRecheck:
                 recheck_certificate(doc)
 
 
+TAMPER_BUILDS = {
+    "t27_paper": lambda: build_theorem27(LOG, 3),
+    "t27_relaxed": lambda: build_theorem27(LOG, 3, "relaxed", n1=5, growth_factor=2),
+    "t27cont_paper": lambda: build_theorem27(LOG, 3, variant="continuous"),
+    "t27cont_relaxed": lambda: build_theorem27(
+        LOG, 3, "relaxed", "continuous", n1=5, growth_factor=2
+    ),
+    "linf_paper": lambda: build_theorem29_linf(4),
+    "linf_relaxed": lambda: build_theorem29_linf(4, "relaxed", n1=3, growth_factor=10),
+    "lp_paper": lambda: build_theorem29_lp(F(2), F(3, 5), 3),
+    "lp_relaxed": lambda: build_theorem29_lp(F(2), F(3, 5), 3, "relaxed", n1=5, growth_factor=10),
+}
+
+
+class TestRecheckCatchesEveryCondition:
+    """recheck_certificate re-derives every condition that a build records:
+    flipping any one stored status, or deleting any one condition, is
+    caught and named."""
+
+    @pytest.fixture(params=sorted(TAMPER_BUILDS), scope="class")
+    def doc(self, request):
+        doc = TAMPER_BUILDS[request.param]()[1].to_json()
+        assert recheck_certificate(copy.deepcopy(doc)) == (True, [])
+        return doc
+
+    def test_relaxed_builds_record_relaxed_conditions(self):
+        for key in ("t27_relaxed", "t27cont_relaxed", "linf_relaxed", "lp_relaxed"):
+            cert = TAMPER_BUILDS[key]()[1]
+            assert {c.status for c in cert.conditions} == {"satisfied", "relaxed"}, key
+
+    def test_every_flipped_status_is_named(self, doc):
+        for i, cond in enumerate(doc["conditions"]):
+            tampered = copy.deepcopy(doc)
+            flipped = "relaxed" if cond["status"] == "satisfied" else "satisfied"
+            tampered["conditions"][i]["status"] = flipped
+            ok, notes = recheck_certificate(tampered)
+            assert not ok and any(s.startswith(cond["name"] + ": ") for s in notes), (
+                cond["name"],
+                notes,
+            )
+
+    def test_every_deleted_condition_is_named(self, doc):
+        for i, cond in enumerate(doc["conditions"]):
+            tampered = copy.deepcopy(doc)
+            del tampered["conditions"][i]
+            ok, notes = recheck_certificate(tampered)
+            assert not ok and f"{cond['name']}: missing from certificate" in notes, (
+                cond["name"],
+                notes,
+            )
+
+    def test_rederived_names_equal_recorded_names(self, doc):
+        bare = copy.deepcopy(doc)
+        bare["conditions"] = []
+        ok, notes = recheck_certificate(bare)
+        suffix = ": missing from certificate"
+        derived = [s[: -len(suffix)] for s in notes if s.endswith(suffix)]
+        assert not ok and derived == [c["name"] for c in doc["conditions"]]
+
+
 class TestVerificationReports:
     def test_delta_report(self):
         rep = verify_delta(n_abs_max=50)

@@ -36,7 +36,8 @@ from hlmax.maxengine import (
     oracle_centered_range,
     oracle_uncentered_range,
 )
-from hlmax.signal import Block, BlockSignal, as_blocks, norm_l1, support_bounds, to_dense
+from hlmax.signal import Block, BlockSignal, as_blocks, norm_l1, support_bounds
+from dense_form import to_dense
 
 F = Fraction
 

@@ -43,13 +43,13 @@ from hlmax.signal import (
     scale,
     support_bounds,
     to_blocks,
-    to_dense,
     translate,
     window_sum_scaled,
 )
 import hlmax.values
 from hlmax.values import Ordering, compare, exact_bounds
 from hlmax.constructions import dirac
+from dense_form import to_dense
 
 
 def dense(lo, vals):

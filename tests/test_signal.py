@@ -24,12 +24,12 @@ from hlmax.signal import (
     signal_to_json,
     support_bounds,
     to_blocks,
-    to_dense,
     translate,
     window_sum,
     window_sum_scaled,
 )
 from hlmax.signal import _pl_table
+from dense_form import to_dense
 from hlmax.values import exact_bounds, power_bounds, power_shift, power_term, scaled_enclosure
 
 amp_st = st.fractions(min_value=Fraction(0), max_value=Fraction(4), max_denominator=12)
@@ -239,11 +239,6 @@ class TestConversions:
             assert got is not compiled
             assert got == expected
         assert to_blocks(sig) is compiled
-
-    def test_to_dense_refuses_powerlaw(self):
-        s = BlockSignal([Block(1, 5, PowerLaw(Fraction(1, 2)))])
-        with pytest.raises(ParameterViolation):
-            to_dense(s)
 
 
 class TestTransforms:
