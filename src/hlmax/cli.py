@@ -32,7 +32,7 @@ from .constructions import (
 )
 from .corpus import diff_signal, random_dense
 from .errors import HlmaxError, ParameterViolation, ResourceCapExceeded
-from .maxengine import profile
+from .maxengine import profile, profile_sweep
 from .signal import signal_from_json, signal_to_json
 from .continuum import StepFunction, step_to_json
 from .values import int_str, parse_int, parse_rational, rational_str, value_str
@@ -162,24 +162,39 @@ def _cmd_construct(args) -> int:
     return 0
 
 
+def _profile_rows(sig, points, uncentered: bool):
+    """(n, value, radius, certified, gap) per point, value and gap as text.
+    A centered range on a constant signal comes straight from the rows of
+    profile_sweep, the rest from profile's result objects."""
+    rows = None if uncentered else profile_sweep(sig, points)
+    if rows is not None:
+        return ((n, f"{int_str(num)}/{int_str(den)}", r, True, "") for n, num, den, r in rows)
+    return (
+        (
+            res.n,
+            value_str(res.max_value),
+            res.min_diameter if uncentered else res.radius,
+            res.certified,
+            rational_str(res.gap) if res.gap is not None else "",
+        )
+        for res in profile(sig, points, uncentered=uncentered)
+    )
+
+
 def _cmd_profile(args) -> int:
     sig = _read_signal(args.signal, "profile")
     if (args.range is None) == (args.points is None):
         raise ParameterViolation("profile needs one of --range and --points")
     points = _parse_range(args.range) if args.range is not None else _parse_points(args.points)
-    results = profile(sig, points, uncentered=args.uncentered)
     radius_col = "min_diameter" if args.uncentered else "radius"
     lines = [f"n,max_value,{radius_col},certified,gap"]
-    for res in results:
-        rad = res.min_diameter if args.uncentered else res.radius
-        gap = rational_str(res.gap) if res.gap is not None else ""
-        lines.append(
-            f"{int_str(res.n)},{value_str(res.max_value)},{int_str(rad)},"
-            f"{str(res.certified).lower()},{gap}"
-        )
+    lines.extend(
+        f"{int_str(n)},{value},{int_str(rad)},{str(certified).lower()},{gap}"
+        for n, value, rad, certified, gap in _profile_rows(sig, points, args.uncentered)
+    )
     with open(args.out, "w") as fh:
         fh.write("\n".join(lines) + "\n")
-    print(f"wrote {args.out} ({len(results)} points)")
+    print(f"wrote {args.out} ({len(lines) - 1} points)")
     return 0
 
 

@@ -37,7 +37,7 @@ from .errors import (
     ParameterViolation,
     PowerLawRangeTooLarge,
 )
-from .maxengine import event_centered, event_uncentered
+from .maxengine import event_centered, event_uncentered, frequency_pieces
 from .signal import Block, BlockSignal, PowerLaw, norm_l1
 from .continuum import StepFunction, maximal_centered_cont
 from .values import (
@@ -517,6 +517,16 @@ def _n1_paper(alpha: Fraction) -> int:
     return 2 ** (-((-e.numerator) // e.denominator))
 
 
+def _check_lp(p: Fraction, alpha: Fraction) -> None:
+    """Theorem 29's L^p parameter domain, p > 1 and 0 < alpha < 1, outside
+    which its conditions are undefined (N_1 = 2^ceil(10/(1-alpha)) needs
+    alpha < 1)."""
+    if not p > 1:
+        raise ParameterViolation("need p > 1")
+    if not (0 < alpha < 1):
+        raise ParameterViolation("need alpha in (0, 1)")
+
+
 def _conditions29_lp(ns: list, p: Fraction, alpha: Fraction):
     """Theorem 29's L^p conditions as (name, holds, note) in certificate order."""
     yield "alpha_p_gt_1", alpha * p > 1, f"alpha*p = {alpha * p}"
@@ -591,10 +601,7 @@ def build_theorem29_lp(
     relaxed: caller-chosen N_1 and growth keep every block under the cap."""
     p = Fraction(p)
     alpha = Fraction(alpha)
-    if not p > 1:
-        raise ParameterViolation("need p > 1")
-    if not (0 < alpha < 1):
-        raise ParameterViolation("need alpha in (0, 1)")
+    _check_lp(p, alpha)
     if not alpha * p > 1:
         raise ParameterViolation("need alpha * p > 1 for summability")
     if k_max < 1:
@@ -668,6 +675,7 @@ def recheck_certificate(doc: dict, limits: Limits = DEFAULT_LIMITS) -> tuple[boo
         else:
             p = json_rational(json_field(doc, "p"))
             alpha = json_rational(json_field(doc, "alpha"))
+            _check_lp(p, alpha)
             if [json_int(s) for s in json_field(doc, "n_k", list)] != [
                 n + l + 1 for n, l in zip(ns, ls)
             ]:
@@ -714,34 +722,70 @@ def _report(name: str, cert: Certificate, claims: list, limits: Limits) -> dict:
     }
 
 
-def _sample_indices(start: int, end: int, cap: int, per_block: int):
-    """All integers in [start, end] when few, else edges plus an even stride.
+def _zero_run(n_a: int, n_b: int, slope: int, icpt: int) -> tuple[int, int]:
+    """The n in [n_a, n_b] with slope * n + icpt = 0, as bounds (u, v),
+    empty when v < u: an affine piece is zero everywhere, at one point or
+    nowhere."""
+    if slope == 0:
+        return (n_a, n_b) if icpt == 0 else (n_a, n_a - 1)
+    n, rem = divmod(-icpt, slope)
+    return (n, n) if rem == 0 and n_a <= n <= n_b else (n_a, n_a - 1)
 
-    Returns (points, exhaustive)."""
+
+def _block_claim(
+    sig: BlockSignal, start: int, end: int, a: Fraction, cap: int, per_block: int, limits: Limits
+) -> tuple[int, int, bool]:
+    """(mismatches, points checked, exhaustive) for the claim that every n
+    in [start, end] has Mf(n) = a with minimal centered radius 0.
+
+    At most cap points are all decided on frequency_pieces: on each piece
+    the radius is zero everywhere, at one point or nowhere (_zero_run), and
+    where it is zero Mf(n) = f(n), so the layout's runs with f != a count
+    the rest, without a query per point.  A longer block is sampled: its
+    edges and an even stride of per_block points, each by event_centered."""
     count = end - start + 1
-    if count <= cap:
-        return list(range(start, end + 1)), True
-    pts = {start, start + 1, start + 2, end - 2, end - 1, end}
-    step = max(1, count // per_block)
-    pts.update(range(start + 3, end - 2, step))
-    return sorted(pts), False
+    if count > cap:
+        pts = {start, start + 1, start + 2, end - 2, end - 1, end}
+        pts.update(range(start + 3, end - 2, max(1, count // per_block)))
+        results = (event_centered(sig, n, limits) for n in pts)
+        bad = sum(not (r.certified and r.radius == 0 and r.max_value == a) for r in results)
+        return bad, len(pts), False
+    lay = sig.layout
+    xs, vals, lo = lay.xs, lay.vals, lay.lo
+    bad = 0
+    for n_a, n_b, slope, icpt in frequency_pieces(sig, start, end) if count > 0 else ():
+        u, v = _zero_run(n_a, n_b, slope, icpt)
+        bad += (n_b - n_a + 1) - max(0, v - u + 1)
+        # f is vals[i] / dy on the offsets [xs[i - 1], xs[i]), 0 past the ends
+        x, x_end = u - lo, v - lo
+        i = bisect_right(xs, x)
+        while x <= x_end:
+            stop = min(x_end, xs[i] - 1) if i < len(xs) else x_end
+            if vals[i] * a.denominator != a.numerator * lay.dy:  # f != a
+                bad += stop - x + 1
+            x, i = stop + 1, i + 1
+    return bad, count, True
 
 
 def verify_delta(limits: Limits = DEFAULT_LIMITS, n_abs_max: int = 1000) -> dict:
     """Point mass: r_n = |n| with Mf(n) = 1/(2|n|+1), minimal uncentered
-    diameter |n| with value 1/(|n|+1), for all |n| <= n_abs_max."""
+    diameter |n| with value 1/(|n|+1), for all |n| <= n_abs_max.
+
+    The centered claim is counted on the pieces of frequency_pieces over
+    [-n_abs_max, n_abs_max], each split at 0 and compared with the line
+    |n| (_zero_run); the uncentered claim is checked point by point."""
     sig = dirac()
     cert = Certificate("delta", "paper_exact", [], [], [])
     claims: list = []
+    # r_n = |n| on each side of 0, and there the window holds the point
+    # mass, so Mf(n) = 1/(2|n|+1) follows
     bad_c = bad_u = 0
+    for n_a, n_b, slope, icpt in frequency_pieces(sig, -n_abs_max, n_abs_max):
+        for a, b, side in ((n_a, min(n_b, -1), -1), (max(n_a, 0), n_b, 1)):
+            if a <= b:
+                u, v = _zero_run(a, b, slope - side, icpt)
+                bad_c += (b - a + 1) - max(0, v - u + 1)
     for n in range(-n_abs_max, n_abs_max + 1):
-        res = event_centered(sig, n, limits)
-        if not (
-            res.certified
-            and res.radius == abs(n)
-            and res.max_value == Fraction(1, 2 * abs(n) + 1)
-        ):
-            bad_c += 1
         ures = event_uncentered(sig, n, limits)
         if not (
             ures.certified
@@ -778,10 +822,12 @@ def verify_theorem27(
     sample_per_block: int = 64,
 ) -> dict:
     """Check Mf = a_k with minimal radius 0 on every block, plus the density
-    row at N = N_kmax + L_kmax: blocks short enough are checked point by
-    point; longer ones by the dominance inequality (certificate condition)
-    plus engine samples, which is a proof, not a heuristic, since dominance
-    alone forces the pointwise conclusion."""
+    row at N = N_kmax + L_kmax.  In the discrete variant a block interior
+    of at most pointwise_cap points is decided at every point, on its
+    frequency pieces (_block_claim); a longer one by the dominance
+    inequality (certificate condition) plus engine samples, which is a
+    proof, not a heuristic, since dominance alone forces the pointwise
+    conclusion."""
     sig, cert = build_theorem27(g, k_max, mode, variant, n1, growth_factor, limits)
     claims: list = []
     ns, ls = cert.N, cert.L
@@ -790,23 +836,19 @@ def verify_theorem27(
     if variant == "discrete":
         for k in range(1, k_max + 1):
             a = amps[k - 1]
-            pts, exhaustive = _sample_indices(
-                ns[k - 1] + 1, ns[k - 1] + ls[k - 1] - 1, pointwise_cap, sample_per_block
+            start = ns[k - 1] + 1
+            bad, count, exhaustive = _block_claim(
+                sig, start, start + ls[k - 1] - 2, a, pointwise_cap, sample_per_block, limits
             )
-            bad = 0
-            for n in pts:
-                res = event_centered(sig, n, limits)
-                if not (res.certified and res.radius == 0 and res.max_value == a):
-                    bad += 1
             dom_ok = f"block_dominance_k{k}" in satisfied
             status = "pass" if bad == 0 and (exhaustive or dom_ok) else "fail"
             note = (
-                f"all {len(pts)} points exact"
+                f"all {count} points exact"
                 if exhaustive
-                else f"dominance + {len(pts)} sampled points exact"
+                else f"dominance + {count} sampled points exact"
             )
             if bad:
-                note = f"{bad} of {len(pts)} points mismatched"
+                note = f"{bad} of {count} points mismatched"
             _claim(claims, f"block_k{k}_pointwise", status, "exact", note)
         n_eval = ns[-1] + ls[-1]
         row = density_series(

@@ -511,8 +511,10 @@ def frequency_pieces(sig: Signal, n_lo: int, n_hi: int) -> list:
     on the left and +1 on the right, and that vertex changes only at the
     layout's tangent switch points, so those runs come straight off the
     switch points, one per vertex, at any distance.  All arithmetic runs on
-    offsets from the support start."""
-    lay = as_blocks(sig).layout
+    offsets from the support start.  The boundary tables of the sweep
+    (_sweep_tables) are built once per signal and kept on it."""
+    blocks = as_blocks(sig)
+    lay = blocks.layout
     if lay is None:
         raise ParameterViolation("frequency pieces need an all-constant signal")
     if n_hi < n_lo:
@@ -562,7 +564,9 @@ def frequency_pieces(sig: Signal, n_lo: int, n_hi: int) -> list:
         t = t_left + 1
     t_hi = min(t_last, end - 1)
     if t <= t_hi:  # the sweep's tables cost O(B), so only a range in [lo, hi] builds them
-        bounds, near3, near4 = _sweep_tables(lay)
+        if blocks._sweep is None:
+            blocks._sweep = _sweep_tables(lay)
+        bounds, near3, near4 = blocks._sweep
     while t <= t_hi:
         k = bisect_left(bounds, t)
         if k < len(bounds) and bounds[k] - t < _SHORT_CELL:
@@ -918,17 +922,9 @@ def oracle_uncentered_range(
     ]
 
 
-def profile(
-    sig: Signal,
-    points,
-    uncentered: bool = False,
-    limits: Limits = DEFAULT_LIMITS,
-) -> list:
-    """Event-engine results at each requested point.
-
-    A range of consecutive points on an all-constant signal is swept
-    centered: each radius comes from frequency_pieces and each value from
-    one window sum, with the results event_centered gives."""
+def _checked_points(points, limits: Limits):
+    """points as a sequence, a range of consecutive integers kept as one,
+    refused past profile_point_cap before any point is evaluated."""
     if isinstance(points, range) and points.step == 1:
         pts, count = points, max(0, points.stop - points.start)
     else:
@@ -938,16 +934,51 @@ def profile(
         raise BudgetExceeded(
             f"profile over {int_str(count)} points exceeds cap {limits.profile_point_cap}"
         )
+    return pts
+
+
+def profile_sweep(sig: Signal, points, limits: Limits = DEFAULT_LIMITS):
+    """The centered profile over a range of consecutive points of an
+    all-constant signal as rows (n, num, den, r): r the minimal maximizing
+    radius, read off frequency_pieces, and num/den the maximal average in
+    lowest terms, from one window sum.  These are the results event_centered
+    gives, without a result object per point.  None for a point list or a
+    signal with power-law blocks, which profile answers point by point.
+    Refused past profile_point_cap as profile is."""
+    pts = _checked_points(points, limits)
     blocks = as_blocks(sig)
-    if uncentered:
-        return [event_uncentered(blocks, n, limits) for n in pts]
-    if not isinstance(pts, range) or blocks.layout is None or not count:
-        return [event_centered(blocks, n, limits) for n in pts]
+    if not isinstance(pts, range) or blocks.layout is None:
+        return None
+    return _sweep_rows(blocks, pts.start, pts.stop - 1)
+
+
+def _sweep_rows(blocks: BlockSignal, n_lo: int, n_hi: int):
+    if n_hi < n_lo:
+        return
     d = blocks.layout.dy
-    out = []
-    for n_a, n_b, slope, icpt in frequency_pieces(blocks, pts.start, pts.stop - 1):
+    for n_a, n_b, slope, icpt in frequency_pieces(blocks, n_lo, n_hi):
         for n in range(n_a, n_b + 1):
             r = slope * n + icpt
-            num = window_sum_scaled(blocks, n - r, n + r)
-            out.append(CenteredResult(n, Fraction(num, d * (2 * r + 1)), r, True))
-    return out
+            num, den = window_sum_scaled(blocks, n - r, n + r), d * (2 * r + 1)
+            g = math.gcd(num, den)
+            yield n, num // g, den // g, r
+
+
+def profile(
+    sig: Signal,
+    points,
+    uncentered: bool = False,
+    limits: Limits = DEFAULT_LIMITS,
+) -> list:
+    """Event-engine results at each requested point.
+
+    A range of consecutive points on an all-constant signal is answered
+    centered from the rows of profile_sweep, one frequency_pieces sweep,
+    with the results event_centered gives."""
+    pts = _checked_points(points, limits)
+    blocks = as_blocks(sig)
+    rows = None if uncentered else profile_sweep(blocks, pts, limits)
+    if rows is not None:
+        return [CenteredResult(n, Fraction(num, den), r, True) for n, num, den, r in rows]
+    engine = event_uncentered if uncentered else event_centered
+    return [engine(blocks, n, limits) for n in pts]

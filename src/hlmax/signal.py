@@ -130,6 +130,7 @@ class BlockSignal:
 
     __slots__ = (
         "blocks", "_starts", "_ends", "_boundaries", "layout", "_pl_tables", "_dense_prefix",
+        "_sweep",
     )
 
     def __init__(self, blocks):
@@ -156,6 +157,7 @@ class BlockSignal:
         self.layout = None if self.has_powerlaw else _block_layout(merged)
         self._pl_tables = {}
         self._dense_prefix = None
+        self._sweep = None  # frequency_pieces' boundary tables, built on first use
 
     @property
     def has_powerlaw(self) -> bool:

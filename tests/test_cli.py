@@ -6,11 +6,19 @@ import json
 import shutil
 import subprocess
 import sys
+import tempfile
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hlmax.cli import _make_parser, main
+from hlmax.config import DEFAULT_LIMITS
+from hlmax.maxengine import event_centered
+from hlmax.signal import Block, BlockSignal, signal_to_json, support_bounds
+from hlmax.values import int_str, value_str
 
 
 def run(*argv) -> int:
@@ -134,6 +142,51 @@ class TestProfile:
         code = run("profile", "--signal", str(sig), "--range", f"0..{10**30}", "--out", str(out))
         assert code == 3
         assert "exceeds cap" in capsys.readouterr().err
+        assert not out.exists()
+
+    @given(
+        st.lists(
+            st.tuples(st.integers(0, 6), st.integers(1, 12), st.integers(1, 9), st.integers(1, 4)),
+            min_size=1,
+            max_size=6,
+        ),
+        st.sampled_from([0, 2**20000, -(2**20000)]),
+        st.data(),
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_range_rows_equal_pointwise_rows(self, spec, offset, data):
+        # past the int/str digit guard at 2^20000 every integer in a row
+        # goes through int_str
+        blocks, pos = [], offset
+        for gap, length, num, den in spec:
+            pos += gap
+            blocks.append(Block(pos, pos + length - 1, Fraction(num, den)))
+            pos += length
+        sig = BlockSignal(blocks)
+        lo, hi = support_bounds(sig)
+        a = data.draw(st.integers(lo - 15, lo + 2))
+        b = data.draw(st.integers(max(a, hi - 2), hi + 15))  # across both support ends
+        want = ["n,max_value,radius,certified,gap"]
+        for n in range(a, b + 1):
+            res = event_centered(sig, n)
+            want.append(f"{int_str(n)},{value_str(res.max_value)},{int_str(res.radius)},true,")
+        with tempfile.TemporaryDirectory() as tmp:
+            path, out = Path(tmp) / "s.json", Path(tmp) / "p.csv"
+            path.write_text(json.dumps(signal_to_json(sig)))
+            rng = f"{int_str(a)}..{int_str(b)}"
+            assert run("profile", "--signal", str(path), "--range", rng, "--out", str(out)) == 0
+            assert out.read_bytes() == ("\n".join(want) + "\n").encode()
+
+    def test_range_one_past_point_cap(self, tmp_path, capsys):
+        sig = tmp_path / "d.json"
+        run("construct", "delta", "--out", str(sig))
+        out = tmp_path / "prof.csv"
+        cap = DEFAULT_LIMITS.profile_point_cap
+        code = run("profile", "--signal", str(sig), "--range", f"1..{cap + 1}", "--out", str(out))
+        assert code == 3
+        assert capsys.readouterr().err == (
+            f"error: resource cap: profile over {cap + 1} points exceeds cap {cap}\n"
+        )
         assert not out.exists()
 
     def test_points_uncentered(self, tmp_path):

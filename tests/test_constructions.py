@@ -7,10 +7,15 @@ import copy
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import hlmax.constructions
+from hlmax.config import DEFAULT_LIMITS
 from hlmax.constructions import (
     Certificate,
     GrowthSpec,
+    _block_claim,
     build_theorem27,
     build_theorem29_linf,
     build_theorem29_lp,
@@ -27,8 +32,8 @@ from hlmax.errors import (
     InfeasibleConstraint,
     ParameterViolation,
 )
-from hlmax.maxengine import event_centered, oracle_centered
-from hlmax.signal import BlockSignal, norm_l1
+from hlmax.maxengine import event_centered, frequency_pieces, oracle_centered
+from hlmax.signal import Block, BlockSignal, norm_l1, support_bounds, translate
 from hlmax.values import Ordering, rational_str
 
 F = Fraction
@@ -452,6 +457,15 @@ class TestCertificateRecheck:
         cert = Certificate.from_json(copy.deepcopy(doc))
         assert cert.to_json() == doc
 
+    @pytest.mark.parametrize("key, value", [("alpha", "1"), ("alpha", "3"), ("p", "1")])
+    def test_lp_parameters_outside_the_domain_refused(self, key, value):
+        # alpha = 1 divides by zero in N_1's exponent; alpha = 3 would
+        # re-derive N_1 as a fraction; the build refuses both
+        doc = build_theorem29_lp(F(2), F(3, 5), 2)[1].to_json()
+        doc[key] = value
+        with pytest.raises(ParameterViolation):
+            recheck_certificate(doc)
+
     def test_malformed_doc_is_parameter_violation(self):
         good = self.make_t27()
         docs = [{"theorem": "theorem27"}, [1]]
@@ -640,3 +654,144 @@ class TestDirac:
         sig = dirac()
         assert [(b.start, b.end) for b in sig.blocks] == [(0, 0)]
         assert norm_l1(sig) == 1
+
+
+def pointwise_claim(sig, start: int, end: int, a: Fraction) -> tuple:
+    """(mismatches, count) of the claim Mf(n) = a at radius 0, one
+    event_centered query per point."""
+    bad = 0
+    for n in range(start, end + 1):
+        res = event_centered(sig, n)
+        if not (res.certified and res.radius == 0 and res.max_value == a):
+            bad += 1
+    return bad, max(0, end - start + 1)
+
+
+def piece_claim(sig, start: int, end: int, a: Fraction) -> tuple:
+    bad, count, exhaustive = _block_claim(sig, start, end, a, 10**4, 64, DEFAULT_LIMITS)
+    assert exhaustive
+    return bad, count
+
+
+claim_blocks_st = st.lists(
+    st.tuples(
+        st.integers(0, 8),
+        st.one_of(st.integers(1, 3), st.integers(4, 40)),  # one-point blocks often
+        st.integers(1, 9),
+        st.integers(1, 4),
+    ),
+    min_size=1,
+    max_size=10,
+)
+
+
+class TestBlockClaimOnPieces:
+    """The exhaustive block claim of verify_theorem27, decided on
+    frequency_pieces, against one event_centered query per point."""
+
+    @given(claim_blocks_st, st.sampled_from([0, 2**10000]), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_equals_pointwise_loop(self, spec, offset, data):
+        blocks, pos = [], offset
+        for gap, length, num, den in spec:  # gaps of 0..8, neighbours touch at 0
+            pos += gap
+            blocks.append(Block(pos, pos + length - 1, Fraction(num, den)))
+            pos += length
+        sig = BlockSignal(blocks)
+        lo, hi = support_bounds(sig)
+        start = data.draw(st.integers(lo - 12, hi + 12))
+        end = data.draw(st.integers(start - 1, hi + 12))
+        amps = sorted({b.amp for b in blocks})
+        a = data.draw(st.sampled_from(amps + [Fraction(1, 7)]))
+        assert piece_claim(sig, start, end, a) == pointwise_claim(sig, start, end, a)
+
+    @pytest.mark.parametrize(
+        "g, k, mode, n1, growth",
+        [
+            (LOG, 3, "paper_exact", None, None),
+            (LOG, 4, "relaxed", 300, 2),
+            (LOG, 3, "relaxed", 10, 2),
+            (GrowthSpec("loglog"), 2, "relaxed", 20, 3),
+        ],
+        ids=["paper", "relaxed-partly-failing", "relaxed-small", "loglog-partly-failing"],
+    )
+    def test_construction_blocks_and_spans(self, g, k, mode, n1, growth):
+        sig, cert = build_theorem27(g, k, mode, n1=n1, growth_factor=growth)
+        amps = [Fraction(s) for s in cert.extras["a"]]
+        ns, ls = cert.N, cert.L
+        for j in range(k):
+            start, end = ns[j] + 1, ns[j] + ls[j] - 1
+            spans = [(start, end), (start - 3, end + 3)]  # the interior, then past both ends
+            if j:  # from the previous block over the gap into this one
+                spans.append((ns[j - 1] + 1, min(end, ns[j - 1] + 10**4)))
+            for u, v in spans:
+                if v - u < 10**4:
+                    assert piece_claim(sig, u, v, amps[j]) == pointwise_claim(sig, u, v, amps[j])
+
+    def test_failing_notes_unchanged(self):
+        rep = verify_theorem27(LOG, 4, "relaxed", n1=300, growth_factor=2)
+        notes = [c["note"] for c in rep["claims"] if c["name"].startswith("block_")]
+        assert notes == [
+            "all 52 points exact",
+            "all 93 points exact",
+            "all 169 points exact",
+            "210 of 308 points mismatched",
+        ]
+
+    @pytest.mark.parametrize("a", [Fraction(2), Fraction(3), Fraction(1)])
+    def test_radius_zero_across_block_edges(self, a):
+        # r = 0 on one piece over 2, 3, 2: the runs of f inside it decide
+        sig = BlockSignal([Block(n, n, Fraction(v)) for n, v in enumerate((2, 3, 2))])
+        assert frequency_pieces(sig, 0, 2) == [(0, 2, 0, 0)]
+        for u, v in ((0, 2), (1, 2), (0, 1), (-1, 3), (1, 1)):
+            assert piece_claim(sig, u, v, a) == pointwise_claim(sig, u, v, a)
+
+    def test_empty_interior(self):
+        assert _block_claim(dirac(), 5, 4, Fraction(1), 10, 64, DEFAULT_LIMITS) == (0, 0, True)
+
+
+class TestDeltaOnPieces:
+    """verify_delta counts centered mismatches (r_n != |n|) from the pieces
+    of frequency_pieces over [-n, n]."""
+
+    @staticmethod
+    def centered_mismatches(rep) -> int:
+        note = next(c["note"] for c in rep["claims"] if c["name"] == "centered_profile_exact")
+        return int(note.rsplit(", ", 1)[1].split()[0])
+
+    @pytest.mark.parametrize("n_abs_max", [0, 1, 2, 7, 30])
+    def test_equals_pointwise_loop(self, n_abs_max):
+        sig = dirac()
+        bad = sum(
+            1
+            for n in range(-n_abs_max, n_abs_max + 1)
+            if not (
+                (res := event_centered(sig, n)).certified
+                and res.radius == abs(n)
+                and res.max_value == Fraction(1, 2 * abs(n) + 1)
+            )
+        )
+        rep = verify_delta(n_abs_max=n_abs_max)
+        assert self.centered_mismatches(rep) == bad == 0
+
+    @given(claim_blocks_st, st.integers(-30, 30), st.integers(0, 40))
+    @settings(max_examples=40, deadline=None)
+    def test_counts_radii_off_abs_n(self, spec, shift, n_abs_max):
+        # pieces of another signal: the count is the number of points whose
+        # radius is not |n|, as a per-point loop counts them
+        blocks, pos = [], shift
+        for gap, length, num, den in spec[:3]:
+            pos += gap
+            blocks.append(Block(pos, pos + length - 1, Fraction(num, den)))
+            pos += length
+        other = BlockSignal(blocks)
+        want = sum(
+            event_centered(other, n).radius != abs(n) for n in range(-n_abs_max, n_abs_max + 1)
+        )
+        original = hlmax.constructions.frequency_pieces
+        hlmax.constructions.frequency_pieces = lambda _sig, a, b: frequency_pieces(other, a, b)
+        try:
+            rep = verify_delta(n_abs_max=n_abs_max)
+        finally:
+            hlmax.constructions.frequency_pieces = original
+        assert self.centered_mismatches(rep) == want

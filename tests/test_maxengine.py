@@ -12,6 +12,7 @@ from hlmax.config import DEFAULT_LIMITS
 from hlmax.continuum import StepFunction, maximal_centered_cont
 from hlmax.corpus import binary_signals, diff_signal, random_dense
 from hlmax.errors import BudgetExceeded, NonpositiveRadius, ParameterViolation
+import hlmax.maxengine
 from hlmax.maxengine import (
     _beats,
     _best,
@@ -30,6 +31,7 @@ from hlmax.maxengine import (
     oracle_uncentered,
     oracle_uncentered_range,
     profile,
+    profile_sweep,
     search_bound_centered,
 )
 from hlmax.signal import (
@@ -593,6 +595,23 @@ class TestProfile:
     def test_range_cap_counts_without_materializing(self):
         with pytest.raises(BudgetExceeded):
             profile(dirac(), range(0, 10**30))
+        with pytest.raises(BudgetExceeded):
+            profile_sweep(dirac(), range(0, 10**30))
+
+    def test_sweep_rows_are_lowest_terms(self):
+        sig = BlockSignal([Block(3, 5, Fraction(1)), Block(9, 9, Fraction(4, 3))])
+        rows = list(profile_sweep(sig, range(-12, 25)))
+        assert [n for n, *_ in rows] == list(range(-12, 25))
+        for n, num, den, r in rows:
+            single = event_centered(sig, n)
+            value = single.max_value
+            assert (num, den, r) == (value.numerator, value.denominator, single.radius)
+
+    def test_sweep_declines_point_lists_and_power_law(self):
+        assert profile_sweep(dirac(), [0, 1]) is None
+        pl = BlockSignal([Block(1, 10, PowerLaw(Fraction(1, 2)))])
+        assert profile_sweep(pl, range(3)) is None
+        assert list(profile_sweep(dirac(), range(4, 4))) == []
 
 
 def expand(pieces: list) -> dict:
@@ -675,6 +694,23 @@ class TestFrequencyPieces:
         assert len(pieces) < 20
         assert pieces[0] == (-10**6, pieces[0][1], -1, 178)  # far left: r = 178 - n
         assert pieces[-1][2:] == (1, -14)  # far right: r = n - 14
+
+    def test_sweep_tables_built_once_per_signal(self, monkeypatch):
+        builds = []
+
+        def counted(lay):
+            builds.append(lay)
+            return _sweep_tables(lay)
+
+        monkeypatch.setattr(hlmax.maxengine, "_sweep_tables", counted)
+        sig = blocks_from([(0, 3, 1, 1), (2, 4, 2, 1), (5, 2, 1, 3)])
+        lo, hi = support_bounds(sig)
+        radii = expand(frequency_pieces(sig, lo, hi))
+        assert len(builds) == 1
+        inner = expand(frequency_pieces(sig, lo + 2, hi - 1))
+        assert inner == {n: radii[n] for n in range(lo + 2, hi)}
+        frequency_pieces(sig, lo - 5, lo - 1)  # outside the support: no tables
+        assert len(builds) == 1
 
     def test_refusals(self):
         with pytest.raises(ParameterViolation):
