@@ -28,7 +28,13 @@ straight off the switch points.
 
 Power-law signals produce certified enclosures, and any comparison the
 enclosures cannot decide is surfaced as certified=False with the overlap
-width in `gap`, never silently resolved.
+width in `gap`, never silently resolved.  Their engines decide on exact
+integer prefix bounds (signal.window_bounds): candidate averages compare by
+cross-multiplying window bounds with the window lengths, and the peak
+searches' signs are read the same way, each decision widened by a margin
+that covers the roundings of the enclosure path, which decides whatever the
+bounds leave open.  Only the reported value is rounded: the winner's average
+is computed once.
 """
 
 from __future__ import annotations
@@ -51,6 +57,7 @@ from .signal import (
     eval_at,
     region_at,
     support_bounds,
+    window_bounds,
     window_sum,
     window_sum_scaled,
 )
@@ -148,7 +155,8 @@ def _best(cands) -> tuple:
     """(value, key, certified, gap) for the largest value among (key, value)
     pairs, with the smallest key among exact ties.  A comparison the
     enclosures cannot decide keeps the current best, clears certified and
-    widens gap to the overlap width."""
+    widens gap to the overlap width.  The oracles' reference path: the event
+    engines select by _best_window, which keeps these update rules."""
     best_v: Optional[Value] = None
     best_k = 0
     certified = True
@@ -163,6 +171,113 @@ def _best(cands) -> tuple:
             certified = False
             gap = max(gap, overlap_width(v, best_v))
     return best_v, best_k, certified, gap
+
+
+def _bounds_sign(sig: BlockSignal, limits: Limits, terms) -> Optional[int]:
+    """Sign of sum c * S over terms (c, bounds), S the sum of f over a
+    window and bounds its window_bounds, decided on the exact integers: +1,
+    -1, 0 (only when no window meets a power-law block, so every S is
+    exact), or None when some bounds are None or the widened interval
+    holds 0.
+
+    The enclosure path evaluates the same combination at p =
+    limits.precision, and each of its outward roundings moves a bound by
+    less than 2^(1-p) times the magnitude rounded: a _pl_table or
+    power_bounds floor (2^shift makes every scaled term exceed 2^p),
+    scaled_enclosure, v_add, fraction_to_enclosure, v_mul_int,
+    v_div_posint and v_sub.  Its operands are sums of f >= 0, so after a
+    chain of k roundings each bound of its result lies within
+    ((1 + 2^(1-p))^k - 1) * sum |c| S of the true combination, and that is
+    at most k 2^(2-p) sum |c| S while k 2^(1-p) <= 1.  A window sum meeting
+    j power-law blocks takes j + 2 roundings (floor and scaled_enclosure per
+    part, j - 1 sums, one more for the constant part), its average j + 3;
+    _h_sign doubles it and subtracts, j + 4, and its edge terms take five
+    (floor, scaled_enclosure, sum, product, difference); the terms of
+    _delta_step_sign and _u_peak take fewer.  With j at most the number of
+    blocks B, k = B + 4 covers every caller.  As S <= hi / (2^shift den),
+    widening [lo, hi] by M = k 2^(2-p) sum |c| hi contains the enclosure
+    path's first attempt, so a sign decided here is the one that attempt
+    decides."""
+    p = limits.precision
+    k = len(sig.blocks) + 4
+    if p < 3 or 2 * k > 1 << p:
+        return None
+    shift, den = 0, 1
+    for _, b in terms:
+        if b is None:
+            return None
+        shift = max(shift, b[2])
+        if b[3] != 1:
+            den = math.lcm(den, b[3])
+    lo = hi = mag = 0
+    for c, (blo, bhi, s, d) in terms:
+        m = c * (den // d) << (shift - s)
+        blo, bhi = blo * m, bhi * m
+        if c < 0:
+            mag -= blo
+            blo, bhi = bhi, blo
+        else:
+            mag += bhi
+        lo += blo
+        hi += bhi
+    if not shift:
+        return (lo > 0) - (lo < 0)
+    margin = -(-(mag * k) >> (p - 2))
+    if lo > margin:
+        return 1
+    if hi < -margin:
+        return -1
+    return None
+
+
+def _decided_sign(sig: BlockSignal, limits: Limits, windows, attempt) -> Optional[int]:
+    """Sign of sum c * (sum of f over [a, b]) for windows (c, a, b): read
+    off their window_bounds by _bounds_sign, else escalate(limits, attempt),
+    attempt being the enclosure evaluation of the same combination."""
+    terms = [(c, window_bounds(sig, a, b, limits)) for c, a, b in windows]
+    s = _bounds_sign(sig, limits, terms)
+    return escalate(limits, attempt) if s is None else s
+
+
+def _best_window(sig: BlockSignal, cands, limits: Limits, average) -> tuple:
+    """(value, key, certified, gap) as _best gives for the averages
+    average(a, b) of the windows (key, a, b) in cands.
+
+    Two windows compare by _bounds_sign on their window_bounds
+    cross-multiplied by the window lengths; a comparison that leaves open
+    compares the two averages as _best does, so each decision and the
+    certified and gap flags are _best's.  On an exact tie the first window
+    stays, with the smaller key.  cands is never empty.  The winner's
+    average is computed once."""
+    best = None
+    best_v: Optional[Value] = None
+    certified = True
+    gap = Fraction(0)
+    for k, a, b in cands:
+        wb = window_bounds(sig, a, b, limits)
+        if best is None:
+            best = (k, a, b, wb)
+            continue
+        bk, ba, bb, bwb = best
+        s = _bounds_sign(sig, limits, ((bb - ba + 1, wb), (a - b - 1, bwb)))
+        v = None
+        if s is None:
+            if best_v is None:
+                best_v = average(ba, bb)
+            v = average(a, b)
+            c = compare(v, best_v)
+            if c is Ordering.INDETERMINATE:
+                certified = False
+                gap = max(gap, overlap_width(v, best_v))
+                continue
+            s = c.value
+        if s > 0:
+            best, best_v = (k, a, b, wb), v
+        elif s == 0:
+            best = (min(bk, k), ba, bb, bwb)
+    if best_v is None:
+        best_v = average(best[1], best[2])
+    return best_v, best[0], certified, gap
 
 
 class _PeakState:
@@ -183,7 +298,9 @@ def _delta_step_sign(sig: BlockSignal, n: int, r: int, limits: Limits, state: _P
         d0 = v_add(eval_at(sig, n - r - 1, lim), eval_at(sig, n + r + 1, lim), p)
         return _sign(v_sub(d1, d0, p))
 
-    s = escalate(limits, attempt)
+    edges = (n - r - 2, n + r + 2, n - r - 1, n + r + 1)
+    windows = [(c, x, x) for c, x in zip((1, 1, -1, -1), edges)]
+    s = _decided_sign(sig, limits, windows, attempt)
     if s is None:
         state.uncertified = True
         return -1
@@ -199,7 +316,9 @@ def _h_sign(sig: BlockSignal, n: int, r: int, limits: Limits, state: _PeakState)
         nsum = window_sum(sig, n - r, n + r, lim)
         return _sign(v_sub(v_mul_int(delta, 2 * r + 1, p), v_mul_int(nsum, 2, p), p))
 
-    s = escalate(limits, attempt)
+    d = 2 * r + 1
+    windows = [(d, n - r - 1, n - r - 1), (d, n + r + 1, n + r + 1), (-2, n - r, n + r)]
+    s = _decided_sign(sig, limits, windows, attempt)
     if s is None:
         state.uncertified = True
         return 1
@@ -318,8 +437,12 @@ def event_centered(sig: Signal, n: int, limits: Limits = DEFAULT_LIMITS) -> Cent
     r_cap = search_bound_centered(blocks, n)
     state = _PeakState()
     cands = _candidate_radii(blocks, n, r_cap, limits, state)
-    averages = ((r, average_centered(blocks, n, r, limits)) for r in cands)
-    best_v, best_r, certified, gap = _best(averages)
+    windows = ((r, n - r, n + r) for r in cands)
+
+    def average(a: int, b: int) -> Value:
+        return average_centered(blocks, n, n - a, limits)
+
+    best_v, best_r, certified, gap = _best_window(blocks, windows, limits, average)
     certified = certified and not state.uncertified
     return CenteredResult(n, best_v, best_r, certified, gap if not certified else None)
 
@@ -708,7 +831,8 @@ def _u_peak(
             edge = v_mul_int(eval_at(sig, u + 1, lim), u - l + 1, lim.precision)
             return _sign(v_sub(edge, total, lim.precision))
 
-        s = escalate(limits, attempt)
+        windows = [(u - l + 1, u + 1, u + 1), (-1, l, u)]
+        s = _decided_sign(sig, limits, windows, attempt)
         if s is None:
             state.uncertified = True
             return 0
@@ -813,9 +937,12 @@ def event_uncentered(sig: Signal, n: int, limits: Limits = DEFAULT_LIMITS) -> Un
                             if u1 < u < u2:
                                 u_all.append(u)
             for u in sorted(set(u_all)):
-                yield u - l, average_uncentered(blocks, n, n - l, u - n, limits)
+                yield u - l, l, u
 
-    best_v, best_diam, certified, gap = _best(windows())
+    def average(a: int, b: int) -> Value:
+        return average_uncentered(blocks, n, n - a, b - n, limits)
+
+    best_v, best_diam, certified, gap = _best_window(blocks, windows(), limits, average)
     certified = certified and not state.uncertified
     return UncenteredResult(n, best_v, best_diam, certified, gap if not certified else None)
 

@@ -233,7 +233,10 @@ def _pl_table(sig: BlockSignal, idx: int, prec: int):
     One shift serves the whole block, taken at its smallest term (its end),
     so every window sum is an integer difference.  The entries are running
     sums of power_bounds, built by power_bounds_run, whose roots are checked
-    in integers (falling back to power_bounds when a check fails)."""
+    in integers (falling back to power_bounds when a check fails).  Two
+    readers share the table: window_sum, which rounds the difference into
+    an enclosure, and window_bounds, which hands it on unrounded to the
+    engines' sign decisions."""
     key = (idx, prec)
     tab = sig._pl_tables.get(key)
     if tab is None:
@@ -299,6 +302,41 @@ def window_sum(sig: Signal, a: int, b: int, limits: Limits = DEFAULT_LIMITS) -> 
     if exact:
         return v_add(enc, exact, limits.precision)
     return enc
+
+
+def window_bounds(sig: BlockSignal, a: int, b: int, limits: Limits = DEFAULT_LIMITS):
+    """(lo, hi, shift, den): exact integers with
+    lo <= 2^shift * den * (sum of f over [a, b]) <= hi, read without rounding.
+
+    Each power-law part is the difference of its block's _pl_table entries
+    (the integers window_sum rounds), shifted up to the largest shift among
+    the power-law blocks the window meets; the constant parts add exactly,
+    den being the denominator of their sum.  shift is 0 exactly when the
+    window meets no power-law block, and then lo = hi.  A single term f(n)
+    is the window [n, n].  None where window_sum reads no table: a
+    power-law block longer than prefix_cache_cap, or an intersection past
+    powerlaw_sum_cap, which window_sum sums term by term or refuses."""
+    if a > b:
+        return 0, 0, 0, 1
+    const = lo = hi = shift = 0
+    for i in range(bisect_left(sig._ends, a), bisect_right(sig._starts, b)):
+        blk = sig.blocks[i]
+        lo_n, hi_n = max(a, blk.start), min(b, blk.end)
+        if not isinstance(blk.amp, PowerLaw):
+            const += blk.amp * (hi_n - lo_n + 1)
+            continue
+        if blk.length > limits.prefix_cache_cap or hi_n - lo_n >= limits.powerlaw_sum_cap:
+            return None
+        s, los, his = _pl_table(sig, i, limits.precision)
+        ia, ib = lo_n - blk.start, hi_n - blk.start + 1
+        if s > shift:
+            lo, hi, shift = lo << (s - shift), hi << (s - shift), s
+        lo += (los[ib] - los[ia]) << (shift - s)
+        hi += (his[ib] - his[ia]) << (shift - s)
+    if not const:
+        return lo, hi, shift, 1
+    num, den = const.numerator, const.denominator
+    return lo * den + (num << shift), hi * den + (num << shift), shift, den
 
 
 def window_sum_scaled(sig: BlockSignal, a: int, b: int) -> int:

@@ -8,19 +8,29 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from hlmax.config import DEFAULT_LIMITS
+from hlmax.config import DEFAULT_LIMITS, Limits
 from hlmax.continuum import StepFunction, maximal_centered_cont
 from hlmax.corpus import binary_signals, diff_signal, random_dense
-from hlmax.errors import BudgetExceeded, NonpositiveRadius, ParameterViolation
+from hlmax.errors import (
+    BudgetExceeded,
+    NonpositiveRadius,
+    ParameterViolation,
+    PowerLawRangeTooLarge,
+)
 import hlmax.maxengine
 from hlmax.maxengine import (
+    _PeakState,
     _beats,
     _best,
+    _bounds_sign,
     _cell_candidates,
+    _delta_step_sign,
     _edge_hit,
     _first_beat,
     _first_slope,
+    _h_sign,
     _sweep_tables,
+    _u_peak,
     average_centered,
     average_uncentered,
     event_centered,
@@ -46,11 +56,13 @@ from hlmax.signal import (
     support_bounds,
     to_blocks,
     translate,
+    window_bounds,
     window_sum_scaled,
 )
+import hlmax.signal
 import hlmax.values
-from hlmax.values import Ordering, compare, exact_bounds
-from hlmax.constructions import dirac
+from hlmax.values import Enclosure, Ordering, compare, exact_bounds, parse_int
+from hlmax.constructions import build_theorem29_lp, dirac
 from dense_form import to_dense
 
 
@@ -489,6 +501,206 @@ class TestPowerLawHotPath:
             oc = oracle_centered(sig, n)
             assert ev.certified and oc.certified and ev.radius == oc.radius
             assert event_uncentered(sig, n).certified
+
+
+PL_ALPHAS = (Fraction(1, 2), Fraction(1, 3), Fraction(2, 3), Fraction(3, 5))
+
+
+@st.composite
+def pl_mixed_signals(draw):
+    """One to three blocks, at least one of them power-law, the others
+    power-law or constant, with or without gaps between them."""
+    count = draw(st.integers(1, 3))
+    pl_at = draw(st.integers(0, count - 1))
+    pos = draw(st.integers(1, 20))
+    blocks = []
+    for i in range(count):
+        length = draw(st.integers(1, 160))
+        if i == pl_at or draw(st.booleans()):
+            amp = PowerLaw(draw(st.sampled_from(PL_ALPHAS)))
+        else:
+            amp = draw(st.fractions(Fraction(1, 40), Fraction(2), max_denominator=40))
+        blocks.append(Block(pos, pos + length - 1, amp))
+        pos += length + draw(st.sampled_from([0, 0, 1, 7, 30, 300]))
+    return BlockSignal(blocks)
+
+
+def captured_signs(call) -> list:
+    """The (windows, attempt) pairs a peak-search sign test hands to
+    _decided_sign while call() runs, each answered 0."""
+    seen = []
+
+    def record(sig, limits, windows, attempt):
+        seen.append((windows, attempt))
+        return 0
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(hlmax.maxengine, "_decided_sign", record)
+        call()
+    return seen
+
+
+class TestBoundsSign:
+    """A sign _bounds_sign decides is the one the enclosure path's first
+    attempt at the same precision decides: for candidate comparisons that
+    is compare() of the two averages, for the peak searches' sign tests
+    their attempt(limits)."""
+
+    @given(pl_mixed_signals(), st.sampled_from([12, 16, 24, 53, 256]), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_window_comparisons(self, sig, prec, data):
+        lim = Limits(precision=prec)
+        lo, hi = support_bounds(sig)
+        a = data.draw(st.integers(lo - 5, hi + 5))
+        b = data.draw(st.one_of(st.integers(a, a + 3), st.integers(a, hi + 10)))
+        if data.draw(st.booleans()):  # a neighbouring window: near ties
+            c = a + data.draw(st.integers(-2, 2))
+            d = max(c, b + data.draw(st.integers(-2, 2)))
+        else:
+            c = data.draw(st.integers(lo - 5, hi + 5))
+            d = data.draw(st.integers(c, hi + 10))
+        first, second = window_bounds(sig, a, b, lim), window_bounds(sig, c, d, lim)
+        s = _bounds_sign(sig, lim, ((d - c + 1, first), (a - b - 1, second)))
+        if s is None:
+            return
+
+        def average(x, y):
+            if (y - x) % 2:
+                return average_uncentered(sig, x, 0, y - x, lim)
+            return average_centered(sig, (x + y) // 2, (y - x) // 2, lim)
+
+        assert compare(average(a, b), average(c, d)).value == s
+
+    @given(pl_mixed_signals(), st.sampled_from([12, 16, 24, 53, 256]), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_peak_sign_tests(self, sig, prec, data):
+        lim = Limits(precision=prec)
+        lo, hi = support_bounds(sig)
+        n = data.draw(st.integers(lo - 3, hi + 3))
+        r = data.draw(st.integers(0, hi - lo + 4))
+        l = data.draw(st.integers(lo - 3, hi + 3))
+        u = data.draw(st.integers(l, hi + 3))
+        calls = captured_signs(lambda: _delta_step_sign(sig, n, r, lim, _PeakState()))
+        calls += captured_signs(lambda: _h_sign(sig, n, r, lim, _PeakState()))
+        calls += captured_signs(lambda: _u_peak(sig, l, u, u + 2, lim, _PeakState()))
+        assert len(calls) == 3
+        for windows, attempt in calls:
+            terms = [(c, window_bounds(sig, x, y, lim)) for c, x, y in windows]
+            s = _bounds_sign(sig, lim, terms)
+            if s is not None:
+                assert attempt(lim) == s
+
+    def test_exact_only_without_power_law(self):
+        sig = BlockSignal([Block(1, 80, PowerLaw(Fraction(1, 2))), Block(90, 99, Fraction(1, 5))])
+        # two equal constant windows tie exactly; [4, 4] is exact (4^(-1/2)
+        # = 1/2) but a power-law part, so its tie with f = 1/2 is left open
+        terms = ((1, window_bounds(sig, 90, 91)), (-1, window_bounds(sig, 92, 93)))
+        assert _bounds_sign(sig, DEFAULT_LIMITS, terms) == 0
+        half = BlockSignal([Block(1, 80, PowerLaw(Fraction(1, 2))), Block(90, 99, Fraction(1, 2))])
+        terms = ((1, window_bounds(half, 4, 4)), (-1, window_bounds(half, 95, 95)))
+        assert _bounds_sign(half, DEFAULT_LIMITS, terms) is None
+        # a power-law block with no table leaves every sign to the enclosures
+        lim = Limits(prefix_cache_cap=79)
+        terms = ((1, window_bounds(sig, 3, 3, lim)), (-1, window_bounds(sig, 90, 90, lim)))
+        assert _bounds_sign(sig, lim, terms) is None
+
+
+def mixed_pl_signals(seed: int, count: int) -> list:
+    """Power-law and mixed block signals, blocks long enough for the peak
+    searches (stretches past _ENUM_STRETCH) and short ones."""
+    rng = random.Random(seed)
+    sigs = []
+    for _ in range(count):
+        blocks, pos = [], rng.randint(1, 30)
+        for i in range(rng.randint(1, 3)):
+            length = rng.choice([rng.randint(1, 20), rng.randint(70, 220)])
+            if i == 0 or rng.random() < 0.5:
+                amp = PowerLaw(rng.choice(PL_ALPHAS))
+            else:
+                amp = Fraction(rng.randint(1, 9), rng.randint(1, 60))
+            blocks.append(Block(pos, pos + length - 1, amp))
+            pos += length + rng.choice([0, 0, rng.randint(1, 40)])
+        sigs.append(BlockSignal(blocks))
+    return sigs
+
+
+def result_key(res) -> tuple:
+    v = res.max_value
+    value = (v.dlo, v.dhi) if isinstance(v, Enclosure) else v
+    size = res.radius if hasattr(res, "radius") else res.min_diameter
+    return res.n, value, size, res.certified, res.gap
+
+
+class TestBoundsPathEqualsEnclosurePath:
+    @pytest.mark.parametrize("prec", [16, 24, 256])
+    def test_results_identical(self, prec, monkeypatch):
+        sigs = mixed_pl_signals(prec, 10)
+        rng = random.Random(prec)
+        queries = []
+        for sig in sigs:
+            lo, hi = support_bounds(sig)
+            queries += [(sig, rng.randint(lo - 10, hi + 10)) for _ in range(4)]
+
+        def run(lim):
+            return [
+                result_key(engine(sig, n, lim))
+                for sig, n in queries
+                for engine in (event_centered, event_uncentered)
+            ]
+
+        lim = Limits(precision=prec)
+        fast = run(lim)
+        # every power-law block summed term by term: no table, no bounds
+        untabled = run(lim.with_(prefix_cache_cap=0))
+        monkeypatch.setattr(hlmax.maxengine, "_bounds_sign", lambda *args: None)
+        assert fast == run(lim) == untabled
+        if prec == 16:  # the uncertified flags and gaps are compared too
+            assert any(not key[3] for key in fast)
+
+
+LP_WORKLOAD = ((3, "1/2", 100, 10), (2, "3/5", 40, 16), (2, "2/3", 150, 8), (2, "3/4", 60, 13))
+
+
+class TestPowerLawQueriesOnBounds:
+    @pytest.mark.parametrize("spec", LP_WORKLOAD)
+    def test_one_window_sum_and_no_power_term_per_query(self, spec, monkeypatch):
+        p, alpha, n1, g = spec
+        sig, cert = build_theorem29_lp(
+            Fraction(p), Fraction(alpha), 3, "relaxed", n1=n1, growth_factor=g
+        )
+        nks = [parse_int(s) for s in cert.extras["n_k"]]
+        inside = [n + l // 2 for n, l in zip(cert.N, cert.L)]
+        right = [nk + l // 2 for nk, l in zip(nks, cert.L)]
+        queries = [(event_centered, n) for n in nks + inside + right]
+        queries += [(event_uncentered, n) for n in inside + right]
+        for engine, n in queries:  # builds the prefix tables
+            engine(sig, n)
+        calls = {"window_sum": 0, "power_term": 0}
+
+        def counted(module, name):
+            fn = getattr(module, name)
+
+            def wrapper(*args, **kw):
+                calls[name] += 1
+                return fn(*args, **kw)
+
+            monkeypatch.setattr(module, name, wrapper)
+
+        counted(hlmax.maxengine, "window_sum")
+        counted(hlmax.signal, "power_term")
+        for engine, n in queries:
+            calls.update(window_sum=0, power_term=0)
+            res = engine(sig, n)
+            assert calls["window_sum"] <= 1 and calls["power_term"] == 0, (engine, n, calls)
+            assert res.certified
+        for nk, l in zip(nks, cert.L):
+            assert event_centered(sig, nk).radius == l
+
+    def test_paper_exact_anchors_still_refused(self):
+        sig, cert = build_theorem29_lp(Fraction(2), Fraction(3, 5), 2, "paper_exact")
+        for nk in cert.extras["n_k"]:
+            with pytest.raises(PowerLawRangeTooLarge):
+                event_centered(sig, parse_int(nk))
 
 
 values_st = st.lists(

@@ -25,6 +25,7 @@ from hlmax.signal import (
     support_bounds,
     to_blocks,
     translate,
+    window_bounds,
     window_sum,
     window_sum_scaled,
 )
@@ -201,6 +202,58 @@ class TestPowerLawSums:
             if outer is not None:
                 assert outer[0] <= lo <= hi <= outer[1]
             outer = (lo, hi)
+
+
+# power-law blocks of two exponents with constant blocks and gaps between
+MIXED_SIG = BlockSignal(
+    [
+        Block(1, 300, PowerLaw(Fraction(1, 2))),
+        Block(301, 340, Fraction(2, 7)),
+        Block(360, 700, PowerLaw(Fraction(3, 5))),
+        Block(720, 730, Fraction(1, 3)),
+    ]
+)
+
+
+class TestWindowBounds:
+    """window_bounds: the exact integers window_sum rounds, unrounded."""
+
+    @given(st.integers(-5, 745), st.integers(0, 760), st.sampled_from([12, 53, 256]))
+    @settings(max_examples=80, deadline=None)
+    def test_inside_window_sum(self, a, width, prec):
+        b = a + width
+        lim = Limits(precision=prec)
+        lo, hi, shift, den = window_bounds(MIXED_SIG, a, b, lim)
+        total = window_sum(MIXED_SIG, a, b, lim)
+        scale_ = den << shift
+        met = [blk for blk in MIXED_SIG.blocks if blk.start <= b and a <= blk.end]
+        shifts = [
+            power_shift(blk.end, blk.amp.alpha, prec) for blk in met if isinstance(blk.amp, PowerLaw)
+        ]
+        assert shift == max(shifts, default=0)
+        if not shifts:  # constant parts alone: exact
+            assert lo == hi and Fraction(lo, scale_) == total
+        else:  # the unrounded bounds sit inside the rounded enclosure
+            enc_lo, enc_hi = exact_bounds(total)
+            assert enc_lo <= Fraction(lo, scale_) <= Fraction(hi, scale_) <= enc_hi
+
+    def test_single_term_and_empty_window(self):
+        n, alpha = 400, Fraction(3, 5)
+        lo, hi, shift, den = window_bounds(MIXED_SIG, n, n)
+        assert den == 1 and shift == power_shift(700, alpha, Limits().precision)
+        m, exact = power_bounds(n, alpha, shift)
+        assert (lo, hi) == (m, m if exact else m + 1)
+        assert window_bounds(MIXED_SIG, 5, 4) == (0, 0, 0, 1)
+
+    def test_none_where_window_sum_reads_no_table(self):
+        # block [360, 700] holds 341 terms; the window meets 41 of them
+        a, b = 660, 705
+        assert window_bounds(MIXED_SIG, a, b, Limits(prefix_cache_cap=341)) is not None
+        assert window_bounds(MIXED_SIG, a, b, Limits(prefix_cache_cap=340)) is None
+        assert window_bounds(MIXED_SIG, a, b, Limits(powerlaw_sum_cap=41)) is not None
+        assert window_bounds(MIXED_SIG, a, b, Limits(powerlaw_sum_cap=40)) is None
+        # a window meeting constant blocks only needs no table
+        assert window_bounds(MIXED_SIG, 301, 359, Limits(prefix_cache_cap=0)) == (80, 80, 0, 7)
 
 
 class TestConversions:
