@@ -6,6 +6,8 @@ average from ever beating the block's own height: the total mass outside
 is too small for any window reaching it to win.  Every point of every
 block then has maximal value a_k at radius 0, so the zero set of the
 frequency function up to N = N_4 + L_4 is huge relative to N / log N.
+The same family is then built and verified to k = 13, where N_13 has
+14774 bits.
 
 Run:  python3 demos/log_growth_construction.py
 """
@@ -17,8 +19,10 @@ from hlmax import (
     build_theorem27,
     density_series,
     event_centered,
+    parse_int,
     recheck_certificate,
     value_str,
+    verify_theorem27,
 )
 
 
@@ -57,6 +61,19 @@ def main() -> None:
     print(f"  enclosure of count_Z / (N / log N): {row.ratio_Z_over_NoverG}")
     print("  The lower bound exceeds 1/2: the zero set already fills more")
     print("  than half of N / log N at the fourth scale.")
+
+    print()
+    print("== The same family to k = 13, past 2^10000 ==")
+    report = verify_theorem27(g, 13)
+    big_n = [parse_int(n) for n in report["certificate"]["N"]]
+    print("  each N_k is ceil(e^c) for c = max(2, (5/4) 2^k), certified by the")
+    print("  growth predicate holding at N_k and failing at N_k - 1")
+    for k, n_k in enumerate(big_n, start=1):
+        print(f"  k = {k:>2}:  N_k has {n_k.bit_length():>5} bits")
+    verdict = "PASS" if report["ok"] else "FAIL"
+    if report["resource_capped"]:
+        verdict = "RESOURCE-CAPPED"
+    print(f"  verify theorem27 --k 13: {verdict}")
 
 
 if __name__ == "__main__":

@@ -24,6 +24,7 @@ against the construction's claims and return report dicts.
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -46,6 +47,7 @@ from .values import (
     compare,
     escalate,
     exact_bounds,
+    exp_of_value,
     int_str,
     iroot,
     json_field,
@@ -126,8 +128,12 @@ class GrowthSpec:
         return self.table[idx][1]
 
     def cmp_at(self, n: int, c: Fraction, limits: Limits = DEFAULT_LIMITS) -> Ordering:
-        """Certified ordering of g(N) against a rational c, escalating the
-        working precision; exact integer cross-powers for the power kind."""
+        """Certified ordering of g(N) against a rational c; exact integer
+        cross-powers for the power kind.  Else the working precision times
+        1, 2, 4, then doubling up to about 4 * (bitlen(N) + 64) bits: enough
+        for g at N_k and N_k - 1 against the target, which certify each N_k
+        found from the inverse of g, while a comparison far from its
+        threshold stays cheap."""
         if self.kind == "power":
             p, q = self.beta.numerator, self.beta.denominator
             if p * n.bit_length() <= _EXACT_POW_BITS:
@@ -143,7 +149,7 @@ class GrowthSpec:
             o = compare(self.value_at(n, lim), c)
             return None if o is Ordering.INDETERMINATE else o
 
-        o = escalate(limits, attempt)
+        o = escalate(limits, attempt, 4 * (n.bit_length() + 64))
         if o is not None:
             return o
         raise InfeasibleConstraint(
@@ -151,7 +157,9 @@ class GrowthSpec:
         )
 
     def ceil_n_over_g(self, n: int, limits: Limits = DEFAULT_LIMITS) -> int:
-        """ceil(N / g(N)) as a certified integer."""
+        """ceil(N / g(N)) as a certified integer.  Pinning it takes g(N) to
+        about bitlen(N) bits, so the ladder starts at bitlen(N) + 64 bits
+        when that exceeds the working precision."""
         if self.kind == "table":
             g = self.value_at(n, limits)
             if g <= 0:
@@ -172,7 +180,7 @@ class GrowthSpec:
             hi_c = -((-n * glo.denominator) // glo.numerator)
             return lo_c if lo_c == hi_c else None
 
-        c = escalate(limits, attempt)
+        c = escalate(limits.with_(precision=max(limits.precision, n.bit_length() + 64)), attempt)
         if c is not None:
             return c
         raise InfeasibleConstraint(
@@ -278,16 +286,63 @@ def _cond(mode: str, conditions) -> list:
     return out
 
 
+def _inverse_bits(g: GrowthSpec, c: Fraction) -> float:
+    """log2 of the real x with g(x) = c, from floats; inf when one overflows."""
+    try:
+        if g.kind == "power":
+            return (math.log2(c.numerator) - math.log2(c.denominator)) / float(g.beta)
+        y = float(c)
+        if g.kind == "loglog":
+            y = math.exp(y)
+        elif g.kind == "logpow":
+            y **= float(1 / g.beta)
+        return y * math.log2(math.e)
+    except OverflowError:
+        return math.inf
+
+
+def _least_reaching(g: GrowthSpec, c: Fraction, bits: float, limits: Limits) -> int:
+    """The least integer N with g(N) >= c for an analytic g, about 2^bits.
+
+    power: N^p >= c^q, so N is the ceiling of iroot(ceil(c^q), p), exactly.
+    The others invert to N = ceil(e^y) with y = c (log), e^c (loglog) or
+    c^(1/beta) (logpow): an outward-rounded enclosure of e^y at bits + 64
+    bits, the precision doubling until both ends ceil to one integer."""
+    if g.kind == "power":
+        p, q = g.beta.numerator, g.beta.denominator
+        m = -(-(c.numerator**q) // c.denominator**q)
+        r = iroot(m, p)
+        return r + (r**p < m)
+
+    def attempt(lim: Limits) -> Optional[int]:
+        prec = lim.precision
+        y: Value = c
+        if g.kind == "loglog":
+            y = exp_of_value(c, prec)
+        elif g.kind == "logpow":
+            y = pow_of_value(c**g.beta.denominator, Fraction(1, g.beta.numerator), prec)
+        lo, hi = exp_of_value(y, prec).bounds()
+        return math.ceil(lo) if math.ceil(lo) == math.ceil(hi) else None
+
+    n = escalate(limits.with_(precision=int(bits) + 64), attempt)
+    if n is None:
+        raise InfeasibleConstraint(f"cannot pin the inverse of g at {c} at escalated precision")
+    return n
+
+
 def _smallest_admissible(
     g: GrowthSpec, k: int, lower: int, need_l_ge_2: bool, limits: Limits
 ) -> int:
     """Smallest N >= lower with g(N) >= max(2, (5/4)*2^k), N >= g(N), and
     (when the strict block needs at least one interior point) N > g(N).
 
-    Valid by monotonicity: g is non-decreasing and N/g(N) is non-decreasing
-    for the analytic kinds, so the admissibility predicate is monotone and
-    doubling + bisection finds its first success; the table kind, whose
-    jumps can break N/g(N) monotonicity, is scanned segment by segment."""
+    For the analytic kinds g(N) < N at every N >= 2, so the predicate is
+    monotone and holds from N = max(lower, _least_reaching(target)) on; that
+    N is kept only when it holds there and fails at N - 1 (unless N = lower).
+    A first N past lower * 2^20000 is refused from a float estimate, or from
+    the predicate there when the estimate is within a few bits.  The table
+    kind, whose jumps can break N/g(N) monotonicity, is scanned segment by
+    segment."""
     target = max(Fraction(2), Fraction(5, 4) * 2**k)
 
     if g.kind == "table":
@@ -313,26 +368,18 @@ def _smallest_admissible(
             return o is Ordering.LESS  # g(N) < N, i.e. L = ceil(N/g) >= 2
         return o in (Ordering.LESS, Ordering.EQUAL)
 
-    n = lower
-    if admissible(n):
-        return n
-    hi = n
-    for _ in range(_MAX_DOUBLINGS):
-        hi *= 2
-        if admissible(hi):
-            break
-    else:
+    bits = _inverse_bits(g, target)
+    cap = math.log2(lower) + _MAX_DOUBLINGS
+    if bits > cap + 4 or (bits > cap - 4 and not admissible(lower << _MAX_DOUBLINGS)):
         raise InfeasibleConstraint(
-            f"no admissible N within {_MAX_DOUBLINGS} doublings from {lower}"
+            f"no admissible N within {_MAX_DOUBLINGS} doublings from {int_str(lower)}"
         )
-    lo = max(n, hi // 2)
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if admissible(mid):
-            hi = mid
-        else:
-            lo = mid
-    return hi
+    n = max(lower, _least_reaching(g, target, bits, limits))
+    if not admissible(n) or (n > lower and admissible(n - 1)):
+        raise InfeasibleConstraint(
+            f"N = {int_str(n)} from the inverse of g at {target} fails its certificate"
+        )
+    return n
 
 
 def _block_gaps(ns: list, ls: list, discrete: bool) -> list:

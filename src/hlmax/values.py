@@ -12,9 +12,10 @@ values are themselves exact.
 
 Power-law terms n^(-alpha) are bounded the same way: an exact integer root
 gives floor(2^shift * n^(-alpha)).  mpmath is used only to evaluate
-logarithms and fractional powers of values (ln_value, pow_of_value), whose
-results convert exactly to dyadic bounds, and to print bounds as decimals;
-it is imported on the first such call.
+logarithms, exponentials and fractional powers of values (ln_value,
+exp_of_value, pow_of_value), whose results convert exactly to dyadic
+bounds, and to print bounds as decimals; it is imported on the first such
+call.
 
 Comparisons are three-way plus "indeterminate" (overlapping enclosures).
 Engine code treats indeterminate outcomes as ties broken toward the smaller
@@ -242,11 +243,12 @@ def overlap_width(a: Value, b: Value) -> Fraction:
     return Fraction(w << e, d) if e >= 0 else Fraction(w, d << -e)
 
 
-def escalate(limits, attempt):
+def escalate(limits, attempt, top: int = 0):
     """First result of attempt(lim) that is not None, trying the working
-    precision of limits times 1, 2 and 4; None when all three stay undecided."""
-    for mult in (1, 2, 4):
-        lim = limits if mult == 1 else limits.with_(precision=limits.precision * mult)
+    precision of limits times 1, 2 and 4, then doubling on while it stays
+    within top bits; None when every rung stays undecided."""
+    for i in range(max(3, (top // max(limits.precision, 1)).bit_length())):
+        lim = limits if i == 0 else limits.with_(precision=limits.precision << i)
         result = attempt(lim)
         if result is not None:
             return result
@@ -453,6 +455,17 @@ def ln_of_value(v: Value, prec: int = DEFAULT_PRECISION) -> Value:
     if not isinstance(b, Enclosure):
         b = fraction_to_enclosure(b, prec)
     return _enc(a.dlo, b.dhi)
+
+
+def exp_of_value(v: Value, prec: int = DEFAULT_PRECISION) -> Enclosure:
+    """e^v for a Value; monotone, so bounds map to bounds.  Each bound is
+    rounded outward as it enters mpmath, so only exp's own error is widened."""
+    lo, hi = exact_bounds(v)
+    mp = _mpmath()
+    with mp.workprec(prec + _GUARD):
+        tlo = mp.exp(mp.fdiv(lo.numerator, lo.denominator, rounding="f"))
+        thi = mp.exp(mp.fdiv(hi.numerator, hi.denominator, rounding="c"))
+    return _enc(_widen(tlo, prec).dlo, _widen(thi, prec).dhi)
 
 
 def pow_of_value(v: Value, beta: Fraction, prec: int = DEFAULT_PRECISION) -> Value:

@@ -101,8 +101,10 @@ def test_criterion_2_log_growth_construction():
     g = GrowthSpec("log")
     sig, cert = build_theorem27(g, k_max=4, mode="paper_exact")
 
-    # Frozen scale goldens (selected by the independent doubling/bisection
-    # oracle over the growth predicate before the builder existed).
+    # Frozen scale goldens (selected by an independent doubling/bisection
+    # oracle over the growth predicate before the builder existed; the
+    # builder now takes N_k = max(lower, ceil(e^c)) from the inverse of g
+    # and certifies it by the predicate at N_k and N_k - 1).
     assert cert.N == [13, 149, 22027, 485165196]
     assert cert.L == [6, 30, 2203, 24258260]
     amps = [parse_rational(s) for s in cert.extras["a"]]

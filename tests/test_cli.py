@@ -7,6 +7,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -51,6 +52,21 @@ class TestConstruct:
         assert cdoc["theorem"] == "theorem27"
         assert cdoc["N"] == ["13", "149", "22027", "485165196"]
         assert all(c["status"] == "satisfied" for c in cdoc["conditions"])
+
+    def test_theorem27_past_the_doubling_cap_refused_fast(self, tmp_path, capsys):
+        # ln ln N >= 10 needs N >= e^(e^10), about 2^31777, past N_2 * 10 *
+        # 2^20000: refused from a float estimate, with no high-precision log
+        t0 = time.perf_counter()
+        code = run(
+            "construct", "theorem27", "--g", "loglog", "--k", "3",
+            "--out", str(tmp_path / "x.json"),
+        )
+        assert time.perf_counter() - t0 < 1.0
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: InfeasibleConstraint: no admissible N within 20000 doublings from "
+            "285112356794615106055810386579828059838536488179394449534171288370\n"
+        )
 
     def test_theorem27_continuous_writes_step_json(self, tmp_path):
         out = tmp_path / "step.json"

@@ -4,7 +4,9 @@ arithmetic including exact rational-power ties, certificate recheck against
 tampering, and the verification harnesses' report shapes."""
 
 import copy
+import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -16,6 +18,7 @@ from hlmax.constructions import (
     Certificate,
     GrowthSpec,
     _block_claim,
+    _smallest_admissible,
     build_theorem27,
     build_theorem29_linf,
     build_theorem29_lp,
@@ -34,7 +37,7 @@ from hlmax.errors import (
 )
 from hlmax.maxengine import event_centered, frequency_pieces, oracle_centered
 from hlmax.signal import Block, BlockSignal, norm_l1, support_bounds, translate
-from hlmax.values import Ordering, rational_str
+from hlmax.values import Ordering, int_str, parse_rational, rational_str
 
 F = Fraction
 
@@ -168,9 +171,15 @@ class TestTheorem27Goldens:
 
     def test_scale_minimality_certified(self):
         # Each N_k is the first integer admitted: its predecessor must fail
-        # the threshold g(N) >= max(2, (5/4) 2^k) or the separation rule.
-        targets = [F(5, 2), F(5), F(10), F(20)]
-        for n, t in zip(self.N_GOLD, targets):
+        # the threshold g(N) >= max(2, (5/4) 2^k).  Through k = 13 (N_13
+        # about 2^14774) the comparisons at N_k - 1 sit within 2^-bitlen(N)
+        # of the target, so cmp_at must escalate to about bitlen(N) bits.
+        _, cert = build_theorem27(LOG, 13)
+        assert cert.N[:4] == self.N_GOLD
+        assert cert.all_satisfied()
+        assert 14770 < cert.N[-1].bit_length() < 14780
+        for k, n in enumerate(cert.N, start=1):
+            t = max(F(2), F(5, 4) * 2**k)
             assert LOG.cmp_at(n, t) is not Ordering.LESS
             assert LOG.cmp_at(n - 1, t) is Ordering.LESS
 
@@ -243,6 +252,82 @@ class TestTheorem27Goldens:
             build_theorem27(LOG, 2, variant="semi")
         with pytest.raises(ParameterViolation):
             build_theorem27(LOG, 2, mode="loose")
+
+
+_SCALE_GOLDENS = json.loads((Path(__file__).parent / "t27_scales_golden.json").read_text())
+
+
+class TestTheorem27ScaleGoldens:
+    """N_k and L_k of every paper_exact build that the doubling and
+    bisection search reached, frozen from that search as decimal strings:
+    the inverse of g must reproduce each one."""
+
+    @pytest.mark.parametrize(
+        "gold",
+        _SCALE_GOLDENS,
+        ids=[f"{d['kind']}-{d['beta']}-{d['variant']}" for d in _SCALE_GOLDENS],
+    )
+    def test_scales_reproduced(self, gold):
+        beta = None if gold["beta"] is None else parse_rational(gold["beta"])
+        g = GrowthSpec(gold["kind"], beta)
+        _, cert = build_theorem27(g, len(gold["N"]), variant=gold["variant"])
+        assert [int_str(n) for n in cert.N] == gold["N"]
+        assert [int_str(x) for x in cert.L] == gold["L"]
+
+
+def _reference_smallest(g, k, lower, need_l_ge_2, doublings):
+    """The doubling and bisection search over the admissibility predicate;
+    None when no admissible N shows up within the given doublings."""
+    target = max(F(2), F(5, 4) * 2**k)
+
+    def admissible(n):
+        if g.cmp_at(n, target) is Ordering.LESS:
+            return False
+        o = g.cmp_at(n, F(n))
+        return o is Ordering.LESS or (not need_l_ge_2 and o is Ordering.EQUAL)
+
+    if admissible(lower):
+        return lower
+    hi = lower
+    for _ in range(doublings):
+        hi *= 2
+        if admissible(hi):
+            break
+    else:
+        return None
+    lo = hi // 2
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if admissible(mid) else (mid, hi)
+    return hi
+
+
+class TestInverseMatchesBisection:
+    REACH = 256  # doublings the reference may take
+
+    @given(
+        kind=st.sampled_from(["log", "loglog", "logpow", "power"]),
+        beta=st.sampled_from([F(1, 4), F(1, 3), F(1, 2), F(2, 3), F(3, 5)]),
+        k=st.integers(1, 5),
+        lower=st.integers(4, 10**6),
+        need_l_ge_2=st.booleans(),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_same_scale_wherever_the_reference_decides(self, kind, beta, k, lower, need_l_ge_2):
+        g = GrowthSpec(kind, beta if kind in ("logpow", "power") else None)
+        ref = _reference_smallest(g, k, lower, need_l_ge_2, self.REACH)
+        if ref is not None:
+            assert _smallest_admissible(g, k, lower, need_l_ge_2, DEFAULT_LIMITS) == ref
+
+    def test_doubling_cap_decided_exactly_at_its_edge(self):
+        # sqrt(N) >= (5/4) 2^k holds from N = (25/16) 4^k: about 2^20000.6
+        # at k = 10000 and 2^20002.6 at k = 10001, both within a few bits of
+        # the cap 4 * 2^20000, where one predicate evaluation decides
+        g = GrowthSpec("power", beta=F(1, 2))
+        assert _smallest_admissible(g, 10000, 4, True, DEFAULT_LIMITS) == 25 << 19996
+        refusal = "no admissible N within 20000 doublings from 4$"
+        with pytest.raises(InfeasibleConstraint, match=refusal):
+            _smallest_admissible(g, 10001, 4, True, DEFAULT_LIMITS)
 
 
 class TestBlockDominanceMatchesSignal:

@@ -15,6 +15,7 @@ from mpmath.libmp import from_man_exp, round_ceiling, round_floor
 
 import hlmax.values
 from hlmax import continuum
+from hlmax.config import DEFAULT_LIMITS
 from hlmax.continuum import StepFunction, maximal_centered_cont
 from hlmax.errors import ParameterViolation
 from hlmax.signal import Block, BlockSignal
@@ -23,7 +24,9 @@ from hlmax.values import (
     Enclosure,
     Ordering,
     compare,
+    escalate,
     exact_bounds,
+    exp_of_value,
     fraction_to_enclosure,
     int_str,
     iroot,
@@ -362,6 +365,47 @@ class TestLogs:
     def test_ln_rejects_nonpositive(self):
         with pytest.raises(ParameterViolation):
             ln_value(0, DEFAULT_PRECISION)
+
+    @given(
+        lo=fractions_st,
+        width=st.fractions(0, 1, max_denominator=64),
+        prec=st.sampled_from([64, 256, 2048]),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_exp_of_value_contains_exp(self, lo, width, prec):
+        v = lo if width == 0 else Enclosure(lo, lo + width)
+        elo, ehi = exact_bounds(exp_of_value(v, prec))
+        vlo, vhi = exact_bounds(v)
+        with mpmath.workprec(2 * prec + 64):
+            tlo = mpmath.exp(mpmath.mpf(vlo.numerator) / vlo.denominator)
+            thi = mpmath.exp(mpmath.mpf(vhi.numerator) / vhi.denominator)
+        assert elo < mpf_fraction(tlo) and mpf_fraction(thi) < ehi
+        # outward by at most a few ulp at prec bits beyond the input's width
+        assert elo > mpf_fraction(tlo) * (1 - Fraction(1, 2 ** (prec - 2)))
+        assert ehi < mpf_fraction(thi) * (1 + Fraction(1, 2 ** (prec - 2)))
+
+
+class TestEscalate:
+    def test_ladder(self):
+        seen = []
+
+        def undecided(lim):
+            seen.append(lim.precision)
+
+        assert escalate(DEFAULT_LIMITS, undecided) is None
+        assert seen == [256, 512, 1024]  # working precision times 1, 2, 4
+        seen.clear()
+        # a top past 4x keeps doubling while the rung stays within it
+        assert escalate(DEFAULT_LIMITS, undecided, 4 * (14774 + 64)) is None
+        assert seen == [256 << i for i in range(8)]
+        seen.clear()
+        assert escalate(DEFAULT_LIMITS, lambda lim: seen.append(lim.precision) or 7) == 7
+        assert seen == [256]
+        seen.clear()
+        # the rung count is fixed up front, so a precision of 0, which never
+        # doubles its way to top, still ends
+        assert escalate(DEFAULT_LIMITS.with_(precision=0), undecided, 1024) is None
+        assert seen == [0] * 11
 
 
 # Reference for the integer enclosure arithmetic: every operation done as
