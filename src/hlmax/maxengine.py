@@ -34,7 +34,12 @@ cross-multiplying window bounds with the window lengths, and the peak
 searches' signs are read the same way, each decision widened by a margin
 that covers the roundings of the enclosure path, which decides whatever the
 bounds leave open.  Only the reported value is rounded: the winner's average
-is computed once.
+is computed once.  Like the kink walk, they skip a power-law stretch, peak
+search included, whose end window's mass over its shortest length cannot
+beat the best, and stop where the largest window's mass cannot
+(_Best.cannot_win), each skip decided only where every window it drops
+would lose its own comparison.  A signal whose windows window_sum may
+refuse is walked unpruned, peak searches first (_refusable).
 """
 
 from __future__ import annotations
@@ -44,7 +49,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, repeat
-from typing import Optional, Union
+from typing import Optional, Sequence, Union
 
 from .config import DEFAULT_LIMITS, Limits
 from .continuum import StepLayout, tangent_count
@@ -156,7 +161,7 @@ def _best(cands) -> tuple:
     pairs, with the smallest key among exact ties.  A comparison the
     enclosures cannot decide keeps the current best, clears certified and
     widens gap to the overlap width.  The oracles' reference path: the event
-    engines select by _best_window, which keeps these update rules."""
+    engines select by _Best, which keeps these update rules."""
     best_v: Optional[Value] = None
     best_k = 0
     certified = True
@@ -239,45 +244,106 @@ def _decided_sign(sig: BlockSignal, limits: Limits, windows, attempt) -> Optiona
     return escalate(limits, attempt) if s is None else s
 
 
-def _best_window(sig: BlockSignal, cands, limits: Limits, average) -> tuple:
-    """(value, key, certified, gap) as _best gives for the averages
-    average(a, b) of the windows (key, a, b) in cands.
+def _refusable(sig: BlockSignal, limits: Limits) -> bool:
+    """Whether window_sum may refuse a window of sig: some power-law block
+    is longer than powerlaw_sum_cap.  The power-law engines then prune
+    nothing and run every peak search before their first comparison, so a
+    refusal names the first window that trying every candidate meets in
+    that order, whatever a skip would have dropped."""
+    return any(
+        isinstance(b.amp, PowerLaw) and b.length > limits.powerlaw_sum_cap for b in sig.blocks
+    )
+
+
+class _Best:
+    """The running best, by _best's update rules, of the averages
+    average(a, b) of the windows (key, a, b) offered in turn.
 
     Two windows compare by _bounds_sign on their window_bounds
     cross-multiplied by the window lengths; a comparison that leaves open
     compares the two averages as _best does, so each decision and the
     certified and gap flags are _best's.  On an exact tie the first window
-    stays, with the smaller key.  cands is never empty.  The winner's
-    average is computed once."""
-    best = None
-    best_v: Optional[Value] = None
-    certified = True
-    gap = Fraction(0)
-    for k, a, b in cands:
-        wb = window_bounds(sig, a, b, limits)
-        if best is None:
-            best = (k, a, b, wb)
-            continue
-        bk, ba, bb, bwb = best
-        s = _bounds_sign(sig, limits, ((bb - ba + 1, wb), (a - b - 1, bwb)))
+    stays, with the smaller key.  The winner's average is computed once.
+    cannot_win tells a walk which windows it may skip, unless prune is
+    False."""
+
+    __slots__ = ("sig", "limits", "average", "prune", "win", "value", "certified", "gap", "_held")
+
+    def __init__(self, sig: BlockSignal, limits: Limits, average, prune: bool) -> None:
+        self.sig, self.limits, self.average, self.prune = sig, limits, average, prune
+        self.win: Optional[tuple] = None  # (key, a, b, window_bounds)
+        self.value: Optional[Value] = None  # the winner's average, once computed
+        self.certified = True
+        self.gap = Fraction(0)
+        self._held: dict = {}  # [bounds, sum] of the windows cannot_win reads
+
+    def best_value(self) -> Value:
+        if self.value is None:
+            self.value = self.average(self.win[1], self.win[2])
+        return self.value
+
+    def offer(self, k: int, a: int, b: int) -> None:
+        wb = window_bounds(self.sig, a, b, self.limits)
+        if self.win is None:
+            self.win = (k, a, b, wb)
+            return
+        bk, ba, bb, bwb = self.win
+        s = _bounds_sign(self.sig, self.limits, ((bb - ba + 1, wb), (a - b - 1, bwb)))
         v = None
         if s is None:
-            if best_v is None:
-                best_v = average(ba, bb)
-            v = average(a, b)
+            best_v = self.best_value()
+            v = self.average(a, b)
             c = compare(v, best_v)
             if c is Ordering.INDETERMINATE:
-                certified = False
-                gap = max(gap, overlap_width(v, best_v))
-                continue
+                self.certified = False
+                self.gap = max(self.gap, overlap_width(v, best_v))
+                return
             s = c.value
         if s > 0:
-            best, best_v = (k, a, b, wb), v
+            self.win, self.value = (k, a, b, wb), v
         elif s == 0:
-            best = (min(bk, k), ba, bb, bwb)
-    if best_v is None:
-        best_v = average(best[1], best[2])
-    return best_v, best[0], certified, gap
+            self.win = (min(bk, k), ba, bb, bwb)
+
+    def cannot_win(self, a: int, b: int, length: int, strict: bool) -> bool:
+        """Whether offer would keep the best for every window inside
+        [a, b] at least length long: f >= 0, so S / length, S the mass of
+        [a, b], bounds their averages from above.  True when that bound
+        decides below the best average, or, unless strict, equal to it: a
+        tie keeps the best's window and takes the smaller key, so a walk in
+        ascending keys may drop ties too.
+
+        It decides as offer does: by _bounds_sign on the window_bounds of
+        [a, b] against the best's, then where they leave it open by offer's
+        own comparison at the working precision, S / length in place of a
+        window's average.  Every rounding of window_sum and v_div_posint is
+        outward and monotone, and such a window's parts are parts of
+        [a, b], so the upper end of its average lies at or below that of
+        S / length: a loss decided here is one offer decides, on its bounds
+        or its enclosures, which neither clears certified nor widens gap.
+        Unlike _decided_sign it does not escalate, as a higher precision
+        would not bound offer's comparison, so an undecided test drops
+        nothing.  The bounds and sum of [a, b] are read once per window."""
+        if self.win is None or not self.prune:
+            return False
+        _, ba, bb, bwb = self.win
+        held = self._held.get((a, b))
+        if held is None:
+            held = self._held[(a, b)] = [window_bounds(self.sig, a, b, self.limits), None]
+        s = _bounds_sign(self.sig, self.limits, ((bb - ba + 1, held[0]), (-length, bwb)))
+        if s is None:
+            if held[1] is None:
+                held[1] = window_sum(self.sig, a, b, self.limits)
+            avg = v_div_posint(held[1], length, self.limits.precision)
+            c = compare(avg, self.best_value())
+            if c is Ordering.INDETERMINATE:
+                return False
+            s = c.value
+        return s < 0 or (s == 0 and not strict)
+
+    def result(self) -> tuple:
+        """(value, key, certified, gap) as _best gives; at least one window
+        was offered."""
+        return self.best_value(), self.win[0], self.certified, self.gap
 
 
 class _PeakState:
@@ -325,10 +391,21 @@ def _h_sign(sig: BlockSignal, n: int, r: int, limits: Limits, state: _PeakState)
     return s
 
 
+def _pl_stretch(sig: BlockSignal, n: int, r1: int, r2: int) -> bool:
+    """Whether the event radii r1 < r2 leave radii between them and a moving
+    edge of the centered window at n sits in a power-law region there."""
+    return r2 - r1 >= 2 and (
+        isinstance(region_at(sig, n - r1 - 1), PowerLaw)
+        or isinstance(region_at(sig, n + r1 + 1), PowerLaw)
+    )
+
+
 def _centered_stretch_peaks(
-    sig: BlockSignal, n: int, r1: int, r2: int, limits: Limits, out: set, state: _PeakState
-) -> None:
-    """Add interior peak radii of A over the event-free stretch (r1, r2).
+    sig: BlockSignal, n: int, r1: int, r2: int, limits: Limits, state: _PeakState
+) -> Sequence[int]:
+    """Interior peak radii of A over the event-free stretch (r1, r2), in
+    ascending order, for a stretch with a moving edge in a power-law
+    region.
 
     Both moving edges stay inside single amplitude regions for r in
     [r1, r2 - 1] (a boundary crossing inside the stretch would itself be an
@@ -337,13 +414,9 @@ def _centered_stretch_peaks(
     region makes delta(r) = f(n-r-1) + f(n+r+1) convex, so the increment sign
     h(r) = (2r+1) delta(r) - 2 N(r) is valley-shaped and crosses from + to -
     at most once; the crossing is found by two monotone binary searches."""
-    left_amp = region_at(sig, n - r1 - 1)
-    right_amp = region_at(sig, n + r1 + 1)
-    if not isinstance(left_amp, PowerLaw) and not isinstance(right_amp, PowerLaw):
-        return
     if r2 - r1 <= _ENUM_STRETCH:
-        out.update(range(r1 + 1, r2))
-        return
+        return range(r1 + 1, r2)
+    out = set()
     sub = _PeakState()
     # valley bottom of h: first r in [r1, r2-2] whose delta-step is >= 0
     lo_r, hi_r = r1, r2 - 2
@@ -382,27 +455,9 @@ def _centered_stretch_peaks(
         # sign calls stayed undecided at max precision: enumerate when the
         # stretch is small enough, otherwise surface the uncertainty
         if r2 - r1 <= _ENUM_FALLBACK:
-            out.update(range(r1 + 1, r2))
-        else:
-            state.uncertified = True
-
-
-def _candidate_radii(sig: BlockSignal, n: int, r_cap: int, limits: Limits, state: _PeakState) -> list:
-    """Event radii (edge meets boundary, +-1) plus interior power-law peaks,
-    for a signal with a power-law block (one with a layout walks instead)."""
-    cand = {0, r_cap}
-    for b in sig.boundaries():
-        base = abs(n - b)
-        for d in (-1, 0, 1):
-            r = base + d
-            if 0 <= r <= r_cap:
-                cand.add(r)
-    ordered = sorted(cand)
-    extra: set = set()
-    for r1, r2 in zip(ordered, ordered[1:]):
-        if r2 - r1 >= 2:
-            _centered_stretch_peaks(sig, n, r1, r2, limits, extra, state)
-    return sorted(cand | extra)
+            return range(r1 + 1, r2)
+        state.uncertified = True
+    return sorted(out)
 
 
 def event_centered(sig: Signal, n: int, limits: Limits = DEFAULT_LIMITS) -> CenteredResult:
@@ -418,11 +473,17 @@ def event_centered(sig: Signal, n: int, limits: Limits = DEFAULT_LIMITS) -> Cent
     outside [lo, hi] takes one bisect over the layout's tangent switch
     points instead (StepLayout.outside_chord), whose chord gives both the
     radius and the window mass, so it costs the same at any distance.
-    Power-law
-    signals evaluate the event radii (edges meeting boundaries, +-1) plus
-    the interior peaks of power-law stretches; Mobius monotonicity between
-    events and the peak searches make that candidate set complete both for
-    the maximum and for the minimal radius attaining it."""
+
+    Power-law signals walk the event radii (edges meeting boundaries, +-1)
+    in ascending order, each followed by the interior peaks of the
+    power-law stretch up to the next; Mobius monotonicity between events
+    and the peak searches make that candidate set complete both for the
+    maximum and for the minimal radius attaining it.  The walk prunes by
+    the same end-mass bound as the kink walk: it skips a stretch (r1, r2),
+    peak search included, whose window of radius r2 - 1 has a mass over
+    2 r1 + 3 that cannot beat the best, and it stops at the first event
+    radius r at which the mass of the whole support over 2r + 1 cannot, as
+    ties keep the smaller radius (_Best.cannot_win)."""
     blocks = as_blocks(sig)
     lay = blocks.layout
     if lay is not None:
@@ -435,14 +496,33 @@ def event_centered(sig: Signal, n: int, limits: Limits = DEFAULT_LIMITS) -> Cent
         num = window_sum_scaled(blocks, n - r, n + r)
         return CenteredResult(n, Fraction(num, lay.dy * (2 * r + 1)), r, True)
     r_cap = search_bound_centered(blocks, n)
+    events = {0, r_cap}
+    for b in blocks.boundaries():
+        base = abs(n - b)
+        events.update(r for r in (base - 1, base, base + 1) if 0 <= r <= r_cap)
+    events = sorted(events)
     state = _PeakState()
-    cands = _candidate_radii(blocks, n, r_cap, limits, state)
-    windows = ((r, n - r, n + r) for r in cands)
-
-    def average(a: int, b: int) -> Value:
-        return average_centered(blocks, n, n - a, limits)
-
-    best_v, best_r, certified, gap = _best_window(blocks, windows, limits, average)
+    eager = _refusable(blocks, limits)
+    best = _Best(
+        blocks, limits, lambda a, b: average_centered(blocks, n, n - a, limits), prune=not eager
+    )
+    peaks = {}
+    if eager:
+        for r1, r2 in zip(events, events[1:]):
+            if _pl_stretch(blocks, n, r1, r2):
+                peaks[r1] = _centered_stretch_peaks(blocks, n, r1, r2, limits, state)
+    for r1, r2 in zip(events, events[1:] + [r_cap]):
+        if best.cannot_win(n - r_cap, n + r_cap, 2 * r1 + 1, False):
+            break
+        best.offer(r1, n - r1, n + r1)
+        if not _pl_stretch(blocks, n, r1, r2) or best.cannot_win(
+            n - r2 + 1, n + r2 - 1, 2 * r1 + 3, False
+        ):
+            continue
+        inner = peaks[r1] if eager else _centered_stretch_peaks(blocks, n, r1, r2, limits, state)
+        for r in inner:
+            best.offer(r, n - r, n + r)
+    best_v, best_r, certified, gap = best.result()
     certified = certified and not state.uncertified
     return CenteredResult(n, best_v, best_r, certified, gap if not certified else None)
 
@@ -895,13 +975,21 @@ def event_uncentered(sig: Signal, n: int, limits: Limits = DEFAULT_LIMITS) -> Un
     attaining it the one with the largest left edge and the smallest right
     edge, which has the minimal diameter, is reported.  A point outside the
     support pins the near edge at n and finds the far one by one bisect
-    over the layout's tangent switch points, at any distance.  Power-law signals
-    try every candidate pair: for fixed right edge the average is
-    valley-shaped in the left edge (constant regions: monotone Mobius;
-    power-law regions: leftward extension meets non-decreasing values), so
-    left edges only matter at stretch endpoints; for fixed left edge the
-    average is unimodal in the right edge across power-law stretches, with
-    the single interior peak located by a monotone binary search."""
+    over the layout's tangent switch points, at any distance.
+
+    Power-law signals try the candidate pairs: for fixed right edge the
+    average is valley-shaped in the left edge (constant regions: monotone
+    Mobius; power-law regions: leftward extension meets non-decreasing
+    values), so left edges only matter at stretch endpoints; for fixed left
+    edge the average is unimodal in the right edge across power-law
+    stretches, with the single interior peak located by a monotone binary
+    search.  For each left edge l the right edges are walked in ascending
+    order and pruned by the kink walk's end-mass bound: a power-law stretch
+    (u1, u2), peak search included, is skipped when the mass of
+    [l, u2 - 1] over u1 - l + 2 loses to the best, and the walk moves on to
+    the next l at the first u at which the mass of [l, n + s_max] over
+    u - l + 1 does.  Only strict losses prune, as a tie goes to the smaller
+    diameter and the windows are not visited in diameter order."""
     blocks = as_blocks(sig)
     if blocks.layout is not None:
         return _uncentered_hull(blocks.layout, n)
@@ -916,33 +1004,42 @@ def event_uncentered(sig: Signal, n: int, limits: Limits = DEFAULT_LIMITS) -> Un
                 l_set.add(p)
             if n <= p <= u_high:
                 u_set.add(p)
-    l_cands = sorted(l_set)
     u_cands = sorted(u_set)
+    pl_ends = {
+        u1: u2
+        for u1, u2 in zip(u_cands, u_cands[1:])
+        if u2 - u1 >= 2 and isinstance(region_at(blocks, u1 + 1), PowerLaw)
+    }
     state = _PeakState()
-    pl_stretches = []
-    for u1, u2 in zip(u_cands, u_cands[1:]):
-        if u2 - u1 >= 2 and isinstance(region_at(blocks, u1 + 1), PowerLaw):
-            pl_stretches.append((u1, u2))
-
-    def windows():
-        for l in l_cands:
-            u_all = list(u_cands)
-            for u1, u2 in pl_stretches:
-                if u2 - u1 <= _ENUM_STRETCH:
-                    u_all.extend(range(u1 + 1, u2))
-                else:
-                    peak = _u_peak(blocks, l, u1, u2, limits, state)
-                    if peak is not None:
-                        for u in (peak - 1, peak, peak + 1):
-                            if u1 < u < u2:
-                                u_all.append(u)
-            for u in sorted(set(u_all)):
-                yield u - l, l, u
-
-    def average(a: int, b: int) -> Value:
-        return average_uncentered(blocks, n, n - a, b - n, limits)
-
-    best_v, best_diam, certified, gap = _best_window(blocks, windows(), limits, average)
+    eager = _refusable(blocks, limits)
+    best = _Best(
+        blocks,
+        limits,
+        lambda a, b: average_uncentered(blocks, n, n - a, b - n, limits),
+        prune=not eager,
+    )
+    long_ends = {u1: u2 for u1, u2 in pl_ends.items() if u2 - u1 > _ENUM_STRETCH}
+    for l in sorted(l_set):
+        peaks = {}
+        if eager:
+            for u1, u2 in long_ends.items():
+                peaks[u1] = _u_peak(blocks, l, u1, u2, limits, state)
+        for u1 in u_cands:
+            if best.cannot_win(l, u_high, u1 - l + 1, True):
+                break
+            best.offer(u1 - l, l, u1)
+            u2 = pl_ends.get(u1)
+            if u2 is None or best.cannot_win(l, u2 - 1, u1 - l + 2, True):
+                continue
+            if u1 not in long_ends:
+                inner = range(u1 + 1, u2)
+            else:
+                peak = peaks[u1] if eager else _u_peak(blocks, l, u1, u2, limits, state)
+                inner = () if peak is None else (peak - 1, peak, peak + 1)
+            for u in inner:
+                if u1 < u < u2:
+                    best.offer(u - l, l, u)
+    best_v, best_diam, certified, gap = best.result()
     certified = certified and not state.uncertified
     return UncenteredResult(n, best_v, best_diam, certified, gap if not certified else None)
 

@@ -507,7 +507,7 @@ PL_ALPHAS = (Fraction(1, 2), Fraction(1, 3), Fraction(2, 3), Fraction(3, 5))
 
 
 @st.composite
-def pl_mixed_signals(draw):
+def pl_mixed_signals(draw, max_length=160, gaps=(0, 0, 1, 7, 30, 300)):
     """One to three blocks, at least one of them power-law, the others
     power-law or constant, with or without gaps between them."""
     count = draw(st.integers(1, 3))
@@ -515,13 +515,13 @@ def pl_mixed_signals(draw):
     pos = draw(st.integers(1, 20))
     blocks = []
     for i in range(count):
-        length = draw(st.integers(1, 160))
+        length = draw(st.integers(1, max_length))
         if i == pl_at or draw(st.booleans()):
             amp = PowerLaw(draw(st.sampled_from(PL_ALPHAS)))
         else:
             amp = draw(st.fractions(Fraction(1, 40), Fraction(2), max_denominator=40))
         blocks.append(Block(pos, pos + length - 1, amp))
-        pos += length + draw(st.sampled_from([0, 0, 1, 7, 30, 300]))
+        pos += length + draw(st.sampled_from(gaps))
     return BlockSignal(blocks)
 
 
@@ -701,6 +701,107 @@ class TestPowerLawQueriesOnBounds:
         for nk in cert.extras["n_k"]:
             with pytest.raises(PowerLawRangeTooLarge):
                 event_centered(sig, parse_int(nk))
+
+
+class TestPowerLawPruningKeepsAnswers:
+    """The power-law engines drop candidates by _Best.cannot_win; with it
+    never firing they try every candidate, as before it existed."""
+
+    @staticmethod
+    def unpruned(monkeypatch):
+        monkeypatch.setattr(hlmax.maxengine._Best, "cannot_win", lambda *args: False)
+
+    @pytest.mark.parametrize("prec", [6, 16, 24, 256])
+    def test_results_identical_without_pruning(self, prec, monkeypatch):
+        rng = random.Random(prec + 1)
+        queries = []
+        for sig in mixed_pl_signals(prec + 1, 10):
+            lo, hi = support_bounds(sig)
+            queries += [(sig, rng.randint(lo - 10, hi + 10)) for _ in range(4)]
+        lim = Limits(precision=prec)
+
+        def keys(limits):
+            return [
+                result_key(engine(sig, n, limits))
+                for sig, n in queries
+                for engine in (event_centered, event_uncentered)
+            ]
+
+        def run():
+            # on the bounds, term by term without tables, on the enclosures
+            out = keys(lim) + keys(lim.with_(prefix_cache_cap=0))
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(hlmax.maxengine, "_bounds_sign", lambda *args: None)
+                return out + keys(lim)
+
+        pruned = run()
+        self.unpruned(monkeypatch)
+        assert run() == pruned
+        if prec == 16:  # the uncertified flags and gaps are compared too
+            assert any(not key[3] for key in pruned)
+
+    @pytest.mark.parametrize("spec", LP_WORKLOAD)
+    def test_fewer_peak_signs_at_the_anchors(self, spec, monkeypatch):
+        p, alpha, n1, g = spec
+        sig, cert = build_theorem29_lp(
+            Fraction(p), Fraction(alpha), 3, "relaxed", n1=n1, growth_factor=g
+        )
+        nks = [parse_int(s) for s in cert.extras["n_k"]]
+        for n in nks:  # builds the prefix tables
+            event_centered(sig, n)
+        calls = []
+        h_sign = hlmax.maxengine._h_sign
+        monkeypatch.setattr(
+            hlmax.maxengine, "_h_sign", lambda *args: calls.append(1) or h_sign(*args)
+        )
+
+        def count():
+            calls.clear()
+            radii = [event_centered(sig, n).radius for n in nks]
+            return len(calls), radii
+
+        pruned, radii = count()
+        self.unpruned(monkeypatch)
+        full, full_radii = count()
+        assert radii == full_radii == cert.L
+        assert pruned < full
+
+
+    def test_refusals_name_the_window_of_the_unpruned_walk(self):
+        # each anchor of the paper instance meets a block longer than
+        # powerlaw_sum_cap; the refusal names the intersection that trying
+        # every candidate, peak searches first, meets first: block k's
+        sig, cert = build_theorem29_lp(Fraction(2), Fraction(3, 5), 2, "paper_exact")
+        for nk, blk in zip(cert.extras["n_k"], sig.blocks):
+            with pytest.raises(PowerLawRangeTooLarge, match=f"length {blk.length} exceeds"):
+                event_centered(sig, parse_int(nk))
+
+
+class TestPowerLawEnginesAgainstOracles:
+    """Both power-law engines against the brute-force oracles on random
+    power-law and mixed signals, blocks long enough for the peak searches;
+    the uncentered oracle's quadratic grid keeps its points near an end."""
+
+    @given(pl_mixed_signals(gaps=(0, 0, 1, 7)), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_centered(self, sig, data):
+        lo, hi = support_bounds(sig)
+        n = data.draw(st.integers(lo - 3, hi + 3))
+        ev, oc = event_centered(sig, n), oracle_centered(sig, n)
+        assert ev.certified and oc.certified
+        assert ev.radius == oc.radius
+        assert compare(ev.max_value, oc.max_value) in (Ordering.EQUAL, Ordering.INDETERMINATE)
+
+    @given(pl_mixed_signals(gaps=(0, 0, 1, 7)), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_uncentered(self, sig, data):
+        lo, hi = support_bounds(sig)
+        k = data.draw(st.integers(-3, 6))
+        n = data.draw(st.sampled_from([lo + k, hi - k]))
+        ev, ou = event_uncentered(sig, n), oracle_uncentered(sig, n)
+        assert ev.certified and ou.certified
+        assert ev.min_diameter == ou.min_diameter
+        assert compare(ev.max_value, ou.max_value) in (Ordering.EQUAL, Ordering.INDETERMINATE)
 
 
 values_st = st.lists(
