@@ -1003,17 +1003,21 @@ def verify_theorem29_lp(
     """Check r_{n_k} = L_k at each probe point n_k = N_k + L_k + 1 where the
     power-law block sums stay under the summation cap, and the ratio window
     r/n_k in [1/8, 7/8] within 1/50 of 1/4 at the largest verifiable k.
-    Blocks beyond the cap are reported unverifiable, never silently skipped."""
+    Anchors refused by the cap, and anchors whose engine result is
+    uncertified at limits.precision, are reported unverifiable with their
+    cause, never silently skipped or failed."""
     sig, cert = build_theorem29_lp(p, alpha, k_max, mode, n1, growth_factor, limits)
     claims: list = []
     ns, ls = cert.N, cert.L
     nks = [parse_int(s) for s in cert.extras["n_k"]]
     last_verified: Optional[int] = None
+    refused = 0
     for k in range(1, k_max + 1):
         l, nk = ls[k - 1], nks[k - 1]
         try:
             res = event_centered(sig, nk, limits)
         except PowerLawRangeTooLarge as exc:
+            refused += 1
             _claim(
                 claims,
                 f"anchor_k{k}",
@@ -1029,7 +1033,7 @@ def verify_theorem29_lp(
         _claim(
             claims,
             f"anchor_k{k}",
-            "pass" if good else "fail",
+            "pass" if good else "fail" if res.certified else "unverifiable",
             basis,
             f"r = {int_str(res.radius)} vs claimed {int_str(l)}; value {value_str(res.max_value)}"
             + ("" if res.certified else f"; uncertified, gap {value_str(res.gap)}"),
@@ -1054,6 +1058,8 @@ def verify_theorem29_lp(
             "ratio",
             "unverifiable",
             "exact",
-            "no anchor point verifiable under the summation cap",
+            "no anchor point verifiable under the summation cap"
+            if refused == k_max
+            else "no certified anchor at r = L_k",
         )
     return _report("theorem29-lp", cert, claims, limits)

@@ -38,8 +38,10 @@ is computed once.  Like the kink walk, they skip a power-law stretch, peak
 search included, whose end window's mass over its shortest length cannot
 beat the best, and stop where the largest window's mass cannot
 (_Best.cannot_win), each skip decided only where every window it drops
-would lose its own comparison.  A signal whose windows window_sum may
-refuse is walked unpruned, peak searches first (_refusable).
+would lose its own comparison.  A signal with a power-law block past
+powerlaw_sum_cap is refused before any window is read
+(signal.refuse_past_cap): every search reaches the whole support, so the
+walk would sum that block whole.
 """
 
 from __future__ import annotations
@@ -60,6 +62,7 @@ from .signal import (
     Signal,
     as_blocks,
     eval_at,
+    refuse_past_cap,
     region_at,
     support_bounds,
     window_bounds,
@@ -182,8 +185,7 @@ def _bounds_sign(sig: BlockSignal, limits: Limits, terms) -> Optional[int]:
     """Sign of sum c * S over terms (c, bounds), S the sum of f over a
     window and bounds its window_bounds, decided on the exact integers: +1,
     -1, 0 (only when no window meets a power-law block, so every S is
-    exact), or None when some bounds are None or the widened interval
-    holds 0.
+    exact), or None when the widened interval holds 0.
 
     The enclosure path evaluates the same combination at p =
     limits.precision, and each of its outward roundings moves a bound by
@@ -209,8 +211,6 @@ def _bounds_sign(sig: BlockSignal, limits: Limits, terms) -> Optional[int]:
         return None
     shift, den = 0, 1
     for _, b in terms:
-        if b is None:
-            return None
         shift = max(shift, b[2])
         if b[3] != 1:
             den = math.lcm(den, b[3])
@@ -244,17 +244,6 @@ def _decided_sign(sig: BlockSignal, limits: Limits, windows, attempt) -> Optiona
     return escalate(limits, attempt) if s is None else s
 
 
-def _refusable(sig: BlockSignal, limits: Limits) -> bool:
-    """Whether window_sum may refuse a window of sig: some power-law block
-    is longer than powerlaw_sum_cap.  The power-law engines then prune
-    nothing and run every peak search before their first comparison, so a
-    refusal names the first window that trying every candidate meets in
-    that order, whatever a skip would have dropped."""
-    return any(
-        isinstance(b.amp, PowerLaw) and b.length > limits.powerlaw_sum_cap for b in sig.blocks
-    )
-
-
 class _Best:
     """The running best, by _best's update rules, of the averages
     average(a, b) of the windows (key, a, b) offered in turn.
@@ -264,13 +253,12 @@ class _Best:
     compares the two averages as _best does, so each decision and the
     certified and gap flags are _best's.  On an exact tie the first window
     stays, with the smaller key.  The winner's average is computed once.
-    cannot_win tells a walk which windows it may skip, unless prune is
-    False."""
+    cannot_win tells a walk which windows it may skip."""
 
-    __slots__ = ("sig", "limits", "average", "prune", "win", "value", "certified", "gap", "_held")
+    __slots__ = ("sig", "limits", "average", "win", "value", "certified", "gap", "_held")
 
-    def __init__(self, sig: BlockSignal, limits: Limits, average, prune: bool) -> None:
-        self.sig, self.limits, self.average, self.prune = sig, limits, average, prune
+    def __init__(self, sig: BlockSignal, limits: Limits, average) -> None:
+        self.sig, self.limits, self.average = sig, limits, average
         self.win: Optional[tuple] = None  # (key, a, b, window_bounds)
         self.value: Optional[Value] = None  # the winner's average, once computed
         self.certified = True
@@ -322,8 +310,11 @@ class _Best:
         or its enclosures, which neither clears certified nor widens gap.
         Unlike _decided_sign it does not escalate, as a higher precision
         would not bound offer's comparison, so an undecided test drops
-        nothing.  The bounds and sum of [a, b] are read once per window."""
-        if self.win is None or not self.prune:
+        nothing.  The bounds and sum of [a, b] are read once per window.
+        Nothing it reads is refused, as the engines refuse a signal past
+        powerlaw_sum_cap before their walks, so a skip never changes which
+        query is refused or what the refusal says."""
+        if self.win is None:
             return False
         _, ba, bb, bwb = self.win
         held = self._held.get((a, b))
@@ -391,6 +382,23 @@ def _h_sign(sig: BlockSignal, n: int, r: int, limits: Limits, state: _PeakState)
     return s
 
 
+def _first_true(pred, lo: int, hi: int) -> int:
+    """Smallest x in [lo, hi] with pred(x), or hi + 1 when there is none,
+    for a pred that is false and then true on [lo, hi].  Tries lo, then hi,
+    then bisects between them."""
+    if pred(lo):
+        return lo
+    if not pred(hi):
+        return hi + 1
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if pred(mid):
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
 def _pl_stretch(sig: BlockSignal, n: int, r1: int, r2: int) -> bool:
     """Whether the event radii r1 < r2 leave radii between them and a moving
     edge of the centered window at n sits in a power-law region there."""
@@ -416,48 +424,19 @@ def _centered_stretch_peaks(
     at most once; the crossing is found by two monotone binary searches."""
     if r2 - r1 <= _ENUM_STRETCH:
         return range(r1 + 1, r2)
-    out = set()
     sub = _PeakState()
     # valley bottom of h: first r in [r1, r2-2] whose delta-step is >= 0
-    lo_r, hi_r = r1, r2 - 2
-    if _delta_step_sign(sig, n, lo_r, limits, sub) >= 0:
-        m = lo_r
-    elif _delta_step_sign(sig, n, hi_r, limits, sub) < 0:
-        m = r2 - 1
-    else:
-        while hi_r - lo_r > 1:
-            mid = (lo_r + hi_r) // 2
-            if _delta_step_sign(sig, n, mid, limits, sub) >= 0:
-                hi_r = mid
-            else:
-                lo_r = mid
-        m = hi_r
+    m = _first_true(lambda r: _delta_step_sign(sig, n, r, limits, sub) >= 0, r1, r2 - 2)
     # h is non-increasing on [r1, m]; find its first non-positive point
-    if _h_sign(sig, n, r1, limits, sub) <= 0:
-        out.add(r1 + 1)
-        t = r1
-    elif _h_sign(sig, n, m, limits, sub) > 0:
-        t = None
-    else:
-        lo_h, hi_h = r1, m
-        while hi_h - lo_h > 1:
-            mid = (lo_h + hi_h) // 2
-            if _h_sign(sig, n, mid, limits, sub) <= 0:
-                hi_h = mid
-            else:
-                lo_h = mid
-        t = hi_h
-    if t is not None:
-        for r in range(t - 2, t + 3):
-            if r1 < r < r2:
-                out.add(r)
+    t = _first_true(lambda r: _h_sign(sig, n, r, limits, sub) <= 0, r1, m)
+    out = range(max(r1 + 1, t - 2), min(r2, t + 3)) if t <= m else ()
     if sub.uncertified:
         # sign calls stayed undecided at max precision: enumerate when the
         # stretch is small enough, otherwise surface the uncertainty
         if r2 - r1 <= _ENUM_FALLBACK:
             return range(r1 + 1, r2)
         state.uncertified = True
-    return sorted(out)
+    return out
 
 
 def event_centered(sig: Signal, n: int, limits: Limits = DEFAULT_LIMITS) -> CenteredResult:
@@ -495,6 +474,7 @@ def event_centered(sig: Signal, n: int, limits: Limits = DEFAULT_LIMITS) -> Cent
         r = lay.centered_radius(c, 2) // 2
         num = window_sum_scaled(blocks, n - r, n + r)
         return CenteredResult(n, Fraction(num, lay.dy * (2 * r + 1)), r, True)
+    refuse_past_cap(blocks, n, limits)
     r_cap = search_bound_centered(blocks, n)
     events = {0, r_cap}
     for b in blocks.boundaries():
@@ -502,15 +482,7 @@ def event_centered(sig: Signal, n: int, limits: Limits = DEFAULT_LIMITS) -> Cent
         events.update(r for r in (base - 1, base, base + 1) if 0 <= r <= r_cap)
     events = sorted(events)
     state = _PeakState()
-    eager = _refusable(blocks, limits)
-    best = _Best(
-        blocks, limits, lambda a, b: average_centered(blocks, n, n - a, limits), prune=not eager
-    )
-    peaks = {}
-    if eager:
-        for r1, r2 in zip(events, events[1:]):
-            if _pl_stretch(blocks, n, r1, r2):
-                peaks[r1] = _centered_stretch_peaks(blocks, n, r1, r2, limits, state)
+    best = _Best(blocks, limits, lambda a, b: average_centered(blocks, n, n - a, limits))
     for r1, r2 in zip(events, events[1:] + [r_cap]):
         if best.cannot_win(n - r_cap, n + r_cap, 2 * r1 + 1, False):
             break
@@ -519,8 +491,7 @@ def event_centered(sig: Signal, n: int, limits: Limits = DEFAULT_LIMITS) -> Cent
             n - r2 + 1, n + r2 - 1, 2 * r1 + 3, False
         ):
             continue
-        inner = peaks[r1] if eager else _centered_stretch_peaks(blocks, n, r1, r2, limits, state)
-        for r in inner:
+        for r in _centered_stretch_peaks(blocks, n, r1, r2, limits, state):
             best.offer(r, n - r, n + r)
     best_v, best_r, certified, gap = best.result()
     certified = certified and not state.uncertified
@@ -905,7 +876,7 @@ def _u_peak(
     stretch; once f(u+1) <= A([l, u]) the average can only fall, and the
     predicate stays true afterwards, so its first success is the peak."""
 
-    def pred(u: int) -> int:
+    def done(u: int) -> bool:  # f(u+1) <= A([l, u])
         def attempt(lim: Limits) -> Optional[int]:
             total = window_sum(sig, l, u, lim)
             edge = v_mul_int(eval_at(sig, u + 1, lim), u - l + 1, lim.precision)
@@ -915,21 +886,11 @@ def _u_peak(
         s = _decided_sign(sig, limits, windows, attempt)
         if s is None:
             state.uncertified = True
-            return 0
-        return 1 if s > 0 else 0  # 1: still rising
+            return True
+        return s <= 0
 
-    if not pred(u1):
-        return u1
-    if pred(u2 - 1):
-        return None
-    lo_u, hi_u = u1, u2 - 1
-    while hi_u - lo_u > 1:
-        mid = (lo_u + hi_u) // 2
-        if pred(mid):
-            lo_u = mid
-        else:
-            hi_u = mid
-    return hi_u
+    peak = _first_true(done, u1, u2 - 1)
+    return peak if peak < u2 else None
 
 
 def _uncentered_hull(lay: StepLayout, n: int) -> UncenteredResult:
@@ -993,6 +954,7 @@ def event_uncentered(sig: Signal, n: int, limits: Limits = DEFAULT_LIMITS) -> Un
     blocks = as_blocks(sig)
     if blocks.layout is not None:
         return _uncentered_hull(blocks.layout, n)
+    refuse_past_cap(blocks, n, limits)
     rho_max, s_max = _uncentered_bounds(blocks, n)
     l_low, u_high = n - rho_max, n + s_max
     l_set = {n, l_low}
@@ -1011,19 +973,8 @@ def event_uncentered(sig: Signal, n: int, limits: Limits = DEFAULT_LIMITS) -> Un
         if u2 - u1 >= 2 and isinstance(region_at(blocks, u1 + 1), PowerLaw)
     }
     state = _PeakState()
-    eager = _refusable(blocks, limits)
-    best = _Best(
-        blocks,
-        limits,
-        lambda a, b: average_uncentered(blocks, n, n - a, b - n, limits),
-        prune=not eager,
-    )
-    long_ends = {u1: u2 for u1, u2 in pl_ends.items() if u2 - u1 > _ENUM_STRETCH}
+    best = _Best(blocks, limits, lambda a, b: average_uncentered(blocks, n, n - a, b - n, limits))
     for l in sorted(l_set):
-        peaks = {}
-        if eager:
-            for u1, u2 in long_ends.items():
-                peaks[u1] = _u_peak(blocks, l, u1, u2, limits, state)
         for u1 in u_cands:
             if best.cannot_win(l, u_high, u1 - l + 1, True):
                 break
@@ -1031,10 +982,10 @@ def event_uncentered(sig: Signal, n: int, limits: Limits = DEFAULT_LIMITS) -> Un
             u2 = pl_ends.get(u1)
             if u2 is None or best.cannot_win(l, u2 - 1, u1 - l + 2, True):
                 continue
-            if u1 not in long_ends:
+            if u2 - u1 <= _ENUM_STRETCH:
                 inner = range(u1 + 1, u2)
             else:
-                peak = peaks[u1] if eager else _u_peak(blocks, l, u1, u2, limits, state)
+                peak = _u_peak(blocks, l, u1, u2, limits, state)
                 inner = () if peak is None else (peak - 1, peak, peak + 1)
             for u in inner:
                 if u1 < u < u2:

@@ -233,9 +233,9 @@ def _pl_table(sig: BlockSignal, idx: int, prec: int):
     One shift serves the whole block, taken at its smallest term (its end),
     so every window sum is an integer difference.  The entries are running
     sums of power_bounds, built by power_bounds_run, whose roots are checked
-    in integers (falling back to power_bounds when a check fails).  Two
-    readers share the table: window_sum, which rounds the difference into
-    an enclosure, and window_bounds, which hands it on unrounded to the
+    in integers (falling back to power_bounds when a check fails).
+    _pl_bounds reads it for both window_sum, which rounds the difference
+    into an enclosure, and window_bounds, which hands it on unrounded to the
     engines' sign decisions."""
     key = (idx, prec)
     tab = sig._pl_tables.get(key)
@@ -252,27 +252,47 @@ def _pl_table(sig: BlockSignal, idx: int, prec: int):
     return tab
 
 
-def _pl_range_sum(sig: BlockSignal, idx: int, a: int, b: int, limits: Limits) -> Value:
-    """Sum of n^(-alpha) over [a, b] inside power-law block idx."""
-    blk = sig.blocks[idx]
-    prec = limits.precision
+def _past_cap(count: int, limits: Limits) -> PowerLawRangeTooLarge:
+    return PowerLawRangeTooLarge(
+        f"power-law intersection of length {int_str(count)} exceeds cap {limits.powerlaw_sum_cap}"
+    )
+
+
+def _pl_bounds(sig: BlockSignal, idx: int, a: int, b: int, limits: Limits) -> tuple:
+    """(lo, hi, shift): exact integers with
+    lo <= 2^shift * (sum of n^(-alpha) over [a, b]) <= hi, for [a, b] inside
+    power-law block idx.  Read off the block's _pl_table, or summed term by
+    term by power_bounds_run for a block longer than prefix_cache_cap: the
+    same integers at the same shift either way.  Refused past
+    powerlaw_sum_cap."""
     count = b - a + 1
     if count > limits.powerlaw_sum_cap:
-        raise PowerLawRangeTooLarge(
-            f"power-law intersection of length {int_str(count)} "
-            f"exceeds cap {limits.powerlaw_sum_cap}"
-        )
+        raise _past_cap(count, limits)
+    blk = sig.blocks[idx]
     if blk.length <= limits.prefix_cache_cap:
-        shift, los, his = _pl_table(sig, idx, prec)
+        shift, los, his = _pl_table(sig, idx, limits.precision)
         ia, ib = a - blk.start, b - blk.start + 1
-        return scaled_enclosure(los[ib] - los[ia], his[ib] - his[ia], shift, prec)
+        return los[ib] - los[ia], his[ib] - his[ia], shift
     alpha = blk.amp.alpha
-    shift = power_shift(blk.end, alpha, prec)
-    lo_acc = hi_acc = 0
+    shift = power_shift(blk.end, alpha, limits.precision)
+    lo = hi = 0
     for m, exact in power_bounds_run(a, b, alpha, shift):
-        lo_acc += m
-        hi_acc += m if exact else m + 1
-    return scaled_enclosure(lo_acc, hi_acc, shift, prec)
+        lo += m
+        hi += m if exact else m + 1
+    return lo, hi, shift
+
+
+def refuse_past_cap(sig: BlockSignal, n: int, limits: Limits) -> None:
+    """Refuse a query at n when some power-law block of sig is longer than
+    powerlaw_sum_cap, naming the length of the one nearest to n (the left
+    one of two equally near).  A search whose windows reach the whole
+    support sums every block whole, so it is refused exactly then, and this
+    decides it before any window is read."""
+    cap = limits.powerlaw_sum_cap
+    over = [b for b in sig.blocks if isinstance(b.amp, PowerLaw) and b.length > cap]
+    if over:
+        nearest = min(over, key=lambda b: max(b.start - n, n - b.end, 0))
+        raise _past_cap(nearest.length, limits)
 
 
 def window_sum(sig: Signal, a: int, b: int, limits: Limits = DEFAULT_LIMITS) -> Value:
@@ -293,7 +313,7 @@ def window_sum(sig: Signal, a: int, b: int, limits: Limits = DEFAULT_LIMITS) -> 
         if lo_n > hi_n:
             continue
         if isinstance(blk.amp, PowerLaw):
-            part = _pl_range_sum(sig, i, lo_n, hi_n, limits)
+            part = scaled_enclosure(*_pl_bounds(sig, i, lo_n, hi_n, limits), limits.precision)
             enc = part if enc is None else v_add(enc, part, limits.precision)
         else:
             exact += blk.amp * (hi_n - lo_n + 1)
@@ -308,14 +328,13 @@ def window_bounds(sig: BlockSignal, a: int, b: int, limits: Limits = DEFAULT_LIM
     """(lo, hi, shift, den): exact integers with
     lo <= 2^shift * den * (sum of f over [a, b]) <= hi, read without rounding.
 
-    Each power-law part is the difference of its block's _pl_table entries
-    (the integers window_sum rounds), shifted up to the largest shift among
-    the power-law blocks the window meets; the constant parts add exactly,
-    den being the denominator of their sum.  shift is 0 exactly when the
+    Each power-law part is its _pl_bounds (the integers window_sum rounds,
+    tabled or not), shifted up to the largest shift among the power-law
+    blocks the window meets; the constant parts add exactly, den being the
+    denominator of their sum.  shift is 0 exactly when the
     window meets no power-law block, and then lo = hi.  A single term f(n)
-    is the window [n, n].  None where window_sum reads no table: a
-    power-law block longer than prefix_cache_cap, or an intersection past
-    powerlaw_sum_cap, which window_sum sums term by term or refuses."""
+    is the window [n, n].  Refused, as window_sum is, where an intersection
+    is past powerlaw_sum_cap."""
     if a > b:
         return 0, 0, 0, 1
     const = lo = hi = shift = 0
@@ -325,14 +344,11 @@ def window_bounds(sig: BlockSignal, a: int, b: int, limits: Limits = DEFAULT_LIM
         if not isinstance(blk.amp, PowerLaw):
             const += blk.amp * (hi_n - lo_n + 1)
             continue
-        if blk.length > limits.prefix_cache_cap or hi_n - lo_n >= limits.powerlaw_sum_cap:
-            return None
-        s, los, his = _pl_table(sig, i, limits.precision)
-        ia, ib = lo_n - blk.start, hi_n - blk.start + 1
+        plo, phi, s = _pl_bounds(sig, i, lo_n, hi_n, limits)
         if s > shift:
             lo, hi, shift = lo << (s - shift), hi << (s - shift), s
-        lo += (los[ib] - los[ia]) << (shift - s)
-        hi += (his[ib] - his[ia]) << (shift - s)
+        lo += plo << (shift - s)
+        hi += phi << (shift - s)
     if not const:
         return lo, hi, shift, 1
     num, den = const.numerator, const.denominator

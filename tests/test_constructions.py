@@ -37,7 +37,7 @@ from hlmax.errors import (
 )
 from hlmax.maxengine import event_centered, frequency_pieces, oracle_centered
 from hlmax.signal import Block, BlockSignal, norm_l1, support_bounds, translate
-from hlmax.values import Ordering, int_str, parse_rational, rational_str
+from hlmax.values import Ordering, int_str, parse_int, parse_rational, rational_str
 
 F = Fraction
 
@@ -700,6 +700,59 @@ class TestVerificationReports:
         assert all(c["status"] == "unverifiable" for c in rep["claims"])
         # honesty: the certificate itself still rechecks
         assert rep["certificate_recheck"]["ok"]
+
+
+class TestLpVerifyAtLowPrecision:
+    """verify_theorem29_lp fails an anchor only on a certified engine result.
+    An anchor it cannot decide is unverifiable, and the note names why: the
+    summation cap, or the gap of an uncertified result."""
+
+    @staticmethod
+    def check(p, alpha, k_max, n1, g, limits):
+        args = (F(p), F(alpha), k_max, "relaxed")
+        rep = verify_theorem29_lp(*args, n1=n1, growth_factor=g, limits=limits)
+        sig, cert = build_theorem29_lp(*args, n1=n1, growth_factor=g, limits=limits)
+        claims = {c["name"]: c for c in rep["claims"]}
+        # a block past the cap refuses every anchor: each search reaches it
+        capped = any(l > limits.powerlaw_sum_cap for l in cert.L)
+        for k, (nk, l) in enumerate(zip(cert.extras["n_k"], cert.L), start=1):
+            claim = claims[f"anchor_k{k}"]
+            if capped:
+                assert claim["status"] == "unverifiable"
+                assert "power-law block sum exceeds cap" in claim["note"]
+                continue
+            res = event_centered(sig, parse_int(nk), limits)
+            if not res.certified:
+                assert claim["status"] == "unverifiable"
+                assert "uncertified, gap" in claim["note"]
+            else:
+                assert claim["status"] == ("pass" if res.radius == l else "fail")
+        if "ratio" in claims:
+            assert claims["ratio"]["status"] == "unverifiable"
+            cause = "under the summation cap" if capped else "no certified anchor"
+            assert cause in claims["ratio"]["note"]
+        return rep
+
+    @given(
+        st.sampled_from([(2, "3/5"), (2, "2/3"), (2, "3/4"), ("5/2", "1/2"), (3, "1/2")]),
+        st.integers(1, 3),
+        st.integers(3, 150),
+        st.integers(2, 16),
+        st.integers(5, 12),
+        st.sampled_from([DEFAULT_LIMITS.powerlaw_sum_cap, 40, 400, 4000]),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_fail_only_when_certified(self, pa, k_max, n1, g, prec, cap):
+        limits = DEFAULT_LIMITS.with_(precision=prec, powerlaw_sum_cap=cap)
+        self.check(*pa, k_max, n1, g, limits)
+
+    @pytest.mark.parametrize(
+        "p, alpha, n1, g", [(3, "1/2", 100, 10), (2, "3/5", 40, 16), (2, "2/3", 150, 8), (2, "3/4", 60, 13)]
+    )
+    def test_workload_instances_never_fail(self, p, alpha, n1, g):
+        for prec in range(5, 13):
+            rep = self.check(p, alpha, 3, n1, g, DEFAULT_LIMITS.with_(precision=prec))
+            assert all(c["status"] != "fail" for c in rep["claims"]), prec
 
 
 class TestReportShape:

@@ -599,10 +599,13 @@ class TestBoundsSign:
         half = BlockSignal([Block(1, 80, PowerLaw(Fraction(1, 2))), Block(90, 99, Fraction(1, 2))])
         terms = ((1, window_bounds(half, 4, 4)), (-1, window_bounds(half, 95, 95)))
         assert _bounds_sign(half, DEFAULT_LIMITS, terms) is None
-        # a power-law block with no table leaves every sign to the enclosures
+        # a power-law block with no table is bounded term by term, to the
+        # integers of the table, so its signs are decided as on the table
         lim = Limits(prefix_cache_cap=79)
         terms = ((1, window_bounds(sig, 3, 3, lim)), (-1, window_bounds(sig, 90, 90, lim)))
-        assert _bounds_sign(sig, lim, terms) is None
+        assert terms == ((1, window_bounds(sig, 3, 3)), (-1, window_bounds(sig, 90, 90)))
+        assert _bounds_sign(sig, lim, terms) == 1
+        assert compare(average_centered(sig, 3, 0, lim), average_centered(sig, 90, 0, lim)).value == 1
 
 
 def mixed_pl_signals(seed: int, count: int) -> list:
@@ -767,10 +770,56 @@ class TestPowerLawPruningKeepsAnswers:
         assert pruned < full
 
 
-    def test_refusals_name_the_window_of_the_unpruned_walk(self):
-        # each anchor of the paper instance meets a block longer than
-        # powerlaw_sum_cap; the refusal names the intersection that trying
-        # every candidate, peak searches first, meets first: block k's
+class TestRefusedUpFront:
+    """A power-law block longer than powerlaw_sum_cap refuses every query of
+    both power-law engines before any window is read, naming the past-cap
+    block nearest to the query point."""
+
+    # past a cap of 20: [25, 54] (30 terms) and [70, 104] (35 terms)
+    SIG = BlockSignal(
+        [
+            Block(1, 12, PowerLaw(Fraction(1, 2))),
+            Block(16, 20, Fraction(1, 3)),
+            Block(25, 54, PowerLaw(Fraction(3, 5))),
+            Block(60, 64, PowerLaw(Fraction(2, 3))),
+            Block(70, 104, PowerLaw(Fraction(2, 3))),
+        ]
+    )
+    # (n, length of the nearest past-cap block): inside the support, inside
+    # a past-cap block, between blocks on either side of the midpoint 62,
+    # and 2^10000 away on both sides
+    POINTS = ((5, 30), (40, 30), (57, 30), (62, 30), (63, 35), (90, 35), (110, 35),
+              (-(2**10000), 30), (2**10000, 35))
+
+    def test_refused_before_any_window(self, monkeypatch):
+        calls = []
+        for name in ("window_sum", "window_bounds"):
+            fn = getattr(hlmax.maxengine, name)
+            monkeypatch.setattr(
+                hlmax.maxengine, name, lambda *a, fn=fn, name=name: calls.append(name) or fn(*a)
+            )
+        lim = Limits(powerlaw_sum_cap=20)
+        for n, length in self.POINTS:
+            for engine in (event_centered, event_uncentered):
+                with pytest.raises(
+                    PowerLawRangeTooLarge,
+                    match=f"^power-law intersection of length {length} exceeds cap 20$",
+                ):
+                    engine(self.SIG, n, lim)
+        assert calls == []
+
+    def test_answers_at_the_cap(self):
+        lim = Limits(powerlaw_sum_cap=35)
+        for n, _ in self.POINTS[:7]:
+            ev, oc = event_centered(self.SIG, n, lim), oracle_centered(self.SIG, n, lim)
+            assert ev.certified and oc.certified and ev.radius == oc.radius
+            assert compare(ev.max_value, oc.max_value) in (Ordering.EQUAL, Ordering.INDETERMINATE)
+            ev, ou = event_uncentered(self.SIG, n, lim), oracle_uncentered(self.SIG, n, lim)
+            assert ev.certified and ou.certified and ev.min_diameter == ou.min_diameter
+            assert compare(ev.max_value, ou.max_value) in (Ordering.EQUAL, Ordering.INDETERMINATE)
+
+    def test_paper_anchors_name_their_own_block(self):
+        # anchor n_k sits right of block k, the nearest past-cap block
         sig, cert = build_theorem29_lp(Fraction(2), Fraction(3, 5), 2, "paper_exact")
         for nk, blk in zip(cert.extras["n_k"], sig.blocks):
             with pytest.raises(PowerLawRangeTooLarge, match=f"length {blk.length} exceeds"):

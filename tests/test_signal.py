@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from hlmax.config import Limits
 from hlmax.corpus import random_dense
-from hlmax.errors import ParameterViolation, ZeroSignal
+from hlmax.errors import ParameterViolation, PowerLawRangeTooLarge, ZeroSignal
 from hlmax.signal import (
     Block,
     BlockSignal,
@@ -245,15 +245,34 @@ class TestWindowBounds:
         assert (lo, hi) == (m, m if exact else m + 1)
         assert window_bounds(MIXED_SIG, 5, 4) == (0, 0, 0, 1)
 
-    def test_none_where_window_sum_reads_no_table(self):
+    def test_untabled_bounds_equal_the_tabled_ones(self):
+        # past prefix_cache_cap every power-law part is summed term by term,
+        # to the integers the table holds, at the same shift; the windows
+        # run between block edges (+-1) and every 17th point, plus every
+        # one-term window
+        untabled = Limits(prefix_cache_cap=0)
+        ends = {e + d for blk in MIXED_SIG.blocks for e in (blk.start, blk.end) for d in (-1, 0, 1)}
+        ends = sorted(ends | set(range(0, 732, 17)))
+        windows = [(a, b) for a in ends for b in ends if a <= b]
+        windows += [(n, n) for n in range(ends[0], ends[-1] + 1)]
+        for a, b in windows:
+            assert window_bounds(MIXED_SIG, a, b, untabled) == window_bounds(MIXED_SIG, a, b)
+        # a window meeting constant blocks only needs no table
+        assert window_bounds(MIXED_SIG, 301, 359, untabled) == (80, 80, 0, 7)
+
+    def test_refused_past_the_summation_cap_as_window_sum_is(self):
         # block [360, 700] holds 341 terms; the window meets 41 of them
         a, b = 660, 705
-        assert window_bounds(MIXED_SIG, a, b, Limits(prefix_cache_cap=341)) is not None
-        assert window_bounds(MIXED_SIG, a, b, Limits(prefix_cache_cap=340)) is None
-        assert window_bounds(MIXED_SIG, a, b, Limits(powerlaw_sum_cap=41)) is not None
-        assert window_bounds(MIXED_SIG, a, b, Limits(powerlaw_sum_cap=40)) is None
-        # a window meeting constant blocks only needs no table
-        assert window_bounds(MIXED_SIG, 301, 359, Limits(prefix_cache_cap=0)) == (80, 80, 0, 7)
+        lim = Limits(powerlaw_sum_cap=40)
+        with pytest.raises(PowerLawRangeTooLarge) as summed:
+            window_sum(MIXED_SIG, a, b, lim)
+        with pytest.raises(PowerLawRangeTooLarge) as bounded:
+            window_bounds(MIXED_SIG, a, b, lim)
+        assert str(bounded.value) == str(summed.value)
+        assert str(summed.value) == "power-law intersection of length 41 exceeds cap 40"
+        assert window_bounds(MIXED_SIG, a, b, Limits(powerlaw_sum_cap=41)) == window_bounds(
+            MIXED_SIG, a, b
+        )
 
 
 class TestConversions:
