@@ -12,7 +12,8 @@ from dataclasses import dataclass, replace
 
 @dataclass(frozen=True)
 class Limits:
-    # working precision (bits) for enclosure arithmetic
+    # working precision (bits) for enclosure arithmetic, and the scale of
+    # the power-law engines' exact integer bounds (signal.window_bounds)
     precision: int = 256
     # refuse direct power-law summation over intersections longer than this
     powerlaw_sum_cap: int = 10**7

@@ -26,15 +26,15 @@ from the support start.  Outside the support all three read the tangent
 switch points the layout compiles: one bisect per query, and the pieces
 straight off the switch points.
 
-Power-law signals produce certified enclosures, and any comparison the
-enclosures cannot decide is surfaced as certified=False with the overlap
-width in `gap`, never silently resolved.  Their engines decide on exact
-integer prefix bounds (signal.window_bounds): candidate averages compare by
+Power-law signals produce certified enclosures, and any comparison that
+cannot be decided is surfaced as certified=False with the overlap width in
+`gap`, never silently resolved.  Their engines decide on exact integer
+prefix bounds alone (signal.window_bounds): candidate averages compare by
 cross-multiplying window bounds with the window lengths, and the peak
-searches' signs are read the same way, each decision widened by a margin
-that covers the roundings of the enclosure path, which decides whatever the
-bounds leave open.  Only the reported value is rounded: the winner's average
-is computed once.  Like the kink walk, they skip a power-law stretch, peak
+searches' signs are read the same way.  An enclosure rounds the same
+integers outward, so any sign an enclosure decides, the bounds decide
+alike.  Only the reported value is rounded: the winner's average is
+computed once.  Like the kink walk, they skip a power-law stretch, peak
 search included, whose end window's mass over its shortest length cannot
 beat the best, and stop where the largest window's mass cannot
 (_Best.cannot_win), each skip decided only where every window it drops
@@ -61,7 +61,6 @@ from .signal import (
     PowerLaw,
     Signal,
     as_blocks,
-    eval_at,
     refuse_past_cap,
     region_at,
     support_bounds,
@@ -70,17 +69,13 @@ from .signal import (
     window_sum_scaled,
 )
 from .values import (
-    Enclosure,
     Ordering,
     Value,
     compare,
     escalate,
     int_str,
     overlap_width,
-    v_add,
     v_div_posint,
-    v_mul_int,
-    v_sub,
 )
 
 
@@ -88,7 +83,7 @@ from .values import (
 class CenteredResult:
     """Maximal centered average at n and the minimal radius attaining it.
 
-    certified is False when enclosure comparisons could not separate two
+    certified is False when bounds or enclosures could not separate two
     candidate averages; `gap` then bounds how far max_value may sit below
     the true maximum (None when unquantified)."""
 
@@ -146,19 +141,6 @@ def search_bound_centered(sig: Signal, n: int) -> int:
     return max(abs(n - lo), abs(n - hi))
 
 
-def _sign(v: Value) -> Optional[int]:
-    """Certified sign of a Value: +1, -1, 0 (exact), or None (undecided)."""
-    # a dyadic bound has the sign of its mantissa, a Fraction of its numerator
-    lo, hi = (v.dlo[0], v.dhi[0]) if isinstance(v, Enclosure) else (v.numerator, v.numerator)
-    if lo > 0:
-        return 1
-    if hi < 0:
-        return -1
-    if lo == hi:
-        return 0
-    return None
-
-
 def _best(cands) -> tuple:
     """(value, key, certified, gap) for the largest value among (key, value)
     pairs, with the smallest key among exact ties.  A comparison the
@@ -181,67 +163,39 @@ def _best(cands) -> tuple:
     return best_v, best_k, certified, gap
 
 
-def _bounds_sign(sig: BlockSignal, limits: Limits, terms) -> Optional[int]:
+def _bounds_sign(terms) -> Optional[int]:
     """Sign of sum c * S over terms (c, bounds), S the sum of f over a
-    window and bounds its window_bounds, decided on the exact integers: +1,
-    -1, 0 (only when no window meets a power-law block, so every S is
-    exact), or None when the widened interval holds 0.
-
-    The enclosure path evaluates the same combination at p =
-    limits.precision, and each of its outward roundings moves a bound by
-    less than 2^(1-p) times the magnitude rounded: a _pl_table or
-    power_bounds floor (2^shift makes every scaled term exceed 2^p),
-    scaled_enclosure, v_add, fraction_to_enclosure, v_mul_int,
-    v_div_posint and v_sub.  Its operands are sums of f >= 0, so after a
-    chain of k roundings each bound of its result lies within
-    ((1 + 2^(1-p))^k - 1) * sum |c| S of the true combination, and that is
-    at most k 2^(2-p) sum |c| S while k 2^(1-p) <= 1.  A window sum meeting
-    j power-law blocks takes j + 2 roundings (floor and scaled_enclosure per
-    part, j - 1 sums, one more for the constant part), its average j + 3;
-    _h_sign doubles it and subtracts, j + 4, and its edge terms take five
-    (floor, scaled_enclosure, sum, product, difference); the terms of
-    _delta_step_sign and _u_peak take fewer.  With j at most the number of
-    blocks B, k = B + 4 covers every caller.  As S <= hi / (2^shift den),
-    widening [lo, hi] by M = k 2^(2-p) sum |c| hi contains the enclosure
-    path's first attempt, so a sign decided here is the one that attempt
-    decides."""
-    p = limits.precision
-    k = len(sig.blocks) + 4
-    if p < 3 or 2 * k > 1 << p:
-        return None
+    window and bounds its window_bounds, decided on the exact integers: +1
+    or -1 when their interval excludes 0, 0 when it is the single point 0,
+    and None when it holds 0 and more."""
     shift, den = 0, 1
     for _, b in terms:
         shift = max(shift, b[2])
         if b[3] != 1:
             den = math.lcm(den, b[3])
-    lo = hi = mag = 0
+    lo = hi = 0
     for c, (blo, bhi, s, d) in terms:
         m = c * (den // d) << (shift - s)
         blo, bhi = blo * m, bhi * m
         if c < 0:
-            mag -= blo
             blo, bhi = bhi, blo
-        else:
-            mag += bhi
         lo += blo
         hi += bhi
-    if not shift:
-        return (lo > 0) - (lo < 0)
-    margin = -(-(mag * k) >> (p - 2))
-    if lo > margin:
+    if lo > 0:
         return 1
-    if hi < -margin:
+    if hi < 0:
         return -1
-    return None
+    return 0 if lo == hi else None
 
 
-def _decided_sign(sig: BlockSignal, limits: Limits, windows, attempt) -> Optional[int]:
-    """Sign of sum c * (sum of f over [a, b]) for windows (c, a, b): read
-    off their window_bounds by _bounds_sign, else escalate(limits, attempt),
-    attempt being the enclosure evaluation of the same combination."""
-    terms = [(c, window_bounds(sig, a, b, limits)) for c, a, b in windows]
-    s = _bounds_sign(sig, limits, terms)
-    return escalate(limits, attempt) if s is None else s
+def _decided_sign(sig: BlockSignal, limits: Limits, windows) -> Optional[int]:
+    """Sign of sum c * (sum of f over [a, b]) for windows (c, a, b), read
+    off their window_bounds by _bounds_sign at the precisions of
+    escalate(limits, ...); None when every rung leaves it open."""
+    return escalate(
+        limits,
+        lambda lim: _bounds_sign([(c, window_bounds(sig, a, b, lim)) for c, a, b in windows]),
+    )
 
 
 class _Best:
@@ -249,9 +203,11 @@ class _Best:
     average(a, b) of the windows (key, a, b) offered in turn.
 
     Two windows compare by _bounds_sign on their window_bounds
-    cross-multiplied by the window lengths; a comparison that leaves open
-    compares the two averages as _best does, so each decision and the
-    certified and gap flags are _best's.  On an exact tie the first window
+    cross-multiplied by the window lengths.  The averages' enclosures
+    round the same integers outward, so where the bounds decide, _best
+    decides alike, and where they leave it open, _best's comparison is
+    undecided too: offer then clears certified and widens gap by the two
+    averages' overlap, as _best does.  On an exact tie the first window
     stays, with the smaller key.  The winner's average is computed once.
     cannot_win tells a walk which windows it may skip."""
 
@@ -263,7 +219,7 @@ class _Best:
         self.value: Optional[Value] = None  # the winner's average, once computed
         self.certified = True
         self.gap = Fraction(0)
-        self._held: dict = {}  # [bounds, sum] of the windows cannot_win reads
+        self._held: dict = {}  # window_bounds of the windows cannot_win reads
 
     def best_value(self) -> Value:
         if self.value is None:
@@ -276,19 +232,12 @@ class _Best:
             self.win = (k, a, b, wb)
             return
         bk, ba, bb, bwb = self.win
-        s = _bounds_sign(self.sig, self.limits, ((bb - ba + 1, wb), (a - b - 1, bwb)))
-        v = None
+        s = _bounds_sign(((bb - ba + 1, wb), (a - b - 1, bwb)))
         if s is None:
-            best_v = self.best_value()
-            v = self.average(a, b)
-            c = compare(v, best_v)
-            if c is Ordering.INDETERMINATE:
-                self.certified = False
-                self.gap = max(self.gap, overlap_width(v, best_v))
-                return
-            s = c.value
-        if s > 0:
-            self.win, self.value = (k, a, b, wb), v
+            self.certified = False
+            self.gap = max(self.gap, overlap_width(self.average(a, b), self.best_value()))
+        elif s > 0:
+            self.win, self.value = (k, a, b, wb), None
         elif s == 0:
             self.win = (min(bk, k), ba, bb, bwb)
 
@@ -300,36 +249,23 @@ class _Best:
         tie keeps the best's window and takes the smaller key, so a walk in
         ascending keys may drop ties too.
 
-        It decides as offer does: by _bounds_sign on the window_bounds of
-        [a, b] against the best's, then where they leave it open by offer's
-        own comparison at the working precision, S / length in place of a
-        window's average.  Every rounding of window_sum and v_div_posint is
-        outward and monotone, and such a window's parts are parts of
-        [a, b], so the upper end of its average lies at or below that of
-        S / length: a loss decided here is one offer decides, on its bounds
-        or its enclosures, which neither clears certified nor widens gap.
-        Unlike _decided_sign it does not escalate, as a higher precision
-        would not bound offer's comparison, so an undecided test drops
-        nothing.  The bounds and sum of [a, b] are read once per window.
-        Nothing it reads is refused, as the engines refuse a signal past
-        powerlaw_sum_cap before their walks, so a skip never changes which
-        query is refused or what the refusal says."""
+        It decides as offer does, by _bounds_sign on the window_bounds of
+        [a, b] against the best's.  Such a window's parts are parts of
+        [a, b], so its upper bound lies at or below that of [a, b]: a loss
+        decided here is one offer decides, which neither clears certified
+        nor widens gap, and an undecided test drops nothing.  The bounds of
+        [a, b] are read once per window.  Nothing it reads is refused, as
+        the engines refuse a signal past powerlaw_sum_cap before their
+        walks, so a skip never changes which query is refused or what the
+        refusal says."""
         if self.win is None:
             return False
         _, ba, bb, bwb = self.win
-        held = self._held.get((a, b))
-        if held is None:
-            held = self._held[(a, b)] = [window_bounds(self.sig, a, b, self.limits), None]
-        s = _bounds_sign(self.sig, self.limits, ((bb - ba + 1, held[0]), (-length, bwb)))
-        if s is None:
-            if held[1] is None:
-                held[1] = window_sum(self.sig, a, b, self.limits)
-            avg = v_div_posint(held[1], length, self.limits.precision)
-            c = compare(avg, self.best_value())
-            if c is Ordering.INDETERMINATE:
-                return False
-            s = c.value
-        return s < 0 or (s == 0 and not strict)
+        wb = self._held.get((a, b))
+        if wb is None:
+            wb = self._held[(a, b)] = window_bounds(self.sig, a, b, self.limits)
+        s = _bounds_sign(((bb - ba + 1, wb), (-length, bwb)))
+        return s is not None and (s < 0 or (s == 0 and not strict))
 
     def result(self) -> tuple:
         """(value, key, certified, gap) as _best gives; at least one window
@@ -348,16 +284,9 @@ class _PeakState:
 
 def _delta_step_sign(sig: BlockSignal, n: int, r: int, limits: Limits, state: _PeakState) -> int:
     """Sign of delta(r+1) - delta(r), delta(r) = f(n-r-1) + f(n+r+1)."""
-
-    def attempt(lim: Limits) -> Optional[int]:
-        p = lim.precision
-        d1 = v_add(eval_at(sig, n - r - 2, lim), eval_at(sig, n + r + 2, lim), p)
-        d0 = v_add(eval_at(sig, n - r - 1, lim), eval_at(sig, n + r + 1, lim), p)
-        return _sign(v_sub(d1, d0, p))
-
     edges = (n - r - 2, n + r + 2, n - r - 1, n + r + 1)
     windows = [(c, x, x) for c, x in zip((1, 1, -1, -1), edges)]
-    s = _decided_sign(sig, limits, windows, attempt)
+    s = _decided_sign(sig, limits, windows)
     if s is None:
         state.uncertified = True
         return -1
@@ -366,16 +295,9 @@ def _delta_step_sign(sig: BlockSignal, n: int, r: int, limits: Limits, state: _P
 
 def _h_sign(sig: BlockSignal, n: int, r: int, limits: Limits, state: _PeakState) -> int:
     """Sign of h(r) = (2r+1) delta(r) - 2 N(r); h > 0 iff A_{r+1} > A_r."""
-
-    def attempt(lim: Limits) -> Optional[int]:
-        p = lim.precision
-        delta = v_add(eval_at(sig, n - r - 1, lim), eval_at(sig, n + r + 1, lim), p)
-        nsum = window_sum(sig, n - r, n + r, lim)
-        return _sign(v_sub(v_mul_int(delta, 2 * r + 1, p), v_mul_int(nsum, 2, p), p))
-
     d = 2 * r + 1
     windows = [(d, n - r - 1, n - r - 1), (d, n + r + 1, n + r + 1), (-2, n - r, n + r)]
-    s = _decided_sign(sig, limits, windows, attempt)
+    s = _decided_sign(sig, limits, windows)
     if s is None:
         state.uncertified = True
         return 1
@@ -877,13 +799,7 @@ def _u_peak(
     predicate stays true afterwards, so its first success is the peak."""
 
     def done(u: int) -> bool:  # f(u+1) <= A([l, u])
-        def attempt(lim: Limits) -> Optional[int]:
-            total = window_sum(sig, l, u, lim)
-            edge = v_mul_int(eval_at(sig, u + 1, lim), u - l + 1, lim.precision)
-            return _sign(v_sub(edge, total, lim.precision))
-
-        windows = [(u - l + 1, u + 1, u + 1), (-1, l, u)]
-        s = _decided_sign(sig, limits, windows, attempt)
+        s = _decided_sign(sig, limits, [(u - l + 1, u + 1, u + 1), (-1, l, u)])
         if s is None:
             state.uncertified = True
             return True
