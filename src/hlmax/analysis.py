@@ -10,12 +10,13 @@ count_S/N, count_Z/(N/g(N)), count_near1/(2N) exactly or as enclosures.
 
 Counting runs up to a horizon beyond which compact support pins every
 ratio (far windows must reach the support, so r_n is within the support
-radius of |n|), and closed forms finish the tail.  Below the horizon,
-centered rows on constant-amplitude signals are counted from the exact
-pieces of frequency_pieces, on which every condition is linear in n;
-uncentered rows and power-law signals are evaluated point by point.
-Whichever way a row is counted, it is exact (flags "") only when its
-horizon is within density_eval_cap.  Past the cap, signals whose every
+radius of |n|), and closed forms finish the tail.  Below the horizon every
+row is counted by one function, _piece_counts, from affine pieces of the
+radius (or the minimal diameter) in n, on which every condition is linear
+in n: centered rows on constant-amplitude signals from the exact pieces of
+frequency_pieces, uncentered rows and power-law signals from one-point
+pieces, one engine query per point.  A row is exact (flags "") only when
+its horizon is within density_eval_cap.  Past the cap, signals whose every
 block amplitude dominates all foreign mass (dense signals through their
 blocks) get exact zero-set counts structurally (rows flagged
 "structural"); other requests yield rows flagged "partial" instead of
@@ -183,13 +184,15 @@ def _count_where(a: int, b: int, conditions) -> int:
     return max(0, b - a + 1)
 
 
-def _piece_counts(pieces: list, needs: list, C: Fraction, epsilon: Fraction) -> list:
+def _piece_counts(pieces: list, needs: list, C: Fraction, epsilon: Fraction, w: int) -> list:
     """Cumulative (count_S, count_Z, count_near1) over 0 < |n| <= need for
-    each need of the non-decreasing list, from the frequency pieces.
+    each need of the non-decreasing list, from the pieces (n_a, n_b, slope,
+    intercept) of r over n, the ratio being r / (w |n|): w = 1 for radii, 2
+    for diameters.
 
     In x = |n| each piece reads r = sigma * x + c, and with C = p/q and
-    epsilon = u/v every condition is linear in x: p r <= q x (S), r = 0
-    (Z) and (v - u) x <= v r <= (v + u) x (near 1)."""
+    epsilon = u/v every condition is linear in x: p r <= q w x (S), r = 0
+    (Z) and (v - u) w x <= v r <= (v + u) w x (near 1)."""
     p, q = C.numerator, C.denominator
     u, v = epsilon.numerator, epsilon.denominator
     # positive n ascending, then negative n mirrored to ascending |n|
@@ -207,10 +210,10 @@ def _piece_counts(pieces: list, needs: list, C: Fraction, epsilon: Fraction) -> 
             while i < len(runs) and runs[i][0] <= need:
                 a, b, sigma, c = runs[i]
                 lo, hi = max(a, done + 1), min(b, need)
-                cs += _count_where(lo, hi, [(p * sigma - q, -p * c)])
+                cs += _count_where(lo, hi, [(p * sigma - q * w, -p * c)])
                 cz += _count_where(lo, hi, [(sigma, -c), (-sigma, c)])
                 cn1 += _count_where(
-                    lo, hi, [(v - u - v * sigma, v * c), (v * sigma - v - u, -v * c)]
+                    lo, hi, [((v - u) * w - v * sigma, v * c), (v * sigma - (v + u) * w, -v * c)]
                 )
                 if b > need:
                     break
@@ -253,14 +256,20 @@ def density_series(
         horizon = max(a_rad, _ceil_frac(a_rad / epsilon), _ceil_frac(a_rad * C / (C - 1)))
     needs = [n if horizon is None else min(n, horizon) for n in n_list]
     counted = [m for m in needs if m <= limits.density_eval_cap]
-    swept = None
-    if counted and not signal.has_powerlaw and not uncentered:
+    pieces: list = []
+    if counted and (uncentered or signal.has_powerlaw):  # one-point pieces
+        for x in range(1, counted[-1] + 1):
+            for m in (x, -x):
+                if uncentered:
+                    pieces.append((m, m, 0, event_uncentered(signal, m, limits).min_diameter))
+                else:
+                    pieces.append((m, m, 0, event_centered(signal, m, limits).radius))
+        pieces.sort()
+    elif counted:
         pieces = frequency_pieces(signal, -counted[-1], counted[-1])
-        swept = _piece_counts(pieces, counted, C, epsilon)
+    counts = _piece_counts(pieces, counted, C, epsilon, 2 if uncentered else 1)
 
     rows: list = []
-    cur_s = cur_z = cur_n1 = 0
-    evaluated_to = 0
     structural_spans: Optional[list] = None
     structural_probed = False
 
@@ -271,34 +280,16 @@ def density_series(
 
     for i, (n_val, need) in enumerate(zip(n_list, needs)):
         if need <= limits.density_eval_cap:
-            if swept is not None:
-                cur_s, cur_z, cur_n1 = swept[i]
-                evaluated_to = need
-            while evaluated_to < need:
-                evaluated_to += 1
-                for m in (evaluated_to, -evaluated_to):
-                    rec = (
-                        event_uncentered(signal, m, limits)
-                        if uncentered
-                        else event_centered(signal, m, limits)
-                    )
-                    ratio, _ = _ratio_of(rec, uncentered)
-                    if ratio <= 1 / C:
-                        cur_s += 1
-                    if ratio == 0:
-                        cur_z += 1
-                    if 1 - epsilon <= ratio <= 1 + epsilon:
-                        cur_n1 += 1
-            tail = n_val - evaluated_to if n_val > evaluated_to else 0
-            n1 = cur_n1 + 2 * tail  # beyond the horizon every ratio is near 1
+            cs, cz, cn1 = counts[i]
+            n1 = cn1 + 2 * (n_val - need)  # beyond the horizon every ratio is near 1
             rows.append(
                 DensityRow(
                     n_val,
-                    cur_s,
-                    cur_z,
+                    cs,
+                    cz,
                     n1,
-                    Fraction(cur_s, n_val),
-                    ratio_z(cur_z, n_val),
+                    Fraction(cs, n_val),
+                    ratio_z(cz, n_val),
                     Fraction(n1, 2 * n_val),
                     "",
                 )

@@ -65,6 +65,8 @@ from .values import (
 _GROWTH_KINDS = ("log", "loglog", "logpow", "power", "table")
 _EXACT_POW_BITS = 8_000_000
 _MAX_DOUBLINGS = 20_000
+_POINTWISE_CAP = 10_000  # verify_theorem27's longest block decided at every point
+_SAMPLE_PER_BLOCK = 64  # and the samples of a longer one
 
 
 @dataclass(frozen=True)
@@ -865,12 +867,10 @@ def verify_theorem27(
     n1: Optional[int] = None,
     growth_factor: Optional[int] = None,
     limits: Limits = DEFAULT_LIMITS,
-    pointwise_cap: int = 10_000,
-    sample_per_block: int = 64,
 ) -> dict:
     """Check Mf = a_k with minimal radius 0 on every block, plus the density
     row at N = N_kmax + L_kmax.  In the discrete variant a block interior
-    of at most pointwise_cap points is decided at every point, on its
+    of at most _POINTWISE_CAP points is decided at every point, on its
     frequency pieces (_block_claim); a longer one by the dominance
     inequality (certificate condition) plus engine samples, which is a
     proof, not a heuristic, since dominance alone forces the pointwise
@@ -885,7 +885,7 @@ def verify_theorem27(
             a = amps[k - 1]
             start = ns[k - 1] + 1
             bad, count, exhaustive = _block_claim(
-                sig, start, start + ls[k - 1] - 2, a, pointwise_cap, sample_per_block, limits
+                sig, start, start + ls[k - 1] - 2, a, _POINTWISE_CAP, _SAMPLE_PER_BLOCK, limits
             )
             dom_ok = f"block_dominance_k{k}" in satisfied
             status = "pass" if bad == 0 and (exhaustive or dom_ok) else "fail"

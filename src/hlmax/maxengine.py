@@ -26,9 +26,10 @@ from the support start.  Outside the support all three read the tangent
 switch points the layout compiles: one bisect per query, and the pieces
 straight off the switch points.
 
-Power-law signals produce certified enclosures, and any comparison that
-cannot be decided is surfaced as certified=False with the overlap width in
-`gap`, never silently resolved.  Their engines decide on exact integer
+Power-law signals produce certified enclosures, and any comparison or peak
+search that cannot be decided is surfaced as certified=False, with a `gap`
+bounding what it left open (_Best.undecided), and is
+never silently resolved.  Their engines decide on exact integer
 prefix bounds alone (signal.window_bounds): candidate averages compare by
 cross-multiplying window bounds with the window lengths, and the peak
 searches' signs are read the same way.  An enclosure rounds the same
@@ -73,8 +74,8 @@ from .values import (
     Value,
     compare,
     escalate,
+    exact_bounds,
     int_str,
-    overlap_width,
     v_div_posint,
 )
 
@@ -83,9 +84,10 @@ from .values import (
 class CenteredResult:
     """Maximal centered average at n and the minimal radius attaining it.
 
-    certified is False when bounds or enclosures could not separate two
-    candidate averages; `gap` then bounds how far max_value may sit below
-    the true maximum (None when unquantified)."""
+    certified is False, and `gap` not None, when some candidate was left
+    undecided; the true maximum then lies in [lo, hi + gap], [lo, hi] the
+    bounds of max_value, and radius is the minimal one among the decided
+    candidates."""
 
     n: int
     max_value: Value
@@ -98,7 +100,8 @@ class CenteredResult:
 class UncenteredResult:
     """Maximal uncentered average at n and the minimal window diameter
     (length minus one) among maximizing windows; the half-diameter plays
-    the role the radius plays in the centered case."""
+    the role the radius plays in the centered case.  certified and gap as
+    in CenteredResult."""
 
     n: int
     max_value: Value
@@ -141,16 +144,22 @@ def search_bound_centered(sig: Signal, n: int) -> int:
     return max(abs(n - lo), abs(n - hi))
 
 
+def _gap(top: Optional[Fraction], value: Value) -> Optional[Fraction]:
+    """None when nothing was left open, else how far top reaches above value."""
+    return None if top is None else max(Fraction(0), top - exact_bounds(value)[1])
+
+
 def _best(cands) -> tuple:
-    """(value, key, certified, gap) for the largest value among (key, value)
-    pairs, with the smallest key among exact ties.  A comparison the
-    enclosures cannot decide keeps the current best, clears certified and
-    widens gap to the overlap width.  The oracles' reference path: the event
-    engines select by _Best, which keeps these update rules."""
+    """(value, key, gap) for the largest value among (key, value) pairs,
+    with the smallest key among exact ties.  A comparison the enclosures
+    cannot decide keeps the current best and raises top to the candidate's
+    upper bound; gap is _gap(top, value).  Every candidate is either
+    decided below some best, so at most the final one, or at most top, so
+    the maximum is at most hi(value) + gap.  The oracles' reference path:
+    the event engines select by _Best, which keeps these update rules."""
     best_v: Optional[Value] = None
     best_k = 0
-    certified = True
-    gap = Fraction(0)
+    top: Optional[Fraction] = None
     for k, v in cands:
         c = Ordering.GREATER if best_v is None else compare(v, best_v)
         if c is Ordering.GREATER:
@@ -158,9 +167,9 @@ def _best(cands) -> tuple:
         elif c is Ordering.EQUAL:
             best_k = min(best_k, k)
         elif c is Ordering.INDETERMINATE:
-            certified = False
-            gap = max(gap, overlap_width(v, best_v))
-    return best_v, best_k, certified, gap
+            hi = exact_bounds(v)[1]
+            top = hi if top is None else max(top, hi)
+    return best_v, best_k, _gap(top, best_v)
 
 
 def _bounds_sign(terms) -> Optional[int]:
@@ -206,19 +215,19 @@ class _Best:
     cross-multiplied by the window lengths.  The averages' enclosures
     round the same integers outward, so where the bounds decide, _best
     decides alike, and where they leave it open, _best's comparison is
-    undecided too: offer then clears certified and widens gap by the two
-    averages' overlap, as _best does.  On an exact tie the first window
+    undecided too: offer then records the window by undecided, as _best
+    records the candidate's upper bound.  On an exact tie the first window
     stays, with the smaller key.  The winner's average is computed once.
-    cannot_win tells a walk which windows it may skip."""
+    cannot_win tells a walk which windows it may skip, and undecided
+    records what a walk leaves open, in the one bound top."""
 
-    __slots__ = ("sig", "limits", "average", "win", "value", "certified", "gap", "_held")
+    __slots__ = ("sig", "limits", "average", "win", "value", "top", "_held")
 
     def __init__(self, sig: BlockSignal, limits: Limits, average) -> None:
         self.sig, self.limits, self.average = sig, limits, average
         self.win: Optional[tuple] = None  # (key, a, b, window_bounds)
         self.value: Optional[Value] = None  # the winner's average, once computed
-        self.certified = True
-        self.gap = Fraction(0)
+        self.top: Optional[Fraction] = None  # bounds what was left open, if anything
         self._held: dict = {}  # window_bounds of the windows cannot_win reads
 
     def best_value(self) -> Value:
@@ -234,8 +243,7 @@ class _Best:
         bk, ba, bb, bwb = self.win
         s = _bounds_sign(((bb - ba + 1, wb), (a - b - 1, bwb)))
         if s is None:
-            self.certified = False
-            self.gap = max(self.gap, overlap_width(self.average(a, b), self.best_value()))
+            self.undecided(a, b, b - a + 1, wb)
         elif s > 0:
             self.win, self.value = (k, a, b, wb), None
         elif s == 0:
@@ -252,12 +260,13 @@ class _Best:
         It decides as offer does, by _bounds_sign on the window_bounds of
         [a, b] against the best's.  Such a window's parts are parts of
         [a, b], so its upper bound lies at or below that of [a, b]: a loss
-        decided here is one offer decides, which neither clears certified
-        nor widens gap, and an undecided test drops nothing.  The bounds of
-        [a, b] are read once per window.  Nothing it reads is refused, as
-        the engines refuse a signal past powerlaw_sum_cap before their
-        walks, so a skip never changes which query is refused or what the
-        refusal says."""
+        decided here is one offer decides, which records nothing, and an
+        undecided test drops nothing.  A skipped stretch could have raised
+        top no higher than max_value's upper bound.  The bounds of [a, b]
+        are read once per window.  Nothing it reads is refused, as the
+        engines refuse a signal past powerlaw_sum_cap before their walks, so
+        a skip never changes which query is refused or what the refusal
+        says."""
         if self.win is None:
             return False
         _, ba, bb, bwb = self.win
@@ -267,39 +276,46 @@ class _Best:
         s = _bounds_sign(((bb - ba + 1, wb), (-length, bwb)))
         return s is not None and (s < 0 or (s == 0 and not strict))
 
+    def undecided(self, a: int, b: int, length: int, wb: Optional[tuple] = None) -> None:
+        """Marks the answer uncertified for the windows inside [a, b] at
+        least length long that a walk left open: as in cannot_win their
+        averages are at most S / length, S the mass of [a, b], so top rises
+        to hi / ((den << shift) * length), read from the window_bounds of
+        [a, b]: wb, or those cannot_win read."""
+        wb = wb or self._held.get((a, b)) or window_bounds(self.sig, a, b, self.limits)
+        _, hi, shift, den = wb
+        bound = Fraction(hi, (den << shift) * length)
+        if self.top is None or bound > self.top:
+            self.top = bound
+
     def result(self) -> tuple:
-        """(value, key, certified, gap) as _best gives; at least one window
-        was offered."""
-        return self.best_value(), self.win[0], self.certified, self.gap
+        """(value, key, gap) as _best gives; at least one window was
+        offered.  Every candidate was either decided below some best, so at
+        most the final one, or recorded by undecided, so at most top."""
+        value = self.best_value()
+        return value, self.win[0], _gap(self.top, value)
 
 
-class _PeakState:
-    """Collects soundness bookkeeping from interior-peak searches."""
-
-    __slots__ = ("uncertified",)
-
-    def __init__(self):
-        self.uncertified = False
-
-
-def _delta_step_sign(sig: BlockSignal, n: int, r: int, limits: Limits, state: _PeakState) -> int:
-    """Sign of delta(r+1) - delta(r), delta(r) = f(n-r-1) + f(n+r+1)."""
+def _delta_step_sign(sig: BlockSignal, n: int, r: int, limits: Limits, opened: list) -> int:
+    """Sign of delta(r+1) - delta(r), delta(r) = f(n-r-1) + f(n+r+1); -1,
+    with r appended to opened, when it stays undecided."""
     edges = (n - r - 2, n + r + 2, n - r - 1, n + r + 1)
     windows = [(c, x, x) for c, x in zip((1, 1, -1, -1), edges)]
     s = _decided_sign(sig, limits, windows)
     if s is None:
-        state.uncertified = True
+        opened.append(r)
         return -1
     return s
 
 
-def _h_sign(sig: BlockSignal, n: int, r: int, limits: Limits, state: _PeakState) -> int:
-    """Sign of h(r) = (2r+1) delta(r) - 2 N(r); h > 0 iff A_{r+1} > A_r."""
+def _h_sign(sig: BlockSignal, n: int, r: int, limits: Limits, opened: list) -> int:
+    """Sign of h(r) = (2r+1) delta(r) - 2 N(r); h > 0 iff A_{r+1} > A_r; 1,
+    with r appended to opened, when it stays undecided."""
     d = 2 * r + 1
     windows = [(d, n - r - 1, n - r - 1), (d, n + r + 1, n + r + 1), (-2, n - r, n + r)]
     s = _decided_sign(sig, limits, windows)
     if s is None:
-        state.uncertified = True
+        opened.append(r)
         return 1
     return s
 
@@ -330,9 +346,7 @@ def _pl_stretch(sig: BlockSignal, n: int, r1: int, r2: int) -> bool:
     )
 
 
-def _centered_stretch_peaks(
-    sig: BlockSignal, n: int, r1: int, r2: int, limits: Limits, state: _PeakState
-) -> Sequence[int]:
+def _centered_stretch_peaks(best: _Best, n: int, r1: int, r2: int) -> Sequence[int]:
     """Interior peak radii of A over the event-free stretch (r1, r2), in
     ascending order, for a stretch with a moving edge in a power-law
     region.
@@ -346,19 +360,18 @@ def _centered_stretch_peaks(
     at most once; the crossing is found by two monotone binary searches."""
     if r2 - r1 <= _ENUM_STRETCH:
         return range(r1 + 1, r2)
-    sub = _PeakState()
+    sig, limits, opened = best.sig, best.limits, []
     # valley bottom of h: first r in [r1, r2-2] whose delta-step is >= 0
-    m = _first_true(lambda r: _delta_step_sign(sig, n, r, limits, sub) >= 0, r1, r2 - 2)
+    m = _first_true(lambda r: _delta_step_sign(sig, n, r, limits, opened) >= 0, r1, r2 - 2)
     # h is non-increasing on [r1, m]; find its first non-positive point
-    t = _first_true(lambda r: _h_sign(sig, n, r, limits, sub) <= 0, r1, m)
-    out = range(max(r1 + 1, t - 2), min(r2, t + 3)) if t <= m else ()
-    if sub.uncertified:
+    t = _first_true(lambda r: _h_sign(sig, n, r, limits, opened) <= 0, r1, m)
+    if opened:
         # sign calls stayed undecided at max precision: enumerate when the
-        # stretch is small enough, otherwise surface the uncertainty
+        # stretch is small enough, otherwise bound the radii it holds
         if r2 - r1 <= _ENUM_FALLBACK:
             return range(r1 + 1, r2)
-        state.uncertified = True
-    return out
+        best.undecided(n - r2 + 1, n + r2 - 1, 2 * r1 + 3)
+    return range(max(r1 + 1, t - 2), min(r2, t + 3)) if t <= m else ()
 
 
 def event_centered(sig: Signal, n: int, limits: Limits = DEFAULT_LIMITS) -> CenteredResult:
@@ -403,7 +416,6 @@ def event_centered(sig: Signal, n: int, limits: Limits = DEFAULT_LIMITS) -> Cent
         base = abs(n - b)
         events.update(r for r in (base - 1, base, base + 1) if 0 <= r <= r_cap)
     events = sorted(events)
-    state = _PeakState()
     best = _Best(blocks, limits, lambda a, b: average_centered(blocks, n, n - a, limits))
     for r1, r2 in zip(events, events[1:] + [r_cap]):
         if best.cannot_win(n - r_cap, n + r_cap, 2 * r1 + 1, False):
@@ -413,11 +425,10 @@ def event_centered(sig: Signal, n: int, limits: Limits = DEFAULT_LIMITS) -> Cent
             n - r2 + 1, n + r2 - 1, 2 * r1 + 3, False
         ):
             continue
-        for r in _centered_stretch_peaks(blocks, n, r1, r2, limits, state):
+        for r in _centered_stretch_peaks(best, n, r1, r2):
             best.offer(r, n - r, n + r)
-    best_v, best_r, certified, gap = best.result()
-    certified = certified and not state.uncertified
-    return CenteredResult(n, best_v, best_r, certified, gap if not certified else None)
+    best_v, best_r, gap = best.result()
+    return CenteredResult(n, best_v, best_r, gap is None, gap)
 
 
 def _mass_stretch(lay: StepLayout, y: int) -> tuple:
@@ -712,19 +723,17 @@ def frequency_pieces(sig: Signal, n_lo: int, n_hi: int) -> list:
 def _dense_prefix(sig: BlockSignal) -> Optional[tuple]:
     """(D, lo, prefix) for an all-constant signal, else None: prefix[k] is
     D times the mass of [lo, lo + k - 1], lo the support start.  One walk
-    over every support position builds it from the layout's scaled values,
-    once per signal, so the oracles read window masses by position,
+    over every support position builds it from the layout's scaled values
+    on each oracle call, so the oracles read window masses by position,
     independently of the layout's prefix masses and bisect reads."""
     lay = sig.layout
     if lay is None:
         return None
-    if sig._dense_prefix is None:
-        pref = [0]
-        for a, b, v in zip(lay.xs, lay.xs[1:], lay.vals[1:]):
-            for _ in range(b - a):
-                pref.append(pref[-1] + v)
-        sig._dense_prefix = (lay.dy, lay.lo, pref)
-    return sig._dense_prefix
+    pref = [0]
+    for a, b, v in zip(lay.xs, lay.xs[1:], lay.vals[1:]):
+        for _ in range(b - a):
+            pref.append(pref[-1] + v)
+    return lay.dy, lay.lo, pref
 
 
 def oracle_centered(sig: Signal, n: int, limits: Limits = DEFAULT_LIMITS) -> CenteredResult:
@@ -753,9 +762,8 @@ def oracle_centered_range(
         for n in range(n_lo, n_hi + 1):
             r_cap = search_bound_centered(sig, n)
             averages = ((r, average_centered(sig, n, r, limits)) for r in range(r_cap + 1))
-            best_v, best_r, certified, gap = _best(averages)
-            gap = gap if not certified else None
-            results.append(CenteredResult(n, best_v, best_r, certified, gap))
+            best_v, best_r, gap = _best(averages)
+            results.append(CenteredResult(n, best_v, best_r, gap is None, gap))
         return results
     d, lo, pref = table
     width, total, rev = len(pref) - 1, pref[-1], pref[::-1]
@@ -784,28 +792,24 @@ def _uncentered_bounds(sig: Signal, n: int) -> tuple[int, int]:
     return max(0, n - lo), max(0, hi - n)
 
 
-def _u_peak(
-    sig: BlockSignal,
-    l: int,
-    u1: int,
-    u2: int,
-    limits: Limits,
-    state: _PeakState,
-) -> Optional[int]:
+def _u_peak(best: _Best, l: int, u1: int, u2: int) -> Optional[int]:
     """Interior peak of u -> mean(f over [l, u]) on a power-law u-stretch.
 
     Extending the window right adds f(u+1), non-increasing across the
     stretch; once f(u+1) <= A([l, u]) the average can only fall, and the
-    predicate stays true afterwards, so its first success is the peak."""
+    predicate stays true afterwards, so its first success is the peak.  A
+    search left open bounds the windows it holds by best.undecided."""
+    opened = []
 
     def done(u: int) -> bool:  # f(u+1) <= A([l, u])
-        s = _decided_sign(sig, limits, [(u - l + 1, u + 1, u + 1), (-1, l, u)])
+        s = _decided_sign(best.sig, best.limits, [(u - l + 1, u + 1, u + 1), (-1, l, u)])
         if s is None:
-            state.uncertified = True
-            return True
-        return s <= 0
+            opened.append(u)
+        return s is None or s <= 0
 
     peak = _first_true(done, u1, u2 - 1)
+    if opened:
+        best.undecided(l, u2 - 1, u1 - l + 2)
     return peak if peak < u2 else None
 
 
@@ -888,7 +892,6 @@ def event_uncentered(sig: Signal, n: int, limits: Limits = DEFAULT_LIMITS) -> Un
         for u1, u2 in zip(u_cands, u_cands[1:])
         if u2 - u1 >= 2 and isinstance(region_at(blocks, u1 + 1), PowerLaw)
     }
-    state = _PeakState()
     best = _Best(blocks, limits, lambda a, b: average_uncentered(blocks, n, n - a, b - n, limits))
     for l in sorted(l_set):
         for u1 in u_cands:
@@ -901,14 +904,13 @@ def event_uncentered(sig: Signal, n: int, limits: Limits = DEFAULT_LIMITS) -> Un
             if u2 - u1 <= _ENUM_STRETCH:
                 inner = range(u1 + 1, u2)
             else:
-                peak = _u_peak(blocks, l, u1, u2, limits, state)
+                peak = _u_peak(best, l, u1, u2)
                 inner = () if peak is None else (peak - 1, peak, peak + 1)
             for u in inner:
                 if u1 < u < u2:
                     best.offer(u - l, l, u)
-    best_v, best_diam, certified, gap = best.result()
-    certified = certified and not state.uncertified
-    return UncenteredResult(n, best_v, best_diam, certified, gap if not certified else None)
+    best_v, best_diam, gap = best.result()
+    return UncenteredResult(n, best_v, best_diam, gap is None, gap)
 
 
 def _uncentered_grid(sig: Signal, n: int, limits: Limits) -> tuple[int, int]:
@@ -945,12 +947,12 @@ def oracle_uncentered(sig: Signal, n: int, limits: Limits = DEFAULT_LIMITS) -> U
                 if lhs > rhs or (lhs == rhs and rho + s < best_diam):
                     best_num, best_len, best_diam = num, length, rho + s
         return UncenteredResult(n, Fraction(best_num, d * best_len), best_diam, True)
-    best_v, best_diam, certified, gap = _best(
+    best_v, best_diam, gap = _best(
         (rho + s, average_uncentered(sig, n, rho, s, limits))
         for rho in range(rho_max + 1)
         for s in range(s_max + 1)
     )
-    return UncenteredResult(n, best_v, best_diam, certified, gap if not certified else None)
+    return UncenteredResult(n, best_v, best_diam, gap is None, gap)
 
 
 def oracle_uncentered_range(

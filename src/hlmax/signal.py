@@ -128,10 +128,7 @@ class BlockSignal:
     `layout` is the StepLayout of an all-constant signal, None when a block
     is power-law."""
 
-    __slots__ = (
-        "blocks", "_starts", "_ends", "_boundaries", "layout", "_pl_tables", "_dense_prefix",
-        "_sweep",
-    )
+    __slots__ = ("blocks", "_starts", "_ends", "_boundaries", "layout", "_pl_tables", "_sweep")
 
     def __init__(self, blocks):
         blist = sorted(blocks, key=lambda b: b.start)
@@ -156,7 +153,6 @@ class BlockSignal:
                 self._boundaries.append(b.end)
         self.layout = None if self.has_powerlaw else _block_layout(merged)
         self._pl_tables = {}
-        self._dense_prefix = None
         self._sweep = None  # frequency_pieces' boundary tables, built on first use
 
     @property

@@ -211,20 +211,15 @@ def _scaled(v: Value) -> tuple:
     return lm << (le - e), hm << (he - e), e, 1
 
 
-def _aligned(a: Value, b: Value) -> tuple:
-    """(alo, ahi, blo, bhi, e, d): the bounds of a and b as integers over
-    one common scale, each bound equal to its integer times 2^e / d."""
+def compare(a: Value, b: Value) -> Ordering:
+    """Three-way comparison; INDETERMINATE iff the intervals overlap without
+    being the same single point.  The bounds compare as integers over one
+    common scale 2^e / (ad * bd)."""
     alo, ahi, ae, ad = _scaled(a)
     blo, bhi, be, bd = _scaled(b)
     e = min(ae, be)
-    sa, sb = ae - e, be - e
-    return (alo * bd) << sa, (ahi * bd) << sa, (blo * ad) << sb, (bhi * ad) << sb, e, ad * bd
-
-
-def compare(a: Value, b: Value) -> Ordering:
-    """Three-way comparison; INDETERMINATE iff the intervals overlap without
-    being the same single point."""
-    alo, ahi, blo, bhi, _, _ = _aligned(a, b)
+    alo, ahi = (alo * bd) << (ae - e), (ahi * bd) << (ae - e)
+    blo, bhi = (blo * ad) << (be - e), (bhi * ad) << (be - e)
     if ahi < blo:
         return Ordering.LESS
     if alo > bhi:
@@ -232,15 +227,6 @@ def compare(a: Value, b: Value) -> Ordering:
     if alo == ahi == blo == bhi:
         return Ordering.EQUAL
     return Ordering.INDETERMINATE
-
-
-def overlap_width(a: Value, b: Value) -> Fraction:
-    """Width of the overlap of two value intervals (0 for disjoint/exact)."""
-    alo, ahi, blo, bhi, e, d = _aligned(a, b)
-    w = min(ahi, bhi) - max(alo, blo)
-    if w <= 0:
-        return Fraction(0)
-    return Fraction(w << e, d) if e >= 0 else Fraction(w, d << -e)
 
 
 def escalate(limits, attempt, top: int = 0):

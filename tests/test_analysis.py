@@ -317,13 +317,17 @@ class TestDensitySeries:
         assert row.count_S == s
 
 
-def pointwise_counts(sig, n_max: int, C: Fraction, eps: Fraction) -> list:
+def pointwise_counts(sig, n_max: int, C: Fraction, eps: Fraction, uncentered=False) -> list:
     """Cumulative (count_S, count_Z, count_near1) for N = 1..n_max from one
-    event_centered pass."""
+    event_centered pass, or one event_uncentered pass with the ratio
+    min_diameter / (2 |n|)."""
     out, s, z, n1 = [], 0, 0, 0
     for m in range(1, n_max + 1):
         for n in (m, -m):
-            ratio = F(event_centered(sig, n).radius, m)
+            if uncentered:
+                ratio = F(event_uncentered(sig, n).min_diameter, 2 * m)
+            else:
+                ratio = F(event_centered(sig, n).radius, m)
             s += ratio <= 1 / C
             z += ratio == 0
             n1 += 1 - eps <= ratio <= 1 + eps
@@ -355,6 +359,22 @@ class TestSweptCounts:
                 # past the horizon every ratio is near 1, as the tail assumes
                 assert (row.count_S, row.count_Z) == want[row.N - 1][:2]
                 assert row.count_near1 == want[row.N - 1][2]
+
+    @given(
+        st.integers(0, 2**32),
+        st.lists(st.integers(1, 60), min_size=1, max_size=4, unique=True),
+        st.sampled_from([(F(2), F(1, 10)), (F(5, 2), F(1, 8)), (F(3, 2), F(1, 4))]),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_uncentered_rows_at_several_n(self, seed, ns, c_eps):
+        # uncentered rows count one-point pieces of the diameter, w = 2
+        C, eps = c_eps
+        sig = random_dense(random.Random(seed), max_width=16)
+        ns = sorted(ns)
+        rows = density_series(sig, ns, C=C, epsilon=eps, uncentered=True)
+        want = pointwise_counts(sig, ns[-1], C, eps, uncentered=True)
+        assert [(r.count_S, r.count_Z, r.count_near1) for r in rows] == [want[n - 1] for n in ns]
+        assert all(r.flags == "" for r in rows)
 
     def test_constant_rows_make_no_engine_calls(self, monkeypatch):
         import hlmax.analysis
