@@ -781,11 +781,18 @@ def _zero_run(n_a: int, n_b: int, slope: int, icpt: int) -> tuple[int, int]:
     return (n, n) if rem == 0 and n_a <= n <= n_b else (n_a, n_a - 1)
 
 
+def _uncertified(gaps: list) -> str:
+    """Note tail naming the deciding results left uncertified, if any, and
+    the largest gap among them: such a claim is unverifiable, never fail."""
+    return f"; {len(gaps)} uncertified, gap {value_str(max(gaps))}" if gaps else ""
+
+
 def _block_claim(
     sig: BlockSignal, start: int, end: int, a: Fraction, cap: int, per_block: int, limits: Limits
-) -> tuple[int, int, bool]:
-    """(mismatches, points checked, exhaustive) for the claim that every n
-    in [start, end] has Mf(n) = a with minimal centered radius 0.
+) -> tuple[int, int, bool, list]:
+    """(certified mismatches, points checked, exhaustive, gaps of the
+    uncertified results) for the claim that every n in [start, end] has
+    Mf(n) = a with minimal centered radius 0.
 
     At most cap points are all decided on frequency_pieces: on each piece
     the radius is zero everywhere, at one point or nowhere (_zero_run), and
@@ -796,9 +803,9 @@ def _block_claim(
     if count > cap:
         pts = {start, start + 1, start + 2, end - 2, end - 1, end}
         pts.update(range(start + 3, end - 2, max(1, count // per_block)))
-        results = (event_centered(sig, n, limits) for n in pts)
-        bad = sum(not (r.certified and r.radius == 0 and r.max_value == a) for r in results)
-        return bad, len(pts), False
+        results = [event_centered(sig, n, limits) for n in pts]
+        bad = sum(r.certified and not (r.radius == 0 and r.max_value == a) for r in results)
+        return bad, len(pts), False, [r.gap for r in results if not r.certified]
     lay = sig.layout
     xs, vals, lo = lay.xs, lay.vals, lay.lo
     bad = 0
@@ -813,7 +820,7 @@ def _block_claim(
             if vals[i] * a.denominator != a.numerator * lay.dy:  # f != a
                 bad += stop - x + 1
             x, i = stop + 1, i + 1
-    return bad, count, True
+    return bad, count, True, []
 
 
 def verify_delta(limits: Limits = DEFAULT_LIMITS, n_abs_max: int = 1000) -> dict:
@@ -829,6 +836,7 @@ def verify_delta(limits: Limits = DEFAULT_LIMITS, n_abs_max: int = 1000) -> dict
     # r_n = |n| on each side of 0, and there the window holds the point
     # mass, so Mf(n) = 1/(2|n|+1) follows
     bad_c = bad_u = 0
+    gaps: list = []
     for n_a, n_b, slope, icpt in frequency_pieces(sig, -n_abs_max, n_abs_max):
         for a, b, side in ((n_a, min(n_b, -1), -1), (max(n_a, 0), n_b, 1)):
             if a <= b:
@@ -836,11 +844,9 @@ def verify_delta(limits: Limits = DEFAULT_LIMITS, n_abs_max: int = 1000) -> dict
                 bad_c += (b - a + 1) - max(0, v - u + 1)
     for n in range(-n_abs_max, n_abs_max + 1):
         ures = event_uncentered(sig, n, limits)
-        if not (
-            ures.certified
-            and ures.min_diameter == abs(n)
-            and ures.max_value == Fraction(1, abs(n) + 1)
-        ):
+        if not ures.certified:
+            gaps.append(ures.gap)
+        elif not (ures.min_diameter == abs(n) and ures.max_value == Fraction(1, abs(n) + 1)):
             bad_u += 1
     _claim(
         claims,
@@ -852,9 +858,10 @@ def verify_delta(limits: Limits = DEFAULT_LIMITS, n_abs_max: int = 1000) -> dict
     _claim(
         claims,
         "uncentered_profile_exact",
-        "pass" if bad_u == 0 else "fail",
+        "fail" if bad_u else "unverifiable" if gaps else "pass",
         "exact",
-        f"diam = |n|, value 1/(|n|+1) at {2 * n_abs_max + 1} points, {bad_u} mismatches",
+        f"diam = |n|, value 1/(|n|+1) at {2 * n_abs_max + 1} points, {bad_u} mismatches"
+        + _uncertified(gaps),
     )
     return _report("delta", cert, claims, limits)
 
@@ -884,7 +891,7 @@ def verify_theorem27(
         for k in range(1, k_max + 1):
             a = amps[k - 1]
             start = ns[k - 1] + 1
-            bad, count, exhaustive = _block_claim(
+            bad, count, exhaustive, gaps = _block_claim(
                 sig, start, start + ls[k - 1] - 2, a, _POINTWISE_CAP, _SAMPLE_PER_BLOCK, limits
             )
             dom_ok = f"block_dominance_k{k}" in satisfied
@@ -896,6 +903,8 @@ def verify_theorem27(
             )
             if bad:
                 note = f"{bad} of {count} points mismatched"
+            elif gaps and status == "pass":
+                status, note = "unverifiable", note + _uncertified(gaps)
             _claim(claims, f"block_k{k}_pointwise", status, "exact", note)
         n_eval = ns[-1] + ls[-1]
         row = density_series(
@@ -962,17 +971,14 @@ def verify_theorem29_linf(
     for k in claim_ks:
         n, l = ns[k - 1], ls[k - 1]
         res = event_centered(sig, n, limits)
-        good = (
-            res.certified
-            and res.radius == l
-            and res.max_value == Fraction(l, 2 * l + 1)
-        )
+        good = res.radius == l and res.max_value == Fraction(l, 2 * l + 1)
         _claim(
             claims,
             f"anchor_k{k}",
-            "pass" if good else "fail",
+            "unverifiable" if not res.certified else "pass" if good else "fail",
             "exact",
-            f"r = {int_str(res.radius)} vs claimed {int_str(l)}; value {value_str(res.max_value)}",
+            f"r = {int_str(res.radius)} vs claimed {int_str(l)}; value {value_str(res.max_value)}"
+            + ("" if res.certified else f"; uncertified, gap {value_str(res.gap)}"),
         )
     if claim_ks:
         k = claim_ks[-1]

@@ -3,11 +3,12 @@
 The differ checks, for every integer within one support width of a signal,
 that the event engines reproduce the brute-force oracles exactly: same
 maximal average, same minimal radius (centered) and minimal diameter
-(uncentered), with the engine certifying its answer.  Random signals come
-in a run-structured flavor (few constant runs, the regime where the event
+(uncentered), with the engine certifying its answer; it reads the oracles'
+integer rows off one prefix table per signal.  Random signals come in a
+run-structured flavor (few constant runs, the regime where the event
 engines skip the most work) and a fully random one; binary_signals
-enumerates every 0/1 signal up to a width with canonical support,
-first and last values one.
+enumerates every 0/1 signal up to a width with canonical support, first
+and last values one.
 """
 
 from __future__ import annotations
@@ -17,12 +18,15 @@ from typing import Iterator, Optional
 
 from .config import DEFAULT_LIMITS, Limits
 from .maxengine import (
+    _centered_rows,
+    _dense_prefix,
+    _refuse_centered_scan,
+    _refuse_uncentered_grid,
+    _uncentered_rows,
     event_centered,
     event_uncentered,
-    oracle_centered_range,
-    oracle_uncentered_range,
 )
-from .signal import DenseSignal, support_bounds
+from .signal import DenseSignal, as_blocks, support_bounds
 
 
 def random_dense(
@@ -72,32 +76,36 @@ def diff_signal(
 ) -> list:
     """Engine-versus-oracle mismatch descriptions over every n within one
     support width of the signal; empty means exact agreement everywhere.
-    Each oracle answers the whole range in one call."""
-    lo, hi = support_bounds(sig)
+    Refused as the range oracles refuse; an engine value agrees with its
+    row (num, den) when it is a Fraction of the value num/den."""
+    blocks = as_blocks(sig)
+    lo, hi = support_bounds(blocks)
     width = hi - lo + 1
     n_lo, n_hi = lo - width, hi + width
-    batch = oracle_uncentered_range(sig, n_lo, n_hi, limits)
-    centered = oracle_centered_range(sig, n_lo, n_hi, limits)
+    _refuse_uncentered_grid(blocks, n_lo, n_hi, limits)
+    _refuse_centered_scan(blocks, n_lo, n_hi, limits)
+    table = _dense_prefix(blocks)
+    rows = zip(_centered_rows(table, n_lo, n_hi), _uncentered_rows(table, lo, hi, n_lo, n_hi))
     mismatches: list = []
-    for n in range(n_lo, n_hi + 1):
-        ev = event_centered(sig, n, limits)
-        oc = centered[n - n_lo]
-        if not ev.certified or ev.max_value != oc.max_value or ev.radius != oc.radius:
+    for n, ((c_num, c_den, r), (u_num, u_den, diam)) in enumerate(rows, n_lo):
+        ev = event_centered(blocks, n, limits)
+        if not _agrees(ev, ev.radius, c_num, c_den, r):
             mismatches.append(
                 f"centered n={n}: event ({ev.max_value}, r={ev.radius}, "
-                f"certified={ev.certified}) vs oracle ({oc.max_value}, r={oc.radius})"
+                f"certified={ev.certified}) vs oracle ({Fraction(c_num, c_den)}, r={r})"
             )
-        eu = event_uncentered(sig, n, limits)
-        ou = batch[n - n_lo]
-        if (
-            not eu.certified
-            or eu.max_value != ou.max_value
-            or eu.min_diameter != ou.min_diameter
-        ):
+        eu = event_uncentered(blocks, n, limits)
+        if not _agrees(eu, eu.min_diameter, u_num, u_den, diam):
             mismatches.append(
                 f"uncentered n={n}: event ({eu.max_value}, d={eu.min_diameter}, "
-                f"certified={eu.certified}) vs oracle ({ou.max_value}, d={ou.min_diameter})"
+                f"certified={eu.certified}) vs oracle ({Fraction(u_num, u_den)}, d={diam})"
             )
         if len(mismatches) >= max_report:
             break
     return mismatches
+
+
+def _agrees(res, key: int, num: int, den: int, oracle_key: int) -> bool:
+    v = res.max_value
+    same = isinstance(v, Fraction) and v.numerator * den == num * v.denominator
+    return res.certified and key == oracle_key and same

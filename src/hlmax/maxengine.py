@@ -10,7 +10,7 @@ power-law regions can create one interior peak per stretch; the peak is
 pinned down by monotone binary searches justified by the convexity of the
 edge terms.  Exhaustive brute-force oracles enumerate each window once, by
 direct scan, for cross-validation; the range oracles answer every point of
-an interval in one call, which is how corpus.diff_signal calls them.
+an interval from one prefix table, which corpus.diff_signal reads directly.
 
 An all-constant signal is the step function x -> f(floor(x)) on R, and its
 window [n - r, n + r] is the ball of radius r + 1/2 about n + 1/2, so its
@@ -724,8 +724,8 @@ def _dense_prefix(sig: BlockSignal) -> Optional[tuple]:
     """(D, lo, prefix) for an all-constant signal, else None: prefix[k] is
     D times the mass of [lo, lo + k - 1], lo the support start.  One walk
     over every support position builds it from the layout's scaled values
-    on each oracle call, so the oracles read window masses by position,
-    independently of the layout's prefix masses and bisect reads."""
+    on each oracle call and once per signal in corpus.diff_signal, so the
+    row kernels read masses by position, apart from the layout's prefix reads."""
     lay = sig.layout
     if lay is None:
         return None
@@ -741,14 +741,8 @@ def oracle_centered(sig: Signal, n: int, limits: Limits = DEFAULT_LIMITS) -> Cen
     return oracle_centered_range(sig, n, n, limits)[0]
 
 
-def oracle_centered_range(
-    sig: Signal, n_lo: int, n_hi: int, limits: Limits = DEFAULT_LIMITS
-) -> list:
-    """Brute-force centered results for every n in [n_lo, n_hi]: each point
-    scans its radii from the first window meeting the support (smaller ones
-    read mass 0, below the positive maximum) up to the search bound.
-    Refused wherever some point's scan would exceed scan_radius_cap."""
-    sig = as_blocks(sig)
+def _refuse_centered_scan(sig: BlockSignal, n_lo: int, n_hi: int, limits: Limits) -> None:
+    """Refused past scan_radius_cap at some n in [n_lo, n_hi]."""
     # the search bound is convex in n, so it peaks at an end of the range
     for n in (n_lo, n_hi):
         r_cap = search_bound_centered(sig, n)
@@ -756,6 +750,16 @@ def oracle_centered_range(
             raise BudgetExceeded(
                 f"oracle scan over {r_cap} radii exceeds cap {limits.scan_radius_cap}"
             )
+
+
+def oracle_centered_range(
+    sig: Signal, n_lo: int, n_hi: int, limits: Limits = DEFAULT_LIMITS
+) -> list:
+    """Brute-force centered results for every n in [n_lo, n_hi], all constant
+    ones off _centered_rows: each point scans its radii up to the search
+    bound.  Refused wherever some point's scan would exceed scan_radius_cap."""
+    sig = as_blocks(sig)
+    _refuse_centered_scan(sig, n_lo, n_hi, limits)
     table = _dense_prefix(sig)
     results = []
     if table is None:
@@ -765,12 +769,20 @@ def oracle_centered_range(
             best_v, best_r, gap = _best(averages)
             results.append(CenteredResult(n, best_v, best_r, gap is None, gap))
         return results
+    rows = enumerate(_centered_rows(table, n_lo, n_hi), n_lo)
+    return [CenteredResult(n, Fraction(num, den), r, True) for n, (num, den, r) in rows]
+
+
+def _centered_rows(table: tuple, n_lo: int, n_hi: int):
+    """(num, den, r) per n in [n_lo, n_hi]: the maximal centered average
+    num/den, den = D (2r + 1) not reduced, at the minimal radius r."""
     d, lo, pref = table
     width, total, rev = len(pref) - 1, pref[-1], pref[::-1]
     for n in range(n_lo, n_hi + 1):
         off = n - lo
         # the window [n - r, n + r] has mass pref[off + r + 1] - pref[off - r]
         # with both indices clamped to [0, width]; it meets the support from r0
+        # (smaller windows read mass 0, below the positive maximum)
         r0 = max(0, -off, off - width + 1)
         dens = range(2 * r0 + 1, 2 * max(off, width - 1 - off) + 2, 2)
         rights = chain(pref[off + r0 + 1:], repeat(total))
@@ -779,8 +791,7 @@ def oracle_centered_range(
         for den, a, b in zip(dens, rights, lefts):
             if (a - b) * best_den > best_num * den:
                 best_num, best_den = a - b, den
-        results.append(CenteredResult(n, Fraction(best_num, d * best_den), best_den // 2, True))
-    return results
+        yield best_num, d * best_den, best_den // 2
 
 
 def _uncentered_bounds(sig: Signal, n: int) -> tuple[int, int]:
@@ -913,20 +924,25 @@ def event_uncentered(sig: Signal, n: int, limits: Limits = DEFAULT_LIMITS) -> Un
     return UncenteredResult(n, best_v, best_diam, gap is None, gap)
 
 
-def _uncentered_grid(sig: Signal, n: int, limits: Limits) -> tuple[int, int]:
-    """The reaches of _uncentered_bounds at n, refused when the oracle grid
-    they span holds more than 16 * scan_radius_cap windows."""
-    rho_max, s_max = _uncentered_bounds(sig, n)
-    if (rho_max + 1) * (s_max + 1) > limits.scan_radius_cap * 16:
-        raise BudgetExceeded("uncentered oracle grid exceeds scan cap")
-    return rho_max, s_max
+def _refuse_uncentered_grid(sig: BlockSignal, n_lo: int, n_hi: int, limits: Limits) -> None:
+    """Refused where some n in [n_lo, n_hi] has more than 16 * scan_radius_cap
+    windows within the reaches of _uncentered_bounds."""
+    lo, hi = support_bounds(sig)
+    # the grid size falls left of lo, rises right of hi and is symmetric
+    # and concave between, so it peaks at an end of the range or at the
+    # support's middle (clamped into the range)
+    for n in {n_lo, n_hi, min(max((lo + hi) // 2, n_lo), n_hi)}:
+        rho_max, s_max = _uncentered_bounds(sig, n)
+        if (rho_max + 1) * (s_max + 1) > limits.scan_radius_cap * 16:
+            raise BudgetExceeded("uncentered oracle grid exceeds scan cap")
 
 
 def oracle_uncentered(sig: Signal, n: int, limits: Limits = DEFAULT_LIMITS) -> UncenteredResult:
     """Brute-force maximal uncentered average: try every window
     [n - rho, n + s] within the useful reaches."""
     sig = as_blocks(sig)
-    rho_max, s_max = _uncentered_grid(sig, n, limits)
+    _refuse_uncentered_grid(sig, n, n, limits)
+    rho_max, s_max = _uncentered_bounds(sig, n)
     table = _dense_prefix(sig)
     if table is not None:
         d, lo, pref = table
@@ -958,28 +974,29 @@ def oracle_uncentered(sig: Signal, n: int, limits: Limits = DEFAULT_LIMITS) -> U
 def oracle_uncentered_range(
     sig: Signal, n_lo: int, n_hi: int, limits: Limits = DEFAULT_LIMITS
 ) -> list:
-    """Brute-force uncentered results for every n in [n_lo, n_hi] at once.
+    """Brute-force uncentered results for every n in [n_lo, n_hi] at once, off
+    _uncentered_rows: independent of oracle_uncentered, refused where it is."""
+    sig = as_blocks(sig)
+    _refuse_uncentered_grid(sig, n_lo, n_hi, limits)
+    table = _dense_prefix(sig)
+    if table is None:
+        return [oracle_uncentered(sig, n, limits) for n in range(n_lo, n_hi + 1)]
+    rows = enumerate(_uncentered_rows(table, *support_bounds(sig), n_lo, n_hi), n_lo)
+    return [UncenteredResult(n, Fraction(num, den), d, True) for n, (num, den, d) in rows]
+
+
+def _uncentered_rows(table: tuple, lo: int, hi: int, n_lo: int, n_hi: int) -> list:
+    """(num, den, diameter) per n in [n_lo, n_hi], the signal supported on
+    [lo, hi]: the maximal uncentered average num/den, den = D (diameter + 1)
+    not reduced, at the minimal diameter.
 
     Enumerates every window with both endpoints inside the support once
     (for inner points the trimming argument pins maximizers there): for
     each left edge l, a pass with u descending from the support end keeps
     the best window [l, u'] with u' >= u, shortest on ties, which is the
-    best window from l containing n = u, and folds it into n's result, so
+    best window from l containing n = u, and folds it into n's row, so
     inner points cost O(width^2) in all.  Points outside the support try
-    every window pinned at n on the near side, O(width) each.  An
-    independent check of the per-point oracle at corpus scale, refused
-    wherever the per-point oracle would refuse some n in [n_lo, n_hi]."""
-    sig = as_blocks(sig)
-    lo, hi = support_bounds(sig)
-    # the grid size falls left of lo, rises right of hi and is symmetric
-    # and concave between, so it peaks at an end of the range or at the
-    # support's middle
-    for n in {n_lo, n_hi, (lo + hi) // 2}:
-        if n_lo <= n <= n_hi:
-            _uncentered_grid(sig, n, limits)
-    table = _dense_prefix(sig)
-    if table is None:
-        return [oracle_uncentered(sig, n, limits) for n in range(n_lo, n_hi + 1)]
+    every window pinned at n on the near side, O(width) each."""
     d, _, pref = table
     count = n_hi - n_lo + 1
     # a window's diameter is its length minus one, so ties compare lengths
@@ -1009,10 +1026,7 @@ def oracle_uncentered_range(
             if num * bl > bn * length:
                 bn, bl = num, length
         best_num[n - n_lo], best_len[n - n_lo] = bn, bl
-    return [
-        UncenteredResult(n_lo + i, Fraction(best_num[i], d * best_len[i]), best_len[i] - 1, True)
-        for i in range(count)
-    ]
+    return [(num, d * length, length - 1) for num, length in zip(best_num, best_len)]
 
 
 def _checked_points(points, limits: Limits):

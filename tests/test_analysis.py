@@ -3,6 +3,7 @@ exact boundary behavior, membership tests at meaningful boundary parameters,
 pointwise/structural/closed-form counting agreement, and CSV rendering."""
 
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -375,6 +376,20 @@ class TestSweptCounts:
         want = pointwise_counts(sig, ns[-1], C, eps, uncentered=True)
         assert [(r.count_S, r.count_Z, r.count_near1) for r in rows] == [want[n - 1] for n in ns]
         assert all(r.flags == "" for r in rows)
+
+    def test_uncentered_rows_keep_no_point_list(self):
+        # each side's diameters merge into affine runs as they are evaluated
+        # (7 runs for n > 0 and 2 for n < 0 up to |n| = 20000 here), so the
+        # memory does not grow with N
+        sig, _ = build_theorem27(GrowthSpec("log"), 4)
+        tracemalloc.start()
+        try:
+            row = density_series(sig, [6000], uncentered=True)[0]
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (row.count_S, row.count_Z, row.count_near1) == (5992, 34, 9)
+        assert peak < 500_000
 
     def test_constant_rows_make_no_engine_calls(self, monkeypatch):
         import hlmax.analysis

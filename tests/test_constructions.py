@@ -4,7 +4,9 @@ arithmetic including exact rational-power ties, certificate recheck against
 tampering, and the verification harnesses' report shapes."""
 
 import copy
+import functools
 import json
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -35,7 +37,13 @@ from hlmax.errors import (
     InfeasibleConstraint,
     ParameterViolation,
 )
-from hlmax.maxengine import event_centered, frequency_pieces, oracle_centered
+from hlmax.maxengine import (
+    CenteredResult,
+    event_centered,
+    event_uncentered,
+    frequency_pieces,
+    oracle_centered,
+)
 from hlmax.signal import Block, BlockSignal, norm_l1, support_bounds, translate
 from hlmax.values import Ordering, int_str, parse_int, parse_rational, rational_str
 
@@ -755,6 +763,124 @@ class TestLpVerifyAtLowPrecision:
             assert all(c["status"] != "fail" for c in rep["claims"]), prec
 
 
+# every verify_* on a small build; theorem27's blocks past 16 points are
+# sampled (_POINTWISE_CAP patched), so its engine-decided claims are reached
+SMALL_VERIFY = {
+    "delta": lambda lim: verify_delta(lim, n_abs_max=12),
+    "t27": lambda lim: verify_theorem27(LOG, 3, limits=lim),
+    "t27_relaxed": lambda lim: verify_theorem27(
+        LOG, 4, "relaxed", n1=300, growth_factor=2, limits=lim
+    ),
+    "linf": lambda lim: verify_theorem29_linf(4, limits=lim),
+    "linf_relaxed": lambda lim: verify_theorem29_linf(
+        4, "relaxed", n1=3, growth_factor=3, limits=lim
+    ),
+    "lp": lambda lim: verify_theorem29_lp(
+        F(2), F(3, 5), 3, "relaxed", n1=40, growth_factor=16, limits=lim
+    ),
+}
+UNVERIFIABLE_CAUSES = (
+    "uncertified, gap",
+    "power-law block sum exceeds cap",
+    "under the summation cap",
+    "no certified anchor",
+    "is partial",
+)
+
+
+def run_verify(kind: str, prec: int, uncertify: int = 0, wrong: int = 0) -> tuple:
+    """(report, records) of one verify at the given precision, the engines
+    it calls faulted: results at n = 0 mod uncertify made uncertified (gap
+    1/1000), after certified ones at n = 0 mod wrong are given a radius (or
+    diameter) one too large.  records holds (n, result,
+    wrong injected) for every engine result the verify read."""
+    records = []
+
+    def faulty(engine):
+        def run(sig, n, limits):
+            res = engine(sig, n, limits)
+            hit = bool(wrong) and res.certified and n % wrong == 0
+            if hit:
+                key = "radius" if isinstance(res, CenteredResult) else "min_diameter"
+                res = replace(res, **{key: getattr(res, key) + 1})
+            if uncertify and n % uncertify == 0 and res.certified:
+                res = replace(res, certified=False, gap=F(1, 1000))
+            records.append((n, res, hit and res.certified))
+            return res
+
+        return run
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(hlmax.constructions, "_POINTWISE_CAP", 16)
+        mp.setattr(hlmax.constructions, "event_centered", faulty(event_centered))
+        mp.setattr(hlmax.constructions, "event_uncentered", faulty(event_uncentered))
+        rep = SMALL_VERIFY[kind](DEFAULT_LIMITS.with_(precision=prec))
+    return rep, records
+
+
+@functools.cache
+def unfaulted(kind: str, prec: int) -> tuple:
+    return run_verify(kind, prec)
+
+
+def deciding_records(rep, records) -> dict:
+    """Claim name -> the engine records that decide it."""
+    doc = rep["certificate"]
+    ns, ls = [parse_int(s) for s in doc["N"]], [parse_int(s) for s in doc["L"]]
+    if rep["verify"] == "delta":
+        return {"uncentered_profile_exact": records}
+    if rep["verify"] == "theorem27":
+        return {
+            f"block_k{k}_pointwise": [r for r in records if n + 1 <= r[0] <= n + l - 1]
+            for k, (n, l) in enumerate(zip(ns, ls), start=1)
+        }
+    anchors = ns if rep["verify"] == "theorem29-linf" else [parse_int(s) for s in doc["n_k"]]
+    return {
+        f"anchor_k{k}": [r for r in records if r[0] == n] for k, n in enumerate(anchors, start=1)
+    }
+
+
+class TestEveryVerifyAtLowPrecision:
+    """Every verify_* fails a claim only on a certified engine result or on
+    exact grounds: a claim whose deciding results include an uncertified
+    one and no certified mismatch is unverifiable, and says so with the
+    gap; every unverifiable note names its cause.  Engine faults are
+    injected, because constant signals are exact at every precision."""
+
+    @given(
+        st.sampled_from(sorted(SMALL_VERIFY)),
+        st.integers(5, 12),
+        st.sampled_from([0, 1, 2, 3]),
+        st.sampled_from([0, 1, 5]),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_fail_only_when_certified(self, kind, prec, uncertify, wrong):
+        base, base_records = unfaulted(kind, prec)
+        rep, records = run_verify(kind, prec, uncertify, wrong)
+        before = {c["name"]: c for c in base["claims"]}
+        deciding = deciding_records(rep, records)
+        base_deciding = deciding_records(base, base_records)
+        for claim in rep["claims"]:
+            name, status, note = claim["name"], claim["status"], claim["note"]
+            if status == "unverifiable":
+                assert any(cause in note for cause in UNVERIFIABLE_CAUSES), note
+            if name not in deciding:
+                continue
+            recs, old = deciding[name], before[name]
+            open_before = any(not res.certified for _, res, _ in base_deciding[name])
+            if any(hit for _, _, hit in recs):
+                assert status == "fail", claim
+            elif any(not res.certified for _, res, _ in recs):
+                if old["status"] == "pass" or open_before:
+                    assert status == "unverifiable" and "uncertified, gap" in note, claim
+                else:  # failing on exact grounds or on a certified result
+                    assert status in ("fail", "unverifiable"), claim
+            else:
+                assert (status, note) == (old["status"], old["note"])
+            if status == "fail" and recs:
+                assert any(res.certified for _, res, _ in recs) or old["status"] == "fail"
+
+
 class TestReportShape:
     KEYS = [
         "verify", "mode", "certificate", "certificate_recheck",
@@ -806,8 +932,8 @@ def pointwise_claim(sig, start: int, end: int, a: Fraction) -> tuple:
 
 
 def piece_claim(sig, start: int, end: int, a: Fraction) -> tuple:
-    bad, count, exhaustive = _block_claim(sig, start, end, a, 10**4, 64, DEFAULT_LIMITS)
-    assert exhaustive
+    bad, count, exhaustive, gaps = _block_claim(sig, start, end, a, 10**4, 64, DEFAULT_LIMITS)
+    assert exhaustive and gaps == []
     return bad, count
 
 
@@ -885,7 +1011,7 @@ class TestBlockClaimOnPieces:
             assert piece_claim(sig, u, v, a) == pointwise_claim(sig, u, v, a)
 
     def test_empty_interior(self):
-        assert _block_claim(dirac(), 5, 4, Fraction(1), 10, 64, DEFAULT_LIMITS) == (0, 0, True)
+        assert _block_claim(dirac(), 5, 4, Fraction(1), 10, 64, DEFAULT_LIMITS) == (0, 0, True, [])
 
 
 class TestDeltaOnPieces:

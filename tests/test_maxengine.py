@@ -5,6 +5,7 @@ import json
 import random
 import tracemalloc
 from bisect import bisect_left
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -14,6 +15,7 @@ from hypothesis import strategies as st
 
 from hlmax.config import DEFAULT_LIMITS, Limits
 from hlmax.continuum import StepFunction, maximal_centered_cont
+import hlmax.corpus
 from hlmax.corpus import binary_signals, diff_signal, random_dense
 from hlmax.errors import (
     BudgetExceeded,
@@ -37,6 +39,7 @@ from hlmax.maxengine import (
     _h_sign,
     _sweep_tables,
     _u_peak,
+    CenteredResult,
     average_centered,
     average_uncentered,
     event_centered,
@@ -208,6 +211,130 @@ class TestOracleBudget:
             assert [(r.max_value, r.min_diameter) for r in batch] == [
                 (r.max_value, r.min_diameter) for r in singles
             ]
+
+    def test_range_over_the_support_refuses_at_its_middle(self):
+        # 12 windows at each end of the support, 6 * 7 = 42 at n = 5: only
+        # the middle point exceeds 16 * cap
+        sig = dense(0, [1, 2] * 6)
+        limits = DEFAULT_LIMITS.with_(scan_radius_cap=1)
+        oracle_uncentered(sig, 0, limits), oracle_uncentered(sig, 11, limits)
+        with pytest.raises(BudgetExceeded, match="uncentered oracle grid exceeds scan cap"):
+            oracle_uncentered_range(sig, 0, 11, limits)
+        with pytest.raises(BudgetExceeded, match="uncentered oracle grid exceeds scan cap"):
+            diff_signal(sig, limits)
+
+
+def public_oracle_differ(sig, limits=DEFAULT_LIMITS, max_report=8) -> list:
+    """diff_signal as it was built from the public range oracles, comparing
+    values with Fraction !=.  The engines are read off hlmax.corpus at each
+    call, so a patched engine reaches this differ and diff_signal alike."""
+    lo, hi = support_bounds(sig)
+    width = hi - lo + 1
+    n_lo, n_hi = lo - width, hi + width
+    batch = oracle_uncentered_range(sig, n_lo, n_hi, limits)
+    centered = oracle_centered_range(sig, n_lo, n_hi, limits)
+    mismatches: list = []
+    for n in range(n_lo, n_hi + 1):
+        ev = hlmax.corpus.event_centered(sig, n, limits)
+        oc = centered[n - n_lo]
+        if not ev.certified or ev.max_value != oc.max_value or ev.radius != oc.radius:
+            mismatches.append(
+                f"centered n={n}: event ({ev.max_value}, r={ev.radius}, "
+                f"certified={ev.certified}) vs oracle ({oc.max_value}, r={oc.radius})"
+            )
+        eu = hlmax.corpus.event_uncentered(sig, n, limits)
+        ou = batch[n - n_lo]
+        if (
+            not eu.certified
+            or eu.max_value != ou.max_value
+            or eu.min_diameter != ou.min_diameter
+        ):
+            mismatches.append(
+                f"uncentered n={n}: event ({eu.max_value}, d={eu.min_diameter}, "
+                f"certified={eu.certified}) vs oracle ({ou.max_value}, d={ou.min_diameter})"
+            )
+        if len(mismatches) >= max_report:
+            break
+    return mismatches
+
+
+def faulty(engine, fault: str):
+    """engine with one injected fault: the radius (or diameter) one too
+    large at n = 0 mod 5, the value one too large at n = 1 mod 7, or the
+    result uncertified at n = 0 mod 4."""
+
+    def run(sig, n, limits=DEFAULT_LIMITS):
+        res = engine(sig, n, limits)
+        key = "radius" if isinstance(res, CenteredResult) else "min_diameter"
+        if fault == "radius" and n % 5 == 0:
+            return replace(res, **{key: getattr(res, key) + 1})
+        if fault == "value" and n % 7 == 1:
+            return replace(res, max_value=res.max_value + 1)
+        if fault == "certified" and n % 4 == 0:
+            return replace(res, certified=False)
+        return res
+
+    return run
+
+
+def differ_outcomes(sig, fault: str, limits=DEFAULT_LIMITS, max_report=8) -> tuple:
+    """What diff_signal and public_oracle_differ each return or raise, with
+    both engines carrying the fault."""
+    outcomes = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(hlmax.corpus, "event_centered", faulty(event_centered, fault))
+        mp.setattr(hlmax.corpus, "event_uncentered", faulty(event_uncentered, fault))
+        for differ in (diff_signal, public_oracle_differ):
+            try:
+                outcomes.append(differ(sig, limits, max_report))
+            except BudgetExceeded as exc:
+                outcomes.append((type(exc), str(exc)))
+    return tuple(outcomes)
+
+
+DIFFER_FAULTS = ["none", "radius", "value", "certified"]
+
+
+class TestDifferReportsLikePublicOracles:
+    """diff_signal, on integer oracle rows, against the differ built from
+    the public range oracles: the same mismatch lists under injected engine
+    faults, truncation included, and the same refusals."""
+
+    @pytest.mark.parametrize("fault", DIFFER_FAULTS)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 10))
+    @settings(max_examples=20, deadline=None)
+    def test_random_dense(self, fault, seed, max_report):
+        rng = random.Random(seed)
+        sig = random_dense(rng, max_width=24, run_limited=rng.random() < 0.7)
+        new, old = differ_outcomes(sig, fault, max_report=max_report)
+        assert new == old
+        assert new == [] or fault != "none"
+
+    @pytest.mark.parametrize("fault", DIFFER_FAULTS)
+    def test_binary_sample(self, fault):
+        for i, sig in enumerate(binary_signals(8)):
+            if i % 3 == 0:
+                new, old = differ_outcomes(sig, fault)
+                assert new == old
+
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 6))
+    @settings(max_examples=40, deadline=None)
+    def test_same_refusals_under_small_caps(self, seed, cap):
+        rng = random.Random(seed)
+        sig = random_dense(rng, max_width=24)
+        limits = DEFAULT_LIMITS.with_(scan_radius_cap=cap)
+        new, old = differ_outcomes(sig, "none", limits)
+        assert new == old
+
+    def test_a_value_that_is_no_fraction_is_a_mismatch(self):
+        sig = dense(0, [1, 2])
+        with pytest.MonkeyPatch.context() as mp:
+            enclosed = lambda s, n, limits=DEFAULT_LIMITS: replace(
+                event_centered(s, n, limits), max_value=Enclosure(0, 1)
+            )
+            mp.setattr(hlmax.corpus, "event_centered", enclosed)
+            assert diff_signal(sig, max_report=100) == public_oracle_differ(sig, max_report=100)
+            assert len(diff_signal(sig, max_report=100)) == 6
 
 
 def equal_runs(amp: int, run: int, gap: int, count: int) -> list:
