@@ -15,6 +15,7 @@ import functools
 import json
 import random
 import sys
+from itertools import chain, islice
 from typing import Optional
 
 from .analysis import density_series, rows_to_csv
@@ -32,7 +33,7 @@ from .constructions import (
 )
 from .corpus import diff_signal, random_dense
 from .errors import HlmaxError, ParameterViolation, ResourceCapExceeded
-from .maxengine import profile, profile_sweep
+from .maxengine import cell_columns, profile, profile_sweep
 from .signal import signal_from_json, signal_to_json
 from .continuum import StepFunction, step_to_json
 from .values import int_str, parse_int, parse_rational, rational_str, value_str
@@ -162,23 +163,62 @@ def _cmd_construct(args) -> int:
     return 0
 
 
+_ROW = "%s,%s/%s,%s,true,\n"
+_LOW = 10**6
+
+
+def _n_column(n_lo: int, n_hi: int):
+    """int_str(n) for n_lo <= n <= n_hi, lazily: the digits above the low
+    six are rendered once per 10^6 values, through int_str, and the low six
+    appended zero-padded, so a string costs about the same at any n."""
+    return chain.from_iterable(_n_blocks(n_lo, n_hi))
+
+
+def _n_blocks(n_lo: int, n_hi: int):
+    if n_lo < 0:  # |n| counts down toward 0
+        top, bottom = -n_lo, -min(n_hi, -1)
+        for high in range(top // _LOW, bottom // _LOW - 1, -1):
+            base, fmt = high * _LOW, f"-{int_str(high)}%06d" if high else "-%d"
+            yield map(fmt.__mod__, range(min(top - base, _LOW - 1), max(bottom - base, 0) - 1, -1))
+    if n_hi >= 0:
+        first = max(n_lo, 0)
+        for high in range(first // _LOW, n_hi // _LOW + 1):
+            base, fmt = high * _LOW, f"{int_str(high)}%06d" if high else "%d"
+            yield map(fmt.__mod__, range(max(first - base, 0), min(n_hi - base, _LOW - 1) + 1))
+
+
+def _cell_lines(cell: tuple, ns, bits: Optional[int]):
+    """The CSV lines of one profile_sweep cell, taking its n column from
+    ns.  A cell whose integers may pass the int/str digit guard (more than
+    bits bits) renders them through int_str."""
+    n_a, n_b, num, dnum, den, dden, r, dr = cell
+    k = n_b - n_a
+    cols = cell_columns(cell)
+    if bits is not None and max(num + k * dnum, num, den + k * dden, r + k * dr, r).bit_length() > bits:
+        cols = [map(int_str, col) for col in cols]
+    return map(_ROW.__mod__, zip(islice(ns, k + 1), *cols))
+
+
 def _profile_rows(sig, points, uncentered: bool):
-    """(n, value, radius, certified, gap) per point, value and gap as text.
-    A centered range on a constant signal comes straight from the rows of
-    profile_sweep, the rest from profile's result objects."""
-    rows = None if uncentered else profile_sweep(sig, points)
-    if rows is not None:
-        return ((n, f"{int_str(num)}/{int_str(den)}", r, True, "") for n, num, den, r in rows)
-    return (
-        (
-            res.n,
-            value_str(res.max_value),
-            res.min_diameter if uncentered else res.radius,
-            res.certified,
-            rational_str(res.gap) if res.gap is not None else "",
-        )
-        for res in profile(sig, points, uncentered=uncentered)
-    )
+    """The CSV rows of a profile as (count, lines) chunks, in order, each
+    chunk to be written before the next is drawn.  A centered range on a
+    constant signal gives one chunk per cell of profile_sweep, its lines
+    built by C-level maps over the cell's progressions; the rest is one
+    chunk of rows from profile's result objects.  Every refusal is raised
+    before this returns, so a refused command leaves no file."""
+    cells = None if uncentered else profile_sweep(sig, points)
+    if cells is None:
+        lines = [
+            f"{int_str(res.n)},{value_str(res.max_value)},"
+            f"{int_str(res.min_diameter if uncentered else res.radius)},"
+            f"{str(res.certified).lower()},{rational_str(res.gap) if res.gap is not None else ''}\n"
+            for res in profile(sig, points, uncentered=uncentered)
+        ]
+        return [(len(lines), lines)]
+    ns = _n_column(points.start, points.stop - 1)
+    digits = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    bits = 3 * (digits - 1) if digits else None  # 3 bits a digit stay under the guard
+    return ((cell[1] - cell[0] + 1, _cell_lines(cell, ns, bits)) for cell in cells)
 
 
 def _cmd_profile(args) -> int:
@@ -187,14 +227,14 @@ def _cmd_profile(args) -> int:
         raise ParameterViolation("profile needs one of --range and --points")
     points = _parse_range(args.range) if args.range is not None else _parse_points(args.points)
     radius_col = "min_diameter" if args.uncentered else "radius"
-    lines = [f"n,max_value,{radius_col},certified,gap"]
-    lines.extend(
-        f"{int_str(n)},{value},{int_str(rad)},{str(certified).lower()},{gap}"
-        for n, value, rad, certified, gap in _profile_rows(sig, points, args.uncentered)
-    )
+    chunks = _profile_rows(sig, points, args.uncentered)
+    count = 0
     with open(args.out, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
-    print(f"wrote {args.out} ({len(lines) - 1} points)")
+        fh.write(f"n,max_value,{radius_col},certified,gap\n")
+        for size, lines in chunks:
+            fh.writelines(lines)
+            count += size
+    print(f"wrote {args.out} ({count} points)")
     return 0
 
 

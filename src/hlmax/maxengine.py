@@ -24,7 +24,10 @@ radius sweep of frequency_pieces compares affine forms on the same
 breakpoints, all in integers (scaled by the common denominator) on offsets
 from the support start.  Outside the support all three read the tangent
 switch points the layout compiles: one bisect per query, and the pieces
-straight off the switch points.
+straight off the switch points.  profile_sweep cuts the pieces into cells
+on which neither window edge crosses a breakpoint, where the window mass
+is affine in n too, so a profile reads one window sum per cell, not per
+point.
 
 Power-law signals produce certified enclosures, and any comparison or peak
 search that cannot be decided is surfaced as certified=False, with a `gap`
@@ -51,7 +54,8 @@ import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, repeat
+from itertools import chain, repeat, tee
+from operator import floordiv
 from typing import Optional, Sequence, Union
 
 from .config import DEFAULT_LIMITS, Limits
@@ -1046,29 +1050,63 @@ def _checked_points(points, limits: Limits):
 
 def profile_sweep(sig: Signal, points, limits: Limits = DEFAULT_LIMITS):
     """The centered profile over a range of consecutive points of an
-    all-constant signal as rows (n, num, den, r): r the minimal maximizing
-    radius, read off frequency_pieces, and num/den the maximal average in
-    lowest terms, from one window sum.  These are the results event_centered
-    gives, without a result object per point.  None for a point list or a
-    signal with power-law blocks, which profile answers point by point.
-    Refused past profile_point_cap as profile is."""
+    all-constant signal, as cells (n_a, n_b, num, dnum, den, dden, r, dr): at
+    n = n_a + k the minimal maximizing radius is r + k dr and the maximal
+    average (num + k dnum) / (den + k dden), not reduced (cell_columns
+    expands a cell), as event_centered gives them.  A cell is a stretch of a
+    frequency_pieces piece on which neither edge of [n - r_n, n + r_n]
+    crosses a breakpoint, so it reads one window sum at its start and its
+    increments off layout.vals.  None for a point list or a signal with
+    power-law blocks, which profile answers point by point.  The point cap
+    (profile_point_cap) and the pieces are checked before this returns."""
     pts = _checked_points(points, limits)
     blocks = as_blocks(sig)
     if not isinstance(pts, range) or blocks.layout is None:
         return None
-    return _sweep_rows(blocks, pts.start, pts.stop - 1)
+    return _sweep_cells(blocks, frequency_pieces(blocks, pts.start, pts.stop - 1) if pts else [])
 
 
-def _sweep_rows(blocks: BlockSignal, n_lo: int, n_hi: int):
-    if n_hi < n_lo:
-        return
-    d = blocks.layout.dy
-    for n_a, n_b, slope, icpt in frequency_pieces(blocks, n_lo, n_hi):
-        for n in range(n_a, n_b + 1):
+def _sweep_cells(blocks: BlockSignal, pieces: list):
+    lay = blocks.layout
+    xs, vals, lo, d = lay.xs, lay.vals, lay.lo, lay.dy
+    top = len(xs)
+    for n_a, n_b, slope, icpt in pieces:
+        # both edges move right: the left one by 1 - slope, the right one by
+        # 1 + slope, and the prefix mass is continuous and affine between
+        # breakpoints, so a cell may end with an edge on a breakpoint
+        dl, de = 1 - slope, 1 + slope
+        n = n_a
+        while n <= n_b:
             r = slope * n + icpt
-            num, den = window_sum_scaled(blocks, n - r, n + r), d * (2 * r + 1)
-            g = math.gcd(num, den)
-            yield n, num // g, den // g, r
+            s, e = n - r - lo, n + r + 1 - lo
+            i, j = bisect_right(xs, s), bisect_right(xs, e)
+            m = n_b - n
+            if dl and i < top:
+                m = min(m, (xs[i] - s) // dl)
+            if de and j < top:
+                m = min(m, (xs[j] - e) // de)
+            num = window_sum_scaled(blocks, n - r, n + r)
+            yield n, n + m, num, vals[j] * de - vals[i] * dl, d * (2 * r + 1), 2 * d * slope, r, slope
+            n += m + 1
+
+
+def _progression(start: int, step: int, count: int):
+    return range(start, start + step * count, step) if step else repeat(start, count)
+
+
+def cell_columns(cell: tuple):
+    """(nums, dens, radii) of a profile_sweep cell, lazily, one entry per
+    point: each maximal average num/den in lowest terms and its radius."""
+    n_a, n_b, num, dnum, den, dden, r, dr = cell
+    count = n_b - n_a + 1
+    c = math.gcd(num, dnum, den, dden)  # divides every row: smaller operands
+    num, dnum, den, dden = num // c, dnum // c, den // c, dden // c
+    g1, g2 = tee(map(math.gcd, _progression(num, dnum, count), _progression(den, dden, count)))
+    return (
+        map(floordiv, _progression(num, dnum, count), g1),
+        map(floordiv, _progression(den, dden, count), g2),
+        _progression(r, dr, count),
+    )
 
 
 def profile(
@@ -1080,12 +1118,16 @@ def profile(
     """Event-engine results at each requested point.
 
     A range of consecutive points on an all-constant signal is answered
-    centered from the rows of profile_sweep, one frequency_pieces sweep,
-    with the results event_centered gives."""
+    centered by expanding the cells of profile_sweep, one frequency_pieces
+    sweep, with the results event_centered gives."""
     pts = _checked_points(points, limits)
     blocks = as_blocks(sig)
-    rows = None if uncentered else profile_sweep(blocks, pts, limits)
-    if rows is not None:
-        return [CenteredResult(n, Fraction(num, den), r, True) for n, num, den, r in rows]
+    cells = None if uncentered else profile_sweep(blocks, pts, limits)
+    if cells is not None:
+        return [
+            CenteredResult(n, Fraction(num, den), r, True)
+            for cell in cells
+            for n, num, den, r in zip(range(cell[0], cell[1] + 1), *cell_columns(cell))
+        ]
     engine = event_uncentered if uncentered else event_centered
     return [engine(blocks, n, limits) for n in pts]

@@ -354,7 +354,8 @@ def window_bounds(sig: BlockSignal, a: int, b: int, limits: Limits = DEFAULT_LIM
 def window_sum_scaled(sig: BlockSignal, a: int, b: int) -> int:
     """Integer window numerator for all-constant block signals (amp * D):
     the layout's prefix mass (StepLayout.mass_to at q = 1) at b + 1 minus
-    that at a, read inline, as this runs once per point of a profile."""
+    that at a, read inline, as this runs once per centered query and once
+    per cell of a profile."""
     if a > b:
         return 0
     lay = sig.layout

@@ -8,6 +8,7 @@ import subprocess
 import sys
 import tempfile
 import time
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -15,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hlmax.cli import _make_parser, main
+from hlmax.cli import _make_parser, _n_column, main
 from hlmax.config import DEFAULT_LIMITS
 from hlmax.maxengine import event_centered
 from hlmax.signal import Block, BlockSignal, signal_to_json, support_bounds
@@ -166,13 +167,13 @@ class TestProfile:
             min_size=1,
             max_size=6,
         ),
-        st.sampled_from([0, 2**20000, -(2**20000)]),
+        st.sampled_from([0, 2**10000, -(2**10000), 2**20000, -(2**20000)]),
         st.data(),
     )
     @settings(max_examples=25, deadline=None)
     def test_range_rows_equal_pointwise_rows(self, spec, offset, data):
-        # past the int/str digit guard at 2^20000 every integer in a row
-        # goes through int_str
+        # past the int/str digit guard at 2^20000 the n column renders its
+        # high digits through int_str
         blocks, pos = [], offset
         for gap, length, num, den in spec:
             pos += gap
@@ -192,6 +193,55 @@ class TestProfile:
             rng = f"{int_str(a)}..{int_str(b)}"
             assert run("profile", "--signal", str(path), "--range", rng, "--out", str(out)) == 0
             assert out.read_bytes() == ("\n".join(want) + "\n").encode()
+
+    @pytest.mark.parametrize(
+        "lo, hi",
+        [
+            (10**6 - 3, 10**6 + 3),  # the first carry
+            (0, 12),  # a high part of 0
+            (-12, 12),  # a negative run through 0
+            (-(10**6) - 3, -(10**6) + 3),  # a negative run counting toward 0
+            (-(2 * 10**6) - 2, -(10**6) + 2),  # two negative carries
+            (999_999_999_997, 1_000_000_000_003),  # a carry of the high part
+            (2**10000 // 10**6 * 10**6 - 3, 2**10000 // 10**6 * 10**6 + 3),  # at 2^10000
+            (10**5000 - 3, 10**5000 + 3),  # a carry past the digit guard
+            (-(10**5000) - 3, -(10**5000) + 3),  # its negative twin
+        ],
+        ids=["carry", "zero-high", "through-0", "negative", "negative-carries",
+             "high-carry", "at-2^10000", "past-guard", "past-guard-negative"],
+    )
+    def test_n_column_equals_int_str(self, lo, hi):
+        assert list(_n_column(lo, hi)) == [int_str(n) for n in range(lo, hi + 1)]
+
+    def test_range_keeps_no_row_list(self, tmp_path, t27_signal):
+        # the rows are written cell by cell as they are made
+        out = tmp_path / "p.csv"
+        tracemalloc.start()
+        try:
+            code = run("profile", "--signal", str(t27_signal), "--range", "-50000..49999", "--out", str(out))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert peak < 2**20
+        lines = out.read_text().split("\n")
+        assert len(lines) == 100002 and lines[-1] == ""
+        assert lines[1].startswith("-50000,") and lines[-2].startswith("49999,")
+
+    @pytest.mark.parametrize("offset", [2**20000, -(2**20000)], ids=["right", "left"])
+    def test_range_far_outside_the_support(self, tmp_path, offset):
+        # every radius and denominator passes the digit guard: int_str
+        sig = BlockSignal([Block(0, 4, Fraction(1, 3)), Block(9, 9, Fraction(2))])
+        path, out = tmp_path / "s.json", tmp_path / "p.csv"
+        path.write_text(json.dumps(signal_to_json(sig)))
+        a, b = offset - 3, offset + 3
+        assert run("profile", "--signal", str(path), "--range", f"{int_str(a)}..{int_str(b)}",
+                   "--out", str(out)) == 0
+        want = ["n,max_value,radius,certified,gap"]
+        for n in range(a, b + 1):
+            res = event_centered(sig, n)
+            want.append(f"{int_str(n)},{value_str(res.max_value)},{int_str(res.radius)},true,")
+        assert out.read_bytes() == ("\n".join(want) + "\n").encode()
 
     def test_range_one_past_point_cap(self, tmp_path, capsys):
         sig = tmp_path / "d.json"

@@ -42,6 +42,7 @@ from hlmax.maxengine import (
     CenteredResult,
     average_centered,
     average_uncentered,
+    cell_columns,
     event_centered,
     event_uncentered,
     frequency_pieces,
@@ -1262,7 +1263,7 @@ class TestProfile:
 
     def test_sweep_rows_are_lowest_terms(self):
         sig = BlockSignal([Block(3, 5, Fraction(1)), Block(9, 9, Fraction(4, 3))])
-        rows = list(profile_sweep(sig, range(-12, 25)))
+        rows = sweep_rows(profile_sweep(sig, range(-12, 25)))
         assert [n for n, *_ in rows] == list(range(-12, 25))
         for n, num, den, r in rows:
             single = event_centered(sig, n)
@@ -1274,6 +1275,38 @@ class TestProfile:
         pl = BlockSignal([Block(1, 10, PowerLaw(Fraction(1, 2)))])
         assert profile_sweep(pl, range(3)) is None
         assert list(profile_sweep(dirac(), range(4, 4))) == []
+
+    @given(
+        st.lists(
+            st.tuples(st.integers(0, 40), st.integers(1, 300), st.integers(1, 9), st.integers(1, 4)),
+            min_size=1,
+            max_size=4,
+        ),
+        st.sampled_from([0, 2**10000, -(2**10000), 2**20000, -(2**20000)]),
+        st.data(),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_cells_expand_to_engine_and_oracle_rows(self, spec, offset, data):
+        # long blocks give multi-row cells, and slope +-1 cells end where
+        # their moving edge steps two values, onto or across a breakpoint
+        sig = blocks_from(spec)
+        lo, hi = support_bounds(sig)
+        width = hi - lo + 1
+        a = data.draw(st.integers(lo - width, lo + width // 2))
+        b = data.draw(st.integers(max(a, hi - width // 2), hi + width))
+        far = translate(sig, offset)
+        cells = list(profile_sweep(far, range(a + offset, b + offset + 1)))
+        assert [c[0] for c in cells] == [a + offset] + [c[1] + 1 for c in cells[:-1]]
+        assert cells[-1][1] == b + offset
+        rows = sweep_rows(cells)
+        want = [
+            (res.n + offset, res.max_value.numerator, res.max_value.denominator, res.radius)
+            for res in oracle_centered_range(sig, a, b)
+        ]
+        assert rows == want
+        for n, num, den, r in rows:
+            res = event_centered(far, n)
+            assert (num, den, r) == (res.max_value.numerator, res.max_value.denominator, res.radius)
 
 
 def expand(pieces: list) -> dict:
@@ -1287,8 +1320,15 @@ constant_blocks_st = st.lists(
 )
 
 
+def sweep_rows(cells) -> list:
+    """(n, num, den, r) per point of profile_sweep's cells."""
+    return [
+        row for cell in cells for row in zip(range(cell[0], cell[1] + 1), *cell_columns(cell))
+    ]
+
+
 def blocks_from(spec: list) -> BlockSignal:
-    """Blocks after gaps of 0..8 (adjacent blocks of one amplitude merge)."""
+    """Blocks after the spec's gaps (adjacent blocks of one amplitude merge)."""
     blocks, pos = [], 0
     for gap, length, num, den in spec:
         pos += gap
