@@ -15,9 +15,10 @@ row is counted by one function, _piece_counts, from affine pieces of the
 radius (or the minimal diameter) in n, on which every condition is linear
 in n: centered rows on constant-amplitude signals from the exact pieces of
 frequency_pieces, uncentered rows and power-law signals from one engine
-query per point, merged as it comes into runs of constant step (no list of
-points).  A row is exact (flags "") only when
-its horizon is within density_eval_cap.  Past the cap, signals whose every
+query per point, merged as it comes into the same greedy runs
+(maxengine._append_run; the contract is in frequency_pieces' docstring),
+with no list of points.  A row is exact (flags "") only when its horizon
+is within density_eval_cap.  Past the cap, signals whose every
 block amplitude dominates all foreign mass (dense signals through their
 blocks) get exact zero-set counts structurally (rows flagged
 "structural"); other requests yield rows flagged "partial" instead of
@@ -36,6 +37,7 @@ from .errors import ParameterViolation, ZeroIndex
 from .maxengine import (
     CenteredResult,
     UncenteredResult,
+    _append_run,
     event_centered,
     event_uncentered,
     frequency_pieces,
@@ -225,20 +227,6 @@ def _piece_counts(pieces: list, needs: list, C: Fraction, epsilon: Fraction, w: 
     return out
 
 
-def _extend_run(runs: list, x: int, r: int) -> None:
-    """Add the point (x, r), x one past the last run's end, to the runs
-    (x_a, x_b, slope, intercept) of r over x: the last run takes it when r
-    stays on its line, and a one-point run (x_a, x_a, 0, r_a) takes any r."""
-    if runs:
-        a, _, s, c = runs[-1]
-        if a == x - 1:
-            s, c = r - c, c - (r - c) * a
-        if s * x + c == r:
-            runs[-1] = (a, x, s, c)
-            return
-    runs.append((x, x, 0, r))
-
-
 def density_series(
     signal,
     n_list: Sequence[int],
@@ -277,9 +265,9 @@ def density_series(
         for x in range(1, counted[-1] + 1):
             for runs, m in zip(sides, (x, -x)):
                 if uncentered:
-                    _extend_run(runs, x, event_uncentered(signal, m, limits).min_diameter)
+                    _append_run(runs, x, x, 0, event_uncentered(signal, m, limits).min_diameter)
                 else:
-                    _extend_run(runs, x, event_centered(signal, m, limits).radius)
+                    _append_run(runs, x, x, 0, event_centered(signal, m, limits).radius)
         pieces = [(-b, -a, -s, c) for a, b, s, c in reversed(sides[1])] + sides[0]
     elif counted:
         pieces = frequency_pieces(signal, -counted[-1], counted[-1])

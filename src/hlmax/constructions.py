@@ -48,6 +48,7 @@ from .values import (
     escalate,
     exact_bounds,
     exp_of_value,
+    int_brief,
     int_str,
     iroot,
     json_field,
@@ -155,7 +156,7 @@ class GrowthSpec:
         if o is not None:
             return o
         raise InfeasibleConstraint(
-            f"cannot certify g({int_str(n)}) against {c} at escalated precision"
+            f"cannot certify g({int_brief(n)}) against {c} at escalated precision"
         )
 
     def ceil_n_over_g(self, n: int, limits: Limits = DEFAULT_LIMITS) -> int:
@@ -165,7 +166,7 @@ class GrowthSpec:
         if self.kind == "table":
             g = self.value_at(n, limits)
             if g <= 0:
-                raise InfeasibleConstraint(f"g({int_str(n)}) = {g} is not positive")
+                raise InfeasibleConstraint(f"g({int_brief(n)}) = {g} is not positive")
             return -((-n * g.denominator) // g.numerator)
         if self.kind == "power":
             p, q = self.beta.numerator, self.beta.denominator
@@ -177,7 +178,7 @@ class GrowthSpec:
         def attempt(lim: Limits) -> Optional[int]:
             glo, ghi = exact_bounds(self.value_at(n, lim))
             if glo <= 0:
-                raise InfeasibleConstraint(f"g({int_str(n)}) is not certifiably positive")
+                raise InfeasibleConstraint(f"g({int_brief(n)}) is not certifiably positive")
             lo_c = -((-n * ghi.denominator) // ghi.numerator)
             hi_c = -((-n * glo.denominator) // glo.numerator)
             return lo_c if lo_c == hi_c else None
@@ -186,7 +187,7 @@ class GrowthSpec:
         if c is not None:
             return c
         raise InfeasibleConstraint(
-            f"cannot pin ceil(N/g(N)) at N = {int_str(n)} at escalated precision"
+            f"cannot pin ceil(N/g(N)) at N = {int_brief(n)} at escalated precision"
         )
 
     def to_json(self) -> dict:
@@ -374,12 +375,12 @@ def _smallest_admissible(
     cap = math.log2(lower) + _MAX_DOUBLINGS
     if bits > cap + 4 or (bits > cap - 4 and not admissible(lower << _MAX_DOUBLINGS)):
         raise InfeasibleConstraint(
-            f"no admissible N within {_MAX_DOUBLINGS} doublings from {int_str(lower)}"
+            f"no admissible N within {_MAX_DOUBLINGS} doublings from {int_brief(lower)}"
         )
     n = max(lower, _least_reaching(g, target, bits, limits))
     if not admissible(n) or (n > lower and admissible(n - 1)):
         raise InfeasibleConstraint(
-            f"N = {int_str(n)} from the inverse of g at {target} fails its certificate"
+            f"N = {int_brief(n)} from the inverse of g at {target} fails its certificate"
         )
     return n
 
@@ -482,7 +483,9 @@ def build_theorem27(
     if discrete:  # a_k divides by L_k - 1
         for k, l in enumerate(ls, start=1):
             if l < 2:
-                raise InfeasibleConstraint(f"L_{k} = {int_str(l)} leaves the discrete block empty")
+                raise InfeasibleConstraint(
+                    f"L_{k} = {int_brief(l)} leaves the discrete block empty"
+                )
         amps = [Fraction(1, 2**k * (ls[k - 1] - 1)) for k in range(1, k_max + 1)]
         blocks = [
             Block(n + 1, n + l - 1, a) for n, l, a in zip(ns, ls, amps)

@@ -44,7 +44,7 @@ from fractions import Fraction
 
 from .config import DEFAULT_LIMITS, Limits
 from .errors import BudgetExceeded, NonpositiveRadius, ParameterViolation, ZeroSignal
-from .values import json_field, json_rational, rational_str
+from .values import int_brief, json_field, json_rational, rational_str
 
 # Kinks a side per stretch of the centered walk (StepLayout.centered_radius);
 # layouts with at most this many a side are walked in one stretch
@@ -501,7 +501,9 @@ def grid_scan_centered(
     if steps < 1 or r_max <= 0:
         raise ParameterViolation("grid scan needs steps >= 1 and r_max > 0")
     if steps > limits.scan_radius_cap:
-        raise BudgetExceeded(f"grid scan over {steps} radii exceeds cap {limits.scan_radius_cap}")
+        raise BudgetExceeded(
+            f"grid scan over {int_brief(steps)} radii exceeds cap {limits.scan_radius_cap}"
+        )
     step = r_max / steps
     best = None
     best_r = None

@@ -22,12 +22,14 @@ tangent steps between the prefix and suffix hulls the layout compiles with
 it, rather than by trying every pair of window edges; and the
 radius sweep of frequency_pieces compares affine forms on the same
 breakpoints, all in integers (scaled by the common denominator) on offsets
-from the support start.  Outside the support all three read the tangent
-switch points the layout compiles: one bisect per query, and the pieces
-straight off the switch points.  profile_sweep cuts the pieces into cells
-on which neither window edge crosses a breakpoint, where the window mass
-is affine in n too, so a profile reads one window sum per cell, not per
-point.
+from the support start, and hands its runs to _append_run, which alone
+decides where a piece ends (the greedy-run contract is stated in the
+frequency_pieces docstring).  Outside the support all three read the
+tangent switch points the layout compiles: one bisect per query, and the
+pieces straight off the switch points.  profile_sweep cuts the pieces into
+cells on which neither window edge crosses a breakpoint, where the window
+mass is affine in n too, so a profile reads one window sum per cell, not
+per point.
 
 Power-law signals produce certified enclosures, and any comparison or peak
 search that cannot be decided is surfaced as certified=False, with a `gap`
@@ -79,7 +81,7 @@ from .values import (
     compare,
     escalate,
     exact_bounds,
-    int_str,
+    int_brief,
     v_div_posint,
 )
 
@@ -483,21 +485,6 @@ def _cell_candidates(lay: StepLayout, bounds: list, n: int, t_max: int) -> tuple
     return t_end, list(forms.values())
 
 
-def _first_slope(bounds: list, t: int, r: int) -> int:
-    """Radius slope in n of the first form of _cell_candidates that has
-    radius r at a cell start t, the one the sweep picks among equal ones:
-    (0, 0) comes first, then the boundaries in ascending order, those left
-    of t (slope 1) before t itself (radii 0 and 1, slope 0) and those right
-    of it (slope -1)."""
-    if r == 0:
-        return 0
-    k = bisect_left(bounds, t - r - 1)
-    if k < len(bounds) and bounds[k] <= min(t - r + 1, t - 1):
-        return 1
-    # past that check no boundary lies in [t - r - 1, t - 1], so bounds[k] >= t
-    return 0 if r == 1 and k < len(bounds) and bounds[k] == t else -1
-
-
 def _beats(f: tuple, w: tuple, t: int) -> bool:
     """Whether form f has a larger average than w at t, or the same average
     at a smaller radius."""
@@ -603,23 +590,46 @@ def _outside_runs(tangents: tuple, u_a: int, u_b: int):
 _SHORT_CELL = 16
 
 
+def _append_run(pieces: list, a: int, b: int, slope: int, icpt: int) -> None:
+    """Append the run a <= n <= b of r_n = slope * n + icpt, a one past the
+    last piece's end, to pieces as if point by point, greedily from the
+    left (frequency_pieces).  A run of two or more points has slope -1, 0
+    or 1."""
+    r = slope * a + icpt
+    if pieces:
+        a0, b0, s0, c0 = pieces[-1]
+        if a0 == b0 and -1 <= r - c0 <= 1:  # a one-point piece has slope 0
+            s0, c0 = r - c0, c0 - (r - c0) * a0
+        if s0 * a + c0 == r:
+            if (s0, c0) == (slope, icpt) or a == b:
+                pieces[-1] = (a0, b, s0, c0)
+                return
+            pieces[-1] = (a0, a, s0, c0)
+            a, r = a + 1, r + slope
+    pieces.append((a, b, slope, icpt) if a < b else (a, a, 0, r))
+
+
 def frequency_pieces(sig: Signal, n_lo: int, n_hi: int) -> list:
     """Minimal maximizing centered radii over n_lo <= n <= n_hi, exactly.
 
     On an all-constant signal r_n is piecewise affine in n.  Returns the
-    maximal runs (n_a, n_b, slope, intercept), in order, on which
+    runs (n_a, n_b, slope, intercept), in order, on which
     r_n = slope * n + intercept; expanded point by point they are the
-    radii event_centered reports.  The range is cut into cells on which
-    every event radius (0 and |n - b| + d, which include the kinks of the
-    window mass) and its window mass are affine in n; within a cell the
-    winner changes only where some candidate's quadratic comparison with it
-    changes sign, so the sweep costs work per cell and per change of
-    winner, not per point.  Cells shorter than _SHORT_CELL, as between
-    close boundaries, are cheaper walked point by point, each point on the
-    line the sweep would give it, so the pieces do not depend on which
-    cells were walked.  Only [lo, hi] is swept.  Outside it the radius is
-    the distance to the tangent vertex of the whole-support hull, slope -1
-    on the left and +1 on the right, and that vertex changes only at the
+    radii event_centered reports.  The runs are greedy from the left, a
+    function of the radii alone: a point joins the last run when it lies
+    on that run's line, and a one-point run takes the slope to the next
+    point when that slope is -1, 0 or 1 (the only slopes whose edge motion
+    profile_sweep reads), else it keeps slope 0 (_append_run).
+
+    The range is cut into cells on which every event radius (0 and
+    |n - b| + d, which include the kinks of the window mass) and its window
+    mass are affine in n; within a cell the winner changes only where some
+    candidate's quadratic comparison with it changes sign, so the sweep
+    costs work per cell and per change of winner, not per point.  Cells
+    shorter than _SHORT_CELL, as between close boundaries, are cheaper
+    walked point by point.  Only [lo, hi] is swept.  Outside it the radius
+    is the distance to the tangent vertex of the whole-support hull, slope
+    -1 on the left and +1 on the right, and that vertex changes only at the
     layout's tangent switch points, so those runs come straight off the
     switch points, one per vertex, at any distance.  All arithmetic runs on
     offsets from the support start.  The boundary tables of the sweep
@@ -631,47 +641,13 @@ def frequency_pieces(sig: Signal, n_lo: int, n_hi: int) -> list:
     if n_hi < n_lo:
         raise ParameterViolation("frequency pieces need n_lo <= n_hi")
     pieces: list = []
-
-    def emit(a: int, b: int, slope: int, icpt: int) -> None:
-        if pieces and pieces[-1][2:] == (slope, icpt):
-            pieces[-1] = (pieces[-1][0], b, slope, icpt)
-        else:
-            pieces.append((a, b, slope, icpt))
-
-    def walk(ta: int, tb: int, many: bool) -> None:
-        # Inside a cell the sweep keeps its winner while that form still
-        # has the minimal maximizing radius; at a cell start it takes the
-        # first such form (_first_slope).  Where two lines meet at that
-        # radius it matters whether t starts a cell.  ta does; more starts
-        # lie inside only when many, between two boundaries.
-        k = bisect_left(bounds, ta)
-        left, right = bounds[:k], bounds[k:]
-        starts_at = {ta: True}
-
-        def is_start(t: int) -> bool:
-            if t not in starts_at:
-                starts_at[t] = many and (
-                    _edge_hit(left, right, near3, 2 * t - 1)
-                    or (_edge_hit(left, right, near3, 2 * t - 2) and not is_start(t - 1))
-                )
-            return starts_at[t]
-
-        for t in range(ta, tb + 1):
-            r = lay.centered_radius(2 * t + 1, 2) // 2  # as in event_centered
-            slope = _first_slope(bounds, t, r)
-            if t > ta and pieces[-1][2] != slope:
-                held, icpt = pieces[-1][2:]
-                if held * t + icpt == r and not is_start(t):
-                    slope = held
-            emit(t, t, slope, r - slope * t)
-
     t, t_last = n_lo - lay.lo, n_hi - lay.lo
     end = lay.xs[-1]  # the first offset right of the support
     if t < 0:  # left of the support t = -1 - u
         t_left = min(t_last, -1)
         runs = list(_outside_runs(lay.left_tangents, -1 - t_left, -1 - t))
         for u0, u1, dist in reversed(runs):
-            emit(-1 - u1, -1 - u0, -1, dist - 1)
+            _append_run(pieces, -1 - u1, -1 - u0, -1, dist - 1)
         t = t_left + 1
     t_hi = min(t_last, end - 1)
     if t <= t_hi:  # the sweep's tables cost O(B), so only a range in [lo, hi] builds them
@@ -683,19 +659,18 @@ def frequency_pieces(sig: Signal, n_lo: int, n_hi: int) -> list:
         if k < len(bounds) and bounds[k] - t < _SHORT_CELL:
             # every cell up to the next boundary (or at it) is short
             stop = min(t_hi, max(t, bounds[k] - 1))
-            walk(t, stop, bounds[k] > t)
-            t = stop + 1
-            continue
-        # a long stretch: look up to _SHORT_CELL points ahead for the next
-        # cell start
-        left, right = bounds[:k], bounds[k:]
-        stop, limit = t, min(t_hi, t + _SHORT_CELL - 1)
-        if stop < limit and not _edge_hit(left, right, near3, 2 * t + 1):
-            stop += 1
-            while stop < limit and not _edge_hit(left, right, near4, 2 * stop):
+        else:
+            # a long stretch: look up to _SHORT_CELL points ahead for the
+            # next cell start
+            left, right = bounds[:k], bounds[k:]
+            stop, limit = t, min(t_hi, t + _SHORT_CELL - 1)
+            if stop < limit and not _edge_hit(left, right, near3, 2 * t + 1):
                 stop += 1
+                while stop < limit and not _edge_hit(left, right, near4, 2 * stop):
+                    stop += 1
         if stop < t + _SHORT_CELL - 1:
-            walk(t, stop, False)
+            for x in range(t, stop + 1):
+                _append_run(pieces, x, x, 0, lay.centered_radius(2 * x + 1, 2) // 2)
             t = stop + 1
             continue
         t_end, forms = _cell_candidates(lay, bounds, t, t_hi - t)
@@ -712,14 +687,14 @@ def frequency_pieces(sig: Signal, n_lo: int, n_hi: int) -> list:
                     if hit is not None:
                         nxt = hit
             stop = t_end if nxt is None else nxt - 1
-            emit(t + u, t + stop, w[1], w[0] - w[1] * t)
+            _append_run(pieces, t + u, t + stop, w[1], w[0] - w[1] * t)
             if nxt is None:
                 break
             u = nxt
         t += t_end + 1
     if t <= t_last:  # right of it t = end + u
         for u0, u1, dist in _outside_runs(lay.right_tangents, t - end, t_last - end):
-            emit(end + u0, end + u1, 1, dist - end)
+            _append_run(pieces, end + u0, end + u1, 1, dist - end)
     lo = lay.lo
     return [(a + lo, b + lo, s, c - s * lo) for a, b, s, c in pieces]
 
@@ -752,7 +727,7 @@ def _refuse_centered_scan(sig: BlockSignal, n_lo: int, n_hi: int, limits: Limits
         r_cap = search_bound_centered(sig, n)
         if r_cap > limits.scan_radius_cap:
             raise BudgetExceeded(
-                f"oracle scan over {r_cap} radii exceeds cap {limits.scan_radius_cap}"
+                f"oracle scan over {int_brief(r_cap)} radii exceeds cap {limits.scan_radius_cap}"
             )
 
 
@@ -1043,7 +1018,7 @@ def _checked_points(points, limits: Limits):
         count = len(pts)
     if count > limits.profile_point_cap:
         raise BudgetExceeded(
-            f"profile over {int_str(count)} points exceeds cap {limits.profile_point_cap}"
+            f"profile over {int_brief(count)} points exceeds cap {limits.profile_point_cap}"
         )
     return pts
 

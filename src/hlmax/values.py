@@ -50,6 +50,16 @@ def int_str(n: int) -> str:
         return str(decimal.Decimal(n))
 
 
+def int_brief(n: int) -> str:
+    """n for an error message: int_str(n) up to 100 digits, else its first
+    and last ten digits around an ellipsis, with the digit count."""
+    s = int_str(n)
+    neg = s.startswith("-")
+    if len(s) - neg <= 100:
+        return s
+    return f"{s[:10 + neg]}\u2026{s[-10:]} ({len(s) - neg} digits)"
+
+
 def parse_int(s: str) -> int:
     """Exact inverse of int_str, valid at any number of digits (int(s)
     first, Decimal past the digit guard)."""
@@ -255,15 +265,6 @@ def v_add(a: Value, b: Value, prec: int = DEFAULT_PRECISION) -> Value:
         # a Fraction operand is rounded outward first, so the sum rounds twice
         b = fraction_to_enclosure(b, prec)
     return _enc(_floor(*_add(*a.dlo, *b.dlo), prec), _ceil(*_add(*a.dhi, *b.dhi), prec))
-
-
-def v_sub(a: Value, b: Value, prec: int = DEFAULT_PRECISION) -> Value:
-    """a - b as a + (-b): negation is exact, and rounding -b outward gives
-    the negated outward rounding of b."""
-    if isinstance(b, Enclosure):
-        (lm, le), (hm, he) = b.dlo, b.dhi
-        return v_add(a, _enc((-hm, he), (-lm, le)), prec)
-    return v_add(a, -b, prec)
 
 
 def v_mul_int(a: Value, k: int, prec: int = DEFAULT_PRECISION) -> Value:

@@ -405,6 +405,15 @@ class TestDensity:
 
 
 class TestVerify:
+    def test_theorem27_k15_refusal_is_one_short_line(self, capsys):
+        # the doubling cap is counted from an integer of 8896 digits, which
+        # the message abbreviates
+        assert run("verify", "theorem27", "--k", "15") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: InfeasibleConstraint: no admissible N within 20000 doublings")
+        assert err.endswith(" (8896 digits)\n") and err.count("\n") == 1
+        assert len(err.encode()) < 300
+
     def test_delta_passes(self, capsys):
         assert run("verify", "delta") == 0
         out = capsys.readouterr().out

@@ -35,7 +35,6 @@ from hlmax.maxengine import (
     _delta_step_sign,
     _edge_hit,
     _first_beat,
-    _first_slope,
     _h_sign,
     _sweep_tables,
     _u_peak,
@@ -1337,16 +1336,34 @@ def blocks_from(spec: list) -> BlockSignal:
     return BlockSignal(blocks)
 
 
+def greedy_runs(radii: dict) -> list:
+    """The runs (n_a, n_b, slope, intercept) of consecutive radii, built
+    point by point from the left: a point joins the last run when it lies
+    on its line, and a one-point run (slope 0) takes the slope to the next
+    point when that slope is -1, 0 or 1."""
+    runs: list = []
+    for n, r in radii.items():
+        if runs:
+            a, b, s, c = runs[-1]
+            if a == b and r - c in (-1, 0, 1):
+                s, c = r - c, c - (r - c) * a
+            if s * n + c == r:
+                runs[-1] = (a, n, s, c)
+                continue
+        runs.append((n, n, 0, r))
+    return runs
+
+
 class TestFrequencyPieces:
     def check(self, sig: BlockSignal, n_lo: int, n_hi: int) -> list:
         pieces = frequency_pieces(sig, n_lo, n_hi)
-        radii = expand(pieces)
-        assert list(radii) == list(range(n_lo, n_hi + 1))
-        for n, r in radii.items():
-            assert r == event_centered(sig, n).radius, n
-        for (_, b, s, c), (a, _, s2, c2) in zip(pieces, pieces[1:]):
-            assert a == b + 1 and (s, c) != (s2, c2)  # maximal runs
+        radii = {n: event_centered(sig, n).radius for n in range(n_lo, n_hi + 1)}
+        assert pieces == greedy_runs(radii)
         return pieces
+
+    def test_dirac_gives_two_pieces(self):
+        # r_0 = 0 lies on the left line r = -n, so n = 0 joins that piece
+        assert self.check(dirac(), -1000, 1000) == [(-1000, 0, -1, 0), (1, 1000, 1, 0)]
 
     @given(constant_blocks_st, st.integers(0, 20))
     @settings(max_examples=40, deadline=None)
@@ -1552,18 +1569,12 @@ class TestShortCells:
     @settings(max_examples=80, deadline=None)
     def test_cell_starts_and_first_forms_match_the_sweep(self, spec, margin):
         """Through every cell of the sweep: the edge-point test marks exactly
-        its end, and _first_slope names the slope of the form it picks at
-        its start."""
+        its end."""
         lay = blocks_from(spec).layout
         bounds, near3, near4 = _sweep_tables(lay)
         t, t_hi = -margin - 3, lay.xs[-1] + margin
         while t <= t_hi:
-            t_end, forms = _cell_candidates(lay, bounds, t, t_hi - t)
-            w = forms[0]
-            for f in forms[1:]:
-                if _beats(f, w, 0):
-                    w = f
-            assert _first_slope(bounds, t, w[0]) == w[1], t
+            t_end, _ = _cell_candidates(lay, bounds, t, t_hi - t)
             k = bisect_left(bounds, t)
             left, right = bounds[:k], bounds[k:]
             for u in range(t + 1, min(t + t_end + 1, t_hi) + 1):
