@@ -63,25 +63,22 @@ from .values import (
     value_str,
 )
 
-_GROWTH_KINDS = ("log", "loglog", "logpow", "power", "table")
+_GROWTH_KINDS = ("log", "loglog", "logpow", "power")
 _EXACT_POW_BITS = 8_000_000
 _MAX_DOUBLINGS = 20_000
-_POINTWISE_CAP = 10_000  # verify_theorem27's longest block decided at every point
-_SAMPLE_PER_BLOCK = 64  # and the samples of a longer one
+_POINTWISE_CAP = 10_000  # verify_theorem27 samples a longer dominant block
+_SAMPLE_PER_BLOCK = 64  # at this many points
 
 
 @dataclass(frozen=True)
 class GrowthSpec:
-    """Non-decreasing growth function g evaluated at big integers.
+    """Non-decreasing, unbounded growth function g evaluated at big integers.
 
     kinds: log (ln N), loglog (ln ln N), logpow ((ln N)^beta, beta in (0,1]),
-    power (N^beta, beta in (0,1)), table (explicit step values; constant
-    beyond the last threshold, so effectively bounded -- selection against a
-    table raises InfeasibleConstraint when its targets exceed the range)."""
+    power (N^beta, beta in (0,1)).  Each has g(N) < N at every N >= 2."""
 
     kind: str
     beta: Optional[Fraction] = None
-    table: Optional[tuple] = None
 
     def __post_init__(self):
         if self.kind not in _GROWTH_KINDS:
@@ -94,20 +91,9 @@ class GrowthSpec:
                 raise GrowthSpecInvalid("power needs beta in (0, 1)")
         elif self.beta is not None:
             raise GrowthSpecInvalid(f"{self.kind} takes no beta")
-        if self.kind == "table":
-            if not self.table:
-                raise GrowthSpecInvalid("table needs at least one step")
-            steps = tuple((int(t), Fraction(v)) for t, v in self.table)
-            if any(t2 <= t1 for (t1, _), (t2, _) in zip(steps, steps[1:])):
-                raise GrowthSpecInvalid("table thresholds must increase")
-            if any(v2 < v1 for (_, v1), (_, v2) in zip(steps, steps[1:])):
-                raise GrowthSpecInvalid("table values must be non-decreasing")
-            object.__setattr__(self, "table", steps)
-        elif self.table is not None:
-            raise GrowthSpecInvalid(f"{self.kind} takes no table")
 
     def value_at(self, n: int, limits: Limits = DEFAULT_LIMITS) -> Value:
-        """g(N) as a certified Value; exact for table and for rational powers."""
+        """g(N) as a certified Value; exact for rational powers."""
         if n < 2:
             raise GrowthSpecInvalid("growth functions are evaluated at N >= 2")
         prec = limits.precision
@@ -117,18 +103,13 @@ class GrowthSpec:
             return ln_of_value(ln_value(n, prec), prec)
         if self.kind == "logpow":
             return pow_of_value(ln_value(n, prec), self.beta, prec)
-        if self.kind == "power":
-            p, q = self.beta.numerator, self.beta.denominator
-            if p * n.bit_length() <= _EXACT_POW_BITS:
-                np_ = n**p
-                r = iroot(np_, q)
-                if r**q == np_:
-                    return Fraction(r)
-            return pow_of_value(Fraction(n), self.beta, prec)
-        idx = bisect_right([t for t, _ in self.table], n) - 1
-        if idx < 0:
-            raise GrowthSpecInvalid("N below the table's first threshold")
-        return self.table[idx][1]
+        p, q = self.beta.numerator, self.beta.denominator  # power
+        if p * n.bit_length() <= _EXACT_POW_BITS:
+            np_ = n**p
+            r = iroot(np_, q)
+            if r**q == np_:
+                return Fraction(r)
+        return pow_of_value(Fraction(n), self.beta, prec)
 
     def cmp_at(self, n: int, c: Fraction, limits: Limits = DEFAULT_LIMITS) -> Ordering:
         """Certified ordering of g(N) against a rational c; exact integer
@@ -163,11 +144,6 @@ class GrowthSpec:
         """ceil(N / g(N)) as a certified integer.  Pinning it takes g(N) to
         about bitlen(N) bits, so the ladder starts at bitlen(N) + 64 bits
         when that exceeds the working precision."""
-        if self.kind == "table":
-            g = self.value_at(n, limits)
-            if g <= 0:
-                raise InfeasibleConstraint(f"g({int_brief(n)}) = {g} is not positive")
-            return -((-n * g.denominator) // g.numerator)
         if self.kind == "power":
             p, q = self.beta.numerator, self.beta.denominator
             if (q - p) * n.bit_length() <= _EXACT_POW_BITS:
@@ -194,23 +170,13 @@ class GrowthSpec:
         doc: dict = {"kind": self.kind}
         if self.beta is not None:
             doc["beta"] = rational_str(self.beta)
-        if self.table is not None:
-            doc["steps"] = [[int_str(t), rational_str(v)] for t, v in self.table]
         return doc
 
     @staticmethod
     def from_json(doc) -> "GrowthSpec":
         kind = json_field(doc, "kind", str)
         beta = json_rational(doc["beta"]) if "beta" in doc else None
-        table = None
-        if "steps" in doc:
-            table = []
-            for step in json_field(doc, "steps", list):
-                if not (isinstance(step, list) and len(step) == 2):
-                    raise ParameterViolation(f"growth step is not a [t, v] pair: {step!r}")
-                table.append((json_int(step[0]), json_rational(step[1])))
-            table = tuple(table)
-        return GrowthSpec(kind, beta, table)
+        return GrowthSpec(kind, beta)
 
 
 @dataclass(frozen=True)
@@ -305,7 +271,7 @@ def _inverse_bits(g: GrowthSpec, c: Fraction) -> float:
 
 
 def _least_reaching(g: GrowthSpec, c: Fraction, bits: float, limits: Limits) -> int:
-    """The least integer N with g(N) >= c for an analytic g, about 2^bits.
+    """The least integer N with g(N) >= c, about 2^bits.
 
     power: N^p >= c^q, so N is the ceiling of iroot(ceil(c^q), p), exactly.
     The others invert to N = ceil(e^y) with y = c (log), e^c (loglog) or
@@ -333,43 +299,20 @@ def _least_reaching(g: GrowthSpec, c: Fraction, bits: float, limits: Limits) -> 
     return n
 
 
-def _smallest_admissible(
-    g: GrowthSpec, k: int, lower: int, need_l_ge_2: bool, limits: Limits
-) -> int:
-    """Smallest N >= lower with g(N) >= max(2, (5/4)*2^k), N >= g(N), and
-    (when the strict block needs at least one interior point) N > g(N).
+def _smallest_admissible(g: GrowthSpec, k: int, lower: int, limits: Limits) -> int:
+    """Smallest N >= lower with g(N) >= max(2, (5/4)*2^k).
 
-    For the analytic kinds g(N) < N at every N >= 2, so the predicate is
-    monotone and holds from N = max(lower, _least_reaching(target)) on; that
-    N is kept only when it holds there and fails at N - 1 (unless N = lower).
-    A first N past lower * 2^20000 is refused from a float estimate, or from
-    the predicate there when the estimate is within a few bits.  The table
-    kind, whose jumps can break N/g(N) monotonicity, is scanned segment by
-    segment."""
+    Every kind (log, loglog, logpow, power) is non-decreasing with g(N) < N
+    at every N >= 2, so N >= g(N) and L = ceil(N/g(N)) >= 2 hold at each
+    N, and the predicate is one comparison of g(N) with the target.  It
+    holds from N = max(lower, _least_reaching(target)) on; that N is kept
+    only when it holds there and fails at N - 1 (unless N = lower).  A first
+    N past lower * 2^20000 is refused from a float estimate, or from the
+    predicate there when the estimate is within a few bits."""
     target = max(Fraction(2), Fraction(5, 4) * 2**k)
 
-    if g.kind == "table":
-        thresholds = [t for t, _ in g.table]
-        for idx, (t, v) in enumerate(g.table):
-            if v < target:
-                continue
-            seg_end = thresholds[idx + 1] - 1 if idx + 1 < len(thresholds) else None
-            n = max(lower, t, -((-v.numerator) // v.denominator))  # n >= ceil(g)
-            if need_l_ge_2 and Fraction(n) <= v:
-                n = (v.numerator // v.denominator) + 1
-            if seg_end is None or n <= seg_end:
-                return n
-        raise InfeasibleConstraint(
-            f"growth table never reaches the target {target} with N >= g(N)"
-        )
-
     def admissible(n: int) -> bool:
-        if g.cmp_at(n, target, limits) is Ordering.LESS:
-            return False
-        o = g.cmp_at(n, Fraction(n), limits)
-        if need_l_ge_2:
-            return o is Ordering.LESS  # g(N) < N, i.e. L = ceil(N/g) >= 2
-        return o in (Ordering.LESS, Ordering.EQUAL)
+        return g.cmp_at(n, target, limits) is not Ordering.LESS
 
     bits = _inverse_bits(g, target)
     cap = math.log2(lower) + _MAX_DOUBLINGS
@@ -456,10 +399,10 @@ def build_theorem27(
     a_k = 1 / (2^k L_k).  L_k = ceil(N_k / g(N_k)).
 
     paper_exact picks each N_k as the smallest integer satisfying N_1 >= 4,
-    N_{k+1} >= 10 N_k, g(N_k) >= max(2, (5/4) 2^k), and N_k >= g(N_k)
-    (strictly, for the discrete variant, so each block is non-empty);
-    relaxed takes N_1 = n1 and N_{k+1} = N_k * growth_factor and records
-    which inequalities the caller's scales violate."""
+    N_{k+1} >= 10 N_k and g(N_k) >= max(2, (5/4) 2^k) (N_k > g(N_k) holds
+    for every kind, so each block is non-empty); relaxed takes N_1 = n1
+    and N_{k+1} = N_k * growth_factor and records which inequalities the
+    caller's scales violate."""
     if k_max < 1:
         raise ParameterViolation("k_max must be >= 1")
     if variant not in ("discrete", "continuous"):
@@ -471,7 +414,7 @@ def build_theorem27(
     for k in range(1, k_max + 1):
         if mode == "paper_exact":
             lower = max(4, 10 * ns[-1] if ns else 4)
-            ns.append(_smallest_admissible(g, k, lower, discrete, limits))
+            ns.append(_smallest_admissible(g, k, lower, limits))
         else:
             if k == 1:
                 if n1 is None:
@@ -791,24 +734,25 @@ def _uncertified(gaps: list) -> str:
 
 
 def _block_claim(
-    sig: BlockSignal, start: int, end: int, a: Fraction, cap: int, per_block: int, limits: Limits
-) -> tuple[int, int, bool, list]:
-    """(certified mismatches, points checked, exhaustive, gaps of the
-    uncertified results) for the claim that every n in [start, end] has
-    Mf(n) = a with minimal centered radius 0.
+    sig: BlockSignal, start: int, end: int, a: Fraction, sample: bool, limits: Limits
+) -> tuple[int, int, list]:
+    """(certified mismatches, points checked, gaps of the uncertified
+    results) for the claim that every n in [start, end] has Mf(n) = a with
+    minimal centered radius 0.
 
-    At most cap points are all decided on frequency_pieces: on each piece
-    the radius is zero everywhere, at one point or nowhere (_zero_run), and
-    where it is zero Mf(n) = f(n), so the layout's runs with f != a count
-    the rest, without a query per point.  A longer block is sampled: its
-    edges and an even stride of per_block points, each by event_centered."""
+    Every point is decided on frequency_pieces: on each piece the radius is
+    zero everywhere, at one point or nowhere (_zero_run), and where it is
+    zero Mf(n) = f(n), so the layout's runs with f != a count the rest,
+    without a query per point.  With sample, only the block's edges and an
+    even stride of _SAMPLE_PER_BLOCK points are checked, each by
+    event_centered."""
     count = end - start + 1
-    if count > cap:
+    if sample:
         pts = {start, start + 1, start + 2, end - 2, end - 1, end}
-        pts.update(range(start + 3, end - 2, max(1, count // per_block)))
+        pts.update(range(start + 3, end - 2, max(1, count // _SAMPLE_PER_BLOCK)))
         results = [event_centered(sig, n, limits) for n in pts]
         bad = sum(r.certified and not (r.radius == 0 and r.max_value == a) for r in results)
-        return bad, len(pts), False, [r.gap for r in results if not r.certified]
+        return bad, len(pts), [r.gap for r in results if not r.certified]
     lay = sig.layout
     xs, vals, lo = lay.xs, lay.vals, lay.lo
     bad = 0
@@ -823,7 +767,7 @@ def _block_claim(
             if vals[i] * a.denominator != a.numerator * lay.dy:  # f != a
                 bad += stop - x + 1
             x, i = stop + 1, i + 1
-    return bad, count, True, []
+    return bad, count, []
 
 
 def verify_delta(limits: Limits = DEFAULT_LIMITS, n_abs_max: int = 1000) -> dict:
@@ -879,12 +823,12 @@ def verify_theorem27(
     limits: Limits = DEFAULT_LIMITS,
 ) -> dict:
     """Check Mf = a_k with minimal radius 0 on every block, plus the density
-    row at N = N_kmax + L_kmax.  In the discrete variant a block interior
-    of at most _POINTWISE_CAP points is decided at every point, on its
-    frequency pieces (_block_claim); a longer one by the dominance
-    inequality (certificate condition) plus engine samples, which is a
-    proof, not a heuristic, since dominance alone forces the pointwise
-    conclusion."""
+    row at N = N_kmax + L_kmax.  In the discrete variant a block is decided
+    at every point, on its frequency pieces (_block_claim), unless it is
+    longer than _POINTWISE_CAP points and its dominance inequality
+    (certificate condition) holds: such a block is checked on engine
+    samples, and that is a proof, not a heuristic, since dominance alone
+    forces the pointwise conclusion."""
     sig, cert = build_theorem27(g, k_max, mode, variant, n1, growth_factor, limits)
     claims: list = []
     ns, ls = cert.N, cert.L
@@ -892,21 +836,19 @@ def verify_theorem27(
     satisfied = {c.name for c in cert.conditions if c.status == "satisfied"}
     if variant == "discrete":
         for k in range(1, k_max + 1):
-            a = amps[k - 1]
-            start = ns[k - 1] + 1
-            bad, count, exhaustive, gaps = _block_claim(
-                sig, start, start + ls[k - 1] - 2, a, _POINTWISE_CAP, _SAMPLE_PER_BLOCK, limits
+            start, count = ns[k - 1] + 1, ls[k - 1] - 1
+            sample = count > _POINTWISE_CAP and f"block_dominance_k{k}" in satisfied
+            bad, checked, gaps = _block_claim(
+                sig, start, start + count - 1, amps[k - 1], sample, limits
             )
-            dom_ok = f"block_dominance_k{k}" in satisfied
-            status = "pass" if bad == 0 and (exhaustive or dom_ok) else "fail"
-            note = (
-                f"all {count} points exact"
-                if exhaustive
-                else f"dominance + {count} sampled points exact"
+            status, note = "pass", (
+                f"dominance + {int_str(checked)} sampled points exact"
+                if sample
+                else f"all {int_str(checked)} points exact"
             )
             if bad:
-                note = f"{bad} of {count} points mismatched"
-            elif gaps and status == "pass":
+                status, note = "fail", f"{int_str(bad)} of {int_str(checked)} points mismatched"
+            elif gaps:
                 status, note = "unverifiable", note + _uncertified(gaps)
             _claim(claims, f"block_k{k}_pointwise", status, "exact", note)
         n_eval = ns[-1] + ls[-1]
