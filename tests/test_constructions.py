@@ -73,6 +73,13 @@ class TestGrowthSpecValidation:
         with pytest.raises(GrowthSpecInvalid):
             GrowthSpec("log", beta=F(1, 2))
 
+    def test_table_kind_refused(self):
+        # a bounded step table is no longer a growth kind, from Python or JSON
+        with pytest.raises(GrowthSpecInvalid, match="unknown growth kind 'table'"):
+            GrowthSpec("table")
+        with pytest.raises(GrowthSpecInvalid, match="unknown growth kind 'table'"):
+            GrowthSpec.from_json({"kind": "table", "steps": [["1", "2"]]})
+
     def test_evaluation_domain(self):
         with pytest.raises(GrowthSpecInvalid):
             LOG.value_at(1)
@@ -141,6 +148,7 @@ class TestGrowthSpecArithmetic:
             GrowthSpec("log"),
             GrowthSpec("loglog"),
             GrowthSpec("logpow", beta=F(2, 3)),
+            GrowthSpec("logpow", beta=F(1)),
             GrowthSpec("power", beta=F(3, 5)),
         ],
     )
@@ -228,6 +236,26 @@ class TestTheorem27Goldens:
     def test_relaxed_needs_n1(self):
         with pytest.raises(ParameterViolation):
             build_theorem27(LOG, 3, mode="relaxed")
+
+    @pytest.mark.parametrize(
+        "g",
+        [
+            GrowthSpec("log"),
+            GrowthSpec("loglog"),
+            GrowthSpec("logpow", beta=F(1, 2)),
+            GrowthSpec("power", beta=F(1, 2)),
+        ],
+        ids=["log", "loglog", "logpow", "power"],
+    )
+    def test_discrete_blocks_are_non_empty(self, g):
+        # g(N) < N for every kind, so each paper_exact N_k has L_k >= 2 and
+        # its discrete block {N_k < n < N_k + L_k} holds at least one point
+        sig, cert = build_theorem27(g, 2)
+        assert cert.all_satisfied()
+        assert all(l >= 2 for l in cert.L)
+        assert [(b.start, b.end) for b in sig.blocks] == [
+            (n + 1, n + l - 1) for n, l in zip(cert.N, cert.L)
+        ]
 
     def test_zero_growth_factor_is_not_the_default(self):
         # 0 is a given factor, not an absent one: N_2 = 0 is below g's domain
