@@ -13,16 +13,16 @@ ratio (far windows must reach the support, so r_n is within the support
 radius of |n|), and closed forms finish the tail.  Below the horizon every
 row is counted by one function, _piece_counts, from affine pieces of the
 radius (or the minimal diameter) in n, on which every condition is linear
-in n: centered rows on constant-amplitude signals from the exact pieces of
-frequency_pieces, uncentered rows and power-law signals from one engine
-query per point, merged as it comes into the same greedy runs
-(maxengine._append_run; the contract is in frequency_pieces' docstring),
-with no list of points.  A row is exact (flags "") only when its horizon
-is within density_eval_cap.  Past the cap, signals whose every
-block amplitude dominates all foreign mass (dense signals through their
-blocks) get exact zero-set counts structurally (rows flagged
-"structural"); other requests yield rows flagged "partial" instead of
-raising, so a series never dies half-way.
+in n: rows on constant-amplitude signals from the exact pieces of
+frequency_pieces (centered) or uncentered_pieces (uncentered), rows on
+power-law signals from one engine query per point, merged as it comes into
+the same greedy runs (maxengine._append_run; the contract is in
+frequency_pieces' docstring), with no list of points.  A row is exact
+(flags "") only when its horizon is within density_eval_cap.  Past the
+cap, signals whose every block amplitude dominates all foreign mass (dense
+signals through their blocks) get exact zero-set counts structurally (rows
+flagged "structural"); other requests yield rows flagged "partial" instead
+of raising, so a series never dies half-way.
 """
 
 from __future__ import annotations
@@ -41,6 +41,7 @@ from .maxengine import (
     event_centered,
     event_uncentered,
     frequency_pieces,
+    uncentered_pieces,
 )
 from .signal import BlockSignal, PowerLaw, as_blocks, norm_l1, support_bounds
 from .values import Value, int_str, rational_str, v_mul_frac, value_str
@@ -239,7 +240,12 @@ def density_series(
     """One DensityRow per N in the increasing n_list.
 
     C > 1 (so membership decays), epsilon in (0, 1/2).  g, when given, must
-    expose value_at(N, limits) -> Value for the N/g(N) normalization."""
+    expose value_at(N, limits) -> Value for the N/g(N) normalization.  The
+    counted rows of a constant signal come from one sweep of pieces over
+    [-N, N], N the largest counted need: frequency_pieces centered,
+    uncentered_pieces uncentered.  A signal with a power-law block takes
+    one engine query per point instead.  density_eval_cap decides which
+    rows are counted either way."""
     C = Fraction(C)
     epsilon = Fraction(epsilon)
     if C <= 1:
@@ -260,7 +266,7 @@ def density_series(
     needs = [n if horizon is None else min(n, horizon) for n in n_list]
     counted = [m for m in needs if m <= limits.density_eval_cap]
     pieces: list = []
-    if counted and (uncentered or signal.has_powerlaw):  # runs of one-point queries
+    if counted and signal.has_powerlaw:  # runs of one-point queries
         sides: tuple = ([], [])  # runs over x = n and x = -n
         for x in range(1, counted[-1] + 1):
             for runs, m in zip(sides, (x, -x)):
@@ -270,7 +276,8 @@ def density_series(
                     _append_run(runs, x, x, 0, event_centered(signal, m, limits).radius)
         pieces = [(-b, -a, -s, c) for a, b, s, c in reversed(sides[1])] + sides[0]
     elif counted:
-        pieces = frequency_pieces(signal, -counted[-1], counted[-1])
+        pieces_of = uncentered_pieces if uncentered else frequency_pieces
+        pieces = pieces_of(signal, -counted[-1], counted[-1])
     counts = _piece_counts(pieces, counted, C, epsilon, 2 if uncentered else 1)
 
     rows: list = []

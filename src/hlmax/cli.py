@@ -36,7 +36,7 @@ from .errors import HlmaxError, ParameterViolation, ResourceCapExceeded
 from .maxengine import cell_columns, profile, profile_sweep
 from .signal import signal_from_json, signal_to_json
 from .continuum import StepFunction, step_to_json
-from .values import int_str, parse_int, parse_rational, rational_str, value_str
+from .values import int_str, parse_int, parse_rational, rational_str, repr_brief, value_str
 
 _THEOREMS = ("delta", "theorem27", "theorem29-linf", "theorem29-lp")
 
@@ -53,7 +53,7 @@ def _parse_growth(tokens: Optional[list]) -> GrowthSpec:
         if len(tokens) != 2:
             raise ParameterViolation(f"--g {kind} needs a rational exponent")
         return GrowthSpec(kind, parse_rational(tokens[1]))
-    raise ParameterViolation(f"unknown growth kind {kind!r}")
+    raise ParameterViolation(f"unknown growth kind {repr_brief(kind)}")
 
 
 def _read_json(path: str):

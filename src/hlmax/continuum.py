@@ -44,7 +44,7 @@ from fractions import Fraction
 
 from .config import DEFAULT_LIMITS, Limits
 from .errors import BudgetExceeded, NonpositiveRadius, ParameterViolation, ZeroSignal
-from .values import int_brief, json_field, json_rational, rational_str
+from .values import int_brief, json_field, json_rational, rational_str, repr_brief
 
 # Kinks a side per stretch of the centered walk (StepLayout.centered_radius);
 # layouts with at most this many a side are walked in one stretch
@@ -526,7 +526,7 @@ def step_to_json(f: StepFunction) -> dict:
 def step_from_json(doc) -> StepFunction:
     kind = json_field(doc, "type", str)
     if kind != "step":
-        raise ParameterViolation(f"unknown step-function type {kind!r}")
+        raise ParameterViolation(f"unknown step-function type {repr_brief(kind)}")
     return StepFunction(
         [json_rational(s) for s in json_field(doc, "breakpoints", list)],
         [json_rational(s) for s in json_field(doc, "values", list)],

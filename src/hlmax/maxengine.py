@@ -20,13 +20,15 @@ half-integer centre, reading one window sum at the winner; the uncentered
 maximum is the steepest chord of the prefix-mass graph across n, found by
 tangent steps between the prefix and suffix hulls the layout compiles with
 it, rather than by trying every pair of window edges; and the
-radius sweep of frequency_pieces compares affine forms on the same
-breakpoints, all in integers (scaled by the common denominator) on offsets
-from the support start, and hands its runs to _append_run, which alone
-decides where a piece ends (the greedy-run contract is stated in the
-frequency_pieces docstring).  Outside the support all three read the
-tangent switch points the layout compiles: one bisect per query, and the
-pieces straight off the switch points.  profile_sweep cuts the pieces into
+sweeps of frequency_pieces (radii) and uncentered_pieces (diameters)
+compare affine forms, window mass over window length, on the same
+breakpoints with one core (_beats, _first_beat, _cell_runs), all in
+integers (scaled by the common denominator) on offsets from the support
+start, and hand their runs to _append_run, which alone decides where a
+piece ends (the greedy-run contract is stated in the frequency_pieces
+docstring).  Outside the support all of them read the tangent switch
+points the layout compiles: one bisect per query, and the pieces straight
+off the switch points.  profile_sweep cuts the pieces into
 cells on which neither window edge crosses a breakpoint, where the window
 mass is affine in n too, so a profile reads one window sum per cell, not
 per point.
@@ -450,9 +452,10 @@ def _cell_candidates(lay: StepLayout, bounds: list, n: int, t_max: int) -> tuple
     """The event radii 0 and |n - b| + d (d = -1, 0, 1) as affine forms
     from support offset n on, bounds being the block boundaries as offsets.
 
-    Returns (t_end, forms): each form (r0, rs, m0, ms) gives the radius
-    r0 + rs*t and the scaled window mass m0 + ms*t at n + t, and all of them
-    hold for 0 <= t <= t_end <= t_max.  A form changes where n crosses its
+    Returns (t_end, forms): each form (d0, ds, m0, ms) gives the window
+    length d0 + ds*t, twice the radius plus one, and the scaled window mass
+    m0 + ms*t at n + t (_beats), and all of them hold for
+    0 <= t <= t_end <= t_max.  A form changes where n crosses its
     boundary b (n = b is a cell of its own, where b - 1 has no radius) and
     where a moving window edge crosses a breakpoint.  Radii above the search
     bound are kept: they hold the whole mass over a longer window than the
@@ -481,16 +484,19 @@ def _cell_candidates(lay: StepLayout, bounds: list, n: int, t_max: int) -> tuple
                 ms += sign * slope * v
                 if last is not None:
                     t_end = min(t_end, (last - y) // v)
-        forms[(r0, rs)] = (r0, rs, m0, ms)
+        forms[(r0, rs)] = (2 * r0 + 1, 2 * rs, m0, ms)
     return t_end, list(forms.values())
 
 
 def _beats(f: tuple, w: tuple, t: int) -> bool:
     """Whether form f has a larger average than w at t, or the same average
-    at a smaller radius."""
-    rf, rw = f[0] + f[1] * t, w[0] + w[1] * t
-    q = (f[2] + f[3] * t) * (2 * rw + 1) - (w[2] + w[3] * t) * (2 * rf + 1)
-    return q > 0 or (q == 0 and rf < rw)
+    over a smaller denominator.  A form (d0, ds, m0, ms) is the average
+    (m0 + ms*t) / (d0 + ds*t) of a window whose length is its denominator
+    (2r + 1 for a centered radius r, the diameter plus one uncentered), so
+    a tie goes to the smaller radius or diameter."""
+    df, dw = f[0] + f[1] * t, w[0] + w[1] * t
+    q = (f[2] + f[3] * t) * dw - (w[2] + w[3] * t) * df
+    return q > 0 or (q == 0 and df < dw)
 
 
 def _first_beat(f: tuple, w: tuple, t0: int, t1: int) -> Optional[int]:
@@ -499,15 +505,14 @@ def _first_beat(f: tuple, w: tuple, t0: int, t1: int) -> Optional[int]:
     The comparison q(t) = mass_f * den_w - mass_w * den_f is an integer
     quadratic.  When q is negative at both ends and has no maximum strictly
     inside, f never beats w.  Otherwise _beats is constant between t0 + 1,
-    the integer neighbours of the real roots of q and of the radius
+    the integer neighbours of the real roots of q and of the denominator
     difference (isqrt puts a root within 1/2 of the truth, hence the margin
     of two) and t1, so only those points are tried."""
     lo = t0 + 1
     if lo > t1:
         return None
-    fr0, frs, fm0, fms = f
-    wr0, wrs, wm0, wms = w
-    fd0, fds, wd0, wds = 2 * fr0 + 1, 2 * frs, 2 * wr0 + 1, 2 * wrs
+    fd0, fds, fm0, fms = f
+    wd0, wds, wm0, wms = w
     a = fms * wds - wms * fds
     b = fms * wd0 + fm0 * wds - wms * fd0 - wm0 * fds
     c = fm0 * wd0 - wm0 * fd0
@@ -527,13 +532,40 @@ def _first_beat(f: tuple, w: tuple, t0: int, t1: int) -> Optional[int]:
     elif b:
         m = -c // b
         keys.update((m, m + 1))
-    if frs != wrs:
-        m = (wr0 - fr0) // (frs - wrs)
+    if fds != wds:
+        m = (wd0 - fd0) // (fds - wds)
         keys.update((m, m + 1))
     for t in sorted(k for k in keys if lo <= k <= t1):
         if _beats(f, w, t):
             return t
     return None
+
+
+def _cell_runs(pieces: list, forms: list, t: int, t_end: int, q: int) -> None:
+    """Append the runs of the winning form's key over the offsets t to
+    t + t_end of one cell to pieces (_append_run), for forms (_beats) whose
+    denominators are q * key + 1: q = 2 for centered radii, 1 for
+    uncentered diameters.  The winner changes only where another form first
+    beats it (_first_beat), so the cell costs work per form and per change
+    of winner, not per point."""
+    u = 0
+    while True:
+        w = forms[0]
+        for f in forms[1:]:
+            if _beats(f, w, u):
+                w = f
+        nxt = None
+        for f in forms:
+            if f is not w:
+                hit = _first_beat(f, w, u, t_end if nxt is None else nxt - 1)
+                if hit is not None:
+                    nxt = hit
+        stop = t_end if nxt is None else nxt - 1
+        slope = w[1] // q
+        _append_run(pieces, t + u, t + stop, slope, (w[0] - 1) // q - slope * t)
+        if nxt is None:
+            return
+        u = nxt
 
 
 def _sweep_tables(lay: StepLayout) -> tuple:
@@ -564,29 +596,31 @@ def _edge_hit(left: list, right: list, near: set, x: int) -> bool:
                 and near.isdisjoint(map((x - 1).__sub__, right)))
 
 
-def _outside_runs(tangents: tuple, u_a: int, u_b: int):
+def _outside_runs(tangents: tuple, u_a: int, u_b: int, q: int):
     """(u0, u1, dist): the runs of u_a <= u <= u_b, ascending, on which the
-    tangent from the centre n + 1/2 at u + 1/2 beyond a support end touches
+    tangent from the point at distance u + 1/q beyond a support end touches
     the hull vertex dist from that end (StepLayout.left_tangents or
     right_tangents), so the least maximizing window reaches that vertex,
-    radius dist + u.  A vertex holds until u + 1/2 passes the next switch
-    point num / den."""
+    its radius (q = 2, the centre n + 1/2) or diameter (q = 1, the pinned
+    end t or t + 1) dist + u.  A vertex holds until u + 1/q passes the next
+    switch point num / den."""
     pts, cuts = tangents
-    k = tangent_count(cuts, 2 * u_a + 1, 2)
+    k = tangent_count(cuts, q * u_a + 1, q)
     u = u_a
     while u <= u_b:
         stop = u_b
         if k < len(cuts):
             _, num, den = cuts[k]
-            stop = min(stop, (2 * num - den) // (2 * den))
+            stop = min(stop, (q * num - den) // (q * den))
         if stop >= u:
             yield u, stop, pts[k][0]
             u = stop + 1
         k += 1
 
 
-# Cells shorter than this are walked point by point with the kink walk:
-# a 1-point cell costs about 27 walks through _cell_candidates at B = 200
+# Cells shorter than this are walked point by point, centered with the kink
+# walk (a 1-point cell costs about 27 walks through _cell_candidates at
+# B = 200) and uncentered with _uncentered_hull
 _SHORT_CELL = 16
 
 
@@ -609,6 +643,42 @@ def _append_run(pieces: list, a: int, b: int, slope: int, icpt: int) -> None:
     pieces.append((a, b, slope, icpt) if a < b else (a, a, 0, r))
 
 
+def _support_pieces(sig: Signal, n_lo: int, n_hi: int, q: int, inside) -> list:
+    """The greedy runs (_append_run) of a key over n_lo <= n <= n_hi, on
+    an all-constant signal: the centered radius (q = 2) or the uncentered
+    diameter (q = 1).  Outside [lo, hi] the key is dist + u at the distance
+    u beyond a support end, dist that of the tangent vertex, so the runs
+    come straight off the layout's switch points (_outside_runs), one per
+    vertex, at any distance: slope -1 on the left and +1 on the right.
+    inside(blocks, pieces, t, t_hi) appends the runs of the offsets t to
+    t_hi in the support.  Every run is built on offsets from the support
+    start and shifted to n at the end."""
+    blocks = as_blocks(sig)
+    lay = blocks.layout
+    if lay is None:
+        raise ParameterViolation("pieces need an all-constant signal")
+    if n_hi < n_lo:
+        raise ParameterViolation("pieces need n_lo <= n_hi")
+    pieces: list = []
+    t, t_last = n_lo - lay.lo, n_hi - lay.lo
+    end = lay.xs[-1]  # the first offset right of the support
+    if t < 0:  # left of the support t = -1 - u
+        t_left = min(t_last, -1)
+        runs = list(_outside_runs(lay.left_tangents, -1 - t_left, -1 - t, q))
+        for u0, u1, dist in reversed(runs):
+            _append_run(pieces, -1 - u1, -1 - u0, -1, dist - 1)
+        t = t_left + 1
+    t_hi = min(t_last, end - 1)
+    if t <= t_hi:
+        inside(blocks, pieces, t, t_hi)
+        t = t_hi + 1
+    if t <= t_last:  # right of it t = end + u
+        for u0, u1, dist in _outside_runs(lay.right_tangents, t - end, t_last - end, q):
+            _append_run(pieces, end + u0, end + u1, 1, dist - end)
+    lo = lay.lo
+    return [(a + lo, b + lo, s, c - s * lo) for a, b, s, c in pieces]
+
+
 def frequency_pieces(sig: Signal, n_lo: int, n_hi: int) -> list:
     """Minimal maximizing centered radii over n_lo <= n <= n_hi, exactly.
 
@@ -624,36 +694,22 @@ def frequency_pieces(sig: Signal, n_lo: int, n_hi: int) -> list:
     The range is cut into cells on which every event radius (0 and
     |n - b| + d, which include the kinks of the window mass) and its window
     mass are affine in n; within a cell the winner changes only where some
-    candidate's quadratic comparison with it changes sign, so the sweep
-    costs work per cell and per change of winner, not per point.  Cells
-    shorter than _SHORT_CELL, as between close boundaries, are cheaper
-    walked point by point.  Only [lo, hi] is swept.  Outside it the radius
-    is the distance to the tangent vertex of the whole-support hull, slope
-    -1 on the left and +1 on the right, and that vertex changes only at the
-    layout's tangent switch points, so those runs come straight off the
-    switch points, one per vertex, at any distance.  All arithmetic runs on
-    offsets from the support start.  The boundary tables of the sweep
-    (_sweep_tables) are built once per signal and kept on it."""
-    blocks = as_blocks(sig)
+    candidate's quadratic comparison with it changes sign (_cell_runs), so
+    the sweep costs work per cell and per change of winner, not per point.
+    Cells shorter than _SHORT_CELL, as between close boundaries, are
+    cheaper walked point by point.  Only [lo, hi] is swept; outside it the
+    runs come off the layout's switch points (_support_pieces).  The
+    boundary tables of the sweep (_sweep_tables) are built once per signal
+    and kept on it."""
+    return _support_pieces(sig, n_lo, n_hi, 2, _centered_inside)
+
+
+def _centered_inside(blocks: BlockSignal, pieces: list, t: int, t_hi: int) -> None:
+    """frequency_pieces' sweep over the support offsets t to t_hi."""
     lay = blocks.layout
-    if lay is None:
-        raise ParameterViolation("frequency pieces need an all-constant signal")
-    if n_hi < n_lo:
-        raise ParameterViolation("frequency pieces need n_lo <= n_hi")
-    pieces: list = []
-    t, t_last = n_lo - lay.lo, n_hi - lay.lo
-    end = lay.xs[-1]  # the first offset right of the support
-    if t < 0:  # left of the support t = -1 - u
-        t_left = min(t_last, -1)
-        runs = list(_outside_runs(lay.left_tangents, -1 - t_left, -1 - t))
-        for u0, u1, dist in reversed(runs):
-            _append_run(pieces, -1 - u1, -1 - u0, -1, dist - 1)
-        t = t_left + 1
-    t_hi = min(t_last, end - 1)
-    if t <= t_hi:  # the sweep's tables cost O(B), so only a range in [lo, hi] builds them
-        if blocks._sweep is None:
-            blocks._sweep = _sweep_tables(lay)
-        bounds, near3, near4 = blocks._sweep
+    if blocks._sweep is None:  # O(B), so only a range that meets [lo, hi] builds them
+        blocks._sweep = _sweep_tables(lay)
+    bounds, near3, near4 = blocks._sweep
     while t <= t_hi:
         k = bisect_left(bounds, t)
         if k < len(bounds) and bounds[k] - t < _SHORT_CELL:
@@ -674,29 +730,70 @@ def frequency_pieces(sig: Signal, n_lo: int, n_hi: int) -> list:
             t = stop + 1
             continue
         t_end, forms = _cell_candidates(lay, bounds, t, t_hi - t)
-        u = 0
-        while True:
-            w = forms[0]
-            for f in forms[1:]:
-                if _beats(f, w, u):
-                    w = f
-            nxt = None
-            for f in forms:
-                if f is not w:
-                    hit = _first_beat(f, w, u, t_end if nxt is None else nxt - 1)
-                    if hit is not None:
-                        nxt = hit
-            stop = t_end if nxt is None else nxt - 1
-            _append_run(pieces, t + u, t + stop, w[1], w[0] - w[1] * t)
-            if nxt is None:
-                break
-            u = nxt
+        _cell_runs(pieces, forms, t, t_end, 2)
         t += t_end + 1
-    if t <= t_last:  # right of it t = end + u
-        for u0, u1, dist in _outside_runs(lay.right_tangents, t - end, t_last - end):
-            _append_run(pieces, end + u0, end + u1, 1, dist - end)
-    lo = lay.lo
-    return [(a + lo, b + lo, s, c - s * lo) for a, b, s, c in pieces]
+
+
+def uncentered_pieces(sig: Signal, n_lo: int, n_hi: int) -> list:
+    """Minimal maximizing uncentered diameters over n_lo <= n <= n_hi,
+    exactly: the runs (n_a, n_b, slope, intercept) of the min_diameter
+    event_uncentered reports, greedy from the left as frequency_pieces
+    gives the radii, with slopes -1, 0 or 1.
+
+    Outside the support the window's near end is pinned at n and its far
+    end is the tangent vertex of the whole-support hull, so the runs come
+    off the switch points (_support_pieces).  Inside, the window [l, u] is
+    the chord from (l, P(l)) to (u + 1, P(u + 1)) of the prefix mass P
+    (_uncentered_hull), and only the pinned points at the offsets t and
+    t + 1 move with n.  On a cell, the offsets with t and t + 1 strictly
+    inside one layout segment, both move along one line of P, so every
+    candidate chord has an affine length and mass (_uncentered_forms), and
+    the winner loop of frequency_pieces (_cell_runs) compares them.  A
+    point with t or t + 1 on a breakpoint, and a cell shorter than
+    _SHORT_CELL, is answered by _uncentered_hull."""
+    return _support_pieces(sig, n_lo, n_hi, 1, _uncentered_inside)
+
+
+def _uncentered_inside(blocks: BlockSignal, pieces: list, t: int, t_hi: int) -> None:
+    """uncentered_pieces' sweep over the support offsets t to t_hi."""
+    lay = blocks.layout
+    xs = lay.xs
+    while t <= t_hi:
+        k = bisect_right(xs, t)  # xs[k - 1] <= t < xs[k]
+        stop = min(t_hi, xs[k] - 2)
+        if xs[k - 1] < t <= stop and stop - t >= _SHORT_CELL - 1:
+            _cell_runs(pieces, _uncentered_forms(lay, k, t), t, stop - t, 1)
+        else:
+            stop = max(t, stop) if t > xs[k - 1] else t
+            for x in range(t, stop + 1):
+                _append_run(pieces, x, x, 0, _uncentered_hull(lay, lay.lo + x).min_diameter)
+        t = stop + 1
+
+
+def _uncentered_forms(lay: StepLayout, k: int, t: int) -> list:
+    """The candidate chords of _uncentered_hull as forms (_beats) from the
+    offset t on, while t and t + 1 stay strictly inside the segment
+    (xs[k - 1], xs[k]), where P rises by v = vals[k] a step.  The left
+    points are the breakpoints xs[:k] and (t, P(t)), the right ones
+    (t + 1, P(t + 1)) and xs[k:], so the steepest chord, innermost first,
+    is one of: the steepest between breakpoints (a constant form); from a
+    vertex of the lower hull of xs[:k] to (t + 1, P(t + 1)); from (t, P(t))
+    to a vertex of the upper hull of xs[k:]; or the one-point window [t, t].
+    An innermost maximizer of the middle two is a hull vertex, as the hull
+    chains drop only points inside their edges."""
+    xs, ys, v = lay.xs, lay.ys, lay.vals[k]
+    p0 = lay.mass_to(t, 1)
+    rise, run = lay.steepest_chord(k, None, k, None, 1)
+    forms = [(1, 0, v, 0), (run, 0, rise, 0)]
+    i = k - 1
+    while i >= 0:
+        forms.append((t + 1 - xs[i], 1, p0 + v - ys[i], v))
+        i = lay.lower[i]
+    j = k
+    while j < len(xs):
+        forms.append((xs[j] - t, -1, ys[j] - p0, -v))
+        j = lay.upper[j]
+    return forms
 
 
 def _dense_prefix(sig: BlockSignal) -> Optional[tuple]:

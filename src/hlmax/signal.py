@@ -32,6 +32,7 @@ from .continuum import StepLayout, step_layout
 from .errors import ParameterViolation, PowerLawRangeTooLarge, ZeroSignal
 from .values import (
     Value,
+    int_brief,
     int_str,
     json_field,
     json_int,
@@ -40,6 +41,7 @@ from .values import (
     power_shift,
     power_term,
     rational_str,
+    repr_brief,
     scaled_enclosure,
     v_add,
 )
@@ -250,7 +252,7 @@ def _pl_table(sig: BlockSignal, idx: int, prec: int):
 
 def _past_cap(count: int, limits: Limits) -> PowerLawRangeTooLarge:
     return PowerLawRangeTooLarge(
-        f"power-law intersection of length {int_str(count)} exceeds cap {limits.powerlaw_sum_cap}"
+        f"power-law intersection of length {int_brief(count)} exceeds cap {limits.powerlaw_sum_cap}"
     )
 
 
@@ -463,4 +465,4 @@ def signal_from_json(doc) -> Signal:
             start, end = json_field(item, "start"), json_field(item, "end")
             blocks.append(Block(json_int(start), json_int(end), amp))
         return BlockSignal(blocks)
-    raise ParameterViolation(f"unknown signal type {kind!r}")
+    raise ParameterViolation(f"unknown signal type {repr_brief(kind)}")

@@ -60,12 +60,22 @@ def int_brief(n: int) -> str:
     return f"{s[:10 + neg]}\u2026{s[-10:]} ({len(s) - neg} digits)"
 
 
+def repr_brief(x) -> str:
+    """repr(x) for an error message that echoes an input: up to 100
+    characters as is, else its first 60 and last 20 characters around an
+    ellipsis, with its length."""
+    s = repr(x)
+    if len(s) <= 100:
+        return s
+    return f"{s[:60]}\u2026{s[-20:]} ({len(s)} characters)"
+
+
 def parse_int(s: str) -> int:
     """Exact inverse of int_str, valid at any number of digits (int(s)
     first, Decimal past the digit guard)."""
     s = s.strip()
     if not _INT_RE.fullmatch(s):
-        raise ParameterViolation(f"not an integer: {s!r}")
+        raise ParameterViolation(f"not an integer: {repr_brief(s)}")
     try:
         return int(s)
     except ValueError:
@@ -143,7 +153,7 @@ def _dyadic(x, rnd) -> tuple:
     try:
         x = Fraction(x)
     except (TypeError, ValueError, OverflowError) as exc:
-        raise ParameterViolation(f"enclosure bound {x!r}: {exc}") from None
+        raise ParameterViolation(f"enclosure bound {repr_brief(x)}: {exc}") from None
     d = x.denominator
     if d & (d - 1) == 0:
         return x.numerator, 1 - d.bit_length()
@@ -479,7 +489,7 @@ def parse_rational(s: str) -> Fraction:
             return Fraction(parse_int(p), parse_int(q))
         return Fraction(parse_int(s))
     except ZeroDivisionError as exc:
-        raise ParameterViolation(f"not a rational: {s!r}") from exc
+        raise ParameterViolation(f"not a rational: {repr_brief(s)}") from exc
 
 
 def json_field(doc, key: str, kind: type = object):
@@ -487,10 +497,10 @@ def json_field(doc, key: str, kind: type = object):
     if not isinstance(doc, dict):
         raise ParameterViolation(f"expected a JSON object, got {type(doc).__name__}")
     if key not in doc:
-        raise ParameterViolation(f"JSON object lacks {key!r}")
+        raise ParameterViolation(f"JSON object lacks {repr_brief(key)}")
     value = doc[key]
     if not isinstance(value, kind):
-        raise ParameterViolation(f"{key!r} has the wrong JSON type: {value!r}")
+        raise ParameterViolation(f"{repr_brief(key)} has the wrong JSON type: {repr_brief(value)}")
     return value
 
 
@@ -500,13 +510,13 @@ def json_int(v) -> int:
         return v
     if isinstance(v, str):
         return parse_int(v)
-    raise ParameterViolation(f"not an integer: {v!r}")
+    raise ParameterViolation(f"not an integer: {repr_brief(v)}")
 
 
 def json_rational(v) -> Fraction:
     """A rational given in JSON as a "p/q" or "p" string."""
     if not isinstance(v, str):
-        raise ParameterViolation(f"not a rational string: {v!r}")
+        raise ParameterViolation(f"not a rational string: {repr_brief(v)}")
     return parse_rational(v)
 
 

@@ -4,6 +4,7 @@ pointwise/structural/closed-form counting agreement, and CSV rendering."""
 
 import random
 import tracemalloc
+from bisect import bisect_right
 from fractions import Fraction
 
 import pytest
@@ -401,6 +402,39 @@ class TestSweptCounts:
         sig, _ = build_theorem27(GrowthSpec("log"), 4)
         rows = density_series(sig, [200, 2000, 20000, 200000], g=GrowthSpec("log"))
         assert [r.flags for r in rows] == ["", "", "", "structural"]
+
+    def test_constant_uncentered_rows_query_only_short_cells(self, monkeypatch):
+        """Uncentered rows of a constant signal come from uncentered_pieces:
+        no event_uncentered call, and the hull is read point by point only
+        where a pinned end sits on a breakpoint or the cell is short."""
+        import hlmax.analysis
+        import hlmax.maxengine
+
+        sig, _ = build_theorem27(GrowthSpec("log"), 4)
+        ns = [200, 2000, 25000]
+        want = pointwise_counts(sig, ns[-1], F(2), F(1, 10), uncentered=True)
+
+        def refuse(*args):
+            raise AssertionError("pointwise engine call")
+
+        hull, walked = hlmax.maxengine._uncentered_hull, []
+
+        def counted(lay, n):
+            walked.append(n)
+            return hull(lay, n)
+
+        monkeypatch.setattr(hlmax.analysis, "event_uncentered", refuse)
+        monkeypatch.setattr(hlmax.maxengine, "_uncentered_hull", counted)
+        rows = density_series(sig, ns, uncentered=True)
+        assert [(r.count_S, r.count_Z, r.count_near1) for r in rows] == [want[n - 1] for n in ns]
+        lay = sig.layout
+        xs, short = lay.xs, hlmax.maxengine._SHORT_CELL
+        t_lo, t_hi = -ns[-1] - lay.lo, ns[-1] - lay.lo
+        for t in (n - lay.lo for n in walked):
+            k = bisect_right(xs, t)
+            cell = min(xs[k] - 2, t_hi) - max(xs[k - 1] + 1, t_lo) + 1
+            assert t == xs[k - 1] or t + 1 == xs[k] or cell < short, t
+        assert len(walked) < 20
 
     def test_power_law_rows_stay_pointwise(self):
         from hlmax.signal import Block, BlockSignal, PowerLaw

@@ -16,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import hlmax.signal
 from hlmax.cli import _make_parser, _n_column, main
 from hlmax.config import DEFAULT_LIMITS
 from hlmax.maxengine import event_centered
@@ -68,6 +69,22 @@ class TestConstruct:
             "error: InfeasibleConstraint: no admissible N within 20000 doublings from "
             "285112356794615106055810386579828059838536488179394449534171288370\n"
         )
+
+    @pytest.mark.parametrize("variant", ["discrete", "continuous"])
+    @pytest.mark.parametrize("g", [["power", "1/2"], ["log"]], ids=["power", "log"])
+    @pytest.mark.parametrize("n1", ["0", "1"])
+    def test_relaxed_n1_below_two_refused(self, tmp_path, capsys, variant, g, n1):
+        # g is evaluated at N >= 2 only, by every kind and every method
+        out = tmp_path / "x.json"
+        code = run(
+            "construct", "theorem27", "--g", *g, "--mode", "relaxed", "--n1", n1,
+            "--k", "1", "--variant", variant, "--out", str(out),
+        )
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: GrowthSpecInvalid: growth functions are evaluated at N >= 2\n"
+        )
+        assert not out.exists()
 
     def test_theorem27_continuous_writes_step_json(self, tmp_path):
         out = tmp_path / "step.json"
@@ -366,6 +383,41 @@ class TestProfile:
             "profile", "--signal", str(bad), "--points", "0",
             "--out", str(tmp_path / "p.csv"),
         ) == 2
+
+
+class TestShortMessages:
+    """An error that echoes an input abbreviates it: one stderr line under
+    300 bytes, however long the input."""
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {"type": "dense", "lo": "a" * 100000, "values": ["1"]},
+            {"type": "dense", "lo": "0", "values": ["1/" + "0" * 100000]},
+            {"type": "dense", "lo": ["z" * 100000], "values": ["1"]},
+            {"type": "x" * 100000},
+            {"type": "blocks", "blocks": [{"start": "0", "end": "0", "amp": {"const": 7 * 10**4000}}]},
+        ],
+        ids=["lo-string", "zero-denominator", "lo-list", "type", "amp-number"],
+    )
+    def test_malformed_signal(self, tmp_path, capsys, doc):
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps(doc))
+        code = run("profile", "--signal", str(path), "--points", "1", "--out", str(tmp_path / "p.csv"))
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ParameterViolation: ") and err.count("\n") == 1
+        assert len(err.encode()) < 300
+
+    def test_growth_kind(self, tmp_path, capsys):
+        code = run("construct", "theorem27", "--g", "q" * 100000, "--out", str(tmp_path / "x.json"))
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and len(err.encode()) < 300
+
+    def test_power_law_cap_names_a_brief_length(self):
+        msg = str(hlmax.signal._past_cap(10**5000, DEFAULT_LIMITS))
+        assert "(5001 digits)" in msg and len(msg) < 300
 
 
 class TestDensity:

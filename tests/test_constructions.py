@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hlmax.constructions
+import hlmax.maxengine
 from hlmax.config import DEFAULT_LIMITS
 from hlmax.constructions import (
     Certificate,
@@ -38,11 +39,11 @@ from hlmax.errors import (
     ParameterViolation,
 )
 from hlmax.maxengine import (
-    CenteredResult,
     event_centered,
     event_uncentered,
     frequency_pieces,
     oracle_centered,
+    uncentered_pieces,
 )
 from hlmax.signal import Block, BlockSignal, norm_l1, support_bounds, translate
 from hlmax.values import Ordering, int_str, parse_int, parse_rational, rational_str
@@ -83,6 +84,15 @@ class TestGrowthSpecValidation:
     def test_evaluation_domain(self):
         with pytest.raises(GrowthSpecInvalid):
             LOG.value_at(1)
+
+    @pytest.mark.parametrize("g", [LOG, GrowthSpec("power", F(1, 2))], ids=["log", "power"])
+    @pytest.mark.parametrize("n", [-1, 0, 1])
+    def test_comparisons_share_the_domain(self, g, n):
+        # the power kind's exact integer paths refuse N < 2 as value_at does
+        with pytest.raises(GrowthSpecInvalid):
+            g.cmp_at(n, F(1))
+        with pytest.raises(GrowthSpecInvalid):
+            g.ceil_n_over_g(n)
 
 
 class TestGrowthSpecArithmetic:
@@ -811,11 +821,11 @@ UNVERIFIABLE_CAUSES = (
 
 
 def run_verify(kind: str, prec: int, uncertify: int = 0, wrong: int = 0) -> tuple:
-    """(report, records) of one verify at the given precision, the engines
+    """(report, records) of one verify at the given precision, the engine
     it calls faulted: results at n = 0 mod uncertify made uncertified (gap
-    1/1000), after certified ones at n = 0 mod wrong are given a radius (or
-    diameter) one too large.  records holds (n, result,
-    wrong injected) for every engine result the verify read."""
+    1/1000), after certified ones at n = 0 mod wrong are given a radius one
+    too large.  records holds (n, result, wrong injected) for every engine
+    result the verify read."""
     records = []
 
     def faulty(engine):
@@ -823,8 +833,7 @@ def run_verify(kind: str, prec: int, uncertify: int = 0, wrong: int = 0) -> tupl
             res = engine(sig, n, limits)
             hit = bool(wrong) and res.certified and n % wrong == 0
             if hit:
-                key = "radius" if isinstance(res, CenteredResult) else "min_diameter"
-                res = replace(res, **{key: getattr(res, key) + 1})
+                res = replace(res, radius=res.radius + 1)
             if uncertify and n % uncertify == 0 and res.certified:
                 res = replace(res, certified=False, gap=F(1, 1000))
             records.append((n, res, hit and res.certified))
@@ -835,7 +844,6 @@ def run_verify(kind: str, prec: int, uncertify: int = 0, wrong: int = 0) -> tupl
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(hlmax.constructions, "_POINTWISE_CAP", 16)
         mp.setattr(hlmax.constructions, "event_centered", faulty(event_centered))
-        mp.setattr(hlmax.constructions, "event_uncentered", faulty(event_uncentered))
         rep = SMALL_VERIFY[kind](DEFAULT_LIMITS.with_(precision=prec))
     return rep, records
 
@@ -850,7 +858,8 @@ def deciding_records(rep, records) -> dict:
     doc = rep["certificate"]
     ns, ls = [parse_int(s) for s in doc["N"]], [parse_int(s) for s in doc["L"]]
     if rep["verify"] == "delta":
-        return {"uncentered_profile_exact": records}
+        # both claims are decided on pieces, so no engine fault may move them
+        return {name: records for name in ("centered_profile_exact", "uncentered_profile_exact")}
     if rep["verify"] == "theorem27":
         return {
             f"block_k{k}_pointwise": [r for r in records if n + 1 <= r[0] <= n + l - 1]
@@ -1081,3 +1090,64 @@ class TestDeltaOnPieces:
         finally:
             hlmax.constructions.frequency_pieces = original
         assert self.centered_mismatches(rep) == want
+
+
+class TestUncenteredDeltaOnPieces:
+    """verify_delta counts uncentered mismatches (min_diameter != |n|) from
+    the pieces of uncentered_pieces over [-n, n], with no engine query."""
+
+    @staticmethod
+    def uncentered_mismatches(rep) -> int:
+        note = next(c["note"] for c in rep["claims"] if c["name"] == "uncentered_profile_exact")
+        return int(note.rsplit(", ", 1)[1].split()[0])
+
+    @pytest.mark.parametrize("n_abs_max", [0, 1, 2, 7, 30])
+    def test_equals_pointwise_loop(self, n_abs_max, monkeypatch):
+        sig = dirac()
+        bad = sum(
+            1
+            for n in range(-n_abs_max, n_abs_max + 1)
+            if not (
+                (res := event_uncentered(sig, n)).certified
+                and res.min_diameter == abs(n)
+                and res.max_value == Fraction(1, abs(n) + 1)
+            )
+        )
+
+        hull = hlmax.maxengine._uncentered_hull
+        calls = []
+
+        def counted(lay, n):
+            calls.append(n)
+            return hull(lay, n)
+
+        monkeypatch.setattr(hlmax.maxengine, "_uncentered_hull", counted)
+        rep = verify_delta(n_abs_max=n_abs_max)
+        assert self.uncentered_mismatches(rep) == bad == 0
+        assert calls == [0]  # the support's one point; the rest off switch points
+        assert {c["status"] for c in rep["claims"]} == {"pass"}
+
+    @given(claim_blocks_st, st.integers(-30, 30), st.integers(0, 40))
+    @settings(max_examples=40, deadline=None)
+    def test_counts_diameters_off_abs_n(self, spec, shift, n_abs_max):
+        # pieces of another signal: the count is the number of points whose
+        # diameter is not |n|, as a per-point loop counts them
+        blocks, pos = [], shift
+        for gap, length, num, den in spec[:3]:
+            pos += gap
+            blocks.append(Block(pos, pos + length - 1, Fraction(num, den)))
+            pos += length
+        other = BlockSignal(blocks)
+        want = sum(
+            event_uncentered(other, n).min_diameter != abs(n)
+            for n in range(-n_abs_max, n_abs_max + 1)
+        )
+        original = hlmax.constructions.uncentered_pieces
+        hlmax.constructions.uncentered_pieces = lambda _sig, a, b: uncentered_pieces(other, a, b)
+        try:
+            rep = verify_delta(n_abs_max=n_abs_max)
+        finally:
+            hlmax.constructions.uncentered_pieces = original
+        assert self.uncentered_mismatches(rep) == want
+        status = next(c["status"] for c in rep["claims"] if c["name"] == "uncentered_profile_exact")
+        assert status == ("pass" if want == 0 else "fail")

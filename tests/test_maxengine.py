@@ -52,6 +52,7 @@ from hlmax.maxengine import (
     profile,
     profile_sweep,
     search_bound_centered,
+    uncentered_pieces,
 )
 from hlmax.signal import (
     Block,
@@ -1404,8 +1405,9 @@ class TestFrequencyPieces:
             t0 = rng.randint(-1, span - 1)
             want = next((t for t in range(t0 + 1, span + 1) if _beats(f, w, t)), None)
             assert _first_beat(f, w, t0, span) == want, (f, w, t0, span)
-        # q(t) = -2 (t - 5)^2 + 1: negative at both ends, positive at t = 5 only
-        assert _first_beat((0, 1, 1, 121), (0, 0, 50, 1), 0, 10) == 5
+        # lengths 2t + 1 and 1, so q(t) = -2 (t - 5)^2 + 1: negative at both
+        # ends, positive at t = 5 only
+        assert _first_beat((1, 2, 1, 121), (1, 0, 50, 1), 0, 10) == 5
 
     def test_few_pieces_over_a_long_range(self):
         sig = BlockSignal([Block(14, 18, Fraction(1, 10)), Block(150, 178, Fraction(1, 116))])
@@ -1604,6 +1606,88 @@ class TestShortCells:
 
         monkeypatch.setattr("hlmax.maxengine._cell_candidates", refuse)
         assert list(expand(frequency_pieces(sig, mid - 60, mid + 59)).values()) == want
+
+
+long_blocks_st = st.lists(
+    st.tuples(st.integers(0, 40), st.integers(1, 60), st.integers(1, 9), st.integers(1, 4)),
+    min_size=1,
+    max_size=6,
+)
+
+
+class TestUncenteredPieces:
+    """uncentered_pieces gives event_uncentered's min_diameter at every
+    point, in the greedy runs of the diameters, swept or walked alike."""
+
+    @staticmethod
+    def check(sig, n_lo: int, n_hi: int) -> list:
+        pieces = uncentered_pieces(sig, n_lo, n_hi)
+        diams = {n: event_uncentered(sig, n).min_diameter for n in range(n_lo, n_hi + 1)}
+        assert pieces == greedy_runs(diams)
+        assert all(s in (-1, 0, 1) for _, _, s, _ in pieces)
+        return pieces
+
+    def test_dirac_gives_two_pieces(self):
+        assert self.check(dirac(), -1000, 1000) == [(-1000, 0, -1, 0), (1, 1000, 1, 0)]
+
+    def test_acceptance_corpus(self):
+        """binary_signals(8) and random dense signals, over the points within
+        one support width, as diff_signal checks the engines."""
+        rng = random.Random(20261022)
+        corpus = [random_dense(rng) for _ in range(150)] + list(binary_signals(8))
+        for sig in corpus:
+            lo, hi = support_bounds(sig)
+            width = hi - lo + 1
+            diams = expand(uncentered_pieces(sig, lo - width, hi + width))
+            assert all(event_uncentered(sig, n).min_diameter == d for n, d in diams.items())
+
+    @given(long_blocks_st, st.integers(0, 30))
+    @settings(max_examples=40, deadline=None)
+    def test_equals_event_uncentered_at_both_offsets(self, spec, margin):
+        sig = blocks_from(spec)
+        lo, hi = support_bounds(sig)
+        pieces = self.check(sig, lo - margin - 10, hi + margin)
+        t = 2**10000
+        moved = self.check(translate(sig, t), lo - margin - 10 + t, hi + margin + t)
+        assert moved == [(a + t, b + t, s, c - s * t) for a, b, s, c in pieces]
+
+    @given(long_blocks_st, st.integers(0, 20), st.integers(0, 30))
+    @settings(max_examples=60, deadline=None)
+    def test_walked_cells_give_the_sweeps_pieces(self, spec, margin, shift):
+        sig = blocks_from(spec)
+        lo, hi = support_bounds(sig)
+        n_lo, n_hi = sorted((lo - margin - 10 + shift, hi + margin))
+        pieces = uncentered_pieces(sig, n_lo, n_hi)
+        for cell in (0, 10**9):  # sweep every cell, walk every cell
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr("hlmax.maxengine._SHORT_CELL", cell)
+                assert uncentered_pieces(sig, n_lo, n_hi) == pieces, cell
+
+    def test_b800_layout_inside_and_far(self):
+        """800 seeded blocks (lengths 4-12, gaps 3-12): a stretch inside the
+        support, walked as it is and swept cell by cell, and 1001 points
+        ending 2^10000 left of lo and starting 2^10000 right of hi.  No
+        benchmark workload queries there."""
+        rng = random.Random(800)
+        spec = [(rng.randint(3, 12), rng.randint(4, 12), rng.randint(1, 9), rng.randint(1, 4))
+                for _ in range(800)]
+        sig = blocks_from(spec)
+        lo, hi = support_bounds(sig)
+        mid = (lo + hi) // 2
+        inside = self.check(sig, mid - 300, mid + 300)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr("hlmax.maxengine._SHORT_CELL", 0)
+            assert uncentered_pieces(sig, mid - 300, mid + 300) == inside
+        far = 2**10000
+        self.check(sig, lo - far - 1000, lo - far)
+        self.check(sig, hi + far, hi + far + 1000)
+
+    def test_refusals(self):
+        with pytest.raises(ParameterViolation):
+            uncentered_pieces(dirac(), 5, 4)
+        pl = BlockSignal([Block(1, 10, PowerLaw(Fraction(1, 2)))])
+        with pytest.raises(ParameterViolation):
+            uncentered_pieces(pl, 0, 3)
 
 
 class TestEnclosureHonesty:
