@@ -618,9 +618,9 @@ def _outside_runs(tangents: tuple, u_a: int, u_b: int, q: int):
         k += 1
 
 
-# Cells shorter than this are walked point by point, centered with the kink
+# Centered cells shorter than this are walked point by point with the kink
 # walk (a 1-point cell costs about 27 walks through _cell_candidates at
-# B = 200) and uncentered with _uncentered_hull
+# B = 200)
 _SHORT_CELL = 16
 
 
@@ -748,9 +748,9 @@ def uncentered_pieces(sig: Signal, n_lo: int, n_hi: int) -> list:
     t + 1 move with n.  On a cell, the offsets with t and t + 1 strictly
     inside one layout segment, both move along one line of P, so every
     candidate chord has an affine length and mass (_uncentered_forms), and
-    the winner loop of frequency_pieces (_cell_runs) compares them.  A
-    point with t or t + 1 on a breakpoint, and a cell shorter than
-    _SHORT_CELL, is answered by _uncentered_hull."""
+    the winner loop of frequency_pieces (_cell_runs) compares them.  Only
+    a point with t or t + 1 on a breakpoint is answered by
+    _uncentered_hull."""
     return _support_pieces(sig, n_lo, n_hi, 1, _uncentered_inside)
 
 
@@ -761,12 +761,11 @@ def _uncentered_inside(blocks: BlockSignal, pieces: list, t: int, t_hi: int) -> 
     while t <= t_hi:
         k = bisect_right(xs, t)  # xs[k - 1] <= t < xs[k]
         stop = min(t_hi, xs[k] - 2)
-        if xs[k - 1] < t <= stop and stop - t >= _SHORT_CELL - 1:
+        if xs[k - 1] < t <= stop:
             _cell_runs(pieces, _uncentered_forms(lay, k, t), t, stop - t, 1)
         else:
-            stop = max(t, stop) if t > xs[k - 1] else t
-            for x in range(t, stop + 1):
-                _append_run(pieces, x, x, 0, _uncentered_hull(lay, lay.lo + x).min_diameter)
+            stop = t
+            _append_run(pieces, t, t, 0, _uncentered_hull(lay, lay.lo + t).min_diameter)
         t = stop + 1
 
 

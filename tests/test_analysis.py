@@ -403,10 +403,10 @@ class TestSweptCounts:
         rows = density_series(sig, [200, 2000, 20000, 200000], g=GrowthSpec("log"))
         assert [r.flags for r in rows] == ["", "", "", "structural"]
 
-    def test_constant_uncentered_rows_query_only_short_cells(self, monkeypatch):
+    def test_constant_uncentered_rows_query_only_breakpoints(self, monkeypatch):
         """Uncentered rows of a constant signal come from uncentered_pieces:
         no event_uncentered call, and the hull is read point by point only
-        where a pinned end sits on a breakpoint or the cell is short."""
+        where a pinned end sits on a breakpoint, a cell of one point."""
         import hlmax.analysis
         import hlmax.maxengine
 
@@ -428,12 +428,10 @@ class TestSweptCounts:
         rows = density_series(sig, ns, uncentered=True)
         assert [(r.count_S, r.count_Z, r.count_near1) for r in rows] == [want[n - 1] for n in ns]
         lay = sig.layout
-        xs, short = lay.xs, hlmax.maxengine._SHORT_CELL
-        t_lo, t_hi = -ns[-1] - lay.lo, ns[-1] - lay.lo
+        xs = lay.xs
         for t in (n - lay.lo for n in walked):
             k = bisect_right(xs, t)
-            cell = min(xs[k] - 2, t_hi) - max(xs[k - 1] + 1, t_lo) + 1
-            assert t == xs[k - 1] or t + 1 == xs[k] or cell < short, t
+            assert t == xs[k - 1] or t + 1 == xs[k], t
         assert len(walked) < 20
 
     def test_power_law_rows_stay_pointwise(self):

@@ -1389,19 +1389,21 @@ class TestFrequencyPieces:
 
     def test_first_beat_equals_a_scan(self):
         """_first_beat against trying every t, on random affine forms whose
-        comparison is often concave with a short positive stretch."""
+        comparison is often concave with a short positive stretch: centered
+        forms of radius r0 + rs*t (length 2r + 1) and uncentered ones of
+        diameter r0 + rs*t (length r + 1), r >= 0 on [0, span]."""
         rng = random.Random(11)
 
-        def form(span):
+        def form(span, q):
             rs = rng.choice((-1, 0, 1))
             r0 = rng.randint(span if rs < 0 else 0, span + 8)
             ms = rng.randint(-40, 40)
             m0 = rng.randint(max(0, -ms * span), max(0, -ms * span) + 400)
-            return (r0, rs, m0, ms)
+            return (q * r0 + 1, q * rs, m0, ms)
 
-        for _ in range(3000):
-            span = rng.randint(1, 30)
-            f, w = form(span), form(span)
+        for i in range(3000):
+            span, q = rng.randint(1, 30), 1 + i % 2
+            f, w = form(span, q), form(span, q)
             t0 = rng.randint(-1, span - 1)
             want = next((t for t in range(t0 + 1, span + 1) if _beats(f, w, t)), None)
             assert _first_beat(f, w, t0, span) == want, (f, w, t0, span)
@@ -1617,7 +1619,7 @@ long_blocks_st = st.lists(
 
 class TestUncenteredPieces:
     """uncentered_pieces gives event_uncentered's min_diameter at every
-    point, in the greedy runs of the diameters, swept or walked alike."""
+    point, in the greedy runs of the diameters."""
 
     @staticmethod
     def check(sig, n_lo: int, n_hi: int) -> list:
@@ -1653,31 +1655,24 @@ class TestUncenteredPieces:
 
     @given(long_blocks_st, st.integers(0, 20), st.integers(0, 30))
     @settings(max_examples=60, deadline=None)
-    def test_walked_cells_give_the_sweeps_pieces(self, spec, margin, shift):
+    def test_ranges_starting_and_ending_anywhere(self, spec, margin, shift):
+        """A range may start or end inside a cell or on a breakpoint."""
         sig = blocks_from(spec)
         lo, hi = support_bounds(sig)
-        n_lo, n_hi = sorted((lo - margin - 10 + shift, hi + margin))
-        pieces = uncentered_pieces(sig, n_lo, n_hi)
-        for cell in (0, 10**9):  # sweep every cell, walk every cell
-            with pytest.MonkeyPatch.context() as mp:
-                mp.setattr("hlmax.maxengine._SHORT_CELL", cell)
-                assert uncentered_pieces(sig, n_lo, n_hi) == pieces, cell
+        self.check(sig, *sorted((lo - margin - 10 + shift, hi + margin)))
 
     def test_b800_layout_inside_and_far(self):
         """800 seeded blocks (lengths 4-12, gaps 3-12): a stretch inside the
-        support, walked as it is and swept cell by cell, and 1001 points
-        ending 2^10000 left of lo and starting 2^10000 right of hi.  No
-        benchmark workload queries there."""
+        support, whose cells are all short, and 1001 points ending 2^10000
+        left of lo and starting 2^10000 right of hi.  No benchmark workload
+        queries there."""
         rng = random.Random(800)
         spec = [(rng.randint(3, 12), rng.randint(4, 12), rng.randint(1, 9), rng.randint(1, 4))
                 for _ in range(800)]
         sig = blocks_from(spec)
         lo, hi = support_bounds(sig)
         mid = (lo + hi) // 2
-        inside = self.check(sig, mid - 300, mid + 300)
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr("hlmax.maxengine._SHORT_CELL", 0)
-            assert uncentered_pieces(sig, mid - 300, mid + 300) == inside
+        self.check(sig, mid - 300, mid + 300)
         far = 2**10000
         self.check(sig, lo - far - 1000, lo - far)
         self.check(sig, hi + far, hi + far + 1000)
