@@ -479,13 +479,18 @@ def _scales29(
     k_max: int, mode: str, n1: Optional[int], n1_paper: int, growth_factor: Optional[int]
 ) -> list:
     """Theorem 29 scales N_1..N_kmax with N_{k+1} = N_k * growth_factor, or
-    N_k^10 without a factor; paper_exact forces N_1 = n1_paper and ^10."""
+    N_k^10 without a factor; paper_exact forces N_1 = n1_paper and ^10.
+    Relaxed scales must grow: n1 and any growth factor are at least 2."""
     if mode not in ("paper_exact", "relaxed"):
         raise ParameterViolation("mode must be paper_exact or relaxed")
     if mode == "paper_exact":
         n1, growth_factor = n1_paper, None
     elif n1 is None:
         raise ParameterViolation("relaxed mode needs n1")
+    elif n1 < 2:
+        raise ParameterViolation(f"--n1 must be >= 2, got {int_brief(n1)}")
+    elif growth_factor is not None and growth_factor < 2:
+        raise ParameterViolation(f"--growth-factor must be >= 2, got {int_brief(growth_factor)}")
     ns = [int(n1)]
     for _ in range(k_max - 1):
         ns.append(ns[-1] ** 10 if growth_factor is None else ns[-1] * int(growth_factor))
@@ -499,8 +504,9 @@ def _growth_conditions(ns: list):
 
 
 def _first_wide(ls: list) -> Optional[int]:
-    """K: the smallest k with L_k/(2L_k+1) > 5/12, i.e. L_k >= 3."""
-    return next((k for k, l in enumerate(ls, start=1) if l >= 3), None)
+    """K: the smallest k >= 2 with L_k/(2L_k+1) > 5/12, i.e. L_k >= 3
+    (there is no block at k = 1)."""
+    return next((k for k, l in enumerate(ls[1:], start=2) if l >= 3), None)
 
 
 def _conditions29_linf(ns: list, ls: list):

@@ -21,14 +21,15 @@ maximum is the steepest chord of the prefix-mass graph across n, found by
 tangent steps between the prefix and suffix hulls the layout compiles with
 it, rather than by trying every pair of window edges; and the
 sweeps of frequency_pieces (radii) and uncentered_pieces (diameters)
-compare affine forms, window mass over window length, on the same
-breakpoints with one core (_beats, _first_beat, _cell_runs), all in
-integers (scaled by the common denominator) on offsets from the support
-start, and hand their runs to _append_run, which alone decides where a
-piece ends (the greedy-run contract is stated in the frequency_pieces
-docstring).  Outside the support all of them read the tangent switch
-points the layout compiles: one bisect per query, and the pieces straight
-off the switch points.  profile_sweep cuts the pieces into
+compare affine forms, window mass over window length, one per breakpoint
+of the same layout (the kinks and hull points the walks read), with one
+core (_beats, _first_beat, _cell_runs), all in integers (scaled by the
+common denominator) on offsets from the support start, and hand their
+runs to _append_run, which alone decides where a piece ends (the
+greedy-run contract is stated in the frequency_pieces docstring).  Outside
+the support all of them read the tangent switch points the layout
+compiles: one bisect per query, and the pieces straight off the switch
+points.  profile_sweep cuts the pieces into
 cells on which neither window edge crosses a breakpoint, where the window
 mass is affine in n too, so a profile reads one window sum per cell, not
 per point.
@@ -439,53 +440,30 @@ def event_centered(sig: Signal, n: int, limits: Limits = DEFAULT_LIMITS) -> Cent
     return CenteredResult(n, best_v, best_r, gap is None, gap)
 
 
-def _mass_stretch(lay: StepLayout, y: int) -> tuple:
-    """(slope, P(y), last) for the prefix mass P of the layout on the
-    linear stretch starting at y: P(y + t) = P(y) + slope * t while
-    y + t <= last, the first breakpoint past y (None: for ever)."""
-    xs = lay.xs
-    k = bisect_right(xs, y)
-    return lay.vals[k], lay.mass_to(y, 1), xs[k] if k < len(xs) else None
+def _centered_forms(lay: StepLayout, t: int, t_max: int) -> tuple:
+    """The candidate radii from the support offset t on as forms (_beats),
+    and t_end: all of them hold at t + u for 0 <= u <= t_end <= t_max.
 
-
-def _cell_candidates(lay: StepLayout, bounds: list, n: int, t_max: int) -> tuple:
-    """The event radii 0 and |n - b| + d (d = -1, 0, 1) as affine forms
-    from support offset n on, bounds being the block boundaries as offsets.
-
-    Returns (t_end, forms): each form (d0, ds, m0, ms) gives the window
-    length d0 + ds*t, twice the radius plus one, and the scaled window mass
-    m0 + ms*t at n + t (_beats), and all of them hold for
-    0 <= t <= t_end <= t_max.  A form changes where n crosses its
-    boundary b (n = b is a cell of its own, where b - 1 has no radius) and
-    where a moving window edge crosses a breakpoint.  Radii above the search
-    bound are kept: they hold the whole mass over a longer window than the
-    bound's radius, which is a candidate too, so they never win."""
-    t_end = t_max
-    # (radius at n, radius slope, left edge, its speed, right edge + 1, its speed)
-    shapes = [(0, 0, n, 1, n + 1, 1)]
-    for b in bounds:
-        if n < b:
-            t_end = min(t_end, b - 1 - n)
-            shapes += [(b - n + d, -1, 2 * n - b - d, 2, b + d + 1, 0) for d in (-1, 0, 1)]
-        elif n == b:
-            t_end = 0
-            shapes += [(d, 0, b - d, 0, b + d + 1, 0) for d in (0, 1)]
-        else:
-            shapes += [(n - b + d, 1, b - d, 0, 2 * n - b + d + 1, 2) for d in (-1, 0, 1)]
-    forms = {}
-    for r0, rs, left, v_left, right, v_right in shapes:
-        if (r0, rs) in forms:
-            continue
-        m0 = ms = 0
-        for y, v, sign in ((right, v_right, 1), (left, v_left, -1)):
-            slope, p, last = _mass_stretch(lay, y)
-            m0 += sign * p
-            if v:
-                ms += sign * slope * v
-                if last is not None:
-                    t_end = min(t_end, (last - y) // v)
-        forms[(r0, rs)] = (2 * r0 + 1, 2 * rs, m0, ms)
-    return t_end, list(forms.values())
+    The candidates are the kink walk's (centered_radius): radius 0 and one
+    radius per breakpoint x, r = t - x (the window starts at x <= t) or
+    x - t - 1 (it ends at x > t).  Either way the moving edge is
+    y = 2t + 1 - x, x mirrored about t + 1/2, moving two steps a step: with
+    s = 1 for x <= t, -1 for x > t, and P the scaled prefix mass, the form
+    is s (2(t - x) + 1, 2, P(y) - P(x), 2 P'(y)) until y passes a
+    breakpoint.  So the next breakpoint x > t ends the cell where t + 1
+    reaches it, as its own y passes it there.  Radii above the search bound
+    are kept: they hold the whole mass over a longer window than a radius
+    reaching the last breakpoint, so they never win."""
+    xs, ys, vals = lay.xs, lay.ys, lay.vals
+    t_end, forms = t_max, [(1, 0, vals[bisect_right(xs, t)], 0)]
+    for x, m in zip(xs, ys):
+        y, s = 2 * t + 1 - x, 1 if x <= t else -1
+        j = bisect_right(xs, y)  # P has slope vals[j] on [xs[j - 1], xs[j]]
+        p = ys[j - 1] + vals[j] * (y - xs[j - 1]) if j else 0
+        if j < len(xs):
+            t_end = min(t_end, (xs[j] - y) // 2)
+        forms.append((s * (2 * (t - x) + 1), 2 * s, s * (p - m), 2 * s * vals[j]))
+    return t_end, forms
 
 
 def _beats(f: tuple, w: tuple, t: int) -> bool:
@@ -568,34 +546,6 @@ def _cell_runs(pieces: list, forms: list, t: int, t_end: int, q: int) -> None:
         u = nxt
 
 
-def _sweep_tables(lay: StepLayout) -> tuple:
-    """(bounds, near3, near4): the block boundaries (starts and ends) as
-    sorted offsets, and for w = 3, 4 the offsets x such that one of x, ...,
-    x + w - 1 is a breakpoint of the layout.  A breakpoint x starts a
-    block when f is non-zero right of it and ends one at x - 1 when f is
-    non-zero left of it."""
-    xs, vals = lay.xs, lay.vals
-    starts = {x for x, v in zip(xs, vals[1:]) if v}
-    bounds = sorted(starts | {x - 1 for x, v in zip(xs, vals) if v})
-    near3 = {x - j for x in xs for j in (0, 1, 2)}
-    return bounds, near3, near3 | {x - 3 for x in xs}
-
-
-def _edge_hit(left: list, right: list, near: set, x: int) -> bool:
-    """Whether some moving window edge of the sweep's forms meets a
-    breakpoint, for offsets t between two boundaries, left and right being
-    the boundaries on either side of t.
-
-    Those edges sit at 2t - c, c = b - d - 1 for a boundary b left of t and
-    b + d for one right of it (d = -1, 0, 1).  With near3, the cell started
-    at s ends before t exactly when x - c is a breakpoint for x = 2t - 1,
-    or for t - 1 > s for x = 2t - 2: the edge passes the point that bounds
-    t_end in _cell_candidates.  With near4 and x = 2t - 2 the test covers
-    both x at once."""
-    return not (near.isdisjoint(map(x.__sub__, left))
-                and near.isdisjoint(map((x - 1).__sub__, right)))
-
-
 def _outside_runs(tangents: tuple, u_a: int, u_b: int, q: int):
     """(u0, u1, dist): the runs of u_a <= u <= u_b, ascending, on which the
     tangent from the point at distance u + 1/q beyond a support end touches
@@ -619,8 +569,8 @@ def _outside_runs(tangents: tuple, u_a: int, u_b: int, q: int):
 
 
 # Centered cells shorter than this are walked point by point with the kink
-# walk (a 1-point cell costs about 27 walks through _cell_candidates at
-# B = 200)
+# walk (at B = 200 a 1-point cell swept through _centered_forms costs about
+# 4-5 walks)
 _SHORT_CELL = 16
 
 
@@ -691,47 +641,50 @@ def frequency_pieces(sig: Signal, n_lo: int, n_hi: int) -> list:
     point when that slope is -1, 0 or 1 (the only slopes whose edge motion
     profile_sweep reads), else it keeps slope 0 (_append_run).
 
-    The range is cut into cells on which every event radius (0 and
-    |n - b| + d, which include the kinks of the window mass) and its window
-    mass are affine in n; within a cell the winner changes only where some
+    The range is cut into cells on which every candidate radius (0 and one
+    per breakpoint, the kink walk's) and its window mass are affine in n
+    (_centered_forms); within a cell the winner changes only where some
     candidate's quadratic comparison with it changes sign (_cell_runs), so
     the sweep costs work per cell and per change of winner, not per point.
-    Cells shorter than _SHORT_CELL, as between close boundaries, are
-    cheaper walked point by point.  Only [lo, hi] is swept; outside it the
-    runs come off the layout's switch points (_support_pieces).  The
-    boundary tables of the sweep (_sweep_tables) are built once per signal
-    and kept on it."""
+    Cells shorter than _SHORT_CELL, as between close breakpoints, are
+    cheaper walked point by point (_cell_stop).  Only [lo, hi] is swept;
+    outside it the runs come off the layout's switch points
+    (_support_pieces)."""
     return _support_pieces(sig, n_lo, n_hi, 2, _centered_inside)
 
 
 def _centered_inside(blocks: BlockSignal, pieces: list, t: int, t_hi: int) -> None:
     """frequency_pieces' sweep over the support offsets t to t_hi."""
     lay = blocks.layout
-    if blocks._sweep is None:  # O(B), so only a range that meets [lo, hi] builds them
-        blocks._sweep = _sweep_tables(lay)
-    bounds, near3, near4 = blocks._sweep
+    xs = lay.xs
+    marks = set(xs)
     while t <= t_hi:
-        k = bisect_left(bounds, t)
-        if k < len(bounds) and bounds[k] - t < _SHORT_CELL:
-            # every cell up to the next boundary (or at it) is short
-            stop = min(t_hi, max(t, bounds[k] - 1))
-        else:
-            # a long stretch: look up to _SHORT_CELL points ahead for the
-            # next cell start
-            left, right = bounds[:k], bounds[k:]
-            stop, limit = t, min(t_hi, t + _SHORT_CELL - 1)
-            if stop < limit and not _edge_hit(left, right, near3, 2 * t + 1):
-                stop += 1
-                while stop < limit and not _edge_hit(left, right, near4, 2 * stop):
-                    stop += 1
+        # a cell ends by the point before the next breakpoint: up to there
+        # every cell is short, or this one's end is looked for ahead
+        stop = min(t_hi, xs[bisect_right(xs, t)] - 1)
+        if stop >= t + _SHORT_CELL - 1:
+            stop = _cell_stop(marks, xs, t, t + _SHORT_CELL - 1)
         if stop < t + _SHORT_CELL - 1:
             for x in range(t, stop + 1):
                 _append_run(pieces, x, x, 0, lay.centered_radius(2 * x + 1, 2) // 2)
             t = stop + 1
             continue
-        t_end, forms = _cell_candidates(lay, bounds, t, t_hi - t)
+        t_end, forms = _centered_forms(lay, t, t_hi - t)
         _cell_runs(pieces, forms, t, t_end, 2)
         t += t_end + 1
+
+
+def _cell_stop(marks: set, xs: list, t: int, limit: int) -> int:
+    """The last offset, up to limit, of the cell of _centered_forms from t;
+    marks = set(xs).  A cell that reaches s - 1 reaches s unless a moving
+    edge 2s + 1 - x passes a breakpoint on the way: 2s - x or, past
+    s = t + 1, 2s - 1 - x."""
+    u = t  # the cell reaches u, and s = u + 1 is tested
+    while u < limit and marks.isdisjoint(map((2 * u + 2).__sub__, xs)) and (
+        u == t or marks.isdisjoint(map((2 * u + 1).__sub__, xs))
+    ):
+        u += 1
+    return u
 
 
 def uncentered_pieces(sig: Signal, n_lo: int, n_hi: int) -> list:

@@ -130,7 +130,7 @@ class BlockSignal:
     `layout` is the StepLayout of an all-constant signal, None when a block
     is power-law."""
 
-    __slots__ = ("blocks", "_starts", "_ends", "_boundaries", "layout", "_pl_tables", "_sweep")
+    __slots__ = ("blocks", "_starts", "_ends", "_boundaries", "layout", "_pl_tables")
 
     def __init__(self, blocks):
         blist = sorted(blocks, key=lambda b: b.start)
@@ -155,7 +155,6 @@ class BlockSignal:
                 self._boundaries.append(b.end)
         self.layout = None if self.has_powerlaw else _block_layout(merged)
         self._pl_tables = {}
-        self._sweep = None  # frequency_pieces' boundary tables, built on first use
 
     @property
     def has_powerlaw(self) -> bool:

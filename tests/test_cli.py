@@ -488,6 +488,31 @@ class TestVerify:
         assert run("verify", "theorem29-linf", "--k", "5") == 0
         assert "anchor_k4" in capsys.readouterr().out
 
+    def test_linf_relaxed_anchors_start_at_a_block(self, tmp_path):
+        # L_1 = 3 >= 3, but block 1 is never built: K is counted from k = 2
+        rep = tmp_path / "report.json"
+        assert run(
+            "verify", "theorem29-linf", "--mode", "relaxed", "--n1", "9",
+            "--growth-factor", "10", "--k", "4", "--report", str(rep),
+        ) == 0
+        doc = json.loads(rep.read_text())
+        assert doc["ok"] is True
+        assert doc["certificate"]["claim_ks"] == [2, 3]
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--n1", "-9", "--k", "3"], "--n1 must be >= 2, got -9"),
+            (["--n1", "1", "--k", "3"], "--n1 must be >= 2, got 1"),
+            (["--n1", "9", "--growth-factor", "-2", "--k", "4"], "--growth-factor must be >= 2, got -2"),
+            (["--n1", "9", "--growth-factor", "1", "--k", "4"], "--growth-factor must be >= 2, got 1"),
+        ],
+    )
+    @pytest.mark.parametrize("theorem", [["theorem29-linf"], ["theorem29-lp", "--p", "2", "--alpha", "3/5"]])
+    def test_theorem29_relaxed_scales_must_grow(self, capsys, theorem, flags, message):
+        assert run("verify", *theorem, "--mode", "relaxed", *flags) == 2
+        assert capsys.readouterr().err == f"error: ParameterViolation: {message}\n"
+
     def test_lp_relaxed_passes(self):
         assert run(
             "verify", "theorem29-lp", "--p", "2", "--alpha", "3/5",

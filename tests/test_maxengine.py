@@ -4,13 +4,12 @@ import functools
 import json
 import random
 import tracemalloc
-from bisect import bisect_left
 from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from hlmax.config import DEFAULT_LIMITS, Limits
@@ -30,13 +29,12 @@ from hlmax.maxengine import (
     _beats,
     _best,
     _bounds_sign,
-    _cell_candidates,
+    _cell_stop,
+    _centered_forms,
     _centered_stretch_peaks,
     _delta_step_sign,
-    _edge_hit,
     _first_beat,
     _h_sign,
-    _sweep_tables,
     _u_peak,
     CenteredResult,
     average_centered,
@@ -1418,22 +1416,14 @@ class TestFrequencyPieces:
         assert pieces[0] == (-10**6, pieces[0][1], -1, 178)  # far left: r = 178 - n
         assert pieces[-1][2:] == (1, -14)  # far right: r = n - 14
 
-    def test_sweep_tables_built_once_per_signal(self, monkeypatch):
-        builds = []
-
-        def counted(lay):
-            builds.append(lay)
-            return _sweep_tables(lay)
-
-        monkeypatch.setattr(hlmax.maxengine, "_sweep_tables", counted)
+    def test_inner_and_outside_ranges(self):
         sig = blocks_from([(0, 3, 1, 1), (2, 4, 2, 1), (5, 2, 1, 3)])
         lo, hi = support_bounds(sig)
         radii = expand(frequency_pieces(sig, lo, hi))
-        assert len(builds) == 1
         inner = expand(frequency_pieces(sig, lo + 2, hi - 1))
         assert inner == {n: radii[n] for n in range(lo + 2, hi)}
-        frequency_pieces(sig, lo - 5, lo - 1)  # outside the support: no tables
-        assert len(builds) == 1
+        outside = expand(frequency_pieces(sig, lo - 5, lo - 1))
+        assert outside == {n: event_centered(sig, n).radius for n in range(lo - 5, lo)}
 
     def test_refusals(self):
         with pytest.raises(ParameterViolation):
@@ -1569,32 +1559,22 @@ class TestShortCells:
                 mp.setattr("hlmax.maxengine._SHORT_CELL", cell)
                 assert frequency_pieces(sig, n_lo, n_hi) == pieces, cell
 
-    @given(constant_blocks_st, st.integers(0, 12))
+    @given(constant_blocks_st)
     @settings(max_examples=80, deadline=None)
-    def test_cell_starts_and_first_forms_match_the_sweep(self, spec, margin):
-        """Through every cell of the sweep: the edge-point test marks exactly
-        its end."""
+    def test_cell_starts_and_first_forms_match_the_sweep(self, spec):
+        """Through every cell of the sweep: the mirrored-edge test stops
+        exactly at its end."""
         lay = blocks_from(spec).layout
-        bounds, near3, near4 = _sweep_tables(lay)
-        t, t_hi = -margin - 3, lay.xs[-1] + margin
+        xs, t, t_hi = lay.xs, 0, lay.xs[-1] - 1
         while t <= t_hi:
-            t_end, _ = _cell_candidates(lay, bounds, t, t_hi - t)
-            k = bisect_left(bounds, t)
-            left, right = bounds[:k], bounds[k:]
-            for u in range(t + 1, min(t + t_end + 1, t_hi) + 1):
-                if k < len(bounds) and bounds[k] <= u:
-                    break  # boundaries end cells on their own
-                ends = _edge_hit(left, right, near3, 2 * u - 1) or (
-                    u - 1 > t and _edge_hit(left, right, near3, 2 * u - 2)
-                )
-                assert ends == (u == t + t_end + 1), (t, u)
-                if u - 1 > t:
-                    assert _edge_hit(left, right, near4, 2 * u - 2) == ends, (t, u)
+            t_end, _ = _centered_forms(lay, t, t_hi - t)
+            limit = min(t + t_end + 1, t_hi)
+            assert _cell_stop(set(xs), xs, t, limit) == t + t_end, t
             t += t_end + 1
 
     def test_dense_layout_walks_without_a_sweep(self, monkeypatch):
         # blocks 4-12 long with gaps 3-12: every cell inside the support is
-        # walked, so _cell_candidates never runs there
+        # walked, so _centered_forms never runs there
         rng = random.Random(3)
         spec = [(rng.randint(3, 12), rng.randint(4, 12), rng.randint(1, 16), rng.randint(1, 16))
                 for _ in range(60)]
@@ -1606,8 +1586,37 @@ class TestShortCells:
         def refuse(*args):
             raise AssertionError("swept a cell")
 
-        monkeypatch.setattr("hlmax.maxengine._cell_candidates", refuse)
+        monkeypatch.setattr("hlmax.maxengine._centered_forms", refuse)
         assert list(expand(frequency_pieces(sig, mid - 60, mid + 59)).values()) == want
+
+
+class TestCenteredForms:
+    """The candidate forms of frequency_pieces' sweep are the true windows
+    at every offset of every cell, and their winner is the kink walk's."""
+
+    @given(constant_blocks_st, st.sampled_from([0, 2**10000]))
+    @example([(0, 1, 5, 1), (0, 3, 1, 1), (0, 1, 9, 1), (2, 1, 3, 2)], 2**10000)
+    @settings(max_examples=80, deadline=None)
+    def test_forms_are_windows_and_the_winner_is_the_walks(self, spec, off):
+        sig = translate(blocks_from(spec), off)
+        lay = sig.layout
+        lo, t, t_hi = support_bounds(sig)[0], 0, lay.xs[-1] - 1
+        while t <= t_hi:
+            t_end, forms = _centered_forms(lay, t, t_hi - t)
+            assert len(forms) == len(lay.xs) + 1
+            for u in range(t_end + 1):
+                n = lo + t + u
+                for f in forms:
+                    den, mass = f[0] + f[1] * u, f[2] + f[3] * u
+                    r = (den - 1) // 2
+                    assert den == 2 * r + 1 and r >= 0, (t, u, f)
+                    assert mass == window_sum_scaled(sig, n - r, n + r), (t, u, f)
+                w = forms[0]
+                for f in forms[1:]:
+                    if _beats(f, w, u):
+                        w = f
+                assert (w[0] + w[1] * u) // 2 == lay.centered_radius(2 * (t + u) + 1, 2) // 2
+            t += t_end + 1
 
 
 long_blocks_st = st.lists(
